@@ -7,10 +7,8 @@
 //! * `kernel_cache/{on,off}` — the kernel-layer conv/whnf memo tables on
 //!   the whole `Swap.v` list-module repair, with hit/miss counters from
 //!   `kernel::stats`;
-//! * `repair_parallel/jobs=N` — the wavefront module-repair scheduler on
-//!   the same workload, sweeping worker counts (default {1, 2, 4}; pin
-//!   with `--jobs N` or `PUMPKIN_JOBS=N`), with per-wave/per-worker
-//!   counters from `RepairReport::schedule`;
+//! * `repair_parallel/jobs=1` — the same workload as a standalone row,
+//!   with the per-wave counters from `RepairReport::schedule`;
 //! * `scaling/enum_N` — repair latency as the number of constructors grows
 //!   (the §6.1.3 Enum stress-test, parameterized);
 //! * `scaling/term_size_N` — lifting latency as the proof term grows
@@ -103,29 +101,21 @@ fn bench_kernel_cache_ablation(b: &mut Bench) {
 }
 
 fn bench_repair_parallel(b: &mut Bench) {
-    // The tentpole workload again (whole swap_list_module repair), now
-    // through the wavefront scheduler at several worker counts. jobs=1
-    // measures the pure scheduling overhead against the sequential
-    // `kernel_cache/on` row; higher counts measure the parallel speedup.
+    // The id keeps its `jobs=1` suffix: bench_guard matches ids against the
+    // committed BENCH_*.json, `trace_overhead/off` is gated against this
+    // row in-run, and ROADMAP.md tracks this row's drift across releases.
     let base = stdlib::std_env();
-    let sweep: Vec<usize> = match b.jobs() {
-        Some(j) => vec![j],
-        None => vec![1, 2, 4],
-    };
-    for jobs in sweep {
-        b.bench(
-            &format!("repair_parallel/jobs={jobs}"),
-            || base.clone(),
-            |mut env| {
-                case_studies::swap_list_module_parallel(&mut env, jobs).unwrap();
-                env
-            },
-        );
-        let mut env = base.clone();
-        env.reset_kernel_stats();
-        let report = case_studies::swap_list_module_parallel(&mut env, jobs).unwrap();
-        println!("  repair_parallel/jobs={jobs}: {}", report.schedule);
-    }
+    b.bench(
+        "repair_parallel/jobs=1",
+        || base.clone(),
+        |mut env| {
+            case_studies::swap_list_module(&mut env).unwrap();
+            env
+        },
+    );
+    let mut env = base.clone();
+    let report = case_studies::swap_list_module(&mut env).unwrap();
+    println!("  repair_parallel/jobs=1: {}", report.schedule);
 }
 
 fn bench_trace_overhead(b: &mut Bench) {
@@ -136,7 +126,7 @@ fn bench_trace_overhead(b: &mut Bench) {
     // the row comparable across baselines); `prov` is the provenance
     // recorder alone; `full` is both.
     b.bench("trace_overhead/off", stdlib::std_env, |mut env| {
-        case_studies::swap_list_module_parallel(&mut env, 1).unwrap();
+        case_studies::swap_list_module(&mut env).unwrap();
         env
     });
     b.bench("trace_overhead/on", stdlib::std_env, |mut env| {
@@ -146,22 +136,22 @@ fn bench_trace_overhead(b: &mut Bench) {
     // Provenance recorder on, sink off: the per-subterm attribution cost
     // in isolation.
     b.bench("trace_overhead/prov", stdlib::std_env, |mut env| {
-        case_studies::swap_list_module_provenance(&mut env, 1).unwrap();
+        case_studies::swap_list_module_provenance(&mut env).unwrap();
         env
     });
     b.bench("trace_overhead/full", stdlib::std_env, |mut env| {
-        case_studies::swap_list_module_traced(&mut env, 1).unwrap();
+        case_studies::swap_list_module_traced(&mut env).unwrap();
         env
     });
     let mut env = stdlib::std_env();
-    let report = case_studies::swap_list_module_traced(&mut env, 1).unwrap();
+    let report = case_studies::swap_list_module_traced(&mut env).unwrap();
     println!(
         "  trace_overhead/full: {} events, {} lift spans",
         report.trace_events().len(),
         report.metrics().counter("lift.constants"),
     );
     let mut env = stdlib::std_env();
-    let report = case_studies::swap_list_module_provenance(&mut env, 1).unwrap();
+    let report = case_studies::swap_list_module_provenance(&mut env).unwrap();
     println!(
         "  trace_overhead/prov: {} constants, {} sites",
         report.provenance.len(),
@@ -188,7 +178,6 @@ fn swap_module_repairer(
     )
     .unwrap();
     cfg(pumpkin_core::Repairer::new(&lifting))
-        .jobs(1)
         .run(env, stdlib::swap::OLD_MODULE_CONSTANTS)
         .unwrap();
 }

@@ -453,7 +453,6 @@ pub struct AutoDriver {
     b: GlobalName,
     names: NameMap,
     source: Option<String>,
-    jobs: usize,
     capture: bool,
     cancel: Option<CancelToken>,
     persist_dir: Option<PathBuf>,
@@ -470,7 +469,6 @@ impl AutoDriver {
             b: GlobalName::new("New.list"),
             names: NameMap::prefix("Old.", "New."),
             source: None,
-            jobs: 1,
             capture: false,
             cancel: None,
             persist_dir: None,
@@ -499,12 +497,6 @@ impl AutoDriver {
         self
     }
 
-    /// Worker cap for each candidate's wavefront run.
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
-    }
-
     /// Captures trace events (the winning run's stream plus the
     /// `auto_candidate`/`auto_verdict` family) on the report.
     pub fn trace(mut self, capture: bool) -> Self {
@@ -513,8 +505,8 @@ impl AutoDriver {
     }
 
     /// Wall-clock budget for the whole search: the candidate loop polls
-    /// between candidates and each candidate's run stops at its next wave
-    /// boundary; the report comes back partial (`complete == false`).
+    /// between candidates and each candidate's run stops before its next
+    /// constant; the report comes back partial (`complete == false`).
     pub fn deadline(mut self, budget: Duration) -> Self {
         self.cancel = Some(CancelToken::with_deadline(budget));
         self
@@ -755,7 +747,6 @@ impl AutoDriver {
             LiftState::without_cache()
         };
         let mut repairer = Repairer::new(&lifting)
-            .jobs(self.jobs)
             .trace(self.capture)
             .state(&mut state);
         if let Some(dir) = &self.persist_dir {

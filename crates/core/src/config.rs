@@ -50,11 +50,13 @@ pub struct MatchedProj {
 /// heuristics of paper §4.2.1. Implementations are per-configuration-class,
 /// mirroring `liftconfig.ml`.
 ///
-/// `Send + Sync` is a supertrait so that a [`Lifting`] can be shared by
-/// reference across the parallel repair scheduler's worker threads;
-/// recognizers are immutable data (terms and names), so this costs
-/// implementations nothing.
-pub trait SideMatch: Send + Sync {
+/// `Send` is a supertrait because a configured [`Lifting`] lives in a
+/// serve worker's session, which is moved onto that worker's thread.
+/// Recognizers hold interned terms and names, which the global interner
+/// already requires to be `Send + Sync`, so this costs implementations
+/// nothing. No `Lifting` is shared between threads, so `Sync` is not
+/// required.
+pub trait SideMatch: Send {
     /// Recognizes the type itself applied to arguments; returns the type
     /// arguments.
     fn match_type(&self, env: &Env, t: &Term) -> Option<Vec<Term>>;
@@ -81,9 +83,9 @@ pub trait SideMatch: Send + Sync {
 /// *already lifted* components and must emit reduced terms (paper Fig. 11,
 /// step 4 happens here rather than as a separate pass).
 ///
-/// `Send + Sync` for the same reason as [`SideMatch`]: a configured
-/// [`Lifting`] is read-only shared state during parallel module repair.
-pub trait SideBuild: Send + Sync {
+/// `Send` for the same reason as [`SideMatch`]: a configured [`Lifting`]
+/// moves with its serve worker's session.
+pub trait SideBuild: Send {
     /// Builds the type applied to the given arguments.
     fn build_type(&self, env: &Env, args: Vec<Term>) -> Result<Term>;
 

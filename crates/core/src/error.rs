@@ -35,9 +35,10 @@ pub enum RepairError {
     UnificationFailed { term: Term, reason: String },
     /// A constant that must exist (part of a configuration) is missing.
     MissingDependency(GlobalName),
-    /// The repair was cancelled at a wave boundary — a deadline expired or
-    /// a [`crate::schedule::CancelToken`] fired. Waves completed before the
-    /// cancellation point remain installed in the environment.
+    /// The repair was cancelled before one of its constants — a deadline
+    /// expired or a [`crate::schedule::CancelToken`] fired. The wave in
+    /// flight is rolled back; waves completed before it remain installed
+    /// in the environment.
     Cancelled { completed_waves: usize },
     /// The persistent lift cache directory could not be opened or written.
     PersistCache(String),
@@ -187,10 +188,7 @@ impl fmt::Display for RepairError {
                 write!(f, "configuration depends on missing global `{n}`")
             }
             RepairError::Cancelled { completed_waves } => {
-                write!(
-                    f,
-                    "repair cancelled at a wave boundary ({completed_waves} wave(s) completed)"
-                )
+                write!(f, "repair cancelled ({completed_waves} wave(s) completed)")
             }
             RepairError::PersistCache(m) => write!(f, "persistent lift cache: {m}"),
             RepairError::SourceNotFree {

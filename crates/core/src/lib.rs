@@ -37,4 +37,4 @@ pub use pumpkin_trace as trace;
 pub use pumpkin_wire as wire;
 pub use repair::RepairReport;
 pub use repairer::Repairer;
-pub use schedule::{default_jobs, CancelToken, ModuleDag, ScheduleStats};
+pub use schedule::{CancelToken, ModuleDag, ScheduleStats};

@@ -124,7 +124,7 @@ pub struct LiftState {
     /// Per-subterm rule attribution; `None` (the default) makes every
     /// provenance probe a single branch (see [`crate::prov`]).
     prov: Option<Box<ProvRecorder>>,
-    /// Persistent cross-run cache handle, shared across wavefront workers
+    /// Persistent cross-run cache handle, shared with each wave's fork
     /// (see [`crate::persist::PersistCache`]); `None` (the default) keeps
     /// [`repair_constant`] purely in-memory.
     persist: Option<std::sync::Arc<crate::persist::PersistCache>>,
@@ -170,12 +170,13 @@ impl LiftState {
         self.const_map.insert(from.into(), to.into());
     }
 
-    /// A fresh state for a parallel repair worker: the accumulated caches
+    /// A checkpoint fork for one scheduler wave: the accumulated caches
     /// (constant map, closed-subterm cache, relevance memo) carry over so
     /// dependencies repaired in earlier waves resolve without re-lifting,
-    /// but counters start at zero (so the worker's work can be attributed)
-    /// and the in-progress guard is empty (workers begin between top-level
-    /// repairs by construction).
+    /// but counters start at zero and the in-progress guard is empty (a
+    /// wave begins between top-level repairs by construction). A failing
+    /// wave drops its fork, so its cache entries never reach this state;
+    /// a completed one is folded back with [`LiftState::absorb_worker`].
     pub fn fork_worker(&self) -> LiftState {
         LiftState {
             const_map: self.const_map.clone(),
@@ -184,7 +185,7 @@ impl LiftState {
             in_progress: HashSet::new(),
             relevant: self.relevant.clone(),
             stats: LiftStats::default(),
-            // Recording carries over as a fresh recorder; the worker's
+            // Recording carries over as a fresh recorder; the wave's
             // finished trees are folded back in absorb_worker.
             prov: self.prov.as_ref().map(|_| Box::default()),
             persist: self.persist.clone(),
@@ -316,9 +317,9 @@ impl LiftState {
         }
     }
 
-    /// Merges a worker's state back after its wave: new constant mappings,
+    /// Merges a completed wave's fork back: new constant mappings,
     /// closed-subterm cache entries, and relevance verdicts are unioned in,
-    /// and the worker's counters are added to this state's totals. Lifting
+    /// and the fork's counters are added to this state's totals. Lifting
     /// is deterministic, so entries present on both sides are identical and
     /// insertion order cannot change results.
     pub fn absorb_worker(&mut self, worker: LiftState) {

@@ -87,7 +87,7 @@ pub fn config_digest(l: &Lifting) -> TermDigest {
 /// An open handle on one configuration's shard of the on-disk cache.
 ///
 /// Immutable after opening (all I/O goes through `&self`), so it is
-/// shared across wavefront workers behind an `Arc`.
+/// shared with each wave's lift-state fork behind an `Arc`.
 #[derive(Debug)]
 pub struct PersistCache {
     root: PathBuf,

@@ -23,10 +23,9 @@ use crate::schedule::ScheduleStats;
 
 /// The result of a module repair: the constants repaired (old → new), in
 /// completion order, plus the work the repair cost at every layer —
-/// kernel counters, lift-layer counters, wavefront scheduling stats (every
-/// run is scheduled; a sequential run is a one-worker schedule over the
-/// same DAG), and, when tracing was on, the structured event stream and
-/// the metrics registry derived from it.
+/// kernel counters, lift-layer counters, wave scheduling stats over the
+/// module's dependency DAG, and, when tracing was on, the structured event
+/// stream and the metrics registry derived from it.
 #[derive(Clone, Debug, Default)]
 pub struct RepairReport {
     /// Mapping from each repaired source constant to its repaired name.
@@ -38,15 +37,13 @@ pub struct RepairReport {
     /// per constant by the drivers and tests).
     index: HashMap<GlobalName, usize>,
     /// Kernel counters (conv/whnf cache traffic, reduction steps) accrued
-    /// while this report's constants were repaired and re-checked. For a
-    /// parallel run this aggregates the master and every worker clone.
+    /// while this report's constants were repaired and re-checked.
     pub kernel: KernelStats,
     /// Lift-layer counters (closed-subterm cache traffic, constants
     /// lifted, subterm visits) accrued by this run.
     pub lift: LiftStats,
-    /// Wavefront scheduling counters and the dependency DAG. Always
-    /// present: sequential runs are one-worker schedules, so callers never
-    /// branch on job count.
+    /// Wave scheduling counters and the dependency DAG. Always present:
+    /// every run is scheduled over the same DAG.
     pub schedule: ScheduleStats,
     /// The structured trace events, when the run was executed through a
     /// [`crate::Repairer`] with trace capture on (empty otherwise).
@@ -104,8 +101,8 @@ impl RepairReport {
     }
 
     /// The module dependency DAG in Graphviz DOT (see
-    /// `examples/repair_dag.rs`). Available from every run — a sequential
-    /// repair is scheduled over the same DAG with one worker.
+    /// `examples/repair_dag.rs`). Available from every run: each one is
+    /// scheduled over this DAG.
     pub fn dag_dot(&self) -> String {
         self.schedule.dag.to_dot()
     }
@@ -167,7 +164,6 @@ impl RepairReport {
                 .iter()
                 .map(|(f, t)| (f.as_str().to_string(), t.as_str().to_string()))
                 .collect(),
-            jobs: self.schedule.jobs as u64,
             waves: self.schedule.waves as u64,
             max_width: self.schedule.max_width as u64,
             cache_hits: self.lift.cache_hits,

@@ -2,9 +2,9 @@
 //!
 //! [`Repairer`] is a builder over everything the free functions in
 //! [`crate::repair`] used to expose separately: the work-list drivers
-//! (single constant, explicit module, environment-wide sweep), the worker
-//! cap for wavefront scheduling, and the observability surface (trace
-//! capture, event sinks, metrics). One configuration, one `run`:
+//! (single constant, explicit module, environment-wide sweep) and the
+//! observability surface (trace capture, event sinks, metrics). One
+//! configuration, one `run`:
 //!
 //! ```
 //! use pumpkin_core::{LiftState, NameMap, Repairer};
@@ -20,7 +20,6 @@
 //!     NameMap::prefix("Old.", "New."),
 //! )?;
 //! let report = Repairer::new(&lifting)
-//!     .jobs(2)
 //!     .trace(true)
 //!     .run(&mut env, &["Old.rev", "Old.app"])?;
 //! assert_eq!(report.renamed("Old.rev").unwrap().as_str(), "New.rev");
@@ -30,10 +29,9 @@
 //! # }
 //! ```
 //!
-//! Every run — even `jobs(1)`, the default — goes through the wavefront
-//! scheduler, so [`crate::RepairReport::schedule`] (and with it
-//! [`crate::RepairReport::dag_dot`]) is uniformly available; a sequential
-//! run is simply a one-worker schedule.
+//! Every run goes through the wave scheduler ([`crate::schedule`]), so
+//! [`crate::RepairReport::schedule`] (and with it
+//! [`crate::RepairReport::dag_dot`]) is uniformly available.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -51,15 +49,14 @@ use crate::incr::{invalidated, DigestMap, IncrStats};
 use crate::lift::{LiftOutcome, LiftState};
 use crate::persist::PersistCache;
 use crate::repair::{sweep_work_list, RepairReport};
-use crate::schedule::{default_jobs, repair_module_wavefront, CancelToken, ModuleDag};
+use crate::schedule::{repair_module_wavefront, CancelToken, ModuleDag};
 
-/// Builder-style front door to the repair pipeline: lifting + jobs +
+/// Builder-style front door to the repair pipeline: lifting +
 /// observability in, [`RepairReport`] out. See the module docs for an
 /// example.
 pub struct Repairer<'a> {
     lifting: &'a Lifting,
     state: Option<&'a mut LiftState>,
-    jobs: usize,
     capture: bool,
     prov: Option<bool>,
     sink: Option<Box<dyn EventSink + 'a>>,
@@ -70,14 +67,12 @@ pub struct Repairer<'a> {
 }
 
 impl<'a> Repairer<'a> {
-    /// A repairer for `lifting` with the defaults: one worker (sequential,
-    /// deterministic wall-clock), a fresh internal [`LiftState`], no
-    /// tracing.
+    /// A repairer for `lifting` with the defaults: a fresh internal
+    /// [`LiftState`], no tracing.
     pub fn new(lifting: &'a Lifting) -> Repairer<'a> {
         Repairer {
             lifting,
             state: None,
-            jobs: 1,
             capture: false,
             prov: None,
             sink: None,
@@ -97,19 +92,13 @@ impl<'a> Repairer<'a> {
         crate::auto::AutoDriver::new(policy)
     }
 
-    /// Sets the worker cap for wavefront scheduling (values below 1 are
-    /// clamped to 1).
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
+    /// Does nothing. Module repair is one sequential pass over the DAG's
+    /// waves, so there is no worker cap to set. The method stays only
+    /// because the benchmark harness (`perfbench/src/edit.rs`) still calls
+    /// `.jobs(1)`; remove it together with that call.
+    #[deprecated(note = "module repair is sequential; there is no worker cap to set")]
+    pub fn jobs(self, _jobs: usize) -> Self {
         self
-    }
-
-    /// Worker cap from the environment: `PUMPKIN_JOBS` if set, else the
-    /// machine's available parallelism (see
-    /// [`crate::schedule::default_jobs`]).
-    pub fn jobs_auto(self) -> Self {
-        let jobs = default_jobs();
-        self.jobs(jobs)
     }
 
     /// Threads an existing [`LiftState`] through the run, so repeated runs
@@ -183,8 +172,8 @@ impl<'a> Repairer<'a> {
     }
 
     /// Gives the run a wall-clock budget: once it elapses, the run stops
-    /// at the next wave boundary with [`RepairError::Cancelled`], keeping
-    /// every completed wave installed.
+    /// before its next constant with [`RepairError::Cancelled`], rolling
+    /// back the wave in flight and keeping every completed wave installed.
     pub fn deadline(mut self, budget: Duration) -> Self {
         self.cancel = Some(CancelToken::with_deadline(budget));
         self
@@ -243,15 +232,15 @@ impl<'a> Repairer<'a> {
     }
 
     /// Repairs several independent work lists against *throwaway clones*
-    /// of `base`, sharing this repairer's configuration — worker cap,
-    /// tracing, provenance, persist cache — and, crucially, its cancel
+    /// of `base`, sharing this repairer's configuration — tracing,
+    /// provenance, persist cache — and, crucially, its cancel
     /// token across the whole batch. Each item's report is exactly what a
     /// standalone [`Repairer::run`] over a fresh clone would produce, so
     /// batch replies stay byte-identical to per-request ones; a deadline
     /// installed with [`Repairer::deadline`] budgets the *batch*, and
     /// once it elapses every remaining item reports
-    /// [`RepairError::Cancelled`] at its first wave boundary without
-    /// doing work.
+    /// [`RepairError::Cancelled`] before its first constant without doing
+    /// work.
     ///
     /// A threaded [`Repairer::state`] or [`Repairer::sink`] does not
     /// distribute over a batch (each item must see a fresh state for its
@@ -259,9 +248,7 @@ impl<'a> Repairer<'a> {
     pub fn run_batch(self, base: &Env, lists: &[Vec<String>]) -> Vec<Result<RepairReport>> {
         let mut out = Vec::with_capacity(lists.len());
         for names in lists {
-            let mut item = Repairer::new(self.lifting)
-                .jobs(self.jobs)
-                .trace(self.capture);
+            let mut item = Repairer::new(self.lifting).trace(self.capture);
             if let Some(p) = self.prov {
                 item = item.provenance(p);
             }
@@ -372,14 +359,8 @@ impl<'a> Repairer<'a> {
 
         let run_span = env.tracer().begin();
         let names: Vec<&str> = run_nodes.iter().map(|n| n.as_str()).collect();
-        let mut result = repair_module_wavefront(
-            env,
-            self.lifting,
-            state,
-            &names,
-            Some(self.jobs),
-            self.cancel.as_ref(),
-        );
+        let mut result =
+            repair_module_wavefront(env, self.lifting, state, &names, self.cancel.as_ref());
         if !pre.is_empty() {
             // Splice the pre-resolved greens back into work-list order, so
             // an incremental report's mapping is indistinguishable from a
@@ -404,12 +385,7 @@ impl<'a> Repairer<'a> {
             // should not silently keep writing to the old directory.
             state.set_persist(None);
         }
-        env.tracer().end(
-            run_span,
-            EventKind::Run {
-                jobs: self.jobs as u32,
-            },
-        );
+        env.tracer().end(run_span, EventKind::Run);
         let incr = changed.map(|changed| {
             let replayed = nodes
                 .iter()
@@ -615,7 +591,6 @@ mod tests {
         let report = Repairer::new(&lifting)
             .run(&mut env, &["Old.rev", "Old.app"])
             .unwrap();
-        assert_eq!(report.schedule.jobs, 1);
         assert!(report.schedule.waves >= 1);
         assert!(report.dag_dot().contains("Old.rev"));
         // No tracing requested: the stream and registry stay empty.
@@ -632,7 +607,7 @@ mod tests {
             .unwrap();
         let events = report.trace_events();
         let has = |pred: &dyn Fn(&EventKind) -> bool| events.iter().any(|e| pred(&e.kind));
-        assert!(has(&|k| matches!(k, EventKind::Run { jobs: 1 })));
+        assert!(has(&|k| matches!(k, EventKind::Run)));
         assert!(has(&|k| matches!(k, EventKind::Wave { .. })));
         assert!(has(&|k| matches!(k, EventKind::WaveStart { .. })));
         assert!(has(&|k| matches!(k, EventKind::WaveMerge { .. })));
@@ -828,8 +803,8 @@ mod tests {
     }
 
     /// A batch deadline is a *batch* budget: once the shared token
-    /// expires, no later item may succeed (each checks the token at its
-    /// first wave boundary). With a zero budget that means every item.
+    /// expires, no later item may succeed (each checks the token before
+    /// its first constant). With a zero budget that means every item.
     #[test]
     fn run_batch_deadline_cancels_remaining_items() {
         let (env, lifting) = configured();

@@ -1,38 +1,29 @@
-//! Parallel wavefront scheduling for `Repair module` (paper §2).
+//! Wave scheduling for `Repair module` (paper §2).
 //!
 //! The paper repairs an entire module "all at once"; most of its constants
 //! only depend on a small prefix of the others, so the repairs are largely
 //! independent — the same per-definition modularity that quotient-type
 //! repair (Viola et al. 2023) and Coq transformation pipelines (Blot et
-//! al. 2021) exploit. This module turns that independence into wall-clock
-//! speedup:
+//! al. 2021) exploit. This module gives that independence a structure:
 //!
 //! 1. [`ModuleDag::build`] computes the constant-level dependency DAG of
 //!    the work list (free global constants of each type/body, followed
 //!    transitively *through* constants outside the list, restricted *to*
 //!    the list).
-//! 2. [`repair_module_wavefront`] runs the DAG in waves on
-//!    [`std::thread::scope`] (no external crates): each wave's ready
-//!    constants are split over up to `jobs` workers, every worker gets a
-//!    cloned [`Env`] snapshot and a forked [`LiftState`]
-//!    ([`LiftState::fork_worker`]) — caches stay thread-confined — and a
-//!    merge barrier folds the repaired definitions, closed-subterm cache
-//!    entries, and counters back into the master before the next wave.
-//!    A wave with a single worker (always at `jobs = 1`, and for width-1
-//!    waves at any job count) runs in place on the master instead — one
-//!    worker's merge is the identity — so the scheduler's overhead over
-//!    the sequential driver is just the DAG build; an error there is
-//!    rolled back with [`Env::rollback_to`], preserving the failing-wave
-//!    drop semantics below.
+//! 2. [`repair_module_wavefront`] walks the DAG's waves in order and
+//!    repairs each wave's constants one after another, in place on the
+//!    caller's [`Env`]. A wave is the unit of rollback: it lifts against a
+//!    forked [`LiftState`] ([`LiftState::fork_worker`]) that is folded
+//!    back ([`LiftState::absorb_worker`]) only once every constant in the
+//!    wave succeeded. On an error or a tripped [`CancelToken`],
+//!    [`Env::rollback_to`] drops the wave's partial output, so the
+//!    environment only ever holds completed, type-correct waves.
 //!
-//! Determinism: lifting a constant is a pure function of the configuration
-//! and the (immutable) declarations it reaches, so the repaired terms are
-//! identical to the sequential driver's no matter how waves are cut; the
-//! merge installs each worker's delta in the worker's own insertion order
-//! and the final report is sorted back into work-list order. A sibling
-//! worker can at worst duplicate an on-demand repair of an out-of-list
-//! dependency, in which case both copies are identical and the first merge
-//! wins.
+//! The same DAG drives incremental invalidation ([`crate::incr`]) and
+//! failure minimization ([`crate::minimize`]). Parallelism lives one level
+//! up, in the serve worker pool, which runs separate requests on separate
+//! threads: within one request, per-wave environment clones and cache
+//! forks cost more than a second core gives back (DESIGN.md §10).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -40,49 +31,22 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pumpkin_kernel::env::{ConstDecl, Env, GlobalRef};
+use pumpkin_kernel::env::Env;
 use pumpkin_kernel::name::GlobalName;
-use pumpkin_kernel::stats::KernelStats;
-use pumpkin_trace::{Event, EventKind};
+use pumpkin_trace::EventKind;
 
 use crate::config::Lifting;
 use crate::error::{RepairError, Result};
 use crate::lift::{repair_constant, LiftState};
 use crate::repair::RepairReport;
 
-// The scheduler's whole safety story in three bounds: workers receive
-// moved-in state (`Send`) and share only the read-only configuration
-// (`Sync`).
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    const fn assert_sync<T: Sync>() {}
-    assert_send::<Env>();
-    assert_send::<LiftState>();
-    assert_send::<RepairError>();
-    assert_sync::<Lifting>();
-};
-
-/// Worker count for parallel repair: the `PUMPKIN_JOBS` environment
-/// variable if set to a positive integer, else
-/// [`std::thread::available_parallelism`] (1 if unknown).
-pub fn default_jobs() -> usize {
-    if let Ok(v) = std::env::var("PUMPKIN_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 /// A cooperative cancellation handle for [`repair_module_wavefront`].
 ///
-/// The scheduler polls the token *between* waves only: completed waves are
-/// already merged and type-correct, and a wave in flight always runs to its
-/// merge barrier, so cancellation never leaves the environment half-updated.
-/// A cancelled run fails with [`RepairError::Cancelled`], reporting how many
-/// waves were kept.
+/// The scheduler polls the token before every constant. A trip mid-wave
+/// rolls that wave back exactly like a failing constant would, so
+/// cancellation never leaves the environment half-updated: the completed
+/// waves stay installed and type-correct, and the run fails with
+/// [`RepairError::Cancelled`], reporting how many waves were kept.
 ///
 /// Tokens are cheap to clone (an `Arc`'d flag plus an optional deadline);
 /// the service layer hands one clone to the request thread and keeps
@@ -108,7 +72,7 @@ impl CancelToken {
         }
     }
 
-    /// Requests cancellation; takes effect at the next wave boundary.
+    /// Requests cancellation; takes effect before the next constant.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Release);
     }
@@ -299,20 +263,15 @@ impl ModuleDag {
 /// [`RepairReport::schedule`].
 #[derive(Clone, Debug, Default)]
 pub struct ScheduleStats {
-    /// Worker cap the run was configured with.
-    pub jobs: usize,
     /// Number of waves executed.
     pub waves: usize,
     /// Constants in each wave, in order.
     pub wave_widths: Vec<usize>,
-    /// Largest wave (the achievable parallelism of the module).
+    /// Largest wave (the module's widest set of independent constants).
     pub max_width: usize,
-    /// Total time spent in the merge barrier (admitting worker deltas and
-    /// folding caches), in nanoseconds.
+    /// Total time spent folding each completed wave's forked lift state
+    /// back into the run's, in nanoseconds.
     pub merge_nanos: u64,
-    /// Kernel counters accrued by each worker slot, summed across waves —
-    /// per-worker whnf/conv hit rates come from here.
-    pub worker_kernel: Vec<KernelStats>,
     /// The dependency DAG the run was scheduled from.
     pub dag: ModuleDag,
 }
@@ -321,123 +280,46 @@ impl fmt::Display for ScheduleStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "jobs={}, {} waves, widths {:?} (max {}), merge {:.2} ms; worker whnf hit rates [",
-            self.jobs,
+            "{} waves, widths {:?} (max {}), merge {:.2} ms",
             self.waves,
             self.wave_widths,
             self.max_width,
             self.merge_nanos as f64 / 1e6,
-        )?;
-        for (w, k) in self.worker_kernel.iter().enumerate() {
-            if w > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{:.1}%", 100.0 * k.whnf_hit_rate())?;
-        }
-        write!(f, "]")
+        )
     }
 }
 
-/// What one worker sends back through the merge barrier.
-struct WorkerOutput {
-    /// `(work-list index, old name, new name)` for each assigned constant
-    /// repaired before any error.
-    repaired: Vec<(usize, GlobalName, GlobalName)>,
-    /// New constants the worker's environment gained, in insertion order
-    /// (assigned constants plus on-demand out-of-list dependencies).
-    delta: Vec<ConstDecl>,
-    /// The worker's lift state (caches + counters) for absorption.
-    state: LiftState,
-    /// Kernel counters this worker accrued.
-    kernel: KernelStats,
-    /// Trace events this worker recorded (empty when tracing is off);
-    /// shipped back as plain data and absorbed by the master at the
-    /// barrier — the tracer itself never crosses threads twice.
-    events: Vec<Event>,
-    /// The first repair error, if any (the wave is then not merged).
-    error: Option<RepairError>,
-}
-
-fn run_worker(
-    mut env: Env,
-    lifting: &Lifting,
-    mut st: LiftState,
-    nodes: &[GlobalName],
-    chunk: &[usize],
-    mark: usize,
-) -> WorkerOutput {
-    let before = env.kernel_stats();
-    let mut repaired = Vec::new();
-    let mut error = None;
-    for &i in chunk {
-        match repair_constant(&mut env, lifting, &mut st, &nodes[i]) {
-            Ok(to) => repaired.push((i, nodes[i].clone(), to)),
-            Err(e) => {
-                error = Some(e);
-                break;
-            }
-        }
-    }
-    let delta = env.order()[mark..]
-        .iter()
-        .map(|r| match r {
-            GlobalRef::Const(n) => env.const_decl(n).expect("delta constant exists").clone(),
-            GlobalRef::Ind(n) => {
-                // Repair only ever defines/assumes constants; configure
-                // (which may declare inductives) happens before scheduling.
-                panic!("repair worker declared inductive `{n}` mid-wave")
-            }
-        })
-        .collect();
-    WorkerOutput {
-        repaired,
-        delta,
-        state: st,
-        kernel: env.kernel_stats().since(&before),
-        events: env.take_tracer().into_events(),
-        error,
-    }
-}
-
-/// `Repair module`, parallel: repairs the work list wave by wave, each wave
-/// concurrently on up to `jobs` workers (`None` → [`default_jobs`]).
-/// Outputs are identical to [`crate::repair_module`]'s; see the module docs
-/// for the argument.
+/// `Repair module`: repairs the work list wave by wave in one sequential
+/// pass over the DAG (see the module docs).
 ///
 /// # Errors
 ///
-/// Propagates the first repair error (by work-list order within the failing
-/// wave's workers). The failing wave is *not* merged: the master
-/// environment contains exactly the completed waves, all type-correct.
-/// A tripped `cancel` token fails with [`RepairError::Cancelled`] at the
-/// next wave boundary, keeping every completed wave installed.
+/// Propagates the first repair error, in work-list order within the
+/// failing wave. The failing wave is rolled back: the environment contains
+/// exactly the completed waves, all type-correct. A tripped `cancel` token
+/// fails with [`RepairError::Cancelled`] before the next constant, rolling
+/// back the wave in flight and keeping every completed wave installed.
 pub fn repair_module_wavefront(
     env: &mut Env,
     lifting: &Lifting,
     state: &mut LiftState,
     names: &[&str],
-    jobs: Option<usize>,
     cancel: Option<&CancelToken>,
 ) -> Result<RepairReport> {
-    let jobs = jobs.unwrap_or_else(default_jobs).max(1);
     let nodes: Vec<GlobalName> = names.iter().map(|n| GlobalName::new(*n)).collect();
     let dag = ModuleDag::build(env, &nodes);
     let waves = dag.waves();
     let kernel_before = env.kernel_stats();
     let mut sched = ScheduleStats {
-        jobs,
-        worker_kernel: vec![KernelStats::default(); jobs],
         dag,
         ..Default::default()
     };
     let mut repaired: Vec<(usize, GlobalName, GlobalName)> = Vec::new();
-    // Kernel work done on worker threads (worker_kernel additionally
-    // counts single-worker waves, whose work is already in the master's
-    // own counters — keep the two separate to avoid double counting).
-    let mut threaded = KernelStats::default();
+    let cancelled = || cancel.is_some_and(CancelToken::cancelled);
 
     for (wi, wave) in waves.iter().enumerate() {
-        if cancel.is_some_and(CancelToken::cancelled) {
+        // A wave that never starts leaves no trace events.
+        if cancelled() {
             return Err(RepairError::Cancelled {
                 completed_waves: wi,
             });
@@ -445,7 +327,6 @@ pub fn repair_module_wavefront(
         sched.waves += 1;
         sched.wave_widths.push(wave.len());
         sched.max_width = sched.max_width.max(wave.len());
-        let workers = jobs.min(wave.len());
         let mark = env.order().len();
         let (wave_u32, width_u32) = (wi as u32, wave.len() as u32);
         env.tracer().emit(EventKind::WaveStart {
@@ -454,89 +335,27 @@ pub fn repair_module_wavefront(
         });
         let wave_span = env.tracer().begin();
 
-        if workers == 1 {
-            // Single-worker wave: one worker's merge is the identity, so
-            // repair directly on the master — no snapshot clone, no thread,
-            // no merge barrier. This keeps jobs=1 within noise of the
-            // sequential driver and skips the machinery for width-1 waves
-            // at any job count. On error, [`Env::rollback_to`] drops the
-            // wave's partial output so the wholesale-drop semantics of the
-            // threaded path are preserved exactly.
-            let before = env.kernel_stats();
-            let mut wst = state.fork_worker();
-            let mut error = None;
-            for &i in wave {
-                match repair_constant(env, lifting, &mut wst, &nodes[i]) {
-                    Ok(to) => repaired.push((i, nodes[i].clone(), to)),
-                    Err(e) => {
-                        error = Some(e);
-                        break;
-                    }
+        // The fork is the wave's checkpoint: a failing wave's cache
+        // entries and mappings never reach `state`.
+        let mut wst = state.fork_worker();
+        let mut error = None;
+        for &i in wave {
+            if cancelled() {
+                error = Some(RepairError::Cancelled {
+                    completed_waves: wi,
+                });
+                break;
+            }
+            match repair_constant(env, lifting, &mut wst, &nodes[i]) {
+                Ok(to) => repaired.push((i, nodes[i].clone(), to)),
+                Err(e) => {
+                    error = Some(e);
+                    break;
                 }
             }
-            sched.worker_kernel[0].absorb(&env.kernel_stats().since(&before));
-            if let Some(e) = error {
-                env.rollback_to(mark);
-                env.tracer().end(
-                    wave_span,
-                    EventKind::Wave {
-                        wave: wave_u32,
-                        width: width_u32,
-                    },
-                );
-                return Err(e);
-            }
-            let merge_start = Instant::now();
-            let merge_span = env.tracer().begin();
-            state.absorb_worker(wst);
-            env.tracer()
-                .end(merge_span, EventKind::WaveMerge { wave: wave_u32 });
-            sched.merge_nanos += merge_start.elapsed().as_nanos() as u64;
-            env.tracer().end(
-                wave_span,
-                EventKind::Wave {
-                    wave: wave_u32,
-                    width: width_u32,
-                },
-            );
-            continue;
         }
-
-        // Contiguous chunks preserve work-list order end to end.
-        let chunk_len = wave.len().div_ceil(workers);
-        let chunks: Vec<&[usize]> = wave.chunks(chunk_len).collect();
-
-        let outputs: Vec<WorkerOutput> = std::thread::scope(|s| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .enumerate()
-                .map(|(w, chunk)| {
-                    let mut wenv = env.clone();
-                    // Workers are numbered from 1 within the wave; 0 is the
-                    // master. The fork shares the run's epoch so worker
-                    // timestamps are comparable with the master's.
-                    wenv.set_tracer(env.tracer().fork_worker(w as u32 + 1));
-                    let wst = state.fork_worker();
-                    let nodes = &nodes;
-                    s.spawn(move || run_worker(wenv, lifting, wst, nodes, chunk, mark))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("repair worker panicked"))
-                .collect()
-        });
-
-        // Ship worker events home first — a failing wave's trace is kept
-        // (that trace is exactly what a sink consumer wants to see).
-        let mut outputs = outputs;
-        for out in &mut outputs {
-            env.tracer().absorb(std::mem::take(&mut out.events));
-        }
-
-        // Error barrier: a failing wave is dropped wholesale, so the master
-        // only ever contains completed, type-correct waves.
-        if let Some(e) = outputs.iter().find_map(|o| o.error.clone()) {
+        if let Some(e) = error {
+            env.rollback_to(mark);
             env.tracer().end(
                 wave_span,
                 EventKind::Wave {
@@ -546,29 +365,9 @@ pub fn repair_module_wavefront(
             );
             return Err(e);
         }
-
         let merge_start = Instant::now();
         let merge_span = env.tracer().begin();
-        for (w, out) in outputs.into_iter().enumerate() {
-            sched.worker_kernel[w].absorb(&out.kernel);
-            threaded.absorb(&out.kernel);
-            for decl in out.delta {
-                if let Ok(existing) = env.const_decl(&decl.name) {
-                    // A sibling worker already repaired this out-of-list
-                    // dependency on demand; lifting is deterministic, so
-                    // the copies agree and the first merge wins.
-                    debug_assert!(
-                        existing.ty == decl.ty && existing.body == decl.body,
-                        "nondeterministic duplicate repair of `{}`",
-                        decl.name
-                    );
-                    continue;
-                }
-                env.admit_checked(decl)?;
-            }
-            state.absorb_worker(out.state);
-            repaired.extend(out.repaired);
-        }
+        state.absorb_worker(wst);
         env.tracer()
             .end(merge_span, EventKind::WaveMerge { wave: wave_u32 });
         sched.merge_nanos += merge_start.elapsed().as_nanos() as u64;
@@ -586,11 +385,7 @@ pub fn repair_module_wavefront(
     for (_, from, to) in repaired {
         report.record(from, to);
     }
-    // Master counters already include single-worker waves (run in place),
-    // so only thread-side work is added on top.
-    let mut kernel = env.kernel_stats().since(&kernel_before);
-    kernel.absorb(&threaded);
-    report.kernel = kernel;
+    report.kernel = env.kernel_stats().since(&kernel_before);
     report.schedule = sched;
     Ok(report)
 }
@@ -598,9 +393,10 @@ pub fn repair_module_wavefront(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{MatchedElim, MatchedProj, SideMatch};
+    use pumpkin_kernel::term::Term;
 
     fn chain_env() -> (Env, Vec<GlobalName>) {
-        use pumpkin_kernel::term::Term;
         let mut env = Env::new();
         env.assume("T", Term::type_(1)).unwrap();
         env.assume("a", Term::const_("T")).unwrap();
@@ -647,11 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn default_jobs_is_positive() {
-        assert!(default_jobs() >= 1);
-    }
-
-    #[test]
     fn cancelled_token_stops_before_the_first_wave() {
         let mut env = pumpkin_stdlib::std_env();
         let lifting = crate::search::swap::configure(
@@ -670,7 +461,6 @@ mod tests {
             &lifting,
             &mut state,
             &["Old.rev", "Old.app"],
-            Some(1),
             Some(&token),
         )
         .unwrap_err();
@@ -679,6 +469,80 @@ mod tests {
             other => panic!("expected Cancelled, got {other:?}"),
         }
         // Nothing was installed.
+        assert_eq!(env.order().len(), mark);
+    }
+
+    /// Delegates to the configured matcher, tripping `token` on its first
+    /// probe — i.e. while the first constant of the first wave lifts.
+    struct CancelOnFirstMatch {
+        inner: Box<dyn SideMatch>,
+        token: CancelToken,
+    }
+
+    impl SideMatch for CancelOnFirstMatch {
+        fn match_type(&self, env: &Env, t: &Term) -> Option<Vec<Term>> {
+            self.token.cancel();
+            self.inner.match_type(env, t)
+        }
+        fn match_constr(&self, env: &Env, t: &Term) -> Option<(usize, Vec<Term>)> {
+            self.token.cancel();
+            self.inner.match_constr(env, t)
+        }
+        fn match_elim(&self, env: &Env, t: &Term) -> Option<MatchedElim> {
+            self.token.cancel();
+            self.inner.match_elim(env, t)
+        }
+        fn match_proj(&self, env: &Env, t: &Term) -> Option<MatchedProj> {
+            self.token.cancel();
+            self.inner.match_proj(env, t)
+        }
+        fn match_iota(&self, env: &Env, t: &Term) -> Option<(usize, Vec<Term>)> {
+            self.token.cancel();
+            self.inner.match_iota(env, t)
+        }
+    }
+
+    #[test]
+    fn cancellation_mid_wave_rolls_the_wave_back() {
+        let mut env = pumpkin_stdlib::std_env();
+        let lifting = crate::search::swap::configure(
+            &mut env,
+            &"Old.list".into(),
+            &"New.list".into(),
+            crate::config::NameMap::prefix("Old.", "New."),
+        )
+        .unwrap();
+        let token = CancelToken::new();
+        let lifting = Lifting {
+            matcher: Box::new(CancelOnFirstMatch {
+                inner: lifting.matcher,
+                token: token.clone(),
+            }),
+            ..lifting
+        };
+        let module = pumpkin_stdlib::swap::OLD_MODULE_CONSTANTS;
+        let nodes: Vec<GlobalName> = module.iter().map(|n| GlobalName::new(*n)).collect();
+        let first_wave = ModuleDag::build(&env, &nodes).waves()[0].len();
+        assert!(
+            first_wave > 1,
+            "the first wave must have a constant after the trip"
+        );
+        let mark = env.order().len();
+        let err = repair_module_wavefront(
+            &mut env,
+            &lifting,
+            &mut LiftState::new(),
+            module,
+            Some(&token),
+        )
+        .unwrap_err();
+        // The token tripped inside the first wave's first constant; the
+        // poll before its second constant stops the run and the whole
+        // wave is rolled back.
+        match err {
+            RepairError::Cancelled { completed_waves } => assert_eq!(completed_waves, 0),
+            other => panic!("expected Cancelled, got {other:?}"),
+        }
         assert_eq!(env.order().len(), mark);
     }
 

@@ -122,9 +122,9 @@ impl Default for KernelCache {
 /// `Env` is `Send` but deliberately **not** `Sync`: the conv/whnf memo
 /// tables are interior-mutable (`Cell`/`RefCell`), so an environment — and
 /// with it its caches — belongs to exactly one thread at a time. The
-/// parallel repair scheduler honours this by *cloning* the master `Env`
-/// once per worker (terms are `Arc`-shared, so a clone is shallow) and
-/// moving each clone onto its thread; caches are never shared mutable.
+/// serve worker pool honours this by *cloning* the base `Env` once per
+/// worker (terms are `Arc`-shared, so a clone is shallow) and moving each
+/// clone onto its thread; caches are never shared mutable.
 #[derive(Debug, Default)]
 pub struct Env {
     consts: HashMap<GlobalName, ConstDecl>,
@@ -142,8 +142,8 @@ pub struct Env {
     tracer: Tracer,
 }
 
-// Worker threads receive cloned environments by move; `RefCell`/`Cell`
-// keep `Env` !Sync, which is the cache thread-confinement invariant.
+// Serve worker threads receive cloned environments by move; `RefCell`/
+// `Cell` keep `Env` !Sync, which is the cache thread-confinement invariant.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Env>();
@@ -532,23 +532,22 @@ impl Env {
         Ok(())
     }
 
-    /// Installs a constant that was *already type-checked against a clone
-    /// of this environment* — the merge half of the parallel repair
-    /// scheduler's clone/merge barrier.
+    /// Installs a constant that was *already type-checked* in an
+    /// environment with the same meaning for every name it mentions — the
+    /// persist-cache replay path, which installs a digest-verified
+    /// repaired declaration from disk.
     ///
     /// The caller guarantees the declaration was accepted (via
-    /// [`Env::define`] / [`Env::assume`]) by an environment whose globals
-    /// are a subset of this one's, all admitted through the same merge in
-    /// the worker's own insertion order. Under that discipline every name
-    /// the declaration mentions is already present with the same meaning
-    /// (globals are immutable once declared), so re-checking would
-    /// necessarily succeed; debug builds re-check anyway to keep the
-    /// well-typedness invariant machine-verified in the test suite.
+    /// [`Env::define`] / [`Env::assume`]) by an environment that agrees
+    /// with this one on every global the declaration mentions (globals are
+    /// immutable once declared), so re-checking would necessarily succeed;
+    /// debug builds re-check anyway to keep the well-typedness invariant
+    /// machine-verified in the test suite.
     ///
     /// # Errors
     ///
     /// Fails if the name is already taken (or, in debug builds, if the
-    /// re-check fails — which indicates a scheduler bug).
+    /// re-check fails — which indicates a caller bug).
     pub fn admit_checked(&mut self, decl: ConstDecl) -> Result<()> {
         if self.contains(decl.name.as_str()) {
             return Err(KernelError::Redeclaration(decl.name));
@@ -580,10 +579,9 @@ impl Env {
     /// about terms mentioning the removed names, so the generation is
     /// retired unconditionally.
     ///
-    /// This is the error path of wave-based repair: when a wave fails on a
-    /// single worker running directly against the master environment, its
-    /// partial output is rolled back wholesale so the environment only
-    /// ever exposes completed waves.
+    /// This is the error path of wave-based repair: when a wave fails or is
+    /// cancelled, its partial output is rolled back wholesale so the
+    /// environment only ever exposes completed waves.
     ///
     /// # Panics
     ///

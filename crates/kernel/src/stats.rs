@@ -59,9 +59,8 @@ impl KernelStats {
         }
     }
 
-    /// Fieldwise sum — used by the parallel repair scheduler to aggregate
-    /// the counters accrued by per-worker environment clones into one
-    /// module-level total.
+    /// Fieldwise sum — aggregates the counters of several runs into one
+    /// total.
     pub fn absorb(&mut self, other: &KernelStats) {
         self.conv_calls += other.conv_calls;
         self.conv_cache_hits += other.conv_cache_hits;

@@ -13,8 +13,8 @@
 //!   canonical allocation per payload, so structural equality collapses to
 //!   an integer ([`TermId`]) compare and per-node facts (structural hash,
 //!   free-variable ceiling, size) are cached at intern time. `clone` is
-//!   O(1) and terms are `Send + Sync`, so the parallel module repair
-//!   scheduler can move cloned environments onto worker threads.
+//!   O(1) and terms are `Send + Sync`, as the global arena and the serve
+//!   worker pool (one environment per worker thread) both require.
 //! * Applications are kept in *spine form* (`App(head, args)` where the head
 //!   is never itself an application and `args` is non-empty). The unification
 //!   heuristics of the repair engine (paper §4.2.1) pattern-match on spines.
@@ -32,9 +32,9 @@ use crate::universe::Sort;
 ///
 /// This is the single point where the kernel commits to atomic reference
 /// counting: `Arc` makes `Term`, `Name`, and `GlobalName` `Send + Sync`,
-/// which is what lets the module-repair wavefront scheduler
-/// (`pumpkin-core`'s `schedule` module) hand cloned `Env` snapshots to
-/// worker threads. The ptr_eq and cached-structural-hash fast paths are
+/// which is what lets the global interner share one allocation across
+/// threads and the serve worker pool move an `Env` onto each worker
+/// thread. The ptr_eq and cached-structural-hash fast paths are
 /// unaffected — only the refcount bumps become atomic.
 pub type TermRc<T> = std::sync::Arc<T>;
 
@@ -138,9 +138,9 @@ pub enum TermData {
 #[derive(Clone)]
 pub struct Term(pub(crate) TermRc<TermCell>);
 
-// The parallel repair scheduler relies on terms crossing thread boundaries;
-// keep that invariant machine-checked here rather than discovered at a
-// distant spawn site.
+// The global interner and the serve worker pool rely on terms crossing
+// thread boundaries; keep that invariant machine-checked here rather than
+// discovered at a distant spawn site.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Term>();

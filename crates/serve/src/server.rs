@@ -87,8 +87,6 @@ pub struct ServerConfig {
     pub listen: String,
     /// Optional additional Unix-domain listener (ignored off unix).
     pub unix: Option<PathBuf>,
-    /// Per-request worker cap handed to each session's repairs.
-    pub jobs: usize,
     /// Concurrent-connection cap; connections beyond it get one `busy`
     /// reply and are closed.
     pub max_sessions: usize,
@@ -116,7 +114,6 @@ impl Default for ServerConfig {
         ServerConfig {
             listen: "127.0.0.1:0".into(),
             unix: None,
-            jobs: 1,
             max_sessions: 8,
             workers: 2,
             queue_depth: 32,
@@ -232,7 +229,6 @@ impl WorkQueue {
 /// Deliberately holds no `Env` (it is not `Sync`); workers own their
 /// clones.
 struct Shared {
-    jobs: usize,
     max_sessions: usize,
     workers: usize,
     cache_dir: Option<PathBuf>,
@@ -373,7 +369,6 @@ impl Server {
             unix,
             base: pumpkin_stdlib::std_env(),
             shared: Arc::new(Shared {
-                jobs: cfg.jobs.max(1),
                 max_sessions: cfg.max_sessions.max(1),
                 workers: cfg.workers.max(1),
                 cache_dir: cfg.cache_dir,
@@ -456,14 +451,9 @@ impl Server {
 /// One worker: a long-lived session draining the queue until it closes.
 /// The session (and its configuration cache) outlives every connection.
 fn worker_loop(env: Env, shared: &Shared) {
-    let mut session = Session::new(
-        env,
-        shared.jobs,
-        shared.cache_dir.clone(),
-        Arc::clone(&shared.metrics),
-    )
-    .cache_max_bytes(shared.cache_max_bytes)
-    .serve_stats(Arc::clone(&shared.stats));
+    let mut session = Session::new(env, shared.cache_dir.clone(), Arc::clone(&shared.metrics))
+        .cache_max_bytes(shared.cache_max_bytes)
+        .serve_stats(Arc::clone(&shared.stats));
     while let Some(job) = shared.queue.pop() {
         let queue_wait_ns = job.enqueued.elapsed().as_nanos() as u64;
         serve_stats::inc(&shared.stats.gauges.workers_busy);

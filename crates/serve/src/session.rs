@@ -81,7 +81,6 @@ struct Configured {
 /// One worker's worth of request-handling state.
 pub struct Session {
     base: Env,
-    jobs: usize,
     cache_dir: Option<PathBuf>,
     /// Size budget for the persist cache (None = unbounded).
     cache_max_bytes: Option<u64>,
@@ -265,19 +264,13 @@ fn stats_result(stats: &ServeStats) -> Value {
 }
 
 impl Session {
-    /// A session over a (cloned, warm) base environment. `jobs` is the
-    /// per-request worker cap; `cache_dir` enables the persistent lift
-    /// cache; `metrics` is the server-wide registry shared by every
-    /// session (pass a fresh one for standalone use).
-    pub fn new(
-        base: Env,
-        jobs: usize,
-        cache_dir: Option<PathBuf>,
-        metrics: Arc<Mutex<Metrics>>,
-    ) -> Session {
+    /// A session over a (cloned, warm) base environment. `cache_dir`
+    /// enables the persistent lift cache; `metrics` is the server-wide
+    /// registry shared by every session (pass a fresh one for standalone
+    /// use).
+    pub fn new(base: Env, cache_dir: Option<PathBuf>, metrics: Arc<Mutex<Metrics>>) -> Session {
         Session {
             base,
-            jobs: jobs.max(1),
             cache_dir,
             cache_max_bytes: None,
             configured: Vec::new(),
@@ -543,13 +536,8 @@ impl Session {
         for (f, t) in &spec.rename {
             rename = rename.with_rule(f.as_str(), t.as_str());
         }
-        let jobs = params
-            .get("jobs")
-            .and_then(Value::as_u64)
-            .map_or(self.jobs, |j| (j as usize).max(1));
         let mut driver = Repairer::auto(policy)
             .types(spec.a.as_str(), spec.b.as_str(), rename)
-            .jobs(jobs)
             .trace(true);
         if let Some(src) = source {
             driver = driver.source(src);
@@ -714,14 +702,9 @@ impl Session {
         };
         let cfg = &self.configured[0];
 
-        let jobs = params
-            .get("jobs")
-            .and_then(Value::as_u64)
-            .map_or(self.jobs, |j| (j as usize).max(1));
         let mut env = cfg.env.clone();
         let mut st = LiftState::new();
         let mut repairer = Repairer::new(&cfg.lifting)
-            .jobs(jobs)
             .state(&mut st)
             .trace(true)
             .provenance(provenance);
@@ -848,7 +831,6 @@ mod tests {
     fn session() -> Session {
         Session::new(
             pumpkin_stdlib::std_env(),
-            1,
             None,
             Arc::new(Mutex::new(Metrics::new())),
         )
@@ -987,7 +969,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut s = Session::new(
             pumpkin_stdlib::std_env(),
-            1,
             Some(dir.clone()),
             Arc::new(Mutex::new(Metrics::new())),
         );
@@ -1040,7 +1021,6 @@ mod tests {
         // on the same session: the replayed world must cite identically.
         let mut s = Session::new(
             pumpkin_stdlib::std_env(),
-            1,
             Some(dir.clone()),
             Arc::new(Mutex::new(Metrics::new())),
         );

@@ -1,6 +1,5 @@
 //! End-to-end daemon tests over real sockets: concurrency determinism,
-//! merged-metrics invariance across worker counts, backpressure, and
-//! graceful drain.
+//! batch ≡ standalone replies, backpressure, and graceful drain.
 
 use std::sync::{Arc, Mutex};
 
@@ -46,7 +45,7 @@ fn repair_module_line(id: u64, names: &[&str]) -> String {
 /// "one-shot run" baseline the daemon must match byte for byte.
 fn one_shot(line: &str) -> String {
     let metrics = Arc::new(Mutex::new(pumpkin_core::trace::Metrics::new()));
-    let mut s = Session::new(pumpkin_stdlib::std_env(), 1, None, metrics);
+    let mut s = Session::new(pumpkin_stdlib::std_env(), None, metrics);
     s.handle_line(line).0
 }
 
@@ -95,38 +94,6 @@ fn four_concurrent_clients_match_sequential_one_shots() {
     handle.join().unwrap();
 }
 
-#[test]
-fn merged_metrics_canonicalize_identically_across_job_counts() {
-    let line = repair_module_line(1, pumpkin_stdlib::swap::OLD_MODULE_CONSTANTS);
-    let canonical = |jobs: usize| -> String {
-        let metrics = Arc::new(Mutex::new(pumpkin_core::trace::Metrics::new()));
-        let mut s = Session::new(pumpkin_stdlib::std_env(), jobs, None, Arc::clone(&metrics));
-        let (reply, _) = s.handle_line(&line);
-        assert!(reply.contains("\"ok\":true"), "jobs={jobs}: {reply}");
-        let (reply, _) =
-            s.handle_line(r#"{"id":2,"method":"metrics","params":{"canonical":true}}"#);
-        let v = Value::parse(&reply).unwrap();
-        v.get("result")
-            .unwrap()
-            .get("text")
-            .and_then(Value::as_str)
-            .unwrap()
-            .to_string()
-    };
-    let at1 = canonical(1);
-    let at2 = canonical(2);
-    let at4 = canonical(4);
-    assert!(!at1.is_empty());
-    assert_eq!(
-        at1, at2,
-        "canonical metrics differ between jobs=1 and jobs=2"
-    );
-    assert_eq!(
-        at1, at4,
-        "canonical metrics differ between jobs=1 and jobs=4"
-    );
-}
-
 /// With one worker and a one-deep queue, concurrent requests must see
 /// `busy` (queue full), and a retry after the backlog clears must
 /// succeed — the queue sheds load, it does not drop connections.
@@ -138,9 +105,10 @@ fn full_work_queue_returns_busy_and_recovers() {
         max_sessions: 16,
         ..ServerConfig::default()
     });
-    // Occupy the only worker with a long batch (eight module repairs —
-    // debug-build minutes of headroom compared to the millisecond sends
-    // below).
+    // Occupy the only worker with a long batch: 32 whole-module repairs
+    // take about half a second in a debug build (tens of milliseconds in
+    // release), far longer than the four short sends below need to be
+    // queued or refused.
     let spec = LiftSpec::swap("Old.list", "New.list", "Old.", "New.");
     let all = pumpkin_stdlib::swap::OLD_MODULE_CONSTANTS
         .iter()
@@ -150,7 +118,7 @@ fn full_work_queue_returns_busy_and_recovers() {
     let long_line = format!(
         r#"{{"id":1,"method":"repair_batch","params":{{"lifting":{},"batch":[{}],"deterministic":true}}}}"#,
         spec.to_value(),
-        (0..8)
+        (0..32)
             .map(|_| format!(r#"{{"names":[{all}],"deterministic":true}}"#))
             .collect::<Vec<_>>()
             .join(",")
@@ -162,9 +130,24 @@ fn full_work_queue_returns_busy_and_recovers() {
             let mut c = Client::connect(&addr_long).expect("connect long");
             c.call_raw(&long_line).expect("long call")
         });
-        // Give the long batch time to reach the worker before saturating
-        // the queue.
-        std::thread::sleep(std::time::Duration::from_millis(200));
+        // Saturate the queue only once the worker has picked the batch up.
+        // `stats` is answered inline by the connection thread, so it reads
+        // the `workers_busy` gauge while the worker is occupied.
+        let mut probe = Client::connect(&addr).expect("connect probe");
+        let busy_workers = |probe: &mut Client| {
+            let stats = probe.call("stats", Value::Obj(vec![])).expect("stats");
+            stats
+                .get("gauges")
+                .and_then(|g| g.get("workers_busy"))
+                .and_then(Value::as_u64)
+        };
+        let mut polls = 0;
+        while busy_workers(&mut probe) != Some(1) {
+            polls += 1;
+            assert!(polls < 10_000, "the worker never picked up the batch");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        drop(probe);
         let shorts: Vec<_> = (0..4)
             .map(|_| {
                 let addr = addr.clone();
@@ -335,59 +318,64 @@ fn batch_deadline_cancels_remaining_items_over_sockets() {
 }
 
 /// `repair_batch` replies embed, per item, exactly the bytes the
-/// equivalent standalone request with `"id": null` would produce — at
-/// every worker count.
+/// equivalent standalone request with `"id": null` would produce.
 #[test]
-fn repair_batch_matches_per_request_replies_across_job_counts() {
+fn repair_batch_matches_per_request_replies() {
     let spec = LiftSpec::swap("Old.list", "New.list", "Old.", "New.");
     let items = [
         r#"{"name":"Old.rev","deterministic":true}"#,
         r#"{"names":["Old.app","Old.rev_involutive"],"deterministic":true}"#,
         r#"{"name":"Old.length","deterministic":true}"#,
         r#"{"name":"Old.missing","deterministic":true}"#,
+        // Clients built when requests carried a worker cap still send
+        // one; the param is ignored, so the reply matches item 1's.
+        r#"{"names":["Old.app","Old.rev_involutive"],"deterministic":true,"jobs":4}"#,
     ];
-    for jobs in [1usize, 2, 4] {
-        let metrics = Arc::new(Mutex::new(pumpkin_core::trace::Metrics::new()));
-        let mut s = Session::new(pumpkin_stdlib::std_env(), jobs, None, metrics);
-        let batch_line = format!(
-            r#"{{"id":1,"method":"repair_batch","params":{{"lifting":{},"batch":[{}]}}}}"#,
+    let metrics = Arc::new(Mutex::new(pumpkin_core::trace::Metrics::new()));
+    let mut s = Session::new(pumpkin_stdlib::std_env(), None, metrics);
+    let batch_line = format!(
+        r#"{{"id":1,"method":"repair_batch","params":{{"lifting":{},"batch":[{}]}}}}"#,
+        spec.to_value(),
+        items.join(",")
+    );
+    let (batch_reply, _) = s.handle_line(&batch_line);
+    let v = Value::parse(&batch_reply).expect("parse batch reply");
+    assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{batch_reply}");
+    let results = v
+        .get("result")
+        .and_then(|r| r.get("results"))
+        .and_then(Value::as_arr)
+        .expect("results array")
+        .to_vec();
+    assert_eq!(results.len(), items.len());
+    for (item, batched) in items.iter().zip(&results) {
+        let item_v = Value::parse(item).unwrap();
+        let method = if item_v.get("name").is_some() {
+            "repair"
+        } else {
+            "repair_module"
+        };
+        // The standalone equivalent: same params plus the shared lifting
+        // spec, with a null id.
+        let single_line = format!(
+            r#"{{"id":null,"method":"{method}","params":{{"lifting":{},{}}}}}"#,
             spec.to_value(),
-            items.join(",")
+            item.trim_start_matches('{').trim_end_matches('}')
         );
-        let (batch_reply, _) = s.handle_line(&batch_line);
-        let v = Value::parse(&batch_reply).expect("parse batch reply");
-        assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{batch_reply}");
-        let results = v
-            .get("result")
-            .and_then(|r| r.get("results"))
-            .and_then(Value::as_arr)
-            .expect("results array")
-            .to_vec();
-        assert_eq!(results.len(), items.len());
-        for (item, batched) in items.iter().zip(&results) {
-            let item_v = Value::parse(item).unwrap();
-            let method = if item_v.get("name").is_some() {
-                "repair"
-            } else {
-                "repair_module"
-            };
-            // The standalone equivalent: same params plus the shared
-            // lifting spec, with a null id.
-            let single_line = format!(
-                r#"{{"id":null,"method":"{method}","params":{{"lifting":{},{}}}}}"#,
-                spec.to_value(),
-                item.trim_start_matches('{').trim_end_matches('}')
-            );
-            let (single_reply, _) = s.handle_line(&single_line);
-            // Batch entries carry no lifecycle id (only top-level frames
-            // do), so strip the standalone's before comparing.
-            assert_eq!(
-                batched.to_string(),
-                strip_req_id(&single_reply),
-                "jobs={jobs}: batch entry diverged from the standalone reply"
-            );
-        }
+        let (single_reply, _) = s.handle_line(&single_line);
+        // Batch entries carry no lifecycle id (only top-level frames do),
+        // so strip the standalone's before comparing.
+        assert_eq!(
+            batched.to_string(),
+            strip_req_id(&single_reply),
+            "batch entry diverged from the standalone reply for {item}"
+        );
     }
+    assert_eq!(
+        results[4].to_string(),
+        results[1].to_string(),
+        "a stale `jobs` param changed the reply"
+    );
 }
 
 #[test]

@@ -287,25 +287,13 @@ pub fn json_lines(nominal_samples: usize, rows: &[Sample]) -> String {
     out
 }
 
-/// The `PUMPKIN_JOBS` override, if set to a positive integer (the same
-/// variable the parallel repair scheduler reads for its default worker
-/// count).
-fn jobs_from_env() -> Option<usize> {
-    std::env::var("PUMPKIN_JOBS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n: &usize| n > 0)
-}
-
 /// A minimal benchmark harness: runs `routine` `samples` times, each time
 /// on a fresh value produced by `setup` (setup time is excluded), and
 /// prints `id ... median [min .. max]` to stdout.
 ///
 /// Passing `--filter <substr>[,<substr>…]` (or a bare positional
 /// substring, as cargo bench forwards trailing args) skips ids matching
-/// none of the comma-separated alternatives; `--jobs N` (or
-/// `PUMPKIN_JOBS=N`) pins worker-count ablations (see [`Bench::jobs`]);
-/// `--json PATH` additionally writes a machine-readable JSON-lines report
+/// none of the comma-separated alternatives; `--json PATH` additionally writes a machine-readable JSON-lines report
 /// on [`Bench::finish`] (the committed `BENCH_*.json` format CI's bench
 /// guard compares against); other harness flags criterion would accept
 /// (`--bench`, `--save-baseline x`, ...) are ignored for drop-in
@@ -313,7 +301,6 @@ fn jobs_from_env() -> Option<usize> {
 pub struct Bench {
     samples: usize,
     filter: Option<String>,
-    jobs: Option<usize>,
     json: Option<String>,
     results: Vec<Sample>,
 }
@@ -331,7 +318,6 @@ impl Bench {
         Bench {
             samples: 10,
             filter: None,
-            jobs: jobs_from_env(),
             json: None,
             results: Vec::new(),
         }
@@ -343,7 +329,7 @@ impl Bench {
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
             match a.as_str() {
-                "--sample-size" | "--filter" | "--jobs" | "--json" => {
+                "--sample-size" | "--filter" | "--json" => {
                     let v = args.next();
                     match (a.as_str(), v) {
                         ("--sample-size", Some(v)) => match v.parse() {
@@ -356,13 +342,6 @@ impl Bench {
                             }
                         },
                         ("--filter", Some(v)) => bench.filter = Some(v),
-                        ("--jobs", Some(v)) => match v.parse() {
-                            Ok(n) if n > 0 => bench.jobs = Some(n),
-                            _ => {
-                                eprintln!("error: --jobs takes a positive integer, got `{v}`");
-                                std::process::exit(2);
-                            }
-                        },
                         ("--json", Some(v)) => bench.json = Some(v),
                         _ => {}
                     }
@@ -388,15 +367,6 @@ impl Bench {
     pub fn sample_size(mut self, samples: usize) -> Self {
         self.samples = samples;
         self
-    }
-
-    /// A worker-count override from `--jobs N` (or the `PUMPKIN_JOBS`
-    /// environment variable). `None` means the caller should sweep its own
-    /// default set of worker counts; `Some(n)` pins ablation rows to `n`
-    /// so worker counts can be swept from the command line without
-    /// recompiling.
-    pub fn jobs(&self) -> Option<usize> {
-        self.jobs
     }
 
     /// Measures `routine` on fresh `setup` outputs, recording and printing
@@ -512,20 +482,6 @@ mod tests {
         let mut n = 0;
         check(16, |_| n += 1);
         assert_eq!(n, 16);
-    }
-
-    #[test]
-    fn bench_jobs_default_and_override() {
-        // Without PUMPKIN_JOBS in the test environment, new() has no pin
-        // (if the variable is exported, it must parse to a positive count).
-        let b = Bench::new();
-        match std::env::var("PUMPKIN_JOBS") {
-            Ok(_) => assert!(b.jobs().is_some_and(|n| n > 0)),
-            Err(_) => assert_eq!(b.jobs(), None),
-        }
-        let mut b2 = Bench::new();
-        b2.jobs = Some(3);
-        assert_eq!(b2.jobs(), Some(3));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! The paper's artifact reports one wall-clock number per case study; a
 //! production repair service needs to answer *where the time went* — per
-//! wave, per worker, per constant, per kernel cache probe — without
+//! wave, per constant, per kernel cache probe — without
 //! perturbing the hot path it measures. This crate supplies that substrate
 //! under the same no-external-crates discipline as the rest of the
 //! workspace:
@@ -12,13 +12,11 @@
 //! * [`Event`] / [`EventKind`] — the typed event taxonomy (run/wave/merge
 //!   spans, per-constant lift spans, `whnf`/`conv` calls, cache hit/miss
 //!   probes, rollbacks), each stamped with a monotonic nanosecond offset
-//!   and a worker id.
+//!   and a worker id (always 0 in new traces).
 //! * [`Tracer`] — a thread-confined event buffer. A disabled tracer is a
 //!   single `Option` discriminant check per probe (no allocation, no
 //!   timestamp read), so instrumented code pays effectively nothing when
-//!   observability is off. Parallel workers get forked tracers
-//!   ([`Tracer::fork_worker`]) sharing the run's epoch; their buffers are
-//!   merged back at wave barriers ([`Tracer::absorb`]) — no locks anywhere.
+//!   observability is off. No locks anywhere.
 //! * [`sink`] — the [`sink::EventSink`] output trait with two built-ins: a
 //!   hand-rolled JSON-lines writer ([`sink::JsonLinesSink`], schema in
 //!   DESIGN.md §11) and a flamegraph-style text summariser
@@ -97,11 +95,10 @@ impl fmt::Display for CacheTable {
 /// `dur_ns == 0`.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EventKind {
-    /// Span over one whole repair run (the `Repairer` front door).
-    Run {
-        /// Worker cap the run was configured with.
-        jobs: u32,
-    },
+    /// Span over one whole repair run (the `Repairer` front door). Traces
+    /// from earlier builds carry a `jobs` field on this line; readers
+    /// ignore it.
+    Run,
     /// Instant marker at the start of a scheduler wave.
     WaveStart {
         /// Wave index, starting at 0.
@@ -109,15 +106,15 @@ pub enum EventKind {
         /// Constants in the wave.
         width: u32,
     },
-    /// Span over a whole scheduler wave (workers + merge barrier).
+    /// Span over a whole scheduler wave (its constants + the merge).
     Wave {
         /// Wave index, starting at 0.
         wave: u32,
         /// Constants in the wave.
         width: u32,
     },
-    /// Span over a wave's merge barrier (admitting worker deltas and
-    /// folding caches back into the master).
+    /// Span over a wave's merge: folding the completed wave's forked lift
+    /// state (mappings, caches, counters) back into the run's.
     WaveMerge {
         /// Wave index, starting at 0.
         wave: u32,
@@ -234,7 +231,7 @@ impl EventKind {
     /// The stable wire name used in the JSON-lines schema.
     pub fn as_str(&self) -> &'static str {
         match self {
-            EventKind::Run { .. } => "run",
+            EventKind::Run => "run",
             EventKind::WaveStart { .. } => "wave_start",
             EventKind::Wave { .. } => "wave",
             EventKind::WaveMerge { .. } => "wave_merge",
@@ -259,14 +256,16 @@ impl EventKind {
 
 /// One trace event: a typed kind, a monotonic start offset in nanoseconds
 /// since the run's epoch, a duration (0 for instants), and the id of the
-/// worker whose thread-confined buffer recorded it (0 = the master).
+/// worker that recorded it.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Event {
     /// Start offset, nanoseconds since the tracer's epoch.
     pub t_ns: u64,
     /// Duration in nanoseconds; 0 for instant events.
     pub dur_ns: u64,
-    /// Recording worker (0 = master; workers are numbered from 1 per wave).
+    /// Recording worker: always 0 in traces from this build. Traces
+    /// written by earlier multi-worker builds number their workers from 1
+    /// per wave, and the offline report still reads them.
     pub worker: u32,
     /// What happened.
     pub kind: EventKind,
@@ -293,10 +292,6 @@ impl Event {
         s.push_str(self.kind.as_str());
         s.push('"');
         match &self.kind {
-            EventKind::Run { jobs } => {
-                s.push_str(",\"jobs\":");
-                s.push_str(&jobs.to_string());
-            }
             EventKind::WaveStart { wave, width } | EventKind::Wave { wave, width } => {
                 s.push_str(",\"wave\":");
                 s.push_str(&wave.to_string());
@@ -403,7 +398,7 @@ impl Event {
                 s.push_str(",\"class\":");
                 json::escape_into(class, &mut s);
             }
-            EventKind::Whnf | EventKind::Conv => {}
+            EventKind::Run | EventKind::Whnf | EventKind::Conv => {}
             EventKind::Unknown { .. } => unreachable!("handled above"),
         }
         s.push('}');
@@ -426,9 +421,7 @@ impl Event {
             raw: line.into(),
         };
         let kind = match st("kind")? {
-            "run" => EventKind::Run {
-                jobs: num("jobs")? as u32,
-            },
+            "run" => EventKind::Run,
             "wave_start" => EventKind::WaveStart {
                 wave: num("wave")? as u32,
                 width: num("width")? as u32,
@@ -521,11 +514,8 @@ pub struct SpanStart(Option<u64>);
 
 #[derive(Debug)]
 struct TracerInner {
-    /// The run's shared monotonic epoch; forked workers keep it so event
-    /// timestamps are comparable across threads.
+    /// The run's monotonic epoch.
     epoch: Instant,
-    /// This buffer's worker id (0 = master).
-    worker: u32,
     /// While paused, probes are dropped (used to hide debug-only
     /// re-typechecking from the event stream so debug and release traces
     /// agree).
@@ -540,15 +530,12 @@ struct TracerInner {
 /// probe is one branch, no timestamp read, no allocation) or *enabled*
 /// (owns an epoch and an event buffer). It deliberately has no
 /// synchronisation: each tracer belongs to one thread, mirroring the
-/// kernel `Env` cache-confinement rule. Cross-thread aggregation is
-/// explicit — fork with [`Tracer::fork_worker`], move the fork onto the
-/// worker thread, ship the events back as plain data, and fold them in
-/// with [`Tracer::absorb`] at the barrier.
+/// kernel `Env` cache-confinement rule.
 ///
-/// Cloning an enabled tracer yields an enabled tracer with the same epoch,
-/// worker id, and pause state but an **empty** buffer: events belong to
-/// the buffer that recorded them, never to copies (this is what makes
-/// `Env::clone` snapshots for workers trace-safe by default).
+/// Cloning an enabled tracer yields an enabled tracer with the same epoch
+/// and pause state but an **empty** buffer: events belong to the buffer
+/// that recorded them, never to copies (this is what makes `Env::clone`
+/// snapshots trace-safe by default).
 #[derive(Debug, Default)]
 pub struct Tracer {
     inner: Option<Box<TracerInner>>,
@@ -561,7 +548,6 @@ impl Clone for Tracer {
             Some(i) => Tracer {
                 inner: Some(Box::new(TracerInner {
                     epoch: i.epoch,
-                    worker: i.worker,
                     paused: Cell::new(i.paused.get()),
                     buf: RefCell::new(Vec::new()),
                 })),
@@ -571,12 +557,11 @@ impl Clone for Tracer {
 }
 
 impl Tracer {
-    /// An enabled tracer for the master (worker 0) with a fresh epoch.
+    /// An enabled tracer with a fresh epoch.
     pub fn new() -> Tracer {
         Tracer {
             inner: Some(Box::new(TracerInner {
                 epoch: Instant::now(),
-                worker: 0,
                 paused: Cell::new(false),
                 buf: RefCell::new(Vec::new()),
             })),
@@ -592,23 +577,6 @@ impl Tracer {
     #[inline]
     pub fn enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// A fresh, empty tracer for a parallel worker: shares this tracer's
-    /// epoch (so timestamps are comparable) but records under `worker`.
-    /// Disabled tracers fork disabled tracers.
-    pub fn fork_worker(&self, worker: u32) -> Tracer {
-        match &self.inner {
-            None => Tracer { inner: None },
-            Some(i) => Tracer {
-                inner: Some(Box::new(TracerInner {
-                    epoch: i.epoch,
-                    worker,
-                    paused: Cell::new(false),
-                    buf: RefCell::new(Vec::new()),
-                })),
-            },
-        }
     }
 
     /// Pauses or resumes recording. Paused probes are dropped entirely;
@@ -641,7 +609,7 @@ impl Tracer {
         i.buf.borrow_mut().push(Event {
             t_ns,
             dur_ns: 0,
-            worker: i.worker,
+            worker: 0,
             kind,
         });
     }
@@ -676,18 +644,9 @@ impl Tracer {
         i.buf.borrow_mut().push(Event {
             t_ns: start,
             dur_ns: now.saturating_sub(start),
-            worker: i.worker,
+            worker: 0,
             kind,
         });
-    }
-
-    /// Folds a batch of events (a worker's shipped buffer) into this
-    /// tracer, preserving their timestamps and worker ids. No-op when
-    /// disabled.
-    pub fn absorb(&self, events: Vec<Event>) {
-        if let Some(i) = &self.inner {
-            i.buf.borrow_mut().extend(events);
-        }
     }
 
     /// Takes the recorded events out, leaving the buffer empty.
@@ -726,7 +685,7 @@ mod tests {
         let t = Tracer::disabled();
         t.emit(EventKind::Whnf);
         let sp = t.begin();
-        t.end(sp, EventKind::Run { jobs: 1 });
+        t.end(sp, EventKind::Run);
         assert!(!t.enabled());
         assert!(t.is_empty());
     }
@@ -749,23 +708,6 @@ mod tests {
         // The span started before the instant event inside it.
         assert!(lift.t_ns <= events[0].t_ns);
         assert!(lift.t_ns + lift.dur_ns >= events[0].t_ns);
-    }
-
-    #[test]
-    fn fork_shares_epoch_and_absorb_merges() {
-        let master = Tracer::new();
-        master.emit(EventKind::Whnf);
-        let worker = master.fork_worker(3);
-        worker.emit(EventKind::Conv);
-        let worker_events = worker.into_events();
-        assert_eq!(worker_events[0].worker, 3);
-        master.absorb(worker_events);
-        let all = master.into_events();
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].worker, 0);
-        assert_eq!(all[1].worker, 3);
-        // Shared epoch: the worker's event is not before the master's.
-        assert!(all[1].t_ns >= all[0].t_ns);
     }
 
     #[test]
@@ -793,7 +735,7 @@ mod tests {
     #[test]
     fn every_kind_round_trips_through_json() {
         let kinds = vec![
-            EventKind::Run { jobs: 4 },
+            EventKind::Run,
             EventKind::WaveStart { wave: 0, width: 6 },
             EventKind::Wave { wave: 2, width: 1 },
             EventKind::WaveMerge { wave: 2 },

@@ -229,7 +229,7 @@ impl Metrics {
         m.incr("events.total", events.len() as u64);
         for e in events {
             match &e.kind {
-                EventKind::Run { .. } => m.observe("run.ns", e.dur_ns),
+                EventKind::Run => m.observe("run.ns", e.dur_ns),
                 EventKind::WaveStart { .. } => {}
                 EventKind::Wave { width, .. } => {
                     m.incr("schedule.waves", 1);
@@ -289,23 +289,27 @@ impl Metrics {
         m
     }
 
-    /// Folds the registry into a job-count-invariant canonical form.
+    /// Folds the registry into a canonical form that does not depend on
+    /// cache warmth or timing.
     ///
     /// Kernel cache probe counts (`cache.*`, `events.whnf`, `events.conv`)
-    /// legitimately vary with the worker count: each worker forks its own
-    /// memo tables, so hit/miss patterns — and the recursion they prune —
-    /// differ run to run (see `semantic_events_agree_across_worker_counts`
-    /// in the integration tests). The same goes for timing histograms and
-    /// for provenance *site* counts (a worker that misses the lift cache
-    /// re-expands a subtree's sites; `rule.cached` absorbs the difference).
+    /// depend on what the memo tables held when a run started. A daemon's
+    /// pool workers each keep their own warm configurations, so which
+    /// worker served a request — and what it served before — moves the
+    /// hit/miss patterns and the recursion they prune. The same goes for
+    /// timing histograms and for provenance *site* counts (a run that
+    /// misses the lift cache re-expands a subtree's sites; `rule.cached`
+    /// absorbs the difference). The deterministic `metrics` and
+    /// `trace_report` replies are built on this form.
     ///
     /// Canonicalization keeps the semantic counters verbatim
     /// (`schedule.waves`, `lift.constants`, `prov.constants`,
     /// `rollback.*`) plus the dimensionless `wave.width` histogram, and
-    /// folds each job-variant family into a presence flag:
+    /// folds each cache-dependent family into a presence flag:
     /// `cache.<table>.used`, `kernel.whnf.used`, `kernel.conv.used`,
     /// `prov.recorded` (1 when any probe of that family fired). Two runs
-    /// of the same repair at different `--jobs` canonicalize identically.
+    /// of the same repair over differently warmed caches canonicalize
+    /// identically.
     pub fn canonicalize(&self) -> Metrics {
         let mut m = Metrics::new();
         for (k, &v) in &self.counters {
@@ -458,7 +462,7 @@ mod tests {
                 5_000,
             ),
             ev(EventKind::Wave { wave: 0, width: 3 }, 9_000),
-            ev(EventKind::Run { jobs: 2 }, 20_000),
+            ev(EventKind::Run, 20_000),
         ];
         let m = Metrics::from_events(&events);
         assert_eq!(m.counter("events.whnf"), 2);
@@ -485,9 +489,9 @@ mod tests {
     }
 
     #[test]
-    fn canonicalize_folds_job_variant_counters_into_presence_flags() {
-        let mut fast = Metrics::new(); // e.g. jobs=1: warm shared caches
-        let mut slow = Metrics::new(); // e.g. jobs=4: forked per-worker caches
+    fn canonicalize_folds_cache_variant_counters_into_presence_flags() {
+        let mut fast = Metrics::new(); // e.g. a worker with warm caches
+        let mut slow = Metrics::new(); // e.g. a worker with cold caches
         for m in [&mut fast, &mut slow] {
             m.incr("schedule.waves", 4);
             m.incr("lift.constants", 18);

@@ -105,9 +105,7 @@ fn lift_spans(events: &[Event]) -> Vec<(&str, &Event)> {
 /// the fraction of wall-clock the critical chain explains.
 pub fn critical_path(events: &[Event]) -> String {
     let mut out = String::new();
-    let run = events
-        .iter()
-        .find(|e| matches!(e.kind, EventKind::Run { .. }));
+    let run = events.iter().find(|e| matches!(e.kind, EventKind::Run));
     let mut waves: Vec<&Event> = events
         .iter()
         .filter(|e| matches!(e.kind, EventKind::Wave { .. }))
@@ -354,7 +352,7 @@ pub fn render(events: &[Event], top_k: usize) -> String {
     let mut out = String::new();
     let runs = events
         .iter()
-        .filter(|e| matches!(e.kind, EventKind::Run { .. }))
+        .filter(|e| matches!(e.kind, EventKind::Run))
         .count();
     out.push_str(&format!(
         "trace: {} events, {} run span{}\n\n",
@@ -492,7 +490,7 @@ mod tests {
 
     fn sample() -> Vec<Event> {
         vec![
-            ev(0, 10_000, 0, EventKind::Run { jobs: 2 }),
+            ev(0, 10_000, 0, EventKind::Run),
             ev(100, 4_000, 0, EventKind::Wave { wave: 0, width: 2 }),
             ev(3_800, 200, 0, EventKind::WaveMerge { wave: 0 }),
             lift(200, 1_000, 1, "Old.app"),
@@ -532,7 +530,7 @@ mod tests {
     #[test]
     fn critical_path_breaks_duration_ties_by_name() {
         let events = vec![
-            ev(0, 5_000, 0, EventKind::Run { jobs: 2 }),
+            ev(0, 5_000, 0, EventKind::Run),
             ev(0, 4_000, 0, EventKind::Wave { wave: 0, width: 2 }),
             lift(10, 1_000, 1, "Old.b"),
             lift(20, 1_000, 2, "Old.a"),

@@ -1,8 +1,8 @@
 //! Output sinks for trace event streams.
 //!
-//! A sink receives the run's merged event stream once, after the repair
-//! finishes (events are buffered thread-confined during the run, so sinks
-//! never see partial or interleaved state). Two built-ins cover the common
+//! A sink receives the run's event stream once, after the repair finishes
+//! (events are buffered during the run, so sinks never see partial
+//! state). Two built-ins cover the common
 //! cases: [`JsonLinesSink`] writes the durable machine-readable form,
 //! [`SummarySink`] renders the human-readable flamegraph-style text.
 
@@ -12,8 +12,7 @@ use crate::{summary, Event};
 
 /// Consumes a finished run's event stream.
 pub trait EventSink {
-    /// Receives one event. Called once per event, in buffer order (master
-    /// events first, then worker batches in wave/merge order).
+    /// Receives one event. Called once per event, in buffer order.
     fn emit(&mut self, event: &Event);
 
     /// Called once after the last event; flush buffers here. The default
@@ -155,7 +154,7 @@ mod tests {
                 t_ns: 0,
                 dur_ns: 500,
                 worker: 0,
-                kind: EventKind::Run { jobs: 1 },
+                kind: EventKind::Run,
             },
             Event {
                 t_ns: 10,

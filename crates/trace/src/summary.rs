@@ -1,11 +1,10 @@
 //! Human-readable flamegraph-style rendering of an event stream.
 //!
-//! Nesting is recovered from timestamps: all tracers in a run share one
-//! epoch, so a lift span belongs to the wave span whose `[t_ns, t_ns +
-//! dur_ns]` window contains its start. The output is indentation-based —
-//! run, then waves in index order, then each wave's per-constant lifts
-//! with worker attribution and a proportional duration bar — followed by a
-//! kernel-probe tally.
+//! Nesting is recovered from timestamps: a run's events share one epoch,
+//! so a lift span belongs to the wave span whose `[t_ns, t_ns + dur_ns]`
+//! window contains its start. The output is indentation-based — run, then
+//! waves in index order, then each wave's per-constant lifts with a
+//! proportional duration bar — followed by a kernel-probe tally.
 
 use crate::metrics::fmt_ns;
 use crate::{CacheTable, Event, EventKind};
@@ -21,9 +20,7 @@ pub fn render(events: &[Event]) -> String {
         return out;
     }
 
-    let run = events
-        .iter()
-        .find(|e| matches!(e.kind, EventKind::Run { .. }));
+    let run = events.iter().find(|e| matches!(e.kind, EventKind::Run));
     let total_ns = run.map(|e| e.dur_ns).unwrap_or_else(|| {
         events
             .iter()
@@ -32,13 +29,7 @@ pub fn render(events: &[Event]) -> String {
             .unwrap_or(0)
             .saturating_sub(events.iter().map(|e| e.t_ns).min().unwrap_or(0))
     });
-    match run {
-        Some(Event {
-            kind: EventKind::Run { jobs },
-            ..
-        }) => out.push_str(&format!("run  jobs={jobs}  total={}\n", fmt_ns(total_ns))),
-        _ => out.push_str(&format!("run  total={}\n", fmt_ns(total_ns))),
-    }
+    out.push_str(&format!("run  total={}\n", fmt_ns(total_ns)));
 
     let mut waves: Vec<&Event> = events
         .iter()
@@ -70,8 +61,7 @@ pub fn render(events: &[Event]) -> String {
             let filled = ((lift.dur_ns as u128 * BAR as u128) / max_lift_ns as u128) as usize;
             let bar: String = "█".repeat(filled.min(BAR)) + &"·".repeat(BAR - filled.min(BAR));
             out.push_str(&format!(
-                "{indent}{name:<name_width$}  w{:<2} {bar} {}\n",
-                lift.worker,
+                "{indent}{name:<name_width$}  {bar} {}\n",
                 fmt_ns(lift.dur_ns)
             ));
         }
@@ -181,7 +171,7 @@ mod tests {
     #[test]
     fn nests_lifts_under_their_wave_by_timestamp() {
         let events = vec![
-            ev(0, 10_000, 0, EventKind::Run { jobs: 2 }),
+            ev(0, 10_000, 0, EventKind::Run),
             ev(100, 4_000, 0, EventKind::Wave { wave: 0, width: 2 }),
             ev(3_900, 200, 0, EventKind::WaveMerge { wave: 0 }),
             ev(
@@ -234,9 +224,8 @@ mod tests {
         let invol = text.find("Old.rev_involutive").unwrap();
         assert!(wave0 < rev && rev < wave1, "Old.rev listed under wave 0");
         assert!(wave1 < invol, "involutive listed under wave 1");
-        assert!(text.contains("w1"), "worker attribution shown");
         assert!(text.contains("whnf cache: 1 hits / 1 misses"));
-        assert!(text.contains("jobs=2"));
+        assert!(text.contains("run  total=10.0µs"), "{text}");
     }
 
     #[test]

@@ -21,8 +21,6 @@ use crate::WireError;
 pub struct ReportWire {
     /// `(old, new)` pairs actually repaired by this run.
     pub repaired: Vec<(String, String)>,
-    /// Worker cap the run used.
-    pub jobs: u64,
     /// Number of waves in the schedule.
     pub waves: u64,
     /// Widest wave.
@@ -261,7 +259,6 @@ impl ReportWire {
                         .collect(),
                 ),
             ),
-            ("jobs".into(), Value::UInt(self.jobs)),
             ("waves".into(), Value::UInt(self.waves)),
             ("max_width".into(), Value::UInt(self.max_width)),
             ("cache_hits".into(), Value::UInt(self.cache_hits)),
@@ -354,7 +351,6 @@ impl ReportWire {
         };
         Ok(ReportWire {
             repaired,
-            jobs: n("jobs")?,
             waves: n("waves")?,
             max_width: n("max_width")?,
             cache_hits: n("cache_hits")?,
@@ -379,7 +375,6 @@ mod tests {
     fn report_roundtrip() {
         let r = ReportWire {
             repaired: vec![("Old.rev".into(), "New.rev".into())],
-            jobs: 2,
             waves: 3,
             max_width: 4,
             cache_hits: 10,
@@ -399,6 +394,13 @@ mod tests {
         // a plain (non-auto) one never mentions the auto search.
         assert!(!r.to_value().to_string().contains("incr"));
         assert!(!r.to_value().to_string().contains("auto"));
+        // Replies from daemons that still reported a worker cap parse too.
+        let legacy = r
+            .to_value()
+            .to_string()
+            .replace("\"waves\"", "\"jobs\":1,\"waves\"");
+        let v = Value::parse(&legacy).unwrap();
+        assert_eq!(ReportWire::from_value(&v).unwrap(), r);
     }
 
     #[test]

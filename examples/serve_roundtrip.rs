@@ -13,10 +13,7 @@ use pumpkin_wire::{LiftSpec, Value};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A throwaway daemon on a kernel-assigned port, two workers.
-    let server = Server::bind(ServerConfig {
-        jobs: 2,
-        ..ServerConfig::default()
-    })?;
+    let server = Server::bind(ServerConfig::default())?;
     let addr = server.local_addr()?.to_string();
     let daemon = std::thread::spawn(move || server.run());
     println!("pumpkind listening on {addr}\n");

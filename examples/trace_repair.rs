@@ -18,7 +18,6 @@ fn main() -> pumpkin_core::Result<()> {
     )?;
 
     let report = pumpkin_core::Repairer::new(&lifting)
-        .jobs(2)
         .trace(true)
         .run(&mut env, pumpkin_stdlib::swap::OLD_MODULE_CONSTANTS)?;
 

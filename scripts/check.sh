@@ -11,16 +11,25 @@ cargo build --release --locked
 echo "==> cargo test --workspace -q --locked"
 cargo test --workspace -q --locked
 
+# The repository benchmark (perfbench/, see BENCHMARK.json) is a cargo
+# package outside the workspace that builds against the crates' public
+# API; build and test it here so an API change cannot pass CI and only
+# break the benchmark. Output goes to .bench_build, where
+# perfbench/run.py builds too.
+echo "==> cargo test --release --locked -q --manifest-path perfbench/Cargo.toml"
+CARGO_TARGET_DIR=.bench_build cargo test --release --locked -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
 echo "==> cargo clippy --all-targets --locked -- -D warnings"
 cargo clippy --all-targets --locked -- -D warnings
 
-# The Send+Sync invariant behind the parallel scheduler: no std::rc in the
-# kernel or core crates (clippy.toml's disallowed-types) — and the
-# hash-consing invariant: no raw TermCell construction outside the interner
-# module (clippy.toml's disallowed-methods).
+# The Send+Sync invariant behind the global interner and the serve worker
+# pool: no std::rc in the kernel or core crates (clippy.toml's
+# disallowed-types) — and the hash-consing invariant: no raw TermCell
+# construction outside the interner module (clippy.toml's
+# disallowed-methods).
 echo "==> cargo clippy -p pumpkin-kernel -p pumpkin-core (no std::rc, no raw cells)"
 cargo clippy -p pumpkin-kernel -p pumpkin-core --all-targets --locked -- \
     -D warnings -D clippy::disallowed-types -D clippy::disallowed-methods
@@ -168,7 +177,7 @@ grep -q 'Definition Old.check_clash' "$auto_dir/repro.pi" || {
     echo "auto smoke: reproducer does not pin the colliding constant" >&2; cat "$auto_dir/repro.pi"; exit 1; }
 rm -rf "$auto_dir"
 
-# Smoke-run the parallel-repair + observability bench rows so scheduler or
+# Smoke-run the module-repair + observability bench rows so scheduler or
 # probe regressions surface here, not only in full EXPERIMENTS.md runs,
 # plus the service rows: the cross-run lift cache cold vs warm (the guard
 # asserts warm is at least 5x faster), the daemon round-trip latency, and

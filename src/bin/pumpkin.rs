@@ -1,10 +1,9 @@
 //! `pumpkin` — a command-line driver for the repair engine.
 //!
-//! Usage: `pumpkin [--jobs N] [--trace out.jsonl] [--metrics] <script.pi | ->`.
+//! Usage: `pumpkin [--trace out.jsonl] [--metrics] <script.pi | ->`.
 //! See [`pumpkin_pi::cli`] for the directive reference and
 //! `examples/scripts/` for walkthroughs.
 //!
-//! * `--jobs N` — worker cap for the repair commands (0 = auto).
 //! * `--trace out.jsonl` — write each repair command's structured event
 //!   stream as JSON lines (schema in DESIGN.md §11).
 //! * `--metrics` — print the derived counters/histograms after each
@@ -24,23 +23,23 @@ use pumpkin_pi::cli::{run_script, Session};
 use pumpkin_serve::{Client, ServerConfig};
 use pumpkin_wire::{LiftSpec, Value};
 
-const USAGE: &str = "usage: pumpkin [--jobs N] [--trace out.jsonl] [--metrics] <script.pi | ->\n\
+const USAGE: &str = "usage: pumpkin [--trace out.jsonl] [--metrics] <script.pi | ->\n\
                      \x20      pumpkin trace-report [--lint] [--top K] <file.jsonl> [file2.jsonl]\n\
-                     \x20      pumpkin serve [--listen ADDR] [--unix PATH] [--jobs N] [--max-sessions N]\n\
+                     \x20      pumpkin serve [--listen ADDR] [--unix PATH] [--max-sessions N]\n\
                      \x20                    [--workers N] [--queue-depth N] [--cache-dir DIR]\n\
                      \x20                    [--cache-max-bytes N] [--slow-ms N] [--log PATH]\n\
                      \x20      pumpkin client --connect ADDR <hello|ping|shutdown|metrics|stats|repair-module|explain|call> [args]\n\
                      \x20                     (stats takes [--json|--prometheus])\n\
                      \x20      pumpkin top --connect ADDR [--interval-ms N] [--count N]\n\
-                     \x20      pumpkin watch [--poll-ms MS] [--max-runs N] [--jobs N] [--cache-dir DIR]\n\
+                     \x20      pumpkin watch [--poll-ms MS] [--max-runs N] [--cache-dir DIR]\n\
                      \x20                    [--cache-max-bytes N] [--swap A B] [--rename From.=To.]\n\
                      \x20                    [--names n1,n2,...] <module.pi>\n\
-                     \x20      pumpkin auto [--budget N] [--emit-repro PATH] [--jobs N] [--seed S]\n\
+                     \x20      pumpkin auto [--budget N] [--emit-repro PATH] [--seed S]\n\
                      \x20                   [--no-failure-cache] [--swap A B] [--rename From.=To.]\n\
                      \x20                   [--names n1,n2,...] <module.pi>\n\
                      \x20      pumpkin loadgen [--connect ADDR] [--mode closed|open] [--clients N] [--requests N]\n\
                      \x20                      [--rate R] [--duration-ms D] [--seed S] [--workers N]\n\
-                     \x20                      [--queue-depth N] [--jobs N] [--trials N] [--touch-rate R]\n\
+                     \x20                      [--queue-depth N] [--trials N] [--touch-rate R]\n\
                      \x20                      [--fail-rate R] [--json PATH] [--server-stats]";
 
 fn serve(argv: &[String]) -> ExitCode {
@@ -72,13 +71,6 @@ fn serve(argv: &[String]) -> ExitCode {
                 Ok(Ok(n)) => cfg.cache_max_bytes = Some(n),
                 _ => {
                     eprintln!("--cache-max-bytes needs a number\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--jobs" => match take("--jobs").map(|v| v.parse::<usize>()) {
-                Ok(Ok(n)) => cfg.jobs = n.max(1),
-                _ => {
-                    eprintln!("--jobs needs a number\n{USAGE}");
                     return ExitCode::FAILURE;
                 }
             },
@@ -162,7 +154,6 @@ fn client_lift_params(
     let mut rename: Option<(String, String)> = None;
     let mut names: Vec<Value> = Vec::new();
     let mut deterministic = false;
-    let mut jobs: Option<u64> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--swap" => {
@@ -184,13 +175,6 @@ fn client_lift_params(
                 names.extend(list.split(',').map(Value::str));
             }
             "--deterministic" => deterministic = true,
-            "--jobs" => {
-                jobs = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--jobs needs a number")?,
-                );
-            }
             other => return Err(format!("unexpected argument `{other}`")),
         }
     }
@@ -219,9 +203,6 @@ fn client_lift_params(
     }
     if deterministic {
         params.push(("deterministic".into(), Value::Bool(true)));
-    }
-    if let Some(j) = jobs {
-        params.push(("jobs".into(), Value::UInt(j)));
     }
     Ok(params)
 }
@@ -729,7 +710,6 @@ fn watch(argv: &[String]) -> ExitCode {
 
     let mut poll_ms = 250u64;
     let mut max_runs = 0u64;
-    let mut jobs = 1usize;
     let mut cache_dir: Option<std::path::PathBuf> = None;
     let mut cache_max_bytes: Option<u64> = None;
     let mut swap = ("Old.list".to_string(), "New.list".to_string());
@@ -750,10 +730,6 @@ fn watch(argv: &[String]) -> ExitCode {
             },
             "--max-runs" => match number(&mut args) {
                 Ok(n) => max_runs = n,
-                Err(()) => return ExitCode::FAILURE,
-            },
-            "--jobs" => match number(&mut args) {
-                Ok(n) => jobs = (n as usize).max(1),
                 Err(()) => return ExitCode::FAILURE,
             },
             "--cache-max-bytes" => match number(&mut args) {
@@ -874,7 +850,6 @@ fn watch(argv: &[String]) -> ExitCode {
             let mut st = LiftState::new();
             let result = Repairer::new(&lifting)
                 .state(&mut st)
-                .jobs(jobs)
                 .persist_cache(&cache_dir)
                 .cache_max_bytes(cache_max_bytes)
                 .incremental(&prev)
@@ -915,7 +890,6 @@ fn auto(argv: &[String]) -> ExitCode {
 
     let mut policy = AutoPolicy::default();
     let mut emit_repro: Option<String> = None;
-    let mut jobs = 1usize;
     let mut swap = ("Old.list".to_string(), "New.list".to_string());
     let mut rename: Option<(String, String)> = None;
     let mut names_arg: Option<Vec<String>> = None;
@@ -934,10 +908,6 @@ fn auto(argv: &[String]) -> ExitCode {
             },
             "--seed" => match number(&mut args) {
                 Ok(n) => policy.seed = n,
-                Err(()) => return ExitCode::FAILURE,
-            },
-            "--jobs" => match number(&mut args) {
-                Ok(n) => jobs = (n as usize).max(1),
                 Err(()) => return ExitCode::FAILURE,
             },
             "--no-failure-cache" => policy.use_failure_cache = false,
@@ -1009,7 +979,6 @@ fn auto(argv: &[String]) -> ExitCode {
             NameMap::prefix(&from, &to),
         )
         .source(src.as_str())
-        .jobs(jobs)
         .run(&mut env, &borrowed);
     println!("{}", search.summary());
     match result {
@@ -1091,7 +1060,6 @@ fn loadgen(argv: &[String]) -> ExitCode {
             "--seed" => number(&mut args).map(|n| cfg.seed = n),
             "--workers" => number(&mut args).map(|n| cfg.workers = (n as usize).max(1)),
             "--queue-depth" => number(&mut args).map(|n| cfg.queue_depth = (n as usize).max(1)),
-            "--jobs" => number(&mut args).map(|n| cfg.jobs = (n as usize).max(1)),
             "--trials" => number(&mut args).map(|n| cfg.trials = (n as usize).max(1)),
             "--server-stats" => {
                 cfg.server_stats = true;
@@ -1249,13 +1217,6 @@ fn main() -> ExitCode {
     let mut args = argv.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--jobs" => {
-                let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()) else {
-                    eprintln!("--jobs needs a number\n{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                session.set_jobs(n);
-            }
             "--trace" => {
                 let Some(file) = args.next() else {
                     eprintln!("--trace needs a file path\n{USAGE}");

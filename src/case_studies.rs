@@ -24,29 +24,11 @@ pub fn swap_list_module(env: &mut Env) -> Result<RepairReport> {
         .run(env, pumpkin_stdlib::swap::OLD_MODULE_CONSTANTS)
 }
 
-/// [`swap_list_module`] through the parallel wavefront scheduler with an
-/// explicit worker count — the `repair_parallel/jobs=N` ablation workload.
-/// Produces the same repaired module; the report additionally carries
-/// `schedule` counters.
-pub fn swap_list_module_parallel(env: &mut Env, jobs: usize) -> Result<RepairReport> {
-    let lifting = pumpkin_core::search::swap::configure(
-        env,
-        &"Old.list".into(),
-        &"New.list".into(),
-        NameMap::prefix("Old.", "New."),
-    )?;
-    let mut st = LiftState::new();
-    Repairer::new(&lifting)
-        .state(&mut st)
-        .jobs(jobs)
-        .run(env, pumpkin_stdlib::swap::OLD_MODULE_CONSTANTS)
-}
-
 /// [`swap_list_module`] through the [`Repairer`] front door with trace
 /// capture on — the `trace_overhead/on` ablation workload and the
 /// reference producer for the `--trace` JSON-lines schema. The report
 /// carries the full event stream and the derived metrics registry.
-pub fn swap_list_module_traced(env: &mut Env, jobs: usize) -> Result<RepairReport> {
+pub fn swap_list_module_traced(env: &mut Env) -> Result<RepairReport> {
     let lifting = pumpkin_core::search::swap::configure(
         env,
         &"Old.list".into(),
@@ -54,7 +36,6 @@ pub fn swap_list_module_traced(env: &mut Env, jobs: usize) -> Result<RepairRepor
         NameMap::prefix("Old.", "New."),
     )?;
     Repairer::new(&lifting)
-        .jobs(jobs)
         .trace(true)
         .run(env, pumpkin_stdlib::swap::OLD_MODULE_CONSTANTS)
 }
@@ -62,7 +43,7 @@ pub fn swap_list_module_traced(env: &mut Env, jobs: usize) -> Result<RepairRepor
 /// [`swap_list_module`] with the provenance recorder on but the trace
 /// sink off — the `trace_overhead/prov` ablation workload. The report
 /// carries per-constant provenance trees and no event stream.
-pub fn swap_list_module_provenance(env: &mut Env, jobs: usize) -> Result<RepairReport> {
+pub fn swap_list_module_provenance(env: &mut Env) -> Result<RepairReport> {
     let lifting = pumpkin_core::search::swap::configure(
         env,
         &"Old.list".into(),
@@ -70,7 +51,6 @@ pub fn swap_list_module_provenance(env: &mut Env, jobs: usize) -> Result<RepairR
         NameMap::prefix("Old.", "New."),
     )?;
     Repairer::new(&lifting)
-        .jobs(jobs)
         .provenance(true)
         .run(env, pumpkin_stdlib::swap::OLD_MODULE_CONSTANTS)
 }

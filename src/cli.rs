@@ -14,7 +14,6 @@ pub struct Session {
     pub env: Env,
     lifting: Option<Lifting>,
     state: LiftState,
-    jobs: usize,
     trace_path: Option<PathBuf>,
     show_metrics: bool,
     /// Provenance trees from the most recent repair command, indexed by
@@ -30,20 +29,10 @@ impl Session {
             env: Env::new(),
             lifting: None,
             state: LiftState::new(),
-            jobs: 1,
             trace_path: None,
             show_metrics: false,
             provenance: Vec::new(),
         }
-    }
-
-    /// Worker cap for the repair commands (`--jobs N`; 0 means auto).
-    pub fn set_jobs(&mut self, jobs: usize) {
-        self.jobs = if jobs == 0 {
-            pumpkin_core::default_jobs()
-        } else {
-            jobs
-        };
     }
 
     /// Writes every repair command's event stream to `path` as JSON lines
@@ -60,12 +49,11 @@ impl Session {
     }
 
     /// Runs the configured [`Repairer`] over `names` (or, with `None`, the
-    /// environment-wide sweep), honoring the session's jobs/trace/metrics
+    /// environment-wide sweep), honoring the session's trace/metrics
     /// settings.
     fn run_repairer(&mut self, names: Option<&[&str]>) -> Result<RepairReport, String> {
         let lifting = self.lifting.as_ref().ok_or("no configuration active")?;
         let mut repairer = Repairer::new(lifting)
-            .jobs(self.jobs)
             .state(&mut self.state)
             .provenance(true);
         if self.show_metrics {

@@ -65,8 +65,6 @@ pub struct LoadgenConfig {
     pub workers: usize,
     /// Work-queue bound for the in-process server.
     pub queue_depth: usize,
-    /// Per-request repair job cap.
-    pub jobs: usize,
     /// Measurement passes. Every row gets one time per trial, so guard
     /// medians are taken over real repetition instead of a single
     /// observation; the spawned server (and its warm caches) is reused
@@ -108,7 +106,6 @@ impl Default for LoadgenConfig {
             seed: 0xD06_F00D,
             workers: 2,
             queue_depth: 32,
-            jobs: 1,
             trials: 3,
             touch_rate: 0.0,
             fail_rate: 0.0,
@@ -501,7 +498,6 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
             });
             let server = Server::bind(ServerConfig {
                 listen: "127.0.0.1:0".into(),
-                jobs: cfg.jobs,
                 workers: cfg.workers,
                 queue_depth: cfg.queue_depth,
                 max_sessions: cfg.clients + 8,

@@ -275,140 +275,69 @@ fn structural_hash_is_stable_under_reallocation() {
     assert_eq!(a.structural_hash(), b.structural_hash());
 }
 
-/// The swap-list configuration used by the parallel-repair properties.
-fn swap_lifting(
-    env: &mut pumpkin_pi::pumpkin_kernel::env::Env,
-) -> pumpkin_pi::pumpkin_core::Lifting {
-    pumpkin_pi::pumpkin_core::search::swap::configure(
-        env,
-        &"Old.list".into(),
-        &"New.list".into(),
-        pumpkin_pi::pumpkin_core::NameMap::prefix("Old.", "New."),
-    )
-    .unwrap()
-}
-
-#[test]
-fn parallel_module_repair_is_deterministic_across_jobs() {
-    // The wavefront scheduler promises bitwise-identical results to the
-    // sequential driver for any worker count. Property: on a random subset
-    // of the swap module (in work-list order), jobs ∈ {1, 2, 4} all produce
-    // the same repaired-name map and the same pretty-printed definitions as
-    // `repair_module`. Replay a failure with PUMPKIN_TEST_SEED.
-    use pumpkin_pi::pumpkin_core::{LiftState, Repairer};
-    let all = stdlib::swap::OLD_MODULE_CONSTANTS;
-    let base = stdlib::std_env();
-    check(4, |rng| {
-        let mut subset: Vec<&str> = all.iter().copied().filter(|_| rng.chance(3, 5)).collect();
-        if subset.is_empty() {
-            subset.push(all[0]);
-        }
-
-        let mut seq_env = base.clone();
-        let lifting = swap_lifting(&mut seq_env);
-        let mut st = LiftState::new();
-        let seq = Repairer::new(&lifting)
-            .state(&mut st)
-            .run(&mut seq_env, &subset)
-            .unwrap();
-
-        for jobs in [1usize, 2, 4] {
-            let mut par_env = base.clone();
-            let lifting = swap_lifting(&mut par_env);
-            let mut st = LiftState::new();
-            let par = Repairer::new(&lifting)
-                .state(&mut st)
-                .jobs(jobs)
-                .run(&mut par_env, &subset)
-                .unwrap();
-            assert_eq!(
-                seq.repaired, par.repaired,
-                "name map differs at jobs={jobs}"
-            );
-            for (_, to) in &par.repaired {
-                let s = seq_env.const_decl(to).unwrap();
-                let p = par_env.const_decl(to).unwrap();
-                assert_eq!(
-                    pumpkin_lang::pretty(&seq_env, &s.ty),
-                    pumpkin_lang::pretty(&par_env, &p.ty),
-                    "type of {to} differs at jobs={jobs}"
-                );
-                match (&s.body, &p.body) {
-                    (Some(a), Some(b)) => assert_eq!(
-                        pumpkin_lang::pretty(&seq_env, a),
-                        pumpkin_lang::pretty(&par_env, b),
-                        "body of {to} differs at jobs={jobs}"
-                    ),
-                    (None, None) => {}
-                    _ => panic!("definedness of {to} differs at jobs={jobs}"),
-                }
-            }
-        }
-    });
-}
-
 #[test]
 fn parallel_repair_error_keeps_only_completed_waves() {
     // Error barrier regression: when a mid-module repair fails, the failing
-    // wave is dropped wholesale, so the master environment contains exactly
-    // the completed earlier waves — every merged constant type-correct.
+    // wave is rolled back wholesale, so the environment contains exactly
+    // the completed earlier waves — every installed constant type-correct.
     use pumpkin_pi::pumpkin_core::{LiftState, ModuleDag, Repairer};
     use pumpkin_pi::pumpkin_kernel::name::GlobalName;
     use pumpkin_pi::pumpkin_kernel::typecheck::{check_closed, check_is_type};
 
     let all = stdlib::swap::OLD_MODULE_CONSTANTS;
-    for jobs in [1usize, 2, 4] {
-        let mut env = stdlib::std_env();
-        // Poison: the repair target of a mid-module lemma already exists
-        // with an unrelated definition, so its wave fails (redeclaration).
-        env.define("New.rev_app_distr", Term::ind("nat"), nat_lit(0))
-            .unwrap();
-        let lifting = swap_lifting(&mut env);
+    let mut env = stdlib::std_env();
+    // Poison: the repair target of a mid-module lemma already exists with
+    // an unrelated definition, so its wave fails (redeclaration).
+    env.define("New.rev_app_distr", Term::ind("nat"), nat_lit(0))
+        .unwrap();
+    let lifting = pumpkin_pi::pumpkin_core::search::swap::configure(
+        &mut env,
+        &"Old.list".into(),
+        &"New.list".into(),
+        pumpkin_pi::pumpkin_core::NameMap::prefix("Old.", "New."),
+    )
+    .unwrap();
 
-        let nodes: Vec<GlobalName> = all.iter().map(GlobalName::new).collect();
-        let waves = ModuleDag::build(&env, &nodes).waves();
-        let failing_wave = waves
-            .iter()
-            .position(|w| w.iter().any(|&i| nodes[i].as_str() == "Old.rev_app_distr"))
-            .unwrap();
-        assert!(failing_wave > 0, "the poisoned lemma must not be a root");
+    let nodes: Vec<GlobalName> = all.iter().map(GlobalName::new).collect();
+    let waves = ModuleDag::build(&env, &nodes).waves();
+    let failing_wave = waves
+        .iter()
+        .position(|w| w.iter().any(|&i| nodes[i].as_str() == "Old.rev_app_distr"))
+        .unwrap();
+    assert!(failing_wave > 0, "the poisoned lemma must not be a root");
 
-        let mut st = LiftState::new();
-        let res = Repairer::new(&lifting)
-            .state(&mut st)
-            .jobs(jobs)
-            .run(&mut env, all);
-        assert!(res.is_err(), "jobs={jobs}: poisoned repair must fail");
+    let mut st = LiftState::new();
+    let res = Repairer::new(&lifting).state(&mut st).run(&mut env, all);
+    assert!(res.is_err(), "poisoned repair must fail");
 
-        for (w, members) in waves.iter().enumerate() {
-            for &i in members {
-                let new_name = nodes[i].as_str().replace("Old.", "New.");
-                if w < failing_wave {
-                    assert!(
-                        env.contains(&new_name),
-                        "jobs={jobs}: completed-wave constant {new_name} missing"
-                    );
-                } else if new_name != "New.rev_app_distr" {
-                    assert!(
-                        !env.contains(&new_name),
-                        "jobs={jobs}: {new_name} leaked from dropped wave {w}"
-                    );
-                }
+    for (w, members) in waves.iter().enumerate() {
+        for &i in members {
+            let new_name = nodes[i].as_str().replace("Old.", "New.");
+            if w < failing_wave {
+                assert!(
+                    env.contains(&new_name),
+                    "completed-wave constant {new_name} missing"
+                );
+            } else if new_name != "New.rev_app_distr" {
+                assert!(
+                    !env.contains(&new_name),
+                    "{new_name} leaked from dropped wave {w}"
+                );
             }
         }
-        // The poison is untouched, and everything merged re-typechecks.
-        let poison = env.const_decl(&"New.rev_app_distr".into()).unwrap();
-        assert_eq!(poison.ty, Term::ind("nat"));
-        let merged: Vec<_> = env
-            .constants()
-            .filter(|d| d.name.as_str().starts_with("New."))
-            .cloned()
-            .collect();
-        for d in merged {
-            check_is_type(&env, &d.ty).unwrap_or_else(|e| panic!("{}: {e}", d.name));
-            if let Some(b) = &d.body {
-                check_closed(&env, b, &d.ty).unwrap_or_else(|e| panic!("{}: {e}", d.name));
-            }
+    }
+    // The poison is untouched, and everything installed re-typechecks.
+    let poison = env.const_decl(&"New.rev_app_distr".into()).unwrap();
+    assert_eq!(poison.ty, Term::ind("nat"));
+    let merged: Vec<_> = env
+        .constants()
+        .filter(|d| d.name.as_str().starts_with("New."))
+        .cloned()
+        .collect();
+    for d in merged {
+        check_is_type(&env, &d.ty).unwrap_or_else(|e| panic!("{}: {e}", d.name));
+        if let Some(b) = &d.body {
+            check_closed(&env, b, &d.ty).unwrap_or_else(|e| panic!("{}: {e}", d.name));
         }
     }
 }

@@ -90,7 +90,7 @@ fn requests() -> Vec<String> {
 
 fn transcript() -> String {
     let metrics = Arc::new(Mutex::new(pumpkin_core::trace::Metrics::new()));
-    let mut session = Session::new(pumpkin_stdlib::std_env(), 1, None, metrics);
+    let mut session = Session::new(pumpkin_stdlib::std_env(), None, metrics);
     let mut out = String::new();
     for line in requests() {
         let (reply, _) = session.handle_line(&line);

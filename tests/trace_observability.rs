@@ -1,5 +1,5 @@
 //! Observability contract tests: the JSON-lines wire schema (golden file),
-//! trace determinism across worker counts, and event round-tripping.
+//! trace determinism from run to run, and event round-tripping.
 //!
 //! Golden-file policy: timestamps (`t_ns`, `dur_ns`) and worker ids are
 //! zeroed before comparison, so the golden file pins the *event structure*
@@ -7,7 +7,6 @@
 //! with `PUMPKIN_UPDATE_GOLDEN=1 cargo test -p pumpkin-pi --test
 //! trace_observability` after an intentional schema or pipeline change.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use pumpkin_pi::case_studies;
@@ -34,29 +33,6 @@ fn normalized_jsonl(events: &[Event]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// A multiset of the scheduler- and lift-layer events: everything above
-/// the kernel caches. Kernel whnf/conv/cache-probe counts legitimately
-/// vary with the worker count (each worker forks its own memo tables, so
-/// partitioning changes hit/miss patterns and the recursion they prune);
-/// the semantic layer must not.
-fn semantic_multiset(events: &[Event]) -> BTreeMap<String, usize> {
-    let mut m = BTreeMap::new();
-    for e in events {
-        let key = match &e.kind {
-            EventKind::WaveStart { wave, width } => format!("wave_start {wave} {width}"),
-            EventKind::Wave { wave, width } => format!("wave {wave} {width}"),
-            EventKind::WaveMerge { wave } => format!("wave_merge {wave}"),
-            EventKind::LiftConstant { name } => format!("lift {name}"),
-            EventKind::Rollback { dropped } => format!("rollback {dropped}"),
-            // Run carries the jobs count, which differs by construction;
-            // kernel events vary with cache partitioning (see above).
-            _ => continue,
-        };
-        *m.entry(key).or_insert(0) += 1;
-    }
-    m
 }
 
 fn traced_rev_repair() -> Vec<Event> {
@@ -164,69 +140,22 @@ fn events_round_trip_through_json() {
 
 #[test]
 fn single_worker_trace_is_reproducible() {
-    // jobs=1 runs everything on the master thread with one cache, so the
-    // full event stream — kernel probes included — must be identical
-    // modulo timestamps from run to run.
+    // Module repair runs on one thread with one cache, so the full event
+    // stream — kernel probes included — must be identical modulo
+    // timestamps from run to run, and every event is worker 0.
     let mut env_a = stdlib::std_env();
     let mut env_b = stdlib::std_env();
-    let a = case_studies::swap_list_module_traced(&mut env_a, 1).unwrap();
-    let b = case_studies::swap_list_module_traced(&mut env_b, 1).unwrap();
+    let a = case_studies::swap_list_module_traced(&mut env_a).unwrap();
+    let b = case_studies::swap_list_module_traced(&mut env_b).unwrap();
     assert_eq!(normalize(&a.trace), normalize(&b.trace));
     assert_eq!(a.repaired, b.repaired);
-}
-
-#[test]
-fn semantic_events_agree_across_worker_counts() {
-    let mut runs = Vec::new();
-    for jobs in [1usize, 2, 4] {
-        let mut env = stdlib::std_env();
-        let report = case_studies::swap_list_module_traced(&mut env, jobs).unwrap();
-        assert!(
-            report
-                .trace
-                .iter()
-                .any(|e| matches!(e.kind, EventKind::Run { jobs: j } if j == jobs as u32)),
-            "jobs={jobs} run span missing"
-        );
-        let mut repaired = report.repaired.clone();
-        repaired.sort();
-        runs.push((jobs, semantic_multiset(&report.trace), repaired));
-    }
-    let (_, base_events, base_repaired) = &runs[0];
-    for (jobs, events, repaired) in &runs[1..] {
-        assert_eq!(
-            events, base_events,
-            "semantic event multiset differs between jobs=1 and jobs={jobs}"
-        );
-        assert_eq!(
-            repaired, base_repaired,
-            "repaired outputs differ between jobs=1 and jobs={jobs}"
-        );
-    }
-}
-
-#[test]
-fn worker_attribution_appears_at_higher_job_counts() {
-    let mut env = stdlib::std_env();
-    let report = case_studies::swap_list_module_traced(&mut env, 4).unwrap();
-    let workers: std::collections::BTreeSet<u32> = report
-        .trace
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::LiftConstant { .. }))
-        .map(|e| e.worker)
-        .collect();
-    // The widest wave of the swap module has several independent
-    // constants, so at jobs=4 at least two workers lift something.
-    assert!(
-        workers.len() >= 2,
-        "expected multiple workers to be attributed, got {workers:?}"
-    );
+    assert!(a.trace.iter().all(|e| e.worker == 0));
 }
 
 #[test]
 fn metrics_registry_matches_event_stream() {
     let mut env = stdlib::std_env();
-    let report = case_studies::swap_list_module_traced(&mut env, 1).unwrap();
+    let report = case_studies::swap_list_module_traced(&mut env).unwrap();
     let m = report.metrics();
     let count = |pred: &dyn Fn(&EventKind) -> bool| {
         report.trace.iter().filter(|e| pred(&e.kind)).count() as u64
@@ -338,28 +267,6 @@ fn provenance_is_zero_cost_when_off() {
         EventKind::ProvConst { .. } | EventKind::ProvSite { .. }
     )));
     assert!(env.contains("New.rev"));
-}
-
-#[test]
-fn canonical_metrics_agree_across_worker_counts() {
-    // Satellite: the canonicalization pass folds job-variant cache/timing
-    // counters into invariant aggregates, so the canonical form of the
-    // same repair is identical at jobs ∈ {1, 2, 4}.
-    use pumpkin_pi::pumpkin_core::trace::Metrics;
-    let mut canon = Vec::new();
-    for jobs in [1usize, 2, 4] {
-        let mut env = stdlib::std_env();
-        let report = case_studies::swap_list_module_traced(&mut env, jobs).unwrap();
-        canon.push((jobs, Metrics::from_events(&report.trace).canonicalize()));
-    }
-    let (_, base) = &canon[0];
-    for (jobs, m) in &canon[1..] {
-        assert_eq!(
-            m.to_text(),
-            base.to_text(),
-            "canonical metrics differ between jobs=1 and jobs={jobs}"
-        );
-    }
 }
 
 #[test]
