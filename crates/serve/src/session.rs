@@ -80,7 +80,14 @@ struct Configured {
 
 /// One worker's worth of request-handling state.
 pub struct Session {
+    /// The pristine warm environment every repair clones. Nothing runs
+    /// against it directly, so its memo tables (copied by every clone)
+    /// stay the size they were when the session started.
     base: Env,
+    /// The environment `eval` type-checks and normalizes in: cloned from
+    /// `base` once, it keeps its own warm tables across evals without
+    /// growing `base`'s.
+    eval_env: Env,
     cache_dir: Option<PathBuf>,
     /// Size budget for the persist cache (None = unbounded).
     cache_max_bytes: Option<u64>,
@@ -270,6 +277,7 @@ impl Session {
     /// use).
     pub fn new(base: Env, cache_dir: Option<PathBuf>, metrics: Arc<Mutex<Metrics>>) -> Session {
         Session {
+            eval_env: base.clone(),
             base,
             cache_dir,
             cache_max_bytes: None,
@@ -649,8 +657,8 @@ impl Session {
     }
 
     /// `eval`: decode a digest-verified term envelope, typecheck and
-    /// normalize it against the base environment, and return both the
-    /// pretty form and the normal form's envelope.
+    /// normalize it against the session's eval environment, and return
+    /// both the pretty form and the normal form's envelope.
     fn eval(&mut self, params: &Value) -> MethodResult {
         let envelope = params
             .get("term")
@@ -659,14 +667,15 @@ impl Session {
             WireError::BadDigest { .. } => (code::BAD_DIGEST, e.to_string()),
             other => (code::BAD_PARAMS, other.to_string()),
         })?;
-        pumpkin_kernel::typecheck::infer_closed(&self.base, &term)
+        let env = &self.eval_env;
+        pumpkin_kernel::typecheck::infer_closed(env, &term)
             .map_err(|e| (code::BAD_PARAMS, format!("term does not typecheck: {e}")))?;
-        let normal = pumpkin_kernel::reduce::normalize(&self.base, &term);
+        let normal = pumpkin_kernel::reduce::normalize(env, &term);
         Ok((
             Value::Obj(vec![
                 (
                     "pretty".into(),
-                    Value::str(pumpkin_lang::pretty(&self.base, &normal)),
+                    Value::str(pumpkin_lang::pretty(env, &normal)),
                 ),
                 ("term".into(), term_to_envelope(&normal)),
             ]),
@@ -1123,6 +1132,38 @@ mod tests {
             .and_then(Value::as_str)
             .unwrap();
         assert_eq!(pretty, "S (S O)");
+    }
+
+    #[test]
+    fn eval_warms_its_own_env_and_leaves_the_base_untouched() {
+        use pumpkin_kernel::term::Term;
+        let numeral = |n: usize| {
+            (0..n).fold(Term::construct("nat", 0), |t, _| {
+                Term::app(Term::construct("nat", 1), [t])
+            })
+        };
+        let eval = |s: &mut Session, n: usize| {
+            let t = Term::app(Term::const_("add"), [numeral(n), numeral(1)]);
+            let line = format!(
+                r#"{{"id":1,"method":"eval","params":{{"term":{}}}}}"#,
+                term_to_envelope(&t)
+            );
+            let (reply, _) = s.handle_line(&line);
+            assert!(reply.contains("\"ok\":true"), "{reply}");
+        };
+        let mut s = session();
+        let base = s.base.kernel_stats();
+        for n in 0..50 {
+            eval(&mut s, n);
+        }
+        assert_eq!(s.base.kernel_stats(), base);
+
+        let warm = s.eval_env.kernel_stats();
+        eval(&mut s, 7);
+        let repeat = s.eval_env.kernel_stats().since(&warm);
+        assert!(repeat.whnf_cache_hits > 0, "{repeat:?}");
+        assert_eq!(repeat.whnf_cache_misses, 0, "{repeat:?}");
+        assert_eq!(s.base.kernel_stats(), base);
     }
 
     #[test]

@@ -29,15 +29,41 @@ pub mod replica;
 pub mod swap;
 pub mod vector;
 
+use std::sync::{Mutex, OnceLock, PoisonError};
+
 use pumpkin_kernel::env::Env;
 
+/// The kernel-checked library, built on first use. The source is fixed at
+/// compile time, so one check per process suffices. `Env` is `Send` but
+/// not `Sync` (its memo tables are `Cell`/`RefCell`), hence the `Mutex`:
+/// it is held only while a caller clones.
+static CHECKED: OnceLock<Mutex<Env>> = OnceLock::new();
+
 /// An environment with the full standard library loaded.
+///
+/// The library is declared and kernel-checked once per process; every call
+/// returns a clone of that environment. A clone shares its terms with the
+/// original (they live in the global interner) and copies the declaration
+/// maps, the warm memo tables and the kernel counters, so it is
+/// indistinguishable from a fresh build. Mutating the returned
+/// environment never affects later calls.
 ///
 /// # Panics
 ///
 /// Panics if any stdlib module fails to load — that would be a bug, since
 /// every module is covered by tests.
 pub fn std_env() -> Env {
+    // Holders of the lock only clone, which reads the library and never
+    // writes it, so a guard poisoned by a panicking clone is still valid.
+    CHECKED
+        .get_or_init(|| Mutex::new(build()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone()
+}
+
+/// Declares and checks every stdlib module into a fresh environment.
+fn build() -> Env {
     let mut env = Env::new();
     logic::load(&mut env).expect("logic loads");
     nat::load(&mut env).expect("nat loads");
@@ -53,12 +79,68 @@ pub fn std_env() -> Env {
 
 #[cfg(test)]
 mod tests {
+    use pumpkin_kernel::env::{Env, GlobalRef};
+    use pumpkin_kernel::name::GlobalName;
+    use pumpkin_kernel::term::Term;
+
+    use super::{build, std_env};
+
+    /// `a` and `b` hold the same declarations in the same order, at the
+    /// same generation, with the same counters and cache switch.
+    fn assert_same(a: &Env, b: &Env) {
+        assert_eq!(a.order(), b.order());
+        for r in a.order() {
+            match r {
+                GlobalRef::Const(n) => assert_eq!(a.const_decl(n), b.const_decl(n)),
+                GlobalRef::Ind(n) => assert_eq!(a.inductive(n), b.inductive(n)),
+            }
+        }
+        assert_eq!(a.generation(), b.generation());
+        assert_eq!(a.kernel_stats(), b.kernel_stats());
+        assert_eq!(a.kernel_cache_enabled(), b.kernel_cache_enabled());
+    }
+
     #[test]
     fn std_env_builds() {
-        let env = super::std_env();
+        let env = std_env();
         assert!(env.contains("rev_app_distr"));
         assert!(env.contains("N.peano_rect_succ"));
         assert!(env.contains("Old.Term"));
         assert!(env.contains("corkLemma"));
+    }
+
+    #[test]
+    fn std_env_equals_a_fresh_build() {
+        assert_same(&std_env(), &build());
+    }
+
+    #[test]
+    fn mutating_a_returned_env_leaves_later_calls_untouched() {
+        let pristine = std_env();
+        let mut env = std_env();
+        let mark = env.order().len();
+        let last = match &env.order()[mark - 1] {
+            GlobalRef::Const(n) | GlobalRef::Ind(n) => n.clone(),
+        };
+        let nat = Term::ind("nat");
+        let zero = Term::construct("nat", 0);
+        env.define(
+            "isolation_probe",
+            nat,
+            Term::app(Term::const_("add"), [zero.clone(), zero]),
+        )
+        .unwrap();
+        env.set_opaque(&GlobalName::new("add"), true).unwrap();
+        env.remove(&last).unwrap();
+        env.rollback_to(mark - 5);
+        env.set_kernel_cache(false);
+        assert!(!env.contains(last.as_str()));
+
+        let next = std_env();
+        assert_same(&next, &pristine);
+        assert!(next.contains(last.as_str()));
+        assert!(!next.contains("isolation_probe"));
+        assert!(!next.const_decl(&GlobalName::new("add")).unwrap().opaque);
+        assert!(next.kernel_cache_enabled());
     }
 }

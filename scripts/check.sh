@@ -183,8 +183,9 @@ rm -rf "$auto_dir"
 # asserts warm is at least 5x faster), the daemon round-trip latency, and
 # the PR 6 batch-amortization pair (the guard asserts one repair_batch
 # frame over the 13-constant module costs at most 0.8x of 13 individual
-# repair RPCs). The run writes a pumpkin-bench/v1 JSON report that the
-# guard gates row by row against the most recent committed baseline.
+# repair RPCs). The run writes a fresh pumpkin-bench/v1 JSON report
+# under target/ (never over a committed file) that the guard gates row by
+# row against the committed BENCH_pr10.json baseline.
 # The scaling_term_size rows join the report for PR 7: the hash-consing +
 # NbE-conversion work is gated against a hard in-run ceiling (see
 # bench_guard.sh) as well as the committed-baseline comparison. PR 8 adds
@@ -195,19 +196,21 @@ rm -rf "$auto_dir"
 # is what bounds that overhead. PR 10 adds the auto_search rows: the
 # in-run guard asserts the failure-cache-warmed enumeration costs at most
 # 0.5x of the cold one.
-echo "==> bench: repair_parallel + trace_overhead + persist_cache + serve + scaling + auto rows → BENCH_pr10.json"
+fresh="$(pwd)/target/bench/BENCH_fresh.json"
+mkdir -p "$(dirname "$fresh")"
+echo "==> bench: repair_parallel + trace_overhead + persist_cache + serve + scaling + auto rows → target/bench/BENCH_fresh.json"
 # Absolute path: cargo runs the bench binary with cwd = the package dir.
 # Sample size 9: the batch-vs-rpc in-run gate needs a stable median on a
 # noisy single-CPU container.
 cargo bench -p pumpkin-bench --locked --bench ablation -- \
     --sample-size 9 \
     --filter repair_parallel/jobs=1,trace_overhead,persist_cache,serve_roundtrip,repair_batch,scaling_term_size,auto_search \
-    --json "$(pwd)/BENCH_pr10.json"
+    --json "$fresh"
 
 # Loadgen smoke: a seed-replayable closed-loop run against a self-hosted
 # worker-pool daemon; its serve_load/{p50,p95,p99,throughput} rows join
 # the same report (the header line of the loadgen output is dropped —
-# BENCH_pr10.json already has one). --server-stats adds the daemon's own
+# the fresh report already has one). --server-stats adds the daemon's own
 # view of the same load (serve_load/server_*), which the guard compares
 # against the client-side tail. No --fail-rate here: these rows must stay
 # workload-comparable with the committed baseline report.
@@ -216,7 +219,7 @@ loadgen_json=$(mktemp)
 timeout 300 ./target/release/pumpkin loadgen \
     --mode closed --clients 16 --requests 4 --workers 2 --seed 7 \
     --server-stats --json "$loadgen_json"
-tail -n +2 "$loadgen_json" >> BENCH_pr10.json
+tail -n +2 "$loadgen_json" >> "$fresh"
 
 # A second run mixes in 25% broken modules (repair_auto requests whose
 # expected auto_exhausted replies are completions). Only its
@@ -228,10 +231,15 @@ echo "==> loadgen smoke (closed loop, 16 clients, 25% broken-module mix) → ser
 timeout 300 ./target/release/pumpkin loadgen \
     --mode closed --clients 16 --requests 4 --workers 2 --seed 7 \
     --fail-rate 0.25 --json "$loadgen_json"
-grep '"id":"serve_load/auto_' "$loadgen_json" >> BENCH_pr10.json
+grep '"id":"serve_load/auto_' "$loadgen_json" >> "$fresh"
 rm -f "$loadgen_json"
 
-echo "==> bench guard (auto baseline)"
-scripts/bench_guard.sh BENCH_pr10.json
+echo "==> bench guard (against BENCH_pr10.json)"
+scripts/bench_guard.sh "$fresh" BENCH_pr10.json
+
+# No step may rewrite a committed baseline report.
+echo "==> committed BENCH_*.json untouched"
+dirty=$(git status --porcelain -- 'BENCH_*.json')
+[ -z "$dirty" ] || { echo "check.sh modified committed bench reports:" >&2; echo "$dirty" >&2; exit 1; }
 
 echo "==> all checks passed"

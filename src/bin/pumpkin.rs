@@ -696,17 +696,19 @@ fn top(argv: &[String]) -> ExitCode {
 }
 
 /// `pumpkin watch`: the edit→repair loop as a verb. Polls a vernacular
-/// `.pi` file; on every change it rebuilds a fresh environment, loads the
-/// file, and repairs the module *incrementally* — source digests are
-/// diffed against the previous run's [`pumpkin_core::DigestMap`], only
+/// `.pi` file; on every change it clones the checked standard library,
+/// loads the file, and repairs the module *incrementally* — source digests
+/// are diffed against the previous run's [`pumpkin_core::DigestMap`], only
 /// the changed constants' downstream closure is re-lifted, and everything
-/// else replays from the persist cache. Prints one
-/// `incremental: changed=X replayed=Y skipped=Z` line per run.
+/// else replays from the persist cache. Each run prints
+/// `run N: repaired K constants in R ms (cycle C ms)`, where R is the
+/// repair alone and C the whole cycle from the library clone to the new
+/// digest snapshot, then `incremental: changed=X replayed=Y skipped=Z`.
 fn watch(argv: &[String]) -> ExitCode {
     use pumpkin_core::{DigestMap, LiftState, NameMap, Repairer};
     use std::collections::HashSet;
     use std::io::Write as _;
-    use std::time::SystemTime;
+    use std::time::{Instant, SystemTime};
 
     let mut poll_ms = 250u64;
     let mut max_runs = 0u64;
@@ -806,9 +808,11 @@ fn watch(argv: &[String]) -> ExitCode {
                     continue;
                 }
             };
-            // Fresh world per run: the standard library plus the watched
-            // file's definitions. Incrementality lives entirely in the
-            // digest snapshot and the persist cache, not in kept state.
+            // Each run's world is a clone of the process's checked
+            // standard library plus the watched file's definitions.
+            // Incrementality lives entirely in the digest snapshot and the
+            // persist cache, not in kept state.
+            let cycle = Instant::now();
             let mut env = pumpkin_stdlib::std_env();
             let baked: HashSet<String> = env
                 .constants()
@@ -856,17 +860,18 @@ fn watch(argv: &[String]) -> ExitCode {
                 .run(&mut env, &borrowed);
             match result {
                 Ok(report) => {
+                    prev = DigestMap::capture(&env, &borrowed);
                     runs += 1;
                     println!(
-                        "watch: run {runs}: repaired {} constants in {:.1} ms",
+                        "watch: run {runs}: repaired {} constants in {:.1} ms (cycle {:.1} ms)",
                         report.repaired.len(),
-                        report.wall_ns as f64 / 1e6
+                        report.wall_ns as f64 / 1e6,
+                        cycle.elapsed().as_secs_f64() * 1e3
                     );
                     if let Some(i) = report.incr {
                         println!("watch: incremental: {i}");
                     }
                     let _ = std::io::stdout().flush();
-                    prev = DigestMap::capture(&env, &borrowed);
                     if max_runs > 0 && runs >= max_runs {
                         return ExitCode::SUCCESS;
                     }
