@@ -231,42 +231,6 @@ impl<'a> Repairer<'a> {
             .ok_or_else(|| RepairError::MissingDependency(name.clone()))
     }
 
-    /// Repairs several independent work lists against *throwaway clones*
-    /// of `base`, sharing this repairer's configuration — tracing,
-    /// provenance, persist cache — and, crucially, its cancel
-    /// token across the whole batch. Each item's report is exactly what a
-    /// standalone [`Repairer::run`] over a fresh clone would produce, so
-    /// batch replies stay byte-identical to per-request ones; a deadline
-    /// installed with [`Repairer::deadline`] budgets the *batch*, and
-    /// once it elapses every remaining item reports
-    /// [`RepairError::Cancelled`] before its first constant without doing
-    /// work.
-    ///
-    /// A threaded [`Repairer::state`] or [`Repairer::sink`] does not
-    /// distribute over a batch (each item must see a fresh state for its
-    /// report to match a standalone run); both are ignored here.
-    pub fn run_batch(self, base: &Env, lists: &[Vec<String>]) -> Vec<Result<RepairReport>> {
-        let mut out = Vec::with_capacity(lists.len());
-        for names in lists {
-            let mut item = Repairer::new(self.lifting).trace(self.capture);
-            if let Some(p) = self.prov {
-                item = item.provenance(p);
-            }
-            if let Some(dir) = &self.persist_dir {
-                item = item
-                    .persist_cache(dir)
-                    .cache_max_bytes(self.cache_max_bytes);
-            }
-            if let Some(tok) = &self.cancel {
-                item = item.cancel(tok.clone());
-            }
-            let mut env = base.clone();
-            let borrowed: Vec<&str> = names.iter().map(String::as_str).collect();
-            out.push(item.run(&mut env, &borrowed));
-        }
-        out
-    }
-
     fn execute(mut self, env: &mut Env, nodes: Vec<GlobalName>) -> Result<RepairReport> {
         let wall_start = Instant::now();
         let tracing = self.capture || self.sink.is_some();
@@ -777,57 +741,6 @@ mod tests {
             wire.repaired,
             vec![("Old.rev".to_string(), "New.rev".to_string())]
         );
-    }
-
-    #[test]
-    fn run_batch_matches_individual_runs() {
-        let (env, lifting) = configured();
-        let lists: Vec<Vec<String>> = vec![
-            vec!["Old.rev".into()],
-            vec!["Old.app".into(), "Old.app_assoc".into()],
-            vec!["Old.rev".into()], // repeats are independent items
-        ];
-        let batch = Repairer::new(&lifting).run_batch(&env, &lists);
-        assert_eq!(batch.len(), lists.len());
-        for (names, got) in lists.iter().zip(&batch) {
-            let mut solo_env = env.clone();
-            let borrowed: Vec<&str> = names.iter().map(String::as_str).collect();
-            let want = Repairer::new(&lifting)
-                .run(&mut solo_env, &borrowed)
-                .unwrap();
-            let got = got.as_ref().unwrap();
-            assert_eq!(got.to_wire().repaired, want.to_wire().repaired);
-        }
-        // The base environment is untouched: items ran on throwaway clones.
-        assert!(!env.contains("New.rev"));
-    }
-
-    /// A batch deadline is a *batch* budget: once the shared token
-    /// expires, no later item may succeed (each checks the token before
-    /// its first constant). With a zero budget that means every item.
-    #[test]
-    fn run_batch_deadline_cancels_remaining_items() {
-        let (env, lifting) = configured();
-        let lists: Vec<Vec<String>> = (0..4)
-            .map(|_| vec!["Old.rev".to_string(), "Old.rev_involutive".to_string()])
-            .collect();
-        let all_cancelled = Repairer::new(&lifting)
-            .deadline(Duration::from_nanos(0))
-            .run_batch(&env, &lists);
-        for r in &all_cancelled {
-            assert!(matches!(r, Err(RepairError::Cancelled { .. })), "{r:?}");
-        }
-        // A nonzero budget may land mid-batch; whatever the timing, the
-        // outcome sequence must be monotone: successes, then failures.
-        let mixed = Repairer::new(&lifting)
-            .deadline(Duration::from_micros(300))
-            .run_batch(&env, &lists);
-        if let Some(first_err) = mixed.iter().position(|r| r.is_err()) {
-            assert!(
-                mixed[first_err..].iter().all(|r| r.is_err()),
-                "an item succeeded after the batch deadline expired"
-            );
-        }
     }
 
     #[test]

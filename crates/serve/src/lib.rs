@@ -11,9 +11,8 @@
 //!
 //! The protocol is newline-delimited JSON-RPC over TCP (and optionally a
 //! Unix socket): see [`proto`] for framing and error codes, [`Session`]
-//! for the method set (`ping`, `repair`, `repair_module`, `repair_batch`,
-//! `explain`, `trace_report`, `eval`, `metrics`, `stats`, `shutdown`),
-//! and [`Server`] for the daemon. The server is a bounded worker pool:
+//! for the method set (`session::METHODS`), and [`Server`] for the
+//! daemon. The server is a bounded worker pool:
 //! connection threads parse frames and feed a bounded work queue, and a
 //! fixed set of workers — each owning a long-lived session whose
 //! configuration cache survives across connections — drains it. Busy

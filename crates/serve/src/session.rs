@@ -61,7 +61,6 @@ pub const METHODS: &[&str] = &[
     "repair_batch",
     "repair_auto",
     "explain",
-    "trace_report",
     "eval",
 ];
 
@@ -331,26 +330,14 @@ impl Session {
     }
 
     /// Handles an already-parsed request, optionally under an externally
-    /// owned cancel token. The worker pool creates the token at enqueue
-    /// time (so a request's deadline budget covers its time in the
-    /// queue); standalone callers pass `None` and per-request
-    /// `deadline_ms` params behave as before. The reply bytes are
-    /// identical either way — the token only decides *when* a run is
-    /// cancelled, never what a completed run reports. The `req_id` stamp
-    /// comes from this session's own counter; the daemon uses
-    /// [`Session::handle_request_traced`] to stamp its server-wide id.
-    pub fn handle_request(
-        &mut self,
-        req: &Request,
-        cancel: Option<&CancelToken>,
-    ) -> (String, Control) {
-        let req_id = self.next_req_id();
-        self.handle_request_traced(req, cancel, req_id)
-    }
-
-    /// [`Session::handle_request`] with an externally assigned lifecycle
-    /// request id (the daemon assigns ids at frame parse, server-wide,
-    /// so `req_id` orders requests across connections).
+    /// owned cancel token, stamping the reply with an externally assigned
+    /// lifecycle request id (the daemon assigns ids at frame parse,
+    /// server-wide, so `req_id` orders requests across connections). The
+    /// worker pool creates the token at enqueue time (so a request's
+    /// deadline budget covers its time in the queue); callers without one
+    /// pass `None` and per-request `deadline_ms` params behave as before.
+    /// The reply bytes are identical either way — the token only decides
+    /// *when* a run is cancelled, never what a completed run reports.
     pub fn handle_request_traced(
         &mut self,
         req: &Request,
@@ -372,7 +359,6 @@ impl Session {
             "repair_batch" => self.repair_batch(&req.params, cancel),
             "repair_auto" => self.repair_auto(&req.params, cancel),
             "explain" => self.explain(&req.params, cancel),
-            "trace_report" => self.trace_report(&req.params, cancel),
             "eval" => self.eval(&req.params),
             other => control_result(other, &req.params, &self.metrics, &self.stats).unwrap_or_else(
                 || Err((code::UNKNOWN_METHOD, format!("unknown method `{other}`")).into()),
@@ -635,27 +621,6 @@ impl Session {
         ))
     }
 
-    /// `trace_report`: run the repair traced and render the offline
-    /// analyzer's report. Deterministic requests get the canonicalized
-    /// metrics view instead (the full report quotes wall-clock times).
-    fn trace_report(&mut self, params: &Value, cancel: Option<&CancelToken>) -> MethodResult {
-        let names = request_names(params, false)?;
-        let deterministic = flag(params, "deterministic");
-        let top_k = params.get("top").and_then(Value::as_u64).unwrap_or(5) as usize;
-        let (report, _env) = self.run_repairer(params, &names, false, cancel)?;
-        let text = if deterministic {
-            Metrics::from_events(report.trace_events())
-                .canonicalize()
-                .to_text()
-        } else {
-            pumpkin_core::trace::report::render(report.trace_events(), top_k)
-        };
-        Ok((
-            Value::Obj(vec![("report".into(), Value::str(&text))]),
-            Control::Continue,
-        ))
-    }
-
     /// `eval`: decode a digest-verified term envelope, typecheck and
     /// normalize it against the session's eval environment, and return
     /// both the pretty form and the normal form's envelope.
@@ -683,9 +648,9 @@ impl Session {
         ))
     }
 
-    /// The shared run path for repair/explain/trace_report: resolve the
-    /// lifting spec (configuring unless it is already cached), clone the
-    /// configured environment, and run a [`Repairer`] over it.
+    /// The shared run path for repair/explain: resolve the lifting spec
+    /// (configuring unless it is already cached), clone the configured
+    /// environment, and run a [`Repairer`] over it.
     fn run_repairer(
         &mut self,
         params: &Value,

@@ -254,24 +254,45 @@ fn graceful_drain_completes_queued_work() {
 /// replies, every item after the expiry reports `deadline`, and the
 /// error prefix/suffix structure is monotone (no ok after the first
 /// cancellation).
+///
+/// The batch is sized from this build's own speed, so the deadline falls
+/// mid-batch in debug and release alike: the fastest of three standalone
+/// repairs of the module prices one item, and the batch holds enough
+/// items for about 20x the deadline.
 #[test]
 fn batch_deadline_cancels_remaining_items_over_sockets() {
+    const DEADLINE_MS: u64 = 50;
     let (addr, handle) = spawn_server(ServerConfig::default());
     let spec = LiftSpec::swap("Old.list", "New.list", "Old.", "New.");
-    let all = pumpkin_stdlib::swap::OLD_MODULE_CONSTANTS
+    let module = pumpkin_stdlib::swap::OLD_MODULE_CONSTANTS;
+    let mut c = Client::connect(&addr).expect("connect");
+    let item_ms = (0..3)
+        .map(|i| {
+            let t0 = std::time::Instant::now();
+            let reply = c
+                .call_raw(&repair_module_line(10 + i, module))
+                .expect("standalone call");
+            assert!(reply.contains("\"ok\":true"), "{reply}");
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min);
+    let count = ((20 * DEADLINE_MS) as f64 / item_ms)
+        .ceil()
+        .clamp(6.0, 2000.0) as usize;
+    let all = module
         .iter()
         .map(|n| format!("\"{n}\""))
         .collect::<Vec<_>>()
         .join(",");
-    let items = (0..6)
-        .map(|_| format!(r#"{{"names":[{all}],"deterministic":true}}"#))
-        .collect::<Vec<_>>()
-        .join(",");
+    let items = vec![format!(r#"{{"names":[{all}],"deterministic":true}}"#); count].join(",");
     let line = format!(
-        r#"{{"id":1,"method":"repair_batch","params":{{"lifting":{},"batch":[{items}],"deadline_ms":50}}}}"#,
+        r#"{{"id":1,"method":"repair_batch","params":{{"lifting":{},"batch":[{items}],"deadline_ms":{DEADLINE_MS}}}}}"#,
         spec.to_value()
     );
-    let mut c = Client::connect(&addr).expect("connect");
+    assert!(
+        line.len() < pumpkin_serve::proto::MAX_FRAME,
+        "{count} items overflow the frame cap"
+    );
     let reply = c.call_raw(&line).expect("batch call");
     let v = Value::parse(&reply).expect("parse reply");
     assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{reply}");
@@ -280,14 +301,17 @@ fn batch_deadline_cancels_remaining_items_over_sockets() {
         .and_then(|r| r.get("results"))
         .and_then(Value::as_arr)
         .expect("results array");
-    assert_eq!(results.len(), 6);
+    assert_eq!(results.len(), count);
     let states: Vec<bool> = results
         .iter()
         .map(|r| r.get("ok") == Some(&Value::Bool(true)))
         .collect();
-    // Six debug-build module repairs cannot fit in 50 ms; the tail must
-    // have been cancelled.
-    assert!(states.contains(&false), "no item hit the deadline: {reply}");
+    // About 20 deadlines' worth of repairs cannot fit in one; the tail
+    // must have been cancelled.
+    assert!(
+        states.contains(&false),
+        "no item of {count} (~{item_ms:.2} ms each) hit the deadline"
+    );
     for r in results
         .iter()
         .filter(|r| r.get("ok") == Some(&Value::Bool(false)))
@@ -297,7 +321,7 @@ fn batch_deadline_cancels_remaining_items_over_sockets() {
                 .and_then(|e| e.get("code"))
                 .and_then(Value::as_str),
             Some("deadline"),
-            "{reply}"
+            "{r}"
         );
     }
     // Monotone: one shared token, so once an item is cancelled, every
@@ -305,7 +329,7 @@ fn batch_deadline_cancels_remaining_items_over_sockets() {
     let first_err = states.iter().position(|ok| !ok).unwrap();
     assert!(
         states[first_err..].iter().all(|ok| !ok),
-        "ok after a cancelled item: {states:?}"
+        "ok after a cancelled item (first failure at {first_err} of {count})"
     );
     // The session survives the cancellation.
     let reply = c

@@ -23,8 +23,8 @@
 //!   ([`sink::SummarySink`] / [`summary::render`]).
 //! * [`metrics`] — a counter/histogram registry ([`metrics::Metrics`]),
 //!   derivable from an event stream and mergeable across runs.
-//! * [`json`] — the minimal JSON encode/parse helpers backing the sink and
-//!   the golden-file round-trip tests.
+//! * [`json`] — the workspace's one JSON codec, [`json::Value`]: events are
+//!   written and read through it, and the wire protocol shares it.
 //! * [`prov`] — the versioned `prov` event family: per-subterm attribution
 //!   of every rewrite to the configuration rule that fired (paper §4).
 //! * [`report`] — offline trace analysis (`pumpkin trace-report`):
@@ -43,6 +43,7 @@ use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::time::Instant;
 
+use json::Value;
 pub use metrics::{Histogram, Metrics};
 pub use sink::{EventSink, JsonLinesSink, SummarySink};
 
@@ -281,139 +282,98 @@ impl Event {
         if let EventKind::Unknown { raw, .. } = &self.kind {
             return raw.to_string();
         }
-        let mut s = String::with_capacity(96);
-        s.push_str("{\"t_ns\":");
-        s.push_str(&self.t_ns.to_string());
-        s.push_str(",\"dur_ns\":");
-        s.push_str(&self.dur_ns.to_string());
-        s.push_str(",\"worker\":");
-        s.push_str(&self.worker.to_string());
-        s.push_str(",\"kind\":\"");
-        s.push_str(self.kind.as_str());
-        s.push('"');
+        fn n(x: impl Into<u64>) -> Value {
+            Value::UInt(x.into())
+        }
+        let s = |x: &str| Value::str(x);
+        let mut fields = vec![
+            ("t_ns", n(self.t_ns)),
+            ("dur_ns", n(self.dur_ns)),
+            ("worker", n(self.worker)),
+            ("kind", s(self.kind.as_str())),
+        ];
         match &self.kind {
             EventKind::WaveStart { wave, width } | EventKind::Wave { wave, width } => {
-                s.push_str(",\"wave\":");
-                s.push_str(&wave.to_string());
-                s.push_str(",\"width\":");
-                s.push_str(&width.to_string());
+                fields.extend([("wave", n(*wave)), ("width", n(*width))]);
             }
-            EventKind::WaveMerge { wave } => {
-                s.push_str(",\"wave\":");
-                s.push_str(&wave.to_string());
-            }
-            EventKind::LiftConstant { name } => {
-                s.push_str(",\"name\":");
-                json::escape_into(name, &mut s);
-            }
+            EventKind::WaveMerge { wave } => fields.push(("wave", n(*wave))),
+            EventKind::LiftConstant { name } => fields.push(("name", s(name))),
             EventKind::CacheHit { table } | EventKind::CacheMiss { table } => {
-                s.push_str(",\"table\":\"");
-                s.push_str(table.as_str());
-                s.push('"');
+                fields.push(("table", s(table.as_str())));
             }
-            EventKind::Rollback { dropped } => {
-                s.push_str(",\"dropped\":");
-                s.push_str(&dropped.to_string());
-            }
+            EventKind::Rollback { dropped } => fields.push(("dropped", n(*dropped))),
             EventKind::Incr {
                 changed,
                 replayed,
                 skipped,
-            } => {
-                s.push_str(",\"changed\":");
-                s.push_str(&changed.to_string());
-                s.push_str(",\"replayed\":");
-                s.push_str(&replayed.to_string());
-                s.push_str(",\"skipped\":");
-                s.push_str(&skipped.to_string());
-            }
+            } => fields.extend([
+                ("changed", n(*changed)),
+                ("replayed", n(*replayed)),
+                ("skipped", n(*skipped)),
+            ]),
             EventKind::ServeSlow {
                 req_id,
                 method,
                 queue_wait_ns,
                 service_ns,
                 write_ns,
-            } => {
-                s.push_str(",\"req_id\":");
-                s.push_str(&req_id.to_string());
-                s.push_str(",\"method\":");
-                json::escape_into(method, &mut s);
-                s.push_str(",\"queue_wait_ns\":");
-                s.push_str(&queue_wait_ns.to_string());
-                s.push_str(",\"service_ns\":");
-                s.push_str(&service_ns.to_string());
-                s.push_str(",\"write_ns\":");
-                s.push_str(&write_ns.to_string());
-            }
-            EventKind::ProvConst { name, to, sites } => {
-                s.push_str(",\"v\":");
-                s.push_str(&prov::PROV_SCHEMA_VERSION.to_string());
-                s.push_str(",\"name\":");
-                json::escape_into(name, &mut s);
-                s.push_str(",\"to\":");
-                json::escape_into(to, &mut s);
-                s.push_str(",\"sites\":");
-                s.push_str(&sites.to_string());
-            }
+            } => fields.extend([
+                ("req_id", n(*req_id)),
+                ("method", s(method)),
+                ("queue_wait_ns", n(*queue_wait_ns)),
+                ("service_ns", n(*service_ns)),
+                ("write_ns", n(*write_ns)),
+            ]),
+            EventKind::ProvConst { name, to, sites } => fields.extend([
+                ("v", n(prov::PROV_SCHEMA_VERSION)),
+                ("name", s(name)),
+                ("to", s(to)),
+                ("sites", n(*sites)),
+            ]),
             EventKind::ProvSite {
                 constant,
                 path,
                 rule,
                 src,
                 dst,
-            } => {
-                s.push_str(",\"v\":");
-                s.push_str(&prov::PROV_SCHEMA_VERSION.to_string());
-                s.push_str(",\"const\":");
-                json::escape_into(constant, &mut s);
-                s.push_str(",\"path\":");
-                json::escape_into(path, &mut s);
-                s.push_str(",\"rule\":\"");
-                s.push_str(rule.as_str());
-                s.push('"');
-                s.push_str(",\"src\":");
-                json::escape_into(src, &mut s);
-                s.push_str(",\"dst\":");
-                json::escape_into(dst, &mut s);
-            }
-            EventKind::AutoCandidate { index, config } => {
-                s.push_str(",\"v\":");
-                s.push_str(&AUTO_SCHEMA_VERSION.to_string());
-                s.push_str(",\"index\":");
-                s.push_str(&index.to_string());
-                s.push_str(",\"config\":");
-                json::escape_into(config, &mut s);
-            }
+            } => fields.extend([
+                ("v", n(prov::PROV_SCHEMA_VERSION)),
+                ("const", s(constant)),
+                ("path", s(path)),
+                ("rule", s(rule.as_str())),
+                ("src", s(src)),
+                ("dst", s(dst)),
+            ]),
+            EventKind::AutoCandidate { index, config } => fields.extend([
+                ("v", n(AUTO_SCHEMA_VERSION)),
+                ("index", n(*index)),
+                ("config", s(config)),
+            ]),
             EventKind::AutoVerdict {
                 index,
                 verdict,
                 class,
-            } => {
-                s.push_str(",\"v\":");
-                s.push_str(&AUTO_SCHEMA_VERSION.to_string());
-                s.push_str(",\"index\":");
-                s.push_str(&index.to_string());
-                s.push_str(",\"verdict\":");
-                json::escape_into(verdict, &mut s);
-                s.push_str(",\"class\":");
-                json::escape_into(class, &mut s);
-            }
+            } => fields.extend([
+                ("v", n(AUTO_SCHEMA_VERSION)),
+                ("index", n(*index)),
+                ("verdict", s(verdict)),
+                ("class", s(class)),
+            ]),
             EventKind::Run | EventKind::Whnf | EventKind::Conv => {}
             EventKind::Unknown { .. } => unreachable!("handled above"),
         }
-        s.push('}');
-        s
+        Value::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect()).to_string()
     }
 
-    /// Parses one JSON line produced by [`Event::to_json`] (or any flat
-    /// JSON object with the same fields, in any key order). Returns `None`
-    /// only on malformed input (bad JSON, missing base fields, or a known
-    /// kind with broken payload); a structurally valid line with an
+    /// Parses one JSON line produced by [`Event::to_json`] (or any JSON
+    /// object with the same fields, in any key order). Returns `None` only
+    /// on malformed input (bad JSON, missing base fields, or a known kind
+    /// with broken payload); a structurally valid line with an
     /// *unrecognised* `kind` — or a `prov` event from a newer schema
     /// version — parses to [`EventKind::Unknown`], preserving the raw line
     /// so forward-compatible round-trips are lossless.
     pub fn from_json(line: &str) -> Option<Event> {
-        let obj = json::parse_flat(line)?;
+        let obj = Value::parse(line).ok()?;
         let num = |k: &str| -> Option<u64> { obj.get(k)?.as_u64() };
         let st = |k: &str| -> Option<&str> { obj.get(k)?.as_str() };
         let unknown = |kind: &str| EventKind::Unknown {
@@ -808,6 +768,47 @@ mod tests {
             Event::from_json("{\"t_ns\":1,\"dur_ns\":0,\"worker\":0,\"kind\":\"rollback\"}"),
             None
         );
+    }
+
+    #[test]
+    fn truncated_lines_are_rejected_without_panicking() {
+        // Every prefix of a valid line must fail cleanly, never panic:
+        // truncated tails are exactly what a killed `--trace` run leaves.
+        for full in [
+            "{\"t_ns\":12,\"dur_ns\":0,\"worker\":0,\"kind\":\"lift_constant\",\"name\":\"Old.rev\"}",
+            "{\"t_ns\":12,\"dur_ns\":0,\"worker\":0,\"kind\":\"lift_constant\",\"name\":\"Old.café√\"}",
+        ] {
+            for cut in (1..full.len()).filter(|&cut| full.is_char_boundary(cut)) {
+                let prefix = &full[..cut];
+                assert!(Value::parse(prefix).is_err(), "{prefix:?} parsed");
+                assert_eq!(Event::from_json(prefix), None, "{prefix:?} parsed");
+            }
+            assert!(Event::from_json(full).is_some());
+        }
+    }
+
+    #[test]
+    fn escaped_surrogate_pairs_decode_to_one_char() {
+        // Python's `json.dumps` writes astral chars as \u-escaped surrogate
+        // pairs by default.
+        let line = "{\"t_ns\":1,\"dur_ns\":2,\"worker\":0,\"kind\":\"lift_constant\",\
+                    \"name\":\"Old.\\ud83d\\ude00\"}";
+        let e = Event::from_json(line).expect("surrogate pairs parse");
+        assert_eq!(
+            e.kind,
+            EventKind::LiftConstant {
+                name: "Old.\u{1f600}".into()
+            }
+        );
+        assert_eq!(Event::from_json(&e.to_json()), Some(e));
+    }
+
+    #[test]
+    fn unknown_kinds_with_nested_fields_round_trip_verbatim() {
+        let line = "{\"t_ns\":1,\"dur_ns\":0,\"worker\":0,\"kind\":\"nope\",\"extra\":{\"a\":[1]}}";
+        let e = Event::from_json(line).expect("nested fields parse");
+        assert!(matches!(&e.kind, EventKind::Unknown { kind, .. } if &**kind == "nope"));
+        assert_eq!(e.to_json(), line);
     }
 
     #[test]

@@ -4,14 +4,12 @@
 //! directly) observed: monotonically increasing counters and log₂-bucketed
 //! nanosecond histograms. Registries derive from an event batch
 //! ([`Metrics::from_events`]), merge across runs ([`Metrics::merge`]), and
-//! render as an aligned text table ([`Metrics::to_text`]) or one flat JSON
-//! object per entry ([`Metrics::to_json_lines`]) for the same trajectory
-//! files the bench harness writes.
+//! render as an aligned text table ([`Metrics::to_text`]).
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::{json, Event, EventKind};
+use crate::{Event, EventKind};
 
 /// Number of log₂ buckets; bucket `i` holds values in `[2^i, 2^(i+1))`
 /// nanoseconds, so 48 buckets span sub-nanosecond to ~78 hours.
@@ -299,8 +297,8 @@ impl Metrics {
     /// hit/miss patterns and the recursion they prune. The same goes for
     /// timing histograms and for provenance *site* counts (a run that
     /// misses the lift cache re-expands a subtree's sites; `rule.cached`
-    /// absorbs the difference). The deterministic `metrics` and
-    /// `trace_report` replies are built on this form.
+    /// absorbs the difference). The deterministic `metrics` reply is built
+    /// on this form.
     ///
     /// Canonicalization keeps the semantic counters verbatim
     /// (`schedule.waves`, `lift.constants`, `prov.constants`,
@@ -361,33 +359,6 @@ impl Metrics {
         }
         for (k, h) in &self.histograms {
             out.push_str(&format!("{k:<width$}  {}\n", h.summary(k.ends_with(".ns"))));
-        }
-        out
-    }
-
-    /// Renders the registry as JSON lines: one flat object per entry,
-    /// `{"metric":NAME,"type":"counter","value":N}` or
-    /// `{"metric":NAME,"type":"histogram","count":…,"sum_ns":…,"min_ns":…,
-    /// "max_ns":…,"p50_ns":…}`.
-    pub fn to_json_lines(&self) -> String {
-        let mut out = String::new();
-        for (k, v) in &self.counters {
-            out.push_str(&format!(
-                "{{\"metric\":{},\"type\":\"counter\",\"value\":{v}}}\n",
-                json::escape(k)
-            ));
-        }
-        for (k, h) in &self.histograms {
-            out.push_str(&format!(
-                "{{\"metric\":{},\"type\":\"histogram\",\"count\":{},\"sum_ns\":{},\
-                 \"min_ns\":{},\"max_ns\":{},\"p50_ns\":{}}}\n",
-                json::escape(k),
-                h.count(),
-                h.sum(),
-                h.min().unwrap_or(0),
-                h.max().unwrap_or(0),
-                h.quantile(0.5).unwrap_or(0),
-            ));
         }
         out
     }
@@ -475,17 +446,13 @@ mod tests {
     }
 
     #[test]
-    fn text_and_json_renderings_cover_all_entries() {
+    fn text_rendering_covers_all_entries() {
         let mut m = Metrics::new();
         m.incr("a.count", 3);
         m.observe("b.ns", 1234);
         let text = m.to_text();
         assert!(text.contains("a.count"));
         assert!(text.contains("b.ns"));
-        for line in m.to_json_lines().lines() {
-            let obj = json::parse_flat(line).expect("metric lines are valid flat JSON");
-            assert!(obj.contains_key("metric"));
-        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! interchangeable forms —
 //!
 //! * a **versioned JSON form** (envelope `{"wire":"pumpkin-wire/2",…}`)
-//!   built on the nested [`json::Value`] in this crate, used by the
+//!   built on the workspace's one JSON codec, [`Value`] (defined in
+//!   `pumpkin_trace::json` and re-exported here), used by the
 //!   `pumpkin serve` NDJSON-RPC protocol; and
 //! * a **compact length-prefixed binary form** (magic `PWIR`) whose term
 //!   payload is a shared-subterm node table (each hash-consed node once,
@@ -26,12 +27,11 @@ use std::fmt;
 
 use pumpkin_kernel::term::Term;
 
-pub mod json;
 pub mod report;
 pub mod spec;
 pub mod term;
 
-pub use json::Value;
+pub use pumpkin_trace::json::Value;
 pub use report::{AutoWire, IncrWire, ReportWire, ReproWire, AUTO_WIRE_VERSION};
 pub use spec::LiftSpec;
 pub use term::{
@@ -50,7 +50,8 @@ pub const WIRE_TAG: &str = "pumpkin-wire/2";
 /// input produces one of these, never a panic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireError {
-    /// Malformed JSON or binary framing.
+    /// Malformed binary framing (JSON syntax errors are
+    /// `pumpkin_trace::json::ParseError`s, raised before a frame gets here).
     Syntax(String),
     /// Well-formed JSON, wrong shape (missing field, wrong type, bad tag).
     Shape(String),
@@ -58,12 +59,10 @@ pub enum WireError {
     Version(String),
     /// The embedded content digest does not match the decoded payload.
     BadDigest { expected: u64, actual: u64 },
-    /// Input ended mid-frame.
+    /// Binary input ended mid-frame.
     Truncated,
     /// A frame or payload exceeds the size limit it advertises.
     Oversized { len: usize, max: usize },
-    /// Nesting deeper than [`json::MAX_DEPTH`] (or the binary equivalent).
-    TooDeep,
 }
 
 impl fmt::Display for WireError {
@@ -82,7 +81,6 @@ impl fmt::Display for WireError {
             WireError::Oversized { len, max } => {
                 write!(f, "oversized frame: {len} bytes (limit {max})")
             }
-            WireError::TooDeep => write!(f, "nesting too deep"),
         }
     }
 }

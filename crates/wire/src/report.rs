@@ -13,7 +13,7 @@
 //! * all wall-clock fields are zeroed when a request asks for
 //!   `"deterministic":true` replies.
 
-use crate::json::Value;
+use crate::Value;
 use crate::WireError;
 
 /// The flattened, serializable projection of a repair report.

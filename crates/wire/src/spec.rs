@@ -7,7 +7,7 @@
 //! environment, and the spec's digest keys both the per-session config
 //! cache and the on-disk persistent lift cache.
 
-use crate::json::Value;
+use crate::Value;
 use crate::{DigestBuilder, TermDigest, WireError, WIRE_VERSION};
 
 /// A serializable description of a lifting configuration.

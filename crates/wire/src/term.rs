@@ -28,7 +28,7 @@ use pumpkin_kernel::name::Name;
 use pumpkin_kernel::term::{ElimData, Term, TermData};
 use pumpkin_kernel::universe::Sort;
 
-use crate::json::Value;
+use crate::Value;
 use crate::{DigestBuilder, TermDigest, WireError, WIRE_TAG, WIRE_VERSION};
 
 /// Upper bound on binary payload size (16 MiB) — far above any term the

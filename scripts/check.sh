@@ -11,6 +11,12 @@ cargo build --release --locked
 echo "==> cargo test --workspace -q --locked"
 cargo test --workspace -q --locked
 
+# Every golden is claimed byte-identical in debug and release, and some
+# tests size their work from the build's own speed; run the suite in
+# release too so a release-only failure cannot pass CI.
+echo "==> cargo test --workspace --release --locked -q"
+cargo test --workspace --release --locked -q
+
 # The repository benchmark (perfbench/, see BENCHMARK.json) is a cargo
 # package outside the workspace that builds against the crates' public
 # API; build and test it here so an API change cannot pass CI and only

@@ -242,16 +242,10 @@ fn render_client_result(method: &str, result: &Value) {
             Some(text) => print!("{text}"),
             None => println!("{result}"),
         },
-        "metrics" | "trace_report" => {
-            let text = result
-                .get("text")
-                .or_else(|| result.get("report"))
-                .and_then(Value::as_str);
-            match text {
-                Some(text) => print!("{text}"),
-                None => println!("{result}"),
-            }
-        }
+        "metrics" => match result.get("text").and_then(Value::as_str) {
+            Some(text) => print!("{text}"),
+            None => println!("{result}"),
+        },
         _ => println!("{result}"),
     }
 }

@@ -43,9 +43,6 @@ fn requests() -> Vec<String> {
         ),
         format!(r#"{{"id":4,"method":"explain","params":{{"lifting":{spec},"name":"Old.rev"}}}}"#),
         format!(
-            r#"{{"id":5,"method":"trace_report","params":{{"lifting":{spec},"names":["Old.rev"],"deterministic":true}}}}"#
-        ),
-        format!(
             r#"{{"id":6,"method":"eval","params":{{"term":{}}}}}"#,
             term_to_envelope(&sum)
         ),
