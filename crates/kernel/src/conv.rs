@@ -2,7 +2,8 @@
 //!
 //! The deciding engine is normalization by evaluation ([`crate::nbe`]):
 //! both sides are evaluated once into a value domain and compared there,
-//! instead of being repeatedly rewritten to weak head normal form. This
+//! instead of being repeatedly rewritten to weak head normal form, and
+//! transparent constants are unfolded only when their spines disagree. This
 //! module owns the public entry points — the syntactic fast path, the
 //! per-[`Env`] `(TermId, TermId)` memo table, statistics, and tracing —
 //! and retains the original whnf-rewriting checker
@@ -36,8 +37,11 @@ pub fn conv(env: &Env, t: &Term, u: &Term) -> bool {
 
 /// Cumulativity: is `t ≤ u` as types? Identical to conversion except sorts
 /// compare with `≤`, propagated through Pi codomains only (domains stay
-/// invariant). Not memoized: `≤` is asymmetric and the queries the type
-/// checker issues are rarely repeated.
+/// invariant). Not memoized, although the type checker does repeat its
+/// queries (a `paper_corpus` pass issues about 1 670 non-trivial ones, over
+/// fewer than 920 distinct pairs): once δ is lazy (see [`crate::nbe`]), a
+/// `(TermId, TermId)` memo for `≤` measured no gain (25.45 vs 25.48
+/// passes/s).
 pub fn conv_leq(env: &Env, t: &Term, u: &Term) -> bool {
     if t == u {
         return true;

@@ -13,6 +13,8 @@
 //! * [`Value::Lambda`] / [`Value::Pi`] carry a [`Closure`] (captured
 //!   environment + unevaluated body term);
 //! * [`Value::Construct`] / [`Value::IndApp`] are constructor/family spines;
+//! * [`Value::Glued`] is a transparent constant applied to a spine, glued
+//!   to its δ-unfolding, which is computed on first demand ([`force`]);
 //! * [`Value::Neutral`] is a blocked computation: a head — a comparison
 //!   variable ([`NHead::Local`]), a free variable of an open input term
 //!   ([`NHead::Free`]), a δ-blocked constant ([`NHead::Const`]), or a stuck
@@ -25,17 +27,46 @@
 //! `≤` in cumulativity mode (the `leq` flag, which propagates only through
 //! Pi codomains, exactly as [`crate::conv::conv_leq`] always did).
 //!
+//! **Lazy δ (glued values).** The two sides of a comparison, and the
+//! closures built from them, evaluate in [`Delta::Glue`] mode: a
+//! transparent constant becomes a [`Value::Glued`] that keeps the constant
+//! and its evaluated spine next to a `OnceLock` for its unfolding. Two
+//! glued values with the same head are compared by their spines first —
+//! `c a₁ … aₙ ≡ c b₁ … bₙ` whenever every `aᵢ ≡ bᵢ`, which is how a
+//! repaired type that repeats most of its expected type verbatim converts
+//! without unfolding anything. Only a spine mismatch or a head clash forces
+//! the unfoldings, and eliminators, record-η and readback always force.
+//! Coq's kernel converts lazily for the same reason.
+//!
+//! A failed spine attempt is never retried: the comparison's failure memo
+//! ([`Conv`]) keeps the pair's verdict, keyed on the two values' addresses
+//! plus `lvl` and `leq`, for the rest of the query. Without it, `f^k O`
+//! against `f^k (S O)` (with `f := fun n => S n`) re-runs every inner spine
+//! attempt after each outer one fails — 2^k work; with it the cost is
+//! linear.
+//!
+//! Forced bodies evaluate eagerly ([`Delta::Unfold`]). Gluing inside
+//! unfolded bodies too would defer chains of unfoldings that, forced later,
+//! nest far deeper on the native stack than strict evaluation does (the
+//! debug test suite then needs a 4 MiB stack); CI pins the depth by running
+//! the kernel property tests on a 1 MiB stack.
+//!
 //! **Stuck-name invalidation is preserved**: evaluation calls
 //! [`Env::note_stuck_const`] when δ finds no unfoldable body and
 //! [`Env::note_stuck_ind`] when an eliminator meets an undeclared family —
 //! the same observations the whnf path records — so the environment's
-//! generation/inval4idation story (see `env.rs`) is unchanged.
+//! generation/invalidation story (see `env.rs`) is unchanged. A glued
+//! value is never forced after its generation: the value memo that could
+//! keep one alive is flushed when the generation retires.
 //!
 //! Termination: evaluation is strongly normalizing on well-typed terms (the
 //! calculus has no general recursion; δ cannot be cyclic because a body is
 //! checked against an environment that does not yet contain its name). The
 //! kernel only converts terms it has checked, mirroring the old checker,
 //! which looped on the same ill-typed diverging redexes.
+
+use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use crate::env::Env;
 use crate::name::{GlobalName, Name};
@@ -60,6 +91,8 @@ pub(crate) enum Value {
     Construct(GlobalName, usize, Vec<VRc>),
     /// An inductive family application `Ind(name) args` (never reduces).
     IndApp(GlobalName, Vec<VRc>),
+    /// A transparent constant applied to a spine, unfolded on demand.
+    Glued(Glue),
     /// A blocked computation: `head args`.
     Neutral(NHead, Vec<VRc>),
 }
@@ -82,6 +115,26 @@ pub(crate) enum NHead {
     Stuck(VRc),
 }
 
+/// A transparent constant applied to a spine, glued to its δ-unfolding.
+/// The constant is represented by its body: forcing needs no environment
+/// lookup, and two constants with the same body are the same head.
+#[derive(Debug)]
+pub(crate) struct Glue {
+    body: Term,
+    spine: Vec<VRc>,
+    /// `body spine`, evaluated by the first [`force`].
+    unfolded: OnceLock<VRc>,
+}
+
+/// How evaluation treats a transparent constant.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Delta {
+    /// Glue it: the compared terms and the closures built from them.
+    Glue,
+    /// Unfold it on the spot: forced bodies and [`nbe_normalize`].
+    Unfold,
+}
+
 /// A stuck eliminator with all components evaluated.
 #[derive(Debug)]
 pub(crate) struct ElimVal {
@@ -93,17 +146,18 @@ pub(crate) struct ElimVal {
 }
 
 /// A binder body awaiting its argument: the captured environment plus the
-/// unevaluated body term. Application costs one environment extension — no
-/// substitution.
+/// unevaluated body term, evaluated in the mode the closure was built in.
+/// Application costs one environment extension — no substitution.
 #[derive(Debug, Clone)]
 pub(crate) struct Closure {
     env: VEnv,
     body: Term,
+    delta: Delta,
 }
 
 impl Closure {
     fn apply(&self, env: &Env, arg: VRc) -> VRc {
-        eval(env, &self.env.push(arg), &self.body)
+        eval(env, &self.env.push(arg), &self.body, self.delta)
     }
 }
 
@@ -153,28 +207,32 @@ fn neutral(head: NHead) -> VRc {
 /// below this, the table probe costs about as much as re-evaluating.
 const CLOSED_MEMO_MIN_SIZE: usize = 16;
 
-/// Evaluates `t` under `venv`. Free `Rel`s beyond the environment become
-/// [`NHead::Free`] neutrals, so open terms evaluate consistently on both
-/// sides of a comparison.
+/// Evaluates `t` under `venv`, treating transparent constants as `delta`
+/// says. Free `Rel`s beyond the environment become [`NHead::Free`]
+/// neutrals, so open terms evaluate consistently on both sides of a
+/// comparison.
 ///
 /// Closed terms above [`CLOSED_MEMO_MIN_SIZE`] go through the environment's
 /// per-generation value memo ([`Env::nbe_cached`]): their value cannot
 /// mention `venv`, so one entry serves every occurrence in every context —
 /// and hash-consing means every repeat of a shared subterm is a single
-/// `TermId` probe instead of a re-evaluation.
-fn eval(env: &Env, venv: &VEnv, t: &Term) -> VRc {
+/// `TermId` probe instead of a re-evaluation. Both modes share the memo:
+/// a glued value and its unfolding are the same value, so whichever mode
+/// evaluated a term first serves the other.
+fn eval(env: &Env, venv: &VEnv, t: &Term, delta: Delta) -> VRc {
     if t.is_closed() && t.size() >= CLOSED_MEMO_MIN_SIZE {
         if let Some(v) = env.nbe_cached(t) {
             return v;
         }
-        let v = eval_node(env, venv, t);
+        let v = eval_node(env, venv, t, delta);
         env.nbe_insert(t, v.clone());
         return v;
     }
-    eval_node(env, venv, t)
+    eval_node(env, venv, t, delta)
 }
 
-fn eval_node(env: &Env, venv: &VEnv, t: &Term) -> VRc {
+fn eval_node(env: &Env, venv: &VEnv, t: &Term, delta: Delta) -> VRc {
+    let eval = |venv: &VEnv, t: &Term| eval(env, venv, t, delta);
     match t.data() {
         TermData::Rel(i) => match venv.get(*i) {
             Some(v) => v.clone(),
@@ -182,9 +240,14 @@ fn eval_node(env: &Env, venv: &VEnv, t: &Term) -> VRc {
         },
         TermData::Sort(s) => TermRc::new(Value::Sort(*s)),
         TermData::Const(n) => match env.unfold(n) {
+            Some(body) if delta == Delta::Glue => TermRc::new(Value::Glued(Glue {
+                body: body.clone(),
+                spine: Vec::new(),
+                unfolded: OnceLock::new(),
+            })),
             Some(body) => {
                 env.tally(|s| s.delta_steps += 1);
-                eval(env, &VEnv::nil(), body)
+                eval(&VEnv::nil(), body)
             }
             None => {
                 env.note_stuck_const(n);
@@ -194,37 +257,39 @@ fn eval_node(env: &Env, venv: &VEnv, t: &Term) -> VRc {
         TermData::Ind(n) => TermRc::new(Value::IndApp(n.clone(), Vec::new())),
         TermData::Construct(n, j) => TermRc::new(Value::Construct(n.clone(), *j, Vec::new())),
         TermData::App(h, args) => {
-            let f = eval(env, venv, h);
-            let vargs: Vec<VRc> = args.iter().map(|a| eval(env, venv, a)).collect();
+            let f = eval(venv, h);
+            let vargs: Vec<VRc> = args.iter().map(|a| eval(venv, a)).collect();
             vapp_many(env, f, vargs)
         }
         TermData::Lambda(b, body) => TermRc::new(Value::Lambda(
             b.name.clone(),
-            eval(env, venv, &b.ty),
+            eval(venv, &b.ty),
             Closure {
                 env: venv.clone(),
                 body: body.clone(),
+                delta,
             },
         )),
         TermData::Pi(b, body) => TermRc::new(Value::Pi(
             b.name.clone(),
-            eval(env, venv, &b.ty),
+            eval(venv, &b.ty),
             Closure {
                 env: venv.clone(),
                 body: body.clone(),
+                delta,
             },
         )),
         TermData::Let(b, v, body) => {
             env.tally(|s| s.zeta_steps += 1);
             let _ = b;
-            let vv = eval(env, venv, v);
-            eval(env, &venv.push(vv), body)
+            let vv = eval(venv, v);
+            eval(&venv.push(vv), body)
         }
         TermData::Elim(e) => {
-            let params: Vec<VRc> = e.params.iter().map(|p| eval(env, venv, p)).collect();
-            let motive = eval(env, venv, &e.motive);
-            let cases: Vec<VRc> = e.cases.iter().map(|c| eval(env, venv, c)).collect();
-            let scrut = eval(env, venv, &e.scrutinee);
+            let params: Vec<VRc> = e.params.iter().map(|p| eval(venv, p)).collect();
+            let motive = eval(venv, &e.motive);
+            let cases: Vec<VRc> = e.cases.iter().map(|c| eval(venv, c)).collect();
+            let scrut = eval(venv, &e.scrutinee);
             velim(env, &e.ind, params, motive, cases, scrut)
         }
     }
@@ -254,6 +319,15 @@ fn vapp(env: &Env, f: VRc, a: VRc) -> VRc {
             args.push(a);
             TermRc::new(Value::IndApp(n.clone(), args))
         }
+        Value::Glued(g) => {
+            let mut spine = g.spine.clone();
+            spine.push(a);
+            TermRc::new(Value::Glued(Glue {
+                body: g.body.clone(),
+                spine,
+                unfolded: OnceLock::new(),
+            }))
+        }
         Value::Neutral(head, spine) => {
             let mut spine = spine.clone();
             spine.push(a);
@@ -266,6 +340,23 @@ fn vapp(env: &Env, f: VRc, a: VRc) -> VRc {
     }
 }
 
+/// Unfolds glued values until the head is not a transparent constant; any
+/// other value is returned as is. Each glued value's unfolding is computed
+/// once (one δ-step) and shared by every later force; forced bodies
+/// evaluate eagerly.
+fn force(env: &Env, v: &VRc) -> VRc {
+    let mut v = v.clone();
+    while let Value::Glued(g) = &*v {
+        let unfolded = g.unfolded.get_or_init(|| {
+            env.tally(|s| s.delta_steps += 1);
+            let head = eval(env, &VEnv::nil(), &g.body, Delta::Unfold);
+            vapp_many(env, head, g.spine.clone())
+        });
+        v = unfolded.clone();
+    }
+    v
+}
+
 fn clone_head(h: &NHead) -> NHead {
     match h {
         NHead::Local(l) => NHead::Local(*l),
@@ -276,8 +367,8 @@ fn clone_head(h: &NHead) -> NHead {
     }
 }
 
-/// Eliminator application at the value level: ι-reduces when the scrutinee
-/// is a fully applied constructor of the right family (mirroring
+/// Eliminator application at the value level: ι-reduces when the (forced)
+/// scrutinee is a fully applied constructor of the right family (mirroring
 /// `InductiveDecl::iota_reduce`, with value-level induction hypotheses);
 /// otherwise builds a stuck neutral. Failed family lookups are recorded via
 /// [`Env::note_stuck_ind`], exactly like the whnf path.
@@ -289,7 +380,7 @@ fn velim(
     cases: Vec<VRc>,
     scrut: VRc,
 ) -> VRc {
-    if let Value::Construct(cn, j, cargs) = &*scrut {
+    if let Value::Construct(cn, j, cargs) = &*force(env, &scrut) {
         let decl = match env.inductive(cn) {
             Ok(d) => Some(d),
             Err(_) => {
@@ -334,174 +425,229 @@ fn velim(
     })))
 }
 
-/// Decides `t ≡ u` (or `t ≤ u` with `leq`) by evaluating both sides and
-/// comparing the values. The crate-facing entry points are
-/// [`crate::conv::conv`] / [`crate::conv::conv_leq`], which add the
+/// Decides `t ≡ u` (or `t ≤ u` with `leq`) by evaluating both sides with
+/// glued constants and comparing the values. The crate-facing entry points
+/// are [`crate::conv::conv`] / [`crate::conv::conv_leq`], which add the
 /// syntactic fast path and the `(TermId, TermId)` memo table.
 pub(crate) fn conv_terms(env: &Env, t: &Term, u: &Term, leq: bool) -> bool {
     let venv = VEnv::nil();
-    let a = eval(env, &venv, t);
-    let b = eval(env, &venv, u);
-    conv_val(env, 0, &a, &b, leq)
+    let a = eval(env, &venv, t, Delta::Glue);
+    let b = eval(env, &venv, u, Delta::Glue);
+    Conv {
+        env,
+        retried: HashMap::new(),
+    }
+    .val(0, &a, &b, leq)
 }
 
-/// Value comparison at fresh-variable depth `lvl`. The `leq` flag makes
-/// sorts compare by `≤` and propagates only through Pi codomains.
-fn conv_val(env: &Env, lvl: usize, a: &VRc, b: &VRc, leq: bool) -> bool {
-    if TermRc::ptr_eq(a, b) {
-        return true;
-    }
-    let ok = match (&**a, &**b) {
-        (Value::Sort(s1), Value::Sort(s2)) => {
-            if leq {
-                s1.leq(*s2)
-            } else {
-                s1 == s2
-            }
+/// The state of one conversion query.
+struct Conv<'e> {
+    env: &'e Env,
+    /// The failure memo: verdicts of glued same-head pairs whose spine
+    /// attempt failed. An entry holds both values, so neither address can
+    /// be reused while the query runs.
+    retried: HashMap<PairKey, (VRc, VRc, bool)>,
+}
+
+/// A failure-memo key: the two values' addresses, `lvl` and `leq`.
+type PairKey = (usize, usize, usize, bool);
+
+impl Conv<'_> {
+    /// Value comparison at fresh-variable depth `lvl`. The `leq` flag makes
+    /// sorts compare by `≤` and propagates only through Pi codomains.
+    fn val(&mut self, lvl: usize, a: &VRc, b: &VRc, leq: bool) -> bool {
+        if TermRc::ptr_eq(a, b) {
+            return true;
         }
-        (Value::Pi(_, t1, c1), Value::Pi(_, t2, c2)) => {
-            conv_val(env, lvl, t1, t2, false) && {
+        let env = self.env;
+        let ok = match (&**a, &**b) {
+            (Value::Glued(g1), Value::Glued(g2))
+                if g1.body == g2.body && g1.spine.len() == g2.spine.len() =>
+            {
+                return self.same_head(lvl, (a, &g1.spine), (b, &g2.spine), leq);
+            }
+            // A head clash, or a constant against anything else: unfold.
+            (Value::Glued(_), _) => return self.val(lvl, &force(env, a), b, leq),
+            (_, Value::Glued(_)) => return self.val(lvl, a, &force(env, b), leq),
+            (Value::Sort(s1), Value::Sort(s2)) => {
+                if leq {
+                    s1.leq(*s2)
+                } else {
+                    s1 == s2
+                }
+            }
+            (Value::Pi(_, t1, c1), Value::Pi(_, t2, c2)) => {
+                self.val(lvl, t1, t2, false) && {
+                    let fresh = neutral(NHead::Local(lvl));
+                    let b1 = c1.apply(env, fresh.clone());
+                    let b2 = c2.apply(env, fresh);
+                    self.val(lvl + 1, &b1, &b2, leq)
+                }
+            }
+            (Value::Lambda(_, t1, c1), Value::Lambda(_, t2, c2)) => {
+                // Domains are compared to match the syntactic checker (which
+                // required convertible binder types on lambdas, not just Pis).
+                self.val(lvl, t1, t2, false) && {
+                    let fresh = neutral(NHead::Local(lvl));
+                    let b1 = c1.apply(env, fresh.clone());
+                    let b2 = c2.apply(env, fresh);
+                    self.val(lvl + 1, &b1, &b2, false)
+                }
+            }
+            // η: fun x => body  ≡  u  when  body ≡ u x.
+            (Value::Lambda(_, _, c1), _) => {
                 let fresh = neutral(NHead::Local(lvl));
                 let b1 = c1.apply(env, fresh.clone());
-                let b2 = c2.apply(env, fresh);
-                conv_val(env, lvl + 1, &b1, &b2, leq)
+                let b2 = vapp(env, b.clone(), fresh);
+                self.val(lvl + 1, &b1, &b2, false)
             }
-        }
-        (Value::Lambda(_, t1, c1), Value::Lambda(_, t2, c2)) => {
-            // Domains are compared to match the syntactic checker (which
-            // required convertible binder types on lambdas, not just Pis).
-            conv_val(env, lvl, t1, t2, false) && {
+            (_, Value::Lambda(_, _, c2)) => {
                 let fresh = neutral(NHead::Local(lvl));
-                let b1 = c1.apply(env, fresh.clone());
+                let b1 = vapp(env, a.clone(), fresh.clone());
                 let b2 = c2.apply(env, fresh);
-                conv_val(env, lvl + 1, &b1, &b2, false)
+                self.val(lvl + 1, &b1, &b2, false)
             }
-        }
-        // η: fun x => body  ≡  u  when  body ≡ u x.
-        (Value::Lambda(_, _, c1), _) => {
-            let fresh = neutral(NHead::Local(lvl));
-            let b1 = c1.apply(env, fresh.clone());
-            let b2 = vapp(env, b.clone(), fresh);
-            conv_val(env, lvl + 1, &b1, &b2, false)
-        }
-        (_, Value::Lambda(_, _, c2)) => {
-            let fresh = neutral(NHead::Local(lvl));
-            let b1 = vapp(env, a.clone(), fresh.clone());
-            let b2 = c2.apply(env, fresh);
-            conv_val(env, lvl + 1, &b1, &b2, false)
-        }
-        (Value::Construct(n1, j1, a1), Value::Construct(n2, j2, a2)) => {
-            n1 == n2 && j1 == j2 && conv_spines(env, lvl, a1, a2)
-        }
-        (Value::IndApp(n1, a1), Value::IndApp(n2, a2)) => n1 == n2 && conv_spines(env, lvl, a1, a2),
-        (Value::Neutral(h1, s1), Value::Neutral(h2, s2)) => {
-            conv_head(env, lvl, h1, h2) && conv_spines(env, lvl, s1, s2)
-        }
-        _ => false,
-    };
-    // Surjective pairing (definitional η for single-constructor,
-    // non-recursive inductives — Coq's "primitive records"):
-    // `C (proj₀ z) … (projₙ z) ≡ z`.
-    ok || record_eta(env, lvl, a, b) || record_eta(env, lvl, b, a)
-}
+            (Value::Construct(n1, j1, a1), Value::Construct(n2, j2, a2)) => {
+                n1 == n2 && j1 == j2 && self.spines(lvl, a1, a2)
+            }
+            (Value::IndApp(n1, a1), Value::IndApp(n2, a2)) => n1 == n2 && self.spines(lvl, a1, a2),
+            (Value::Neutral(h1, s1), Value::Neutral(h2, s2)) => {
+                self.head(lvl, h1, h2) && self.spines(lvl, s1, s2)
+            }
+            _ => false,
+        };
+        // Surjective pairing (definitional η for single-constructor,
+        // non-recursive inductives — Coq's "primitive records"):
+        // `C (proj₀ z) … (projₙ z) ≡ z`.
+        ok || self.record_eta(lvl, a, b) || self.record_eta(lvl, b, a)
+    }
 
-fn conv_spines(env: &Env, lvl: usize, a: &[VRc], b: &[VRc]) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b)
-            .all(|(x, y)| conv_val(env, lvl, x, y, false))
-}
-
-fn conv_head(env: &Env, lvl: usize, a: &NHead, b: &NHead) -> bool {
-    match (a, b) {
-        (NHead::Local(i), NHead::Local(j)) => i == j,
-        (NHead::Free(i), NHead::Free(j)) => i == j,
-        // Both δ-blocked: equal only by name (the syntactic checker's rule
-        // for opaque/bodyless constants).
-        (NHead::Const(n1), NHead::Const(n2)) => n1 == n2,
-        (NHead::Elim(e1), NHead::Elim(e2)) => {
-            e1.ind == e2.ind
-                && conv_spines(env, lvl, &e1.params, &e2.params)
-                && conv_val(env, lvl, &e1.motive, &e2.motive, false)
-                && conv_spines(env, lvl, &e1.cases, &e2.cases)
-                && conv_val(env, lvl, &e1.scrutinee, &e2.scrutinee, false)
+    /// Two glued values with the same head and spine length: equal spines
+    /// decide without unfolding; otherwise the unfoldings decide, and the
+    /// failure memo keeps that verdict so the spines are never tried again.
+    fn same_head(
+        &mut self,
+        lvl: usize,
+        (a, s1): (&VRc, &[VRc]),
+        (b, s2): (&VRc, &[VRc]),
+        leq: bool,
+    ) -> bool {
+        let key = (
+            TermRc::as_ptr(a) as usize,
+            TermRc::as_ptr(b) as usize,
+            lvl,
+            leq,
+        );
+        if let Some(&(_, _, verdict)) = self.retried.get(&key) {
+            return verdict;
         }
-        (NHead::Stuck(v1), NHead::Stuck(v2)) => conv_val(env, lvl, v1, v2, false),
-        _ => false,
+        if self.spines(lvl, s1, s2) {
+            return true;
+        }
+        let verdict = self.val(lvl, &force(self.env, a), &force(self.env, b), leq);
+        self.retried.insert(key, (a.clone(), b.clone(), verdict));
+        verdict
     }
-}
 
-/// Does `t = Construct(I, 0) params (proj₀ z) … (projₙ z)` for a record-like
-/// inductive `I`, with `z ≡ u`? The value-level port of the syntactic
-/// record-η check: each field must be a stuck eliminator of `I` whose single
-/// case projects field `i` (checked by applying the case value to fresh
-/// levels), with agreeing parameters and a common scrutinee.
-fn record_eta(env: &Env, lvl: usize, t: &VRc, u: &VRc) -> bool {
-    let Value::Construct(ind, 0, args) = &**t else {
-        return false;
-    };
-    let Ok(decl) = env.inductive(ind) else {
-        env.note_stuck_ind(ind);
-        return false;
-    };
-    if decl.ctors.len() != 1 || decl.nindices() != 0 {
-        return false;
+    fn spines(&mut self, lvl: usize, a: &[VRc], b: &[VRc]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| self.val(lvl, x, y, false))
     }
-    let p = decl.nparams();
-    let nfields = decl.ctors[0].args.len();
-    if nfields == 0 || args.len() != p + nfields {
-        return false;
+
+    fn head(&mut self, lvl: usize, a: &NHead, b: &NHead) -> bool {
+        match (a, b) {
+            (NHead::Local(i), NHead::Local(j)) => i == j,
+            (NHead::Free(i), NHead::Free(j)) => i == j,
+            // Both δ-blocked: equal only by name (the syntactic checker's
+            // rule for opaque/bodyless constants).
+            (NHead::Const(n1), NHead::Const(n2)) => n1 == n2,
+            (NHead::Elim(e1), NHead::Elim(e2)) => {
+                e1.ind == e2.ind
+                    && self.spines(lvl, &e1.params, &e2.params)
+                    && self.val(lvl, &e1.motive, &e2.motive, false)
+                    && self.spines(lvl, &e1.cases, &e2.cases)
+                    && self.val(lvl, &e1.scrutinee, &e2.scrutinee, false)
+            }
+            (NHead::Stuck(v1), NHead::Stuck(v2)) => self.val(lvl, v1, v2, false),
+            _ => false,
+        }
     }
-    // No recursive fields (otherwise η is unsound for this check).
-    if decl.recursive_flags(0).iter().any(|&r| r) {
-        return false;
-    }
-    let mut scrutinee: Option<&VRc> = None;
-    for i in 0..nfields {
-        let Value::Neutral(NHead::Elim(e), spine) = &*args[p + i] else {
+
+    /// Does `t = Construct(I, 0) params (proj₀ z) … (projₙ z)` for a
+    /// record-like inductive `I`, with `z ≡ u`? The value-level port of the
+    /// syntactic record-η check: each (forced) field must be a stuck
+    /// eliminator of `I` whose single case projects field `i` (checked by
+    /// applying the case value to fresh levels), with agreeing parameters
+    /// and a common scrutinee.
+    fn record_eta(&mut self, lvl: usize, t: &VRc, u: &VRc) -> bool {
+        let env = self.env;
+        let Value::Construct(ind, 0, args) = &**t else {
             return false;
         };
-        if !spine.is_empty() || &e.ind != ind || e.cases.len() != 1 {
+        let Ok(decl) = env.inductive(ind) else {
+            env.note_stuck_ind(ind);
+            return false;
+        };
+        if decl.ctors.len() != 1 || decl.nindices() != 0 {
             return false;
         }
-        // The case must select field i: applied to fresh levels
-        // lvl..lvl+nfields it must come back as the i-th one.
-        let fresh: Vec<VRc> = (0..nfields)
-            .map(|k| neutral(NHead::Local(lvl + k)))
-            .collect();
-        let selected = vapp_many(env, e.cases[0].clone(), fresh);
-        match &*selected {
-            Value::Neutral(NHead::Local(l), sp) if *l == lvl + i && sp.is_empty() => {}
-            _ => return false,
-        }
-        // Parameters must agree with the constructor's.
-        if e.params.len() != p
-            || !e
-                .params
-                .iter()
-                .zip(args.iter())
-                .all(|(x, y)| conv_val(env, lvl, x, y, false))
-        {
+        let p = decl.nparams();
+        let nfields = decl.ctors[0].args.len();
+        if nfields == 0 || args.len() != p + nfields {
             return false;
         }
-        match scrutinee {
-            None => scrutinee = Some(&e.scrutinee),
-            Some(s) => {
-                if !conv_val(env, lvl, s, &e.scrutinee, false) {
-                    return false;
+        // No recursive fields (otherwise η is unsound for this check).
+        if decl.recursive_flags(0).iter().any(|&r| r) {
+            return false;
+        }
+        let mut scrutinee: Option<VRc> = None;
+        for i in 0..nfields {
+            let field = force(env, &args[p + i]);
+            let Value::Neutral(NHead::Elim(e), spine) = &*field else {
+                return false;
+            };
+            if !spine.is_empty() || &e.ind != ind || e.cases.len() != 1 {
+                return false;
+            }
+            // The case must select field i: applied to fresh levels
+            // lvl..lvl+nfields it must come back as the i-th one.
+            let fresh: Vec<VRc> = (0..nfields)
+                .map(|k| neutral(NHead::Local(lvl + k)))
+                .collect();
+            let selected = force(env, &vapp_many(env, e.cases[0].clone(), fresh));
+            match &*selected {
+                Value::Neutral(NHead::Local(l), sp) if *l == lvl + i && sp.is_empty() => {}
+                _ => return false,
+            }
+            // Parameters must agree with the constructor's.
+            if e.params.len() != p
+                || !e
+                    .params
+                    .iter()
+                    .zip(args.iter())
+                    .all(|(x, y)| self.val(lvl, x, y, false))
+            {
+                return false;
+            }
+            match &scrutinee {
+                None => scrutinee = Some(e.scrutinee.clone()),
+                Some(s) => {
+                    if !self.val(lvl, s, &e.scrutinee, false) {
+                        return false;
+                    }
                 }
             }
         }
-    }
-    match scrutinee {
-        Some(s) => conv_val(env, lvl, s, u, false),
-        None => false,
+        match scrutinee {
+            Some(s) => self.val(lvl, &s, u, false),
+            None => false,
+        }
     }
 }
 
 /// Reads a value back into a term at fresh-variable depth `lvl` (readback /
-/// quotation). Fresh levels become de Bruijn indices; ambient free
-/// variables keep their indices, shifted under the quoted binders.
+/// quotation). Glued values are forced, so the result is a δ-normal form.
+/// Fresh levels become de Bruijn indices; ambient free variables keep their
+/// indices, shifted under the quoted binders.
 fn quote(env: &Env, lvl: usize, v: &VRc) -> Term {
     match &**v {
         Value::Sort(s) => Term::sort(*s),
@@ -535,6 +681,7 @@ fn quote(env: &Env, lvl: usize, v: &VRc) -> Term {
             Term::ind(n.clone()),
             args.iter().map(|a| quote(env, lvl, a)),
         ),
+        Value::Glued(_) => quote(env, lvl, &force(env, v)),
         Value::Neutral(head, spine) => {
             let h = match head {
                 NHead::Local(l) => Term::rel(lvl - 1 - l),
@@ -559,7 +706,7 @@ fn quote(env: &Env, lvl: usize, v: &VRc) -> Term {
 /// terms — `tests/kernel_properties.rs` pins that agreement — but does its
 /// work in one pass over the value domain.
 pub fn nbe_normalize(env: &Env, t: &Term) -> Term {
-    let v = eval(env, &VEnv::nil(), t);
+    let v = eval(env, &VEnv::nil(), t, Delta::Unfold);
     quote(env, 0, &v)
 }
 
@@ -700,6 +847,98 @@ mod tests {
         );
         assert!(conv(&env, &etad, &Term::const_("f")));
         assert!(conv_leq(&env, &etad, &Term::const_("f")));
+    }
+
+    /// `K := fun (_ : nat) => O`: its spine never matters.
+    fn env_with_k() -> Env {
+        let mut env = env_with_nat();
+        env.define(
+            "K",
+            Term::arrow(Term::ind("nat"), Term::ind("nat")),
+            Term::lambda("_", Term::ind("nat"), nat_lit(0)),
+        )
+        .unwrap();
+        env
+    }
+
+    fn k(arg: Term) -> Term {
+        Term::app(Term::const_("K"), [arg])
+    }
+
+    #[test]
+    fn spine_mismatch_falls_back_to_the_unfoldings() {
+        // `K O` and `K (S O)` share a head but not a spine: the mismatch
+        // must force both sides, not decide the query.
+        let env = env_with_k();
+        let (a, b) = (k(nat_lit(0)), k(nat_lit(1)));
+        assert!(conv(&env, &a, &b));
+        assert!(conv_leq(&env, &a, &b));
+        assert!(conv(&env, &a, &nat_lit(0)));
+        // Unequal unfoldings still differ after the fallback.
+        assert!(!conv(&env, &k(nat_lit(0)), &nat_lit(1)));
+    }
+
+    #[test]
+    fn opaque_constants_compare_by_name_and_spine_only() {
+        let mut env = env_with_k();
+        env.set_opaque(&"K".into(), true).unwrap();
+        let (a, b) = (k(nat_lit(0)), k(nat_lit(1)));
+        assert!(!conv(&env, &a, &b));
+        assert!(!conv_leq(&env, &a, &b));
+        assert!(conv(&env, &a, &a));
+        // Against itself through a β-redex, so NbE builds both sides.
+        let redex = Term::app(
+            Term::lambda("n", Term::ind("nat"), k(Term::rel(0))),
+            [nat_lit(0)],
+        );
+        assert!(conv(&env, &redex, &a));
+        assert!(conv_leq(&env, &redex, &a));
+        assert!(!conv(&env, &redex, &b));
+    }
+
+    #[test]
+    fn failed_spine_attempts_are_not_retried() {
+        // `f^k O` against `f^k (S O)` with `f := fun n => S n`: every
+        // same-head spine attempt fails, and each one's fallback meets the
+        // inner pair again. Without the failure memo that is 2^k spine
+        // attempts; with it the query is linear, so k = 64 answers at once.
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let mut env = env_with_nat();
+            let nat_to_nat = Term::arrow(Term::ind("nat"), Term::ind("nat"));
+            let succ = Term::lambda(
+                "n",
+                Term::ind("nat"),
+                Term::app(Term::construct("nat", 1), [Term::rel(0)]),
+            );
+            env.define("f", nat_to_nat, succ).unwrap();
+            let tower = |base: Term| (0..64).fold(base, |t, _| Term::app(Term::const_("f"), [t]));
+            let (a, b) = (tower(nat_lit(0)), tower(nat_lit(1)));
+            let _ = tx.send((conv(&env, &a, &b), conv_leq(&env, &a, &b)));
+        });
+        let verdicts = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("f^64 O against f^64 (S O) did not answer within 30 s");
+        assert_eq!(verdicts, (false, false));
+    }
+
+    #[test]
+    fn forced_unfoldings_are_counted_once() {
+        // Equal spines decide without δ; a mismatch forces each side once.
+        let env = env_with_k();
+        let redex = Term::app(
+            Term::lambda("n", Term::ind("nat"), k(Term::rel(0))),
+            [Term::rel(0)],
+        );
+        env.reset_kernel_stats();
+        assert!(conv(&env, &redex, &k(Term::rel(0))));
+        assert!(conv_leq(&env, &redex, &k(Term::rel(0))));
+        assert_eq!(env.kernel_stats().delta_steps, 0, "equal spines unfolded");
+        assert!(conv(&env, &k(Term::rel(0)), &k(Term::rel(1))));
+        assert_eq!(env.kernel_stats().delta_steps, 2);
     }
 
     #[test]

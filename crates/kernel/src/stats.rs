@@ -28,7 +28,11 @@ pub struct KernelStats {
     pub whnf_cache_misses: u64,
     /// β-redexes fired (lambda applied to arguments).
     pub beta_steps: u64,
-    /// δ-unfoldings of transparent constants.
+    /// δ-unfoldings of transparent constants. In conversion these are the
+    /// *forced* unfoldings: a glued constant whose spine already matches is
+    /// never unfolded, and a forced one counts once however often it is
+    /// compared. Lazy δ dropped a `paper_corpus` unit from 12 570 to about
+    /// 3 800.
     pub delta_steps: u64,
     /// ι-reductions (eliminator applied to a constructor).
     pub iota_steps: u64,

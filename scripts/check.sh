@@ -11,6 +11,15 @@ cargo build --release --locked
 echo "==> cargo test --workspace -q --locked"
 cargo test --workspace -q --locked
 
+# Stack parity: the kernel evaluator must get no deeper on the native
+# stack, because a stack overflow aborts the whole daemon instead of
+# failing one request. The kernel property tests pass on a 1 MiB stack in
+# debug (and overflow at 512 KiB). The test binary is built first without
+# the override, so the compiler itself never runs on the small stack.
+cargo test -q --locked --test kernel_properties --no-run
+echo "==> RUST_MIN_STACK=1048576 cargo test -q --locked --test kernel_properties"
+RUST_MIN_STACK=1048576 cargo test -q --locked --test kernel_properties
+
 # Every golden is claimed byte-identical in debug and release, and some
 # tests size their work from the build's own speed; run the suite in
 # release too so a release-only failure cannot pass CI.

@@ -361,6 +361,122 @@ fn record_eta_conversion_holds_for_pairs_and_sigma() {
     assert!(!conv(&env, &a, &b));
 }
 
+#[test]
+fn record_eta_holds_through_glued_projections() {
+    // The ornament case study's `list_sig.eta` shape: an `existT` of the
+    // two projections against the packed value itself. Lazy δ leaves each
+    // field as a glued `projT1 …`/`projT2 …` application, which record-η
+    // must unfold to see the projection eliminator.
+    use pumpkin_pi::pumpkin_kernel::conv::{conv_leq, conv_leq_via_whnf, conv_via_whnf};
+
+    let mut env = stdlib::std_env();
+    pumpkin_lang::load_source(
+        &mut env,
+        "Definition sigv_eta : forall (T : Type 1),
+             sigT nat (fun (n : nat) => vector T n) ->
+             sigT nat (fun (n : nat) => vector T n) :=
+           fun (T : Type 1) (s : sigT nat (fun (n : nat) => vector T n)) =>
+             existT nat (fun (n : nat) => vector T n)
+               (projT1 nat (fun (n : nat) => vector T n) s)
+               (projT2 nat (fun (n : nat) => vector T n) s).",
+    )
+    .unwrap();
+    let binders = "fun (T : Type 1) (s : sigT nat (fun (n : nat) => vector T n)) =>";
+    let term = |body: &str| pumpkin_lang::term(&env, &format!("{binders} {body}")).unwrap();
+    let packed = term(
+        "existT nat (fun (n : nat) => vector T n)
+           (projT1 nat (fun (n : nat) => vector T n) s)
+           (projT2 nat (fun (n : nat) => vector T n) s)",
+    );
+    let via_constant = term("sigv_eta T s");
+    let identity = term("s");
+    for (t, u) in [
+        (&packed, &identity),
+        (&identity, &packed),
+        (&via_constant, &identity),
+        (&via_constant, &packed),
+    ] {
+        let fresh = || env.clone();
+        assert!(conv(&fresh(), t, u), "{t} ≢ {u}");
+        assert!(conv_leq(&fresh(), t, u), "{t} ≰ {u}");
+        assert!(conv_via_whnf(&fresh(), t, u), "oracle: {t} ≢ {u}");
+        assert!(conv_leq_via_whnf(&fresh(), t, u), "oracle: {t} ≰ {u}");
+    }
+    // A constant pair is not η-equal to the packed value.
+    let empty = term("existT nat (fun (n : nat) => vector T n) O (vnil T)");
+    for u in [&identity, &packed, &via_constant] {
+        assert!(!conv(&env.clone(), &empty, u), "{empty} ≡ {u}");
+        assert!(!conv_leq(&env.clone(), u, &empty), "{u} ≤ {empty}");
+        assert!(
+            !conv_via_whnf(&env.clone(), &empty, u),
+            "oracle: {empty} ≡ {u}"
+        );
+    }
+}
+
+#[test]
+fn shared_head_pairs_agree_with_the_oracle_and_the_model() {
+    // Lazy δ compares `c a…` with `c b…` by their spines before unfolding
+    // `c`. For add/mul/sub over random operands (some shared between the
+    // sides) and for constants that ignore some arguments, a spine
+    // mismatch must fall back to the unfoldings: every verdict equals the
+    // whnf oracle's and the arithmetic model's.
+    use pumpkin_pi::pumpkin_kernel::conv::{conv_leq, conv_leq_via_whnf, conv_via_whnf};
+
+    let mut env = stdlib::std_env();
+    pumpkin_lang::load_source(
+        &mut env,
+        "Definition kzero : nat -> nat := fun (_ : nat) => O.
+         Definition kfirst : nat -> nat -> nat := fun (x : nat) (_ : nat) => x.",
+    )
+    .unwrap();
+    let call =
+        |head: &str, args: &[&Arith]| Term::app(Term::const_(head), args.iter().map(|a| a.term()));
+    check(64, |rng| {
+        let a = arb_arith(rng, 2);
+        let b = arb_arith(rng, 2);
+        let c = if rng.chance(1, 2) {
+            a.clone()
+        } else {
+            arb_arith(rng, 2)
+        };
+        let d = if rng.chance(1, 2) {
+            b.clone()
+        } else {
+            arb_arith(rng, 2)
+        };
+        let (head, model): (&str, fn(u64, u64) -> u64) = *rng.pick(&[
+            ("add", (|x, y| x + y) as fn(u64, u64) -> u64),
+            ("mul", |x, y| x * y),
+            ("sub", |x, y| x.saturating_sub(y)),
+        ]);
+        let pairs = [
+            (
+                call(head, &[&a, &b]),
+                call(head, &[&c, &d]),
+                model(a.eval(), b.eval()) == model(c.eval(), d.eval()),
+            ),
+            (call("kzero", &[&a]), call("kzero", &[&c]), true),
+            (
+                call("kfirst", &[&a, &b]),
+                call("kfirst", &[&c, &d]),
+                a.eval() == c.eval(),
+            ),
+        ];
+        for (t, u, truth) in &pairs {
+            let fresh = || env.clone();
+            assert_eq!(conv(&fresh(), t, u), *truth, "conv {t} ≡ {u}");
+            assert_eq!(conv_leq(&fresh(), t, u), *truth, "conv_leq {t} ≤ {u}");
+            assert_eq!(conv_via_whnf(&fresh(), t, u), *truth, "oracle {t} ≡ {u}");
+            assert_eq!(
+                conv_leq_via_whnf(&fresh(), t, u),
+                *truth,
+                "oracle {t} ≤ {u}"
+            );
+        }
+    });
+}
+
 // ---------------------------------------------------------------------
 // Hash-consing and NbE-conversion properties
 // ---------------------------------------------------------------------
