@@ -1,6 +1,6 @@
 //! The global hash-consing term arena.
 //!
-//! Every [`Term`] in the process is allocated through [`intern`]: a sharded
+//! Every [`Term`] in the process is allocated through `intern`: a sharded
 //! global table maps term payloads (children compared by *pointer*, so a
 //! lookup is O(arity)) to their unique canonical allocation. Two
 //! consequences the rest of the kernel builds on:

@@ -10,15 +10,15 @@
 //!
 //! The domain (strict: arguments are evaluated when applications are):
 //!
-//! * [`Value::Lambda`] / [`Value::Pi`] carry a [`Closure`] (captured
-//!   environment + unevaluated body term);
-//! * [`Value::Construct`] / [`Value::IndApp`] are constructor/family spines;
-//! * [`Value::Glued`] is a transparent constant applied to a spine, glued
-//!   to its δ-unfolding, which is computed on first demand ([`force`]);
-//! * [`Value::Neutral`] is a blocked computation: a head — a comparison
-//!   variable ([`NHead::Local`]), a free variable of an open input term
-//!   ([`NHead::Free`]), a δ-blocked constant ([`NHead::Const`]), or a stuck
-//!   eliminator ([`NHead::Elim`]) — applied to a spine of values.
+//! * `Value::Lambda` / `Value::Pi` carry a `Closure` (captured environment
+//!   + unevaluated body term);
+//! * `Value::Construct` / `Value::IndApp` are constructor/family spines;
+//! * `Value::Glued` is a transparent constant applied to a spine, glued to
+//!   its δ-unfolding, which is computed on first demand (`force`);
+//! * `Value::Neutral` is a blocked computation: a head — a comparison
+//!   variable (`NHead::Local`), a free variable of an open input term
+//!   (`NHead::Free`), a δ-blocked constant (`NHead::Const`), or a stuck
+//!   eliminator (`NHead::Elim`) — applied to a spine of values.
 //!
 //! Equality rules mirror the syntactic checker: η for functions (a lambda
 //! against a non-lambda is compared after applying both to a fresh level),
@@ -27,11 +27,17 @@
 //! `≤` in cumulativity mode (the `leq` flag, which propagates only through
 //! Pi codomains, exactly as [`crate::conv::conv_leq`] always did).
 //!
+//! **One-step spines.** Applying a value to several arguments β-reduces
+//! through closures one argument at a time, but once the head cannot
+//! reduce — a constructor, family, glued constant or neutral — every
+//! remaining argument joins its spine in one allocation. No intermediate
+//! value is built per argument.
+//!
 //! **Lazy δ (glued values).** The two sides of a comparison, and the
-//! closures built from them, evaluate in [`Delta::Glue`] mode: a
-//! transparent constant becomes a [`Value::Glued`] that keeps the constant
-//! and its evaluated spine next to a `OnceLock` for its unfolding. Two
-//! glued values with the same head are compared by their spines first —
+//! closures built from them, evaluate in `Delta::Glue` mode: a transparent
+//! constant becomes a `Value::Glued` that keeps the constant and its
+//! evaluated spine next to a `OnceLock` for its unfolding. Two glued values
+//! with the same head are compared by their spines first —
 //! `c a₁ … aₙ ≡ c b₁ … bₙ` whenever every `aᵢ ≡ bᵢ`, which is how a
 //! repaired type that repeats most of its expected type verbatim converts
 //! without unfolding anything. Only a spine mismatch or a head clash forces
@@ -39,25 +45,40 @@
 //! Coq's kernel converts lazily for the same reason.
 //!
 //! A failed spine attempt is never retried: the comparison's failure memo
-//! ([`Conv`]) keeps the pair's verdict, keyed on the two values' addresses
-//! plus `lvl` and `leq`, for the rest of the query. Without it, `f^k O`
-//! against `f^k (S O)` (with `f := fun n => S n`) re-runs every inner spine
-//! attempt after each outer one fails — 2^k work; with it the cost is
-//! linear.
+//! (on the query state, `Conv`) keeps the pair's verdict, keyed on the two
+//! values' addresses plus `lvl` and `leq`, for the rest of the query.
+//! Without it, `f^k O` against `f^k (S O)` (with `f := fun n => S n`)
+//! re-runs every inner spine attempt after each outer one fails — 2^k work;
+//! with it the cost is linear.
 //!
-//! Forced bodies evaluate eagerly ([`Delta::Unfold`]). Gluing inside
+//! Forced bodies evaluate eagerly (`Delta::Unfold`). Gluing inside
 //! unfolded bodies too would defer chains of unfoldings that, forced later,
 //! nest far deeper on the native stack than strict evaluation does (the
 //! debug test suite then needs a 4 MiB stack); CI pins the depth by running
 //! the kernel property tests on a 1 MiB stack.
 //!
+//! **Same-body closures.** Two `Pi`s or two lambdas whose closures share a
+//! body `TermId` are decided without applying either when every captured
+//! value the body can reference is shallowly identical: the same
+//! allocation, or the same variable, sort or head over spine elements that
+//! are themselves the same allocation or the same head with an empty spine.
+//! The check is deliberately not recursive, because the native stack
+//! is the resource a deep comparison runs out of (a stack overflow aborts
+//! the daemon): a recursive identity test would follow spine depth, and
+//! comparing captures with full conversion would re-enter the comparison
+//! for every capture. A miss costs O(free variables) and falls back to
+//! applying both closures to a fresh level.
+//!
 //! **Stuck-name invalidation is preserved**: evaluation calls
-//! [`Env::note_stuck_const`] when δ finds no unfoldable body and
-//! [`Env::note_stuck_ind`] when an eliminator meets an undeclared family —
+//! `Env::note_stuck_const` when δ finds no unfoldable body and
+//! `Env::note_stuck_ind` when an eliminator meets an undeclared family —
 //! the same observations the whnf path records — so the environment's
 //! generation/invalidation story (see `env.rs`) is unchanged. A glued
 //! value is never forced after its generation: the value memo that could
-//! keep one alive is flushed when the generation retires.
+//! keep one alive is flushed when the generation retires. A same-body
+//! shortcut skips evaluation, and so may skip such an observation; its
+//! verdict (true) holds in any extension of the environment, so no cached
+//! answer depends on the name it did not observe.
 //!
 //! Termination: evaluation is strongly normalizing on well-typed terms (the
 //! calculus has no general recursion; δ cannot be cyclic because a body is
@@ -159,6 +180,71 @@ impl Closure {
     fn apply(&self, env: &Env, arg: VRc) -> VRc {
         eval(env, &self.env.push(arg), &self.body, self.delta)
     }
+
+    /// Do `self` and `other` denote the same function, judged without
+    /// applying either? They do when their bodies are one `TermId` and
+    /// every captured value the body can reference is [`identical`]: then
+    /// both bodies evaluate to the same value under any argument. The
+    /// check never recurses into [`Conv::val`], so a miss costs O(free
+    /// variables) and no stack; the caller then applies both closures.
+    fn same_function(&self, other: &Closure) -> bool {
+        if self.body != other.body {
+            return false;
+        }
+        // `Rel(0)` is the argument; `Rel(i + 1)` is capture `i`. Past the
+        // environment a `Rel` evaluates to a free variable, which matches
+        // only when both environments end at the same place.
+        let captures = self.body.free_rel_bound().saturating_sub(1);
+        let (mut n1, mut n2) = (self.env.0.as_ref(), other.env.0.as_ref());
+        for _ in 0..captures {
+            match (n1, n2) {
+                (Some(x), Some(y)) if TermRc::ptr_eq(x, y) => return true,
+                (Some(x), Some(y)) if identical(&x.head, &y.head, false) => {
+                    (n1, n2) = (x.tail.0.as_ref(), y.tail.0.as_ref());
+                }
+                (None, None) => return true,
+                _ => return false,
+            }
+        }
+        true
+    }
+}
+
+/// Are `a` and `b` the same value, judged without comparing them: the same
+/// allocation, or the same sort, variable, constant or head over spines
+/// whose elements are pairwise identical *atoms* (`atom` set: the same
+/// allocation, or the same head with an empty spine). Two levels at most,
+/// so the judgement costs no stack and a miss falls back to [`Conv::val`].
+fn identical(a: &VRc, b: &VRc, atom: bool) -> bool {
+    let spines = |s1: &[VRc], s2: &[VRc]| {
+        if atom {
+            s1.is_empty() && s2.is_empty()
+        } else {
+            s1.len() == s2.len() && s1.iter().zip(s2).all(|(x, y)| identical(x, y, true))
+        }
+    };
+    TermRc::ptr_eq(a, b)
+        || match (&**a, &**b) {
+            (Value::Sort(s1), Value::Sort(s2)) => s1 == s2,
+            (Value::Construct(n1, j1, s1), Value::Construct(n2, j2, s2)) => {
+                n1 == n2 && j1 == j2 && spines(s1, s2)
+            }
+            (Value::IndApp(n1, s1), Value::IndApp(n2, s2)) => n1 == n2 && spines(s1, s2),
+            (Value::Glued(g1), Value::Glued(g2)) => {
+                g1.body == g2.body && spines(&g1.spine, &g2.spine)
+            }
+            (Value::Neutral(h1, s1), Value::Neutral(h2, s2)) => {
+                let same_head = match (h1, h2) {
+                    (NHead::Local(i), NHead::Local(j)) | (NHead::Free(i), NHead::Free(j)) => i == j,
+                    (NHead::Const(n1), NHead::Const(n2)) => n1 == n2,
+                    (NHead::Elim(e1), NHead::Elim(e2)) => TermRc::ptr_eq(e1, e2),
+                    (NHead::Stuck(v1), NHead::Stuck(v2)) => TermRc::ptr_eq(v1, v2),
+                    _ => false,
+                };
+                same_head && spines(s1, s2)
+            }
+            _ => false,
+        }
 }
 
 /// The evaluation environment: a persistent cons-list of values, innermost
@@ -296,48 +382,43 @@ fn eval_node(env: &Env, venv: &VEnv, t: &Term, delta: Delta) -> VRc {
 }
 
 /// Applies `f` to `args` at the value level, β-reducing through closures.
+/// Once the head cannot β-reduce — a constructor, family, glued constant,
+/// neutral or ill-typed head — every remaining argument joins its spine in
+/// one allocation, instead of one intermediate value per argument.
 fn vapp_many(env: &Env, mut f: VRc, args: Vec<VRc>) -> VRc {
-    for a in args {
-        f = vapp(env, f, a);
+    let mut args = args.into_iter();
+    while let Value::Lambda(_, _, clo) = &*f {
+        let Some(a) = args.next() else {
+            return f;
+        };
+        env.tally(|s| s.beta_steps += 1);
+        f = clo.apply(env, a);
     }
-    f
-}
-
-fn vapp(env: &Env, f: VRc, a: VRc) -> VRc {
-    match &*f {
-        Value::Lambda(_, _, clo) => {
-            env.tally(|s| s.beta_steps += 1);
-            clo.apply(env, a)
+    if args.len() == 0 {
+        return f;
+    }
+    let extend = |spine: &[VRc]| -> Vec<VRc> {
+        if spine.is_empty() {
+            return args.collect();
         }
-        Value::Construct(n, j, args) => {
-            let mut args = args.clone();
-            args.push(a);
-            TermRc::new(Value::Construct(n.clone(), *j, args))
-        }
-        Value::IndApp(n, args) => {
-            let mut args = args.clone();
-            args.push(a);
-            TermRc::new(Value::IndApp(n.clone(), args))
-        }
-        Value::Glued(g) => {
-            let mut spine = g.spine.clone();
-            spine.push(a);
-            TermRc::new(Value::Glued(Glue {
-                body: g.body.clone(),
-                spine,
-                unfolded: OnceLock::new(),
-            }))
-        }
-        Value::Neutral(head, spine) => {
-            let mut spine = spine.clone();
-            spine.push(a);
-            TermRc::new(Value::Neutral(clone_head(head), spine))
-        }
+        let mut out = Vec::with_capacity(spine.len() + args.len());
+        out.extend_from_slice(spine);
+        out.extend(args);
+        out
+    };
+    TermRc::new(match &*f {
+        Value::Lambda(..) => unreachable!("β-redexes are reduced above"),
+        Value::Construct(n, j, spine) => Value::Construct(n.clone(), *j, extend(spine)),
+        Value::IndApp(n, spine) => Value::IndApp(n.clone(), extend(spine)),
+        Value::Glued(g) => Value::Glued(Glue {
+            body: g.body.clone(),
+            spine: extend(&g.spine),
+            unfolded: OnceLock::new(),
+        }),
+        Value::Neutral(head, spine) => Value::Neutral(clone_head(head), extend(spine)),
         // Ill-typed application (sort/Pi head): keep it stuck, like whnf.
-        Value::Sort(_) | Value::Pi(_, _, _) => {
-            TermRc::new(Value::Neutral(NHead::Stuck(f.clone()), vec![a]))
-        }
-    }
+        Value::Sort(_) | Value::Pi(_, _, _) => Value::Neutral(NHead::Stuck(f.clone()), extend(&[])),
+    })
 }
 
 /// Unfolds glued values until the head is not a transparent constant; any
@@ -477,33 +558,35 @@ impl Conv<'_> {
                 }
             }
             (Value::Pi(_, t1, c1), Value::Pi(_, t2, c2)) => {
-                self.val(lvl, t1, t2, false) && {
-                    let fresh = neutral(NHead::Local(lvl));
-                    let b1 = c1.apply(env, fresh.clone());
-                    let b2 = c2.apply(env, fresh);
-                    self.val(lvl + 1, &b1, &b2, leq)
-                }
+                self.val(lvl, t1, t2, false)
+                    && (c1.same_function(c2) || {
+                        let fresh = neutral(NHead::Local(lvl));
+                        let b1 = c1.apply(env, fresh.clone());
+                        let b2 = c2.apply(env, fresh);
+                        self.val(lvl + 1, &b1, &b2, leq)
+                    })
             }
             (Value::Lambda(_, t1, c1), Value::Lambda(_, t2, c2)) => {
                 // Domains are compared to match the syntactic checker (which
                 // required convertible binder types on lambdas, not just Pis).
-                self.val(lvl, t1, t2, false) && {
-                    let fresh = neutral(NHead::Local(lvl));
-                    let b1 = c1.apply(env, fresh.clone());
-                    let b2 = c2.apply(env, fresh);
-                    self.val(lvl + 1, &b1, &b2, false)
-                }
+                self.val(lvl, t1, t2, false)
+                    && (c1.same_function(c2) || {
+                        let fresh = neutral(NHead::Local(lvl));
+                        let b1 = c1.apply(env, fresh.clone());
+                        let b2 = c2.apply(env, fresh);
+                        self.val(lvl + 1, &b1, &b2, false)
+                    })
             }
             // η: fun x => body  ≡  u  when  body ≡ u x.
             (Value::Lambda(_, _, c1), _) => {
                 let fresh = neutral(NHead::Local(lvl));
                 let b1 = c1.apply(env, fresh.clone());
-                let b2 = vapp(env, b.clone(), fresh);
+                let b2 = vapp_many(env, b.clone(), vec![fresh]);
                 self.val(lvl + 1, &b1, &b2, false)
             }
             (_, Value::Lambda(_, _, c2)) => {
                 let fresh = neutral(NHead::Local(lvl));
-                let b1 = vapp(env, a.clone(), fresh.clone());
+                let b1 = vapp_many(env, a.clone(), vec![fresh.clone()]);
                 let b2 = c2.apply(env, fresh);
                 self.val(lvl + 1, &b1, &b2, false)
             }
@@ -820,6 +903,56 @@ mod tests {
         ];
         for t in &samples {
             assert_eq!(nbe_normalize(&env, t), normalize(&env, t), "term: {t}");
+        }
+    }
+
+    #[test]
+    fn one_node_and_nested_applications_agree() {
+        // A glued or stuck head takes all its remaining arguments in one
+        // step; nested `App` nodes (which `Term::app` never builds) hand
+        // them over one node at a time. Both shapes must normalize as the
+        // rewriting normalizer does and convert with each other; the flat
+        // one converts with the normal form exactly as the oracle says.
+        use crate::conv::{conv_leq_via_whnf, conv_via_whnf};
+        let mut env = env_with_nat();
+        let nat = || Term::ind("nat");
+        let nat_to_nat = || Term::arrow(nat(), nat());
+        env.define("add", Term::arrow(nat(), nat_to_nat()), add())
+            .unwrap();
+        env.assume("f", Term::arrow(nat(), Term::arrow(nat(), nat_to_nat())))
+            .unwrap();
+        let nested = |head: Term, args: &[Term]| {
+            args.iter()
+                .fold(head, |t, a| Term::new(TermData::App(t, vec![a.clone()])))
+        };
+        // A β-redex whose result is a glued head with a partial spine.
+        let add_to = Term::lambda("x", nat(), Term::app(Term::const_("add"), [Term::rel(0)]));
+        let cases = [
+            (Term::const_("add"), vec![nat_lit(2), nat_lit(3)]),
+            (
+                Term::const_("f"),
+                vec![nat_lit(1), Term::rel(0), nat_lit(0)],
+            ),
+            (add_to, vec![nat_lit(1), Term::rel(2)]),
+            (Term::rel(3), vec![nat_lit(0), Term::rel(1)]),
+        ];
+        for (head, args) in cases {
+            let flat = Term::app(head.clone(), args.clone());
+            let deep = nested(head, &args);
+            assert_ne!(flat, deep, "the two shapes must be distinct nodes");
+            let normal = normalize(&env, &flat);
+            assert_eq!(nbe_normalize(&env, &flat), normal, "{flat}");
+            assert_eq!(nbe_normalize(&env, &deep), normal, "{deep}");
+            assert!(conv(&env, &flat, &deep) && conv(&env, &deep, &normal));
+            assert!(conv_leq(&env, &deep, &flat) && conv_leq(&env, &normal, &deep));
+            for (t, u) in [(&flat, &normal), (&flat, &nat_lit(5))] {
+                assert_eq!(conv(&env, t, u), conv_via_whnf(&env, t, u), "{t} ≡ {u}");
+                assert_eq!(
+                    conv_leq(&env, t, u),
+                    conv_leq_via_whnf(&env, t, u),
+                    "{t} ≤ {u}"
+                );
+            }
         }
     }
 

@@ -31,8 +31,9 @@ pub struct KernelStats {
     /// δ-unfoldings of transparent constants. In conversion these are the
     /// *forced* unfoldings: a glued constant whose spine already matches is
     /// never unfolded, and a forced one counts once however often it is
-    /// compared. Lazy δ dropped a `paper_corpus` unit from 12 570 to about
-    /// 3 800.
+    /// compared. Lazy δ dropped a `paper_corpus` unit from 12 570 to
+    /// 3 773, and comparing same-body closures without applying them to
+    /// 3 549.
     pub delta_steps: u64,
     /// ι-reductions (eliminator applied to a constructor).
     pub iota_steps: u64,

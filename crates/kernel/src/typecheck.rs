@@ -3,6 +3,19 @@
 //! Bidirectional-ish: [`infer`] synthesizes a type; [`check`] compares an
 //! inferred type against an expected one up to cumulativity.
 //!
+//! **One substitution per application.** The application rule peels the
+//! head type's syntactic products without substituting into the codomain.
+//! Each argument is checked against its domain instantiated with the
+//! earlier arguments, and the pending arguments are substituted into the
+//! codomain once, simultaneously ([`subst_group`]). They are flushed early,
+//! followed by a `whnf`, only when the type is not syntactically a product:
+//! a δ-constant such as `Arrow nat nat`, or a variable that becomes a
+//! product once substituted. Substituting after every argument built one
+//! intermediate codomain per argument, which made the application rule the
+//! kernel's main source of interner traffic. The result, every error and
+//! every `whnf` call that reduces anything are the same as with one
+//! substitution per argument.
+//!
 //! Documented simplifications relative to Coq (none of which affect the
 //! paper's development): no elimination-sort restrictions (large elimination
 //! is allowed everywhere, which subsumes Coq's singleton-elimination rule
@@ -14,7 +27,7 @@ use crate::env::Env;
 use crate::error::{KernelError, Result};
 use crate::inductive::{instantiate_telescope, telescope_rels};
 use crate::reduce::whnf;
-use crate::subst::{beta_apply, lift, subst1};
+use crate::subst::{beta_apply, lift, subst1, subst_group};
 use crate::term::{Term, TermData};
 use crate::universe::Sort;
 
@@ -87,23 +100,28 @@ fn infer_node(env: &Env, ctx: &mut Ctx, t: &Term) -> Result<Term> {
         TermData::Sort(s) => Ok(Term::sort(s.succ())),
         TermData::Const(_) | TermData::Ind(_) | TermData::Construct(_, _) => env.global_type(t),
         TermData::App(h, args) => {
+            // Before argument `i`, `ty` lives under one binder per argument
+            // in `args[from..i]`: products peeled without substituting into
+            // the codomain. Those arguments are substituted simultaneously,
+            // once: at the end, or when `ty` is not syntactically a product
+            // and has to be reduced to expose one.
             let mut ty = infer(env, ctx, h)?;
-            for arg in args {
-                let ty_w = whnf(env, &ty);
-                match ty_w.data() {
-                    TermData::Pi(b, codomain) => {
-                        check(env, ctx, arg, &b.ty)?;
-                        ty = subst1(codomain, arg);
-                    }
-                    _ => {
-                        return Err(KernelError::NotAFunction {
-                            term: h.clone(),
-                            ty: ty_w,
-                        })
-                    }
+            let mut from = 0;
+            for (i, arg) in args.iter().enumerate() {
+                if !matches!(ty.data(), TermData::Pi(..)) {
+                    ty = whnf(env, &subst_group(&ty, 0, &args[from..i]));
+                    from = i;
                 }
+                let TermData::Pi(b, codomain) = ty.data() else {
+                    return Err(KernelError::NotAFunction {
+                        term: h.clone(),
+                        ty,
+                    });
+                };
+                check(env, ctx, arg, &subst_group(&b.ty, 0, &args[from..i]))?;
+                ty = codomain.clone();
             }
-            Ok(ty)
+            Ok(subst_group(&ty, 0, &args[from..]))
         }
         TermData::Lambda(b, body) => {
             infer_sort(env, ctx, &b.ty)?;
@@ -125,12 +143,12 @@ fn infer_node(env: &Env, ctx: &mut Ctx, t: &Term) -> Result<Term> {
             // The type of `let x := v in body` is the type of `body[v/x]`.
             infer(env, ctx, &subst1(body, v))
         }
-        TermData::Elim(e) => infer_elim(env, ctx, t, e),
+        TermData::Elim(e) => infer_elim(env, ctx, e),
     }
 }
 
-fn infer_elim(env: &Env, ctx: &mut Ctx, whole: &Term, e: &crate::term::ElimData) -> Result<Term> {
-    let decl = env.inductive(&e.ind)?.clone();
+fn infer_elim(env: &Env, ctx: &mut Ctx, e: &crate::term::ElimData) -> Result<Term> {
+    let decl = env.inductive(&e.ind)?;
     let p = decl.nparams();
     let nidx = decl.nindices();
     if e.params.len() != p {
@@ -189,7 +207,7 @@ fn infer_elim(env: &Env, ctx: &mut Ctx, whole: &Term, e: &crate::term::ElimData)
 
     // Motive: must be convertible to `∀ indices, Ind params idxs → s`.
     let motive_ty = infer(env, ctx, &e.motive)?;
-    check_motive_shape(env, ctx, &e.ind, &decl, &e.params, &motive_ty)?;
+    check_motive_shape(env, ctx, &e.ind, decl, &e.params, &motive_ty)?;
 
     // Cases.
     for (j, case) in e.cases.iter().enumerate() {
@@ -209,7 +227,6 @@ fn infer_elim(env: &Env, ctx: &mut Ctx, whole: &Term, e: &crate::term::ElimData)
         })?;
     }
 
-    let _ = whole;
     Ok(beta_apply(
         &e.motive,
         &index_values
@@ -459,6 +476,96 @@ mod tests {
             infer_closed(&env, &Term::rel(0)),
             Err(KernelError::UnboundRel { .. })
         ));
+    }
+
+    /// The application rule without the deferred substitution: reduce the
+    /// type, check the argument, substitute it, one argument at a time.
+    fn sequential_app_type(env: &Env, h: &Term, args: &[Term]) -> Result<Term> {
+        let mut ty = infer_closed(env, h)?;
+        for arg in args {
+            let ty_w = whnf(env, &ty);
+            let TermData::Pi(b, codomain) = ty_w.data() else {
+                return Err(KernelError::NotAFunction {
+                    term: h.clone(),
+                    ty: ty_w,
+                });
+            };
+            check_closed(env, arg, &b.ty)?;
+            ty = subst1(codomain, arg);
+        }
+        Ok(ty)
+    }
+
+    #[test]
+    fn application_types_match_the_sequential_rule() {
+        let mut env = env_nat();
+        let nat = Term::ind("nat");
+        let nat_to_nat = Term::arrow(nat.clone(), nat.clone());
+        let ty0 = Term::type_(0);
+        // `h`'s second product appears only once `T` is substituted.
+        env.assume("h", Term::pi("T", ty0.clone(), Term::rel(0)))
+            .unwrap();
+        // `Arrow nat nat` hides `g`'s product behind δ.
+        env.define(
+            "Arrow",
+            Term::arrow(ty0.clone(), Term::arrow(ty0.clone(), ty0.clone())),
+            Term::lambda(
+                "A",
+                ty0.clone(),
+                Term::lambda("B", ty0.clone(), Term::arrow(Term::rel(1), Term::rel(0))),
+            ),
+        )
+        .unwrap();
+        env.assume(
+            "g",
+            Term::app(Term::const_("Arrow"), [nat.clone(), nat.clone()]),
+        )
+        .unwrap();
+        // `id (nat -> nat) S O` is over-applied through its own codomain.
+        env.define(
+            "id",
+            Term::pi("A", ty0.clone(), Term::arrow(Term::rel(0), Term::rel(0))),
+            Term::lambda("A", ty0, Term::lambda("x", Term::rel(0), Term::rel(0))),
+        )
+        .unwrap();
+        let (o, s) = (Term::construct("nat", 0), Term::construct("nat", 1));
+        let cases = [
+            (Term::const_("h"), vec![nat_to_nat.clone(), o.clone()], true),
+            (Term::const_("g"), vec![o.clone()], true),
+            (
+                Term::const_("id"),
+                vec![nat_to_nat.clone(), s.clone(), o.clone()],
+                true,
+            ),
+            (
+                Term::const_("h"),
+                vec![nat_to_nat, o.clone(), o.clone()],
+                false,
+            ),
+            (Term::const_("g"), vec![o.clone(), o.clone()], false),
+            (Term::const_("id"), vec![nat.clone(), o.clone(), s], false),
+        ];
+        for (h, args, well_typed) in cases {
+            let fast = infer_closed(&env, &Term::app(h.clone(), args.clone()));
+            let reference = sequential_app_type(&env, &h, &args);
+            match (&fast, &reference) {
+                (Ok(a), Ok(b)) => {
+                    assert!(well_typed);
+                    assert_eq!(a, &nat, "{h} {args:?}");
+                    assert!(a.same_allocation(b), "{h} {args:?}: {a} vs {b}");
+                }
+                (
+                    Err(KernelError::NotAFunction { term: t1, ty: a }),
+                    Err(KernelError::NotAFunction { term: t2, ty: b }),
+                ) => {
+                    assert!(!well_typed);
+                    assert_eq!(t1, t2);
+                    assert_eq!(a, &nat, "{h} {args:?}");
+                    assert!(a.same_allocation(b), "{h} {args:?}: {a} vs {b}");
+                }
+                _ => panic!("{h} {args:?}: {fast:?} vs {reference:?}"),
+            }
+        }
     }
 
     #[test]

@@ -55,6 +55,12 @@ pub mod code {
     pub const AUTO_EXHAUSTED: &str = "auto_exhausted";
     /// The server is draining after a `shutdown`.
     pub const SHUTTING_DOWN: &str = "shutting_down";
+    /// The request ran past a resource limit. Today that limit is the
+    /// reply's JSON nesting: a result nested deeper than
+    /// [`MAX_DEPTH`](pumpkin_core::trace::json::MAX_DEPTH) would be
+    /// refused by the client's parser, so the daemon sends this error
+    /// instead.
+    pub const BUDGET_EXCEEDED: &str = "budget_exceeded";
 
     /// Every code the server can put in `error.code`, in declaration
     /// order. Clients map these to exit statuses; the audit test in the
@@ -72,6 +78,7 @@ pub mod code {
         REPAIR_FAILED,
         AUTO_EXHAUSTED,
         SHUTTING_DOWN,
+        BUDGET_EXCEEDED,
     ];
 }
 

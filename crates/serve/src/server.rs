@@ -3,7 +3,7 @@
 //! `std::net` only. Connection threads are thin: they parse frames,
 //! answer the environment-free control methods (`ping`, `metrics`,
 //! `shutdown`) inline, and hand everything else to a bounded work queue
-//! as a [`Job`], then block until the worker's reply comes back over the
+//! as a `Job`, then block until the worker's reply comes back over the
 //! job's channel. A fixed pool of worker threads drains the queue; each
 //! worker owns one long-lived [`Session`] with its own clone of the warm
 //! environment (the kernel's `Env` is `Send` but not `Sync`, so

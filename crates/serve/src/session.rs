@@ -11,7 +11,7 @@
 //!
 //! The one piece of cross-request state inside a session is the
 //! *configuration cache*: running a search procedure (`configure`) is
-//! expensive, so the session keeps up to [`MAX_CONFIGS`] recent `(spec
+//! expensive, so the session keeps up to `MAX_CONFIGS` recent `(spec
 //! digest, configured environment, lifting)` entries and reuses them
 //! while clients keep asking for the same recipes. Under the worker-pool
 //! server each worker owns one long-lived session, so this warm state
@@ -21,6 +21,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
+use pumpkin_core::trace::json::MAX_DEPTH;
 use pumpkin_core::trace::serve_stats::{self, ServeStats, STATS_SCHEMA};
 use pumpkin_core::trace::{Histogram, Metrics};
 use pumpkin_core::wire::{term_from_envelope, term_to_envelope, LiftSpec, TermDigest, WireError};
@@ -348,6 +349,14 @@ impl Session {
             Ok((result, ctl)) => (proto::ok_reply_value(&req.id, result), ctl),
             Err(e) => (e.reply(&req.id), Control::Continue),
         };
+        // Never send a frame the client's parser would refuse: a reply
+        // nested past the JSON depth cap (a deep normal form, say) becomes
+        // a structured error. The request's own `id` parsed under the same
+        // cap, so the error reply always fits.
+        if reply.nests_deeper_than(MAX_DEPTH) {
+            let message = format!("the reply would nest deeper than {MAX_DEPTH} JSON levels");
+            reply = proto::err_reply_value(&req.id, code::BUDGET_EXCEEDED, &message);
+        }
         proto::stamp_req_id(&mut reply, req_id);
         (reply.to_string(), ctl)
     }
@@ -1097,6 +1106,44 @@ mod tests {
             .and_then(Value::as_str)
             .unwrap();
         assert_eq!(pretty, "S (S O)");
+    }
+
+    #[test]
+    fn over_deep_replies_become_budget_exceeded_errors() {
+        use pumpkin_kernel::term::Term;
+        let numeral = |n: usize| {
+            (0..n).fold(Term::construct("nat", 0), |t, _| {
+                Term::app(Term::construct("nat", 1), [t])
+            })
+        };
+        let mul = |s: &mut Session, n: usize| {
+            let t = Term::app(Term::const_("mul"), [numeral(n), numeral(n)]);
+            let line = format!(
+                r#"{{"id":7,"method":"eval","params":{{"term":{}}}}}"#,
+                term_to_envelope(&t)
+            );
+            let (reply, _) = s.handle_line(&line);
+            Value::parse(&reply).unwrap_or_else(|e| panic!("unparseable reply ({e}): {reply}"))
+        };
+        let mut s = session();
+        // 256 nested successors nest past the JSON depth cap.
+        let deep = mul(&mut s, 16);
+        assert_eq!(deep.get("ok"), Some(&Value::Bool(false)));
+        assert_eq!(
+            deep.get("error")
+                .unwrap()
+                .get("code")
+                .and_then(Value::as_str),
+            Some(code::BUDGET_EXCEEDED)
+        );
+        assert!(deep.get("req_id").is_some());
+        let (reply, _) = s.handle_line(r#"{"id":8,"method":"ping"}"#);
+        assert!(reply.contains("\"pong\":true"), "{reply}");
+        // 144 still fits, and comes back as its normal form.
+        let ok = mul(&mut s, 12);
+        assert_eq!(ok.get("ok"), Some(&Value::Bool(true)));
+        let normal = term_from_envelope(ok.get("result").unwrap().get("term").unwrap()).unwrap();
+        assert_eq!(normal, numeral(144));
     }
 
     #[test]

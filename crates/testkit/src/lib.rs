@@ -370,7 +370,7 @@ impl Bench {
     }
 
     /// Measures `routine` on fresh `setup` outputs, recording and printing
-    /// the result. Returns the sample (also retained for [`finish`]).
+    /// the result. Returns the sample (also retained for [`Self::finish`]).
     pub fn bench<T, R>(
         &mut self,
         id: &str,

@@ -72,6 +72,20 @@ impl Value {
         Value::Str(s.into())
     }
 
+    /// Does this value nest deeper than `max` levels, so that
+    /// [`Value::parse`] would refuse its serialization when `max` is
+    /// [`MAX_DEPTH`]? The top level is depth 0, as in the parser. The walk
+    /// stops one level past `max`, so checking a value of any depth cannot
+    /// overflow the stack.
+    pub fn nests_deeper_than(&self, max: usize) -> bool {
+        let too_deep = |v: &Value| max == 0 || v.nests_deeper_than(max - 1);
+        match self {
+            Value::Arr(items) => items.iter().any(too_deep),
+            Value::Obj(fields) => fields.iter().any(|(_, v)| too_deep(v)),
+            _ => false,
+        }
+    }
+
     /// Object field lookup (first match; `None` on non-objects).
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
@@ -560,6 +574,22 @@ mod tests {
         assert_eq!(Value::parse(&deep), Err(ParseError::TooDeep));
         let ok = "[".repeat(64) + &"]".repeat(64);
         assert!(Value::parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn nesting_check_agrees_with_the_parser() {
+        // `[[…[0]…]]` with `n` brackets puts the `0` at depth `n`.
+        let nested = |n: usize| (0..n).fold(Value::UInt(0), |v, _| Value::Arr(vec![v]));
+        for n in [0, 1, MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1, 4 * MAX_DEPTH] {
+            let v = nested(n);
+            let parsed = Value::parse(&v.to_string());
+            assert_eq!(v.nests_deeper_than(MAX_DEPTH), parsed.is_err(), "n = {n}");
+            assert_eq!(parsed.err(), (n > MAX_DEPTH).then_some(ParseError::TooDeep));
+        }
+        let obj = Value::Obj(vec![("k".into(), nested(MAX_DEPTH))]);
+        assert!(obj.nests_deeper_than(MAX_DEPTH));
+        assert!(!obj.nests_deeper_than(MAX_DEPTH + 1));
+        assert!(!Value::Arr(vec![]).nests_deeper_than(0));
     }
 
     #[test]

@@ -40,6 +40,12 @@ cargo fmt --check
 echo "==> cargo clippy --all-targets --locked -- -D warnings"
 cargo clippy --all-targets --locked -- -D warnings
 
+# Rustdoc gate: every intra-doc link must resolve, and public docs must
+# not link private items (the module docs describe private machinery in
+# plain code spans instead).
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps --locked"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked
+
 # The Send+Sync invariant behind the global interner and the serve worker
 # pool: no std::rc in the kernel or core crates (clippy.toml's
 # disallowed-types) — and the hash-consing invariant: no raw TermCell

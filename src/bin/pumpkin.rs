@@ -361,6 +361,7 @@ fn exit_status_for(code: &str) -> u8 {
         code::TRUNCATED => 24,
         code::PARSE => 18,
         code::AUTO_EXHAUSTED => EXIT_AUTO_EXHAUSTED,
+        code::BUDGET_EXCEEDED => 25,
         _ => 19,
     }
 }

@@ -432,6 +432,32 @@ fn shared_head_pairs_agree_with_the_oracle_and_the_model() {
     .unwrap();
     let call =
         |head: &str, args: &[&Arith]| Term::app(Term::const_(head), args.iter().map(|a| a.term()));
+    let agree = |t: &Term, u: &Term, truth: bool| {
+        let fresh = || env.clone();
+        assert_eq!(conv(&fresh(), t, u), truth, "conv {t} ≡ {u}");
+        assert_eq!(conv_leq(&fresh(), t, u), truth, "conv_leq {t} ≤ {u}");
+        assert_eq!(conv_via_whnf(&fresh(), t, u), truth, "oracle {t} ≡ {u}");
+        assert_eq!(conv_leq_via_whnf(&fresh(), t, u), truth, "oracle {t} ≤ {u}");
+    };
+    // `(fun x y => x) v` evaluates to a closure over `v`: two of them share
+    // a body, so conversion may skip applying them only when the captured
+    // values are identical. Convertible-but-different captures must reach
+    // the fallback; captures that differ must not be skipped over.
+    let nat = || Term::ind("nat");
+    let first = Term::lambda("x", nat(), Term::lambda("y", nat(), Term::rel(1)));
+    let konst = |v: Term| Term::app(first.clone(), [v]);
+    // The same closure body, reached through one more β-step.
+    let konst_via = |v: Term| {
+        Term::app(
+            Term::lambda("z", nat(), Term::app(first.clone(), [Term::rel(0)])),
+            [v],
+        )
+    };
+    let add_1_1 = Term::app(Term::const_("add"), [nat_lit(1), nat_lit(1)]);
+    agree(&konst(add_1_1.clone()), &konst(nat_lit(2)), true);
+    agree(&konst(nat_lit(1)), &konst(nat_lit(2)), false);
+    agree(&konst(nat_lit(0)), &konst_via(nat_lit(0)), true);
+    agree(&konst(add_1_1), &konst_via(nat_lit(1)), false);
     check(64, |rng| {
         let a = arb_arith(rng, 2);
         let b = arb_arith(rng, 2);
@@ -462,17 +488,11 @@ fn shared_head_pairs_agree_with_the_oracle_and_the_model() {
                 call("kfirst", &[&c, &d]),
                 a.eval() == c.eval(),
             ),
+            (konst(a.term()), konst(c.term()), a.eval() == c.eval()),
+            (konst(a.term()), konst_via(c.term()), a.eval() == c.eval()),
         ];
         for (t, u, truth) in &pairs {
-            let fresh = || env.clone();
-            assert_eq!(conv(&fresh(), t, u), *truth, "conv {t} ≡ {u}");
-            assert_eq!(conv_leq(&fresh(), t, u), *truth, "conv_leq {t} ≤ {u}");
-            assert_eq!(conv_via_whnf(&fresh(), t, u), *truth, "oracle {t} ≡ {u}");
-            assert_eq!(
-                conv_leq_via_whnf(&fresh(), t, u),
-                *truth,
-                "oracle {t} ≤ {u}"
-            );
+            agree(t, u, *truth);
         }
     });
 }
