@@ -8,7 +8,7 @@
 //!   the whole `Swap.v` list-module repair, with hit/miss counters from
 //!   `kernel::stats`;
 //! * `repair_parallel/jobs=1` — the same workload as a standalone row,
-//!   with the per-wave counters from `RepairReport::schedule`;
+//!   with the DAG's wave statistics from `RepairReport::schedule`;
 //! * `scaling/enum_N` — repair latency as the number of constructors grows
 //!   (the §6.1.3 Enum stress-test, parameterized);
 //! * `scaling/term_size_N` — lifting latency as the proof term grows

@@ -215,7 +215,6 @@ impl AutoReport {
             out.push(Event {
                 t_ns: 0,
                 dur_ns: 0,
-                worker: 0,
                 kind: EventKind::AutoCandidate {
                     index: i as u32,
                     config: c.config.as_str().into(),
@@ -224,7 +223,6 @@ impl AutoReport {
             out.push(Event {
                 t_ns: 0,
                 dur_ns: c.cost_ns,
-                worker: 0,
                 kind: EventKind::AutoVerdict {
                     index: i as u32,
                     verdict: c.verdict.as_str().into(),

@@ -36,10 +36,10 @@ pub enum RepairError {
     /// A constant that must exist (part of a configuration) is missing.
     MissingDependency(GlobalName),
     /// The repair was cancelled before one of its constants — a deadline
-    /// expired or a [`crate::schedule::CancelToken`] fired. The wave in
-    /// flight is rolled back; waves completed before it remain installed
+    /// expired or a [`crate::schedule::CancelToken`] fired. The
+    /// `completed` work-list constants repaired before it remain installed
     /// in the environment.
-    Cancelled { completed_waves: usize },
+    Cancelled { completed: usize },
     /// The persistent lift cache directory could not be opened or written.
     PersistCache(String),
     /// A repaired constant (or one of its reachable dependencies) still
@@ -187,8 +187,8 @@ impl fmt::Display for RepairError {
             RepairError::MissingDependency(n) => {
                 write!(f, "configuration depends on missing global `{n}`")
             }
-            RepairError::Cancelled { completed_waves } => {
-                write!(f, "repair cancelled ({completed_waves} wave(s) completed)")
+            RepairError::Cancelled { completed } => {
+                write!(f, "repair cancelled ({completed} constant(s) completed)")
             }
             RepairError::PersistCache(m) => write!(f, "persistent lift cache: {m}"),
             RepairError::SourceNotFree {

@@ -124,8 +124,8 @@ pub struct LiftState {
     /// Per-subterm rule attribution; `None` (the default) makes every
     /// provenance probe a single branch (see [`crate::prov`]).
     prov: Option<Box<ProvRecorder>>,
-    /// Persistent cross-run cache handle, shared with each wave's fork
-    /// (see [`crate::persist::PersistCache`]); `None` (the default) keeps
+    /// Persistent cross-run cache handle (see
+    /// [`crate::persist::PersistCache`]); `None` (the default) keeps
     /// [`repair_constant`] purely in-memory.
     persist: Option<std::sync::Arc<crate::persist::PersistCache>>,
     /// Constants that must bypass the persist cache this run — the
@@ -170,28 +170,20 @@ impl LiftState {
         self.const_map.insert(from.into(), to.into());
     }
 
-    /// A checkpoint fork for one scheduler wave: the accumulated caches
-    /// (constant map, closed-subterm cache, relevance memo) carry over so
-    /// dependencies repaired in earlier waves resolve without re-lifting,
-    /// but counters start at zero and the in-progress guard is empty (a
-    /// wave begins between top-level repairs by construction). A failing
-    /// wave drops its fork, so its cache entries never reach this state;
-    /// a completed one is folded back with [`LiftState::absorb_worker`].
-    pub fn fork_worker(&self) -> LiftState {
-        LiftState {
-            const_map: self.const_map.clone(),
-            term_cache: self.term_cache.clone(),
-            cache_enabled: self.cache_enabled,
-            in_progress: HashSet::new(),
-            relevant: self.relevant.clone(),
-            stats: LiftStats::default(),
-            // Recording carries over as a fresh recorder; the wave's
-            // finished trees are folded back in absorb_worker.
-            prov: self.prov.as_ref().map(|_| Box::default()),
-            persist: self.persist.clone(),
-            invalidated: self.invalidated.clone(),
-            green: self.green.clone(),
-            outcomes: HashMap::new(),
+    /// Forgets everything that names a constant `env` no longer holds:
+    /// mappings whose target is gone, closed-subterm cache entries whose
+    /// lifted term mentions a missing constant, and finished provenance
+    /// trees of dropped repairs. The scheduler calls this after
+    /// [`Env::rollback_to`] undoes a failed constant, so a state threaded
+    /// into a later run re-lifts what the rollback removed instead of
+    /// pointing at it.
+    pub fn retain_resident(&mut self, env: &Env) {
+        let resident = |n: &GlobalName| env.contains(n.as_str());
+        self.const_map.retain(|_, to| resident(to));
+        self.term_cache
+            .retain(|_, t| t.constants().iter().all(resident));
+        if let Some(p) = &mut self.prov {
+            p.retain(|c| resident(&c.to));
         }
     }
 
@@ -315,29 +307,6 @@ impl LiftState {
         if let Some(p) = &mut self.prov {
             p.end_const(to);
         }
-    }
-
-    /// Merges a completed wave's fork back: new constant mappings,
-    /// closed-subterm cache entries, and relevance verdicts are unioned in,
-    /// and the fork's counters are added to this state's totals. Lifting
-    /// is deterministic, so entries present on both sides are identical and
-    /// insertion order cannot change results.
-    pub fn absorb_worker(&mut self, worker: LiftState) {
-        self.const_map.extend(worker.const_map);
-        if self.cache_enabled {
-            self.term_cache.extend(worker.term_cache);
-        }
-        self.relevant.extend(worker.relevant);
-        if let (Some(mine), Some(theirs)) = (&mut self.prov, worker.prov) {
-            mine.absorb(*theirs);
-        }
-        self.stats.cache_hits += worker.stats.cache_hits;
-        self.stats.cache_misses += worker.stats.cache_misses;
-        self.stats.constants_lifted += worker.stats.constants_lifted;
-        self.stats.visits += worker.stats.visits;
-        self.stats.persist_hits += worker.stats.persist_hits;
-        self.stats.persist_misses += worker.stats.persist_misses;
-        self.outcomes.extend(worker.outcomes);
     }
 }
 
@@ -566,7 +535,7 @@ fn lift_all(env: &mut Env, l: &Lifting, st: &mut LiftState, ts: &[Term]) -> Resu
 /// exact input — reuse the mapping with no lift and no disk probe.
 /// Provenance runs never take this path: they must re-lift to
 /// re-attribute every rewrite site. The [`crate::Repairer`] calls this
-/// before scheduling so green constants never occupy a wave slot;
+/// before scheduling so green constants never occupy a pass slot;
 /// [`repair_constant`] calls it again for constants reached as
 /// dependencies.
 pub(crate) fn green_reuse(

@@ -86,8 +86,8 @@ pub fn config_digest(l: &Lifting) -> TermDigest {
 
 /// An open handle on one configuration's shard of the on-disk cache.
 ///
-/// Immutable after opening (all I/O goes through `&self`), so it is
-/// shared with each wave's lift-state fork behind an `Arc`.
+/// Immutable after opening (all I/O goes through `&self`), so a
+/// [`crate::LiftState`] holds it behind an `Arc`.
 #[derive(Debug)]
 pub struct PersistCache {
     root: PathBuf,

@@ -147,10 +147,10 @@ impl ProvRecorder {
         std::mem::take(&mut self.finished)
     }
 
-    /// Folds a worker recorder's finished trees into this one (wave merge
-    /// barrier; workers never ship open frames).
-    pub fn absorb(&mut self, mut worker: ProvRecorder) {
-        self.finished.append(&mut worker.finished);
+    /// Keeps only the finished trees `keep` accepts (the scheduler drops
+    /// the trees of repairs a rollback removed).
+    pub fn retain(&mut self, keep: impl FnMut(&ConstProv) -> bool) {
+        self.finished.retain(keep);
     }
 }
 

@@ -23,8 +23,8 @@ use crate::schedule::ScheduleStats;
 
 /// The result of a module repair: the constants repaired (old → new), in
 /// completion order, plus the work the repair cost at every layer —
-/// kernel counters, lift-layer counters, wave scheduling stats over the
-/// module's dependency DAG, and, when tracing was on, the structured event
+/// kernel counters, lift-layer counters, the shape of the module's
+/// dependency DAG, and, when tracing was on, the structured event
 /// stream and the metrics registry derived from it.
 #[derive(Clone, Debug, Default)]
 pub struct RepairReport {
@@ -42,8 +42,8 @@ pub struct RepairReport {
     /// Lift-layer counters (closed-subterm cache traffic, constants
     /// lifted, subterm visits) accrued by this run.
     pub lift: LiftStats,
-    /// Wave scheduling counters and the dependency DAG. Always present:
-    /// every run is scheduled over the same DAG.
+    /// The dependency DAG and its wave statistics. Always present: every
+    /// run is ordered by the same DAG.
     pub schedule: ScheduleStats,
     /// The structured trace events, when the run was executed through a
     /// [`crate::Repairer`] with trace capture on (empty otherwise).
@@ -146,18 +146,12 @@ impl RepairReport {
     }
 
     /// The serializable projection served to repair-service clients
-    /// ([`pumpkin_wire::ReportWire`]): repaired pairs, schedule shape,
-    /// lift-layer and event-derived counters, and the end-to-end latency.
-    /// Raw [`KernelStats`] are deliberately omitted — debug builds
-    /// re-typecheck merged declarations, so those counters differ across
-    /// build profiles, while the event-derived ones agree.
+    /// ([`pumpkin_wire::ReportWire`]): repaired pairs, DAG shape,
+    /// lift-layer counters, and the end-to-end latency. Raw
+    /// [`KernelStats`] are deliberately omitted — debug builds re-typecheck
+    /// merged declarations, so those counters differ across build
+    /// profiles.
     pub fn to_wire(&self) -> pumpkin_wire::ReportWire {
-        let mut counters: Vec<(String, u64)> = self
-            .metrics
-            .counters()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect();
-        counters.sort();
         pumpkin_wire::ReportWire {
             repaired: self
                 .repaired
@@ -173,7 +167,6 @@ impl RepairReport {
             persist_hits: self.lift.persist_hits,
             persist_misses: self.lift.persist_misses,
             wall_ns: self.wall_ns,
-            counters,
             incr: self.incr.map(|i| pumpkin_wire::IncrWire {
                 changed: i.changed,
                 replayed: i.replayed,

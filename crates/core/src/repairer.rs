@@ -29,7 +29,8 @@
 //! # }
 //! ```
 //!
-//! Every run goes through the wave scheduler ([`crate::schedule`]), so
+//! Every run goes through the dependency-ordered pass of
+//! [`crate::schedule`], so
 //! [`crate::RepairReport::schedule`] (and with it
 //! [`crate::RepairReport::dag_dot`]) is uniformly available.
 
@@ -49,7 +50,7 @@ use crate::incr::{invalidated, DigestMap, IncrStats};
 use crate::lift::{LiftOutcome, LiftState};
 use crate::persist::PersistCache;
 use crate::repair::{sweep_work_list, RepairReport};
-use crate::schedule::{repair_module_wavefront, CancelToken, ModuleDag};
+use crate::schedule::{repair_in_order, CancelToken, ModuleDag};
 
 /// Builder-style front door to the repair pipeline: lifting +
 /// observability in, [`RepairReport`] out. See the module docs for an
@@ -92,8 +93,8 @@ impl<'a> Repairer<'a> {
         crate::auto::AutoDriver::new(policy)
     }
 
-    /// Does nothing. Module repair is one sequential pass over the DAG's
-    /// waves, so there is no worker cap to set. The method stays only
+    /// Does nothing. Module repair is one sequential pass over the DAG,
+    /// so there is no worker cap to set. The method stays only
     /// because the benchmark harness (`perfbench/src/edit.rs`) still calls
     /// `.jobs(1)`; remove it together with that call.
     #[deprecated(note = "module repair is sequential; there is no worker cap to set")]
@@ -172,8 +173,8 @@ impl<'a> Repairer<'a> {
     }
 
     /// Gives the run a wall-clock budget: once it elapses, the run stops
-    /// before its next constant with [`RepairError::Cancelled`], rolling
-    /// back the wave in flight and keeping every completed wave installed.
+    /// before its next constant with [`RepairError::Cancelled`], keeping
+    /// every completed constant installed.
     pub fn deadline(mut self, budget: Duration) -> Self {
         self.cancel = Some(CancelToken::with_deadline(budget));
         self
@@ -192,8 +193,9 @@ impl<'a> Repairer<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates the first repair failure; the failing wave is rolled
-    /// back, so the environment contains exactly the completed waves.
+    /// Propagates the first repair failure; the failing constant is rolled
+    /// back, so the environment contains exactly the constants completed
+    /// before it.
     pub fn run(self, env: &mut Env, names: &[&str]) -> Result<RepairReport> {
         let nodes: Vec<GlobalName> = names.iter().map(|n| GlobalName::new(*n)).collect();
         self.execute(env, nodes)
@@ -205,8 +207,9 @@ impl<'a> Repairer<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates the first repair failure; the failing wave is rolled
-    /// back, so the environment contains exactly the completed waves.
+    /// Propagates the first repair failure; the failing constant is rolled
+    /// back, so the environment contains exactly the constants completed
+    /// before it.
     pub fn run_all(self, env: &mut Env, extra_exclusions: &[&str]) -> Result<RepairReport> {
         let fresh = LiftState::new();
         let state: &LiftState = match &self.state {
@@ -298,7 +301,7 @@ impl<'a> Repairer<'a> {
 
         // Incremental runs schedule O(dirty), not O(module): a green
         // constant whose target is already resident resolves here — no
-        // wave slot, no DAG walk — and only the invalidated remainder
+        // pass slot, no DAG walk — and only the invalidated remainder
         // (plus greens without a resident target, e.g. a fresh
         // environment, which fall back to the persist-cache replay path)
         // enters the scheduler.
@@ -323,8 +326,7 @@ impl<'a> Repairer<'a> {
 
         let run_span = env.tracer().begin();
         let names: Vec<&str> = run_nodes.iter().map(|n| n.as_str()).collect();
-        let mut result =
-            repair_module_wavefront(env, self.lifting, state, &names, self.cancel.as_ref());
+        let mut result = repair_in_order(env, self.lifting, state, &names, self.cancel.as_ref());
         if !pre.is_empty() {
             // Splice the pre-resolved greens back into work-list order, so
             // an incremental report's mapping is indistinguishable from a
@@ -379,7 +381,8 @@ impl<'a> Repairer<'a> {
         // Stringify the finished provenance trees (outside the run span so
         // pretty-printing cost never skews run.ns) and append them to the
         // stream as the `prov` event family. Failed runs keep the trees of
-        // their completed waves — useful triage context.
+        // the constants completed before the failure — useful triage
+        // context.
         let provenance: Vec<pumpkin_trace::prov::ConstProvenance> = if prov_on {
             state
                 .take_provenance()
@@ -572,9 +575,6 @@ mod tests {
         let events = report.trace_events();
         let has = |pred: &dyn Fn(&EventKind) -> bool| events.iter().any(|e| pred(&e.kind));
         assert!(has(&|k| matches!(k, EventKind::Run)));
-        assert!(has(&|k| matches!(k, EventKind::Wave { .. })));
-        assert!(has(&|k| matches!(k, EventKind::WaveStart { .. })));
-        assert!(has(&|k| matches!(k, EventKind::WaveMerge { .. })));
         assert!(has(&|k| matches!(
             k,
             EventKind::LiftConstant { name } if &**name == "Old.rev_app_distr"
@@ -726,7 +726,7 @@ mod tests {
             .deadline(Duration::from_nanos(0))
             .run(&mut env, &["Old.rev"])
             .unwrap_err();
-        assert!(matches!(err, RepairError::Cancelled { completed_waves: 0 }));
+        assert!(matches!(err, RepairError::Cancelled { completed: 0 }));
         assert!(!env.contains("New.rev"));
     }
 

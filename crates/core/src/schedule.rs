@@ -1,4 +1,4 @@
-//! Wave scheduling for `Repair module` (paper §2).
+//! Dependency-ordered scheduling for `Repair module` (paper §2).
 //!
 //! The paper repairs an entire module "all at once"; most of its constants
 //! only depend on a small prefix of the others, so the repairs are largely
@@ -10,20 +10,20 @@
 //!    the work list (free global constants of each type/body, followed
 //!    transitively *through* constants outside the list, restricted *to*
 //!    the list).
-//! 2. [`repair_module_wavefront`] walks the DAG's waves in order and
-//!    repairs each wave's constants one after another, in place on the
-//!    caller's [`Env`]. A wave is the unit of rollback: it lifts against a
-//!    forked [`LiftState`] ([`LiftState::fork_worker`]) that is folded
-//!    back ([`LiftState::absorb_worker`]) only once every constant in the
-//!    wave succeeded. On an error or a tripped [`CancelToken`],
-//!    [`Env::rollback_to`] drops the wave's partial output, so the
-//!    environment only ever holds completed, type-correct waves.
+//! 2. [`repair_in_order`] repairs the DAG's waves (its longest-path
+//!    layers) flattened into one pass, one constant at a time, in place on
+//!    the caller's [`Env`] and [`LiftState`]. A constant is the unit of
+//!    rollback: on an error or a tripped [`CancelToken`],
+//!    [`Env::rollback_to`] drops that constant's partial output (including
+//!    dependencies it repaired on demand) and
+//!    [`LiftState::retain_resident`] forgets every mapping and cache entry
+//!    that named a dropped constant, so the environment holds exactly the
+//!    constants completed before the failure, all type-correct.
 //!
 //! The same DAG drives incremental invalidation ([`crate::incr`]) and
 //! failure minimization ([`crate::minimize`]). Parallelism lives one level
 //! up, in the serve worker pool, which runs separate requests on separate
-//! threads: within one request, per-wave environment clones and cache
-//! forks cost more than a second core gives back (DESIGN.md §10).
+//! threads (DESIGN.md §10).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -33,20 +33,19 @@ use std::time::{Duration, Instant};
 
 use pumpkin_kernel::env::Env;
 use pumpkin_kernel::name::GlobalName;
-use pumpkin_trace::EventKind;
 
 use crate::config::Lifting;
 use crate::error::{RepairError, Result};
 use crate::lift::{repair_constant, LiftState};
 use crate::repair::RepairReport;
 
-/// A cooperative cancellation handle for [`repair_module_wavefront`].
+/// A cooperative cancellation handle for [`repair_in_order`].
 ///
-/// The scheduler polls the token before every constant. A trip mid-wave
-/// rolls that wave back exactly like a failing constant would, so
-/// cancellation never leaves the environment half-updated: the completed
-/// waves stay installed and type-correct, and the run fails with
-/// [`RepairError::Cancelled`], reporting how many waves were kept.
+/// The scheduler polls the token before every constant. A trip mid-run
+/// rolls back the constant in flight exactly like a failing constant
+/// would, so cancellation never leaves the environment half-updated: the
+/// completed constants stay installed and type-correct, and the run fails
+/// with [`RepairError::Cancelled`], reporting how many were kept.
 ///
 /// Tokens are cheap to clone (an `Arc`'d flag plus an optional deadline);
 /// the service layer hands one clone to the request thread and keeps
@@ -100,7 +99,7 @@ impl ModuleDag {
     /// on-demand repair transitively needs the listed dependency) and cut
     /// at constants that are (their repair completes in an earlier wave).
     /// Unknown constants contribute no edges — their repair will fail in
-    /// its own wave, not during planning.
+    /// its own turn, not during planning.
     pub fn build(env: &Env, nodes: &[GlobalName]) -> ModuleDag {
         let index: HashMap<&GlobalName, usize> =
             nodes.iter().enumerate().map(|(i, n)| (n, i)).collect();
@@ -259,20 +258,16 @@ impl ModuleDag {
     }
 }
 
-/// Per-run scheduling counters, reported through
-/// [`RepairReport::schedule`].
+/// Per-run DAG statistics, reported through [`RepairReport::schedule`].
 #[derive(Clone, Debug, Default)]
 pub struct ScheduleStats {
-    /// Number of waves executed.
+    /// Number of waves (longest-path layers) in the work list's DAG.
     pub waves: usize,
     /// Constants in each wave, in order.
     pub wave_widths: Vec<usize>,
     /// Largest wave (the module's widest set of independent constants).
     pub max_width: usize,
-    /// Total time spent folding each completed wave's forked lift state
-    /// back into the run's, in nanoseconds.
-    pub merge_nanos: u64,
-    /// The dependency DAG the run was scheduled from.
+    /// The dependency DAG the run was ordered by.
     pub dag: ModuleDag,
 }
 
@@ -280,26 +275,24 @@ impl fmt::Display for ScheduleStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} waves, widths {:?} (max {}), merge {:.2} ms",
-            self.waves,
-            self.wave_widths,
-            self.max_width,
-            self.merge_nanos as f64 / 1e6,
+            "{} waves, widths {:?} (max {})",
+            self.waves, self.wave_widths, self.max_width,
         )
     }
 }
 
-/// `Repair module`: repairs the work list wave by wave in one sequential
-/// pass over the DAG (see the module docs).
+/// `Repair module`: repairs the work list in one pass over the DAG's
+/// waves, constant by constant (see the module docs).
 ///
 /// # Errors
 ///
-/// Propagates the first repair error, in work-list order within the
-/// failing wave. The failing wave is rolled back: the environment contains
-/// exactly the completed waves, all type-correct. A tripped `cancel` token
-/// fails with [`RepairError::Cancelled`] before the next constant, rolling
-/// back the wave in flight and keeping every completed wave installed.
-pub fn repair_module_wavefront(
+/// Propagates the first repair error, in pass order. The failing
+/// constant is rolled back: the environment contains exactly the
+/// constants completed before it, all type-correct, and `state` forgets
+/// whatever named a dropped constant. A tripped `cancel` token fails with
+/// [`RepairError::Cancelled`] before the next constant, keeping every
+/// completed constant installed.
+pub fn repair_in_order(
     env: &mut Env,
     lifting: &Lifting,
     state: &mut LiftState,
@@ -310,80 +303,35 @@ pub fn repair_module_wavefront(
     let dag = ModuleDag::build(env, &nodes);
     let waves = dag.waves();
     let kernel_before = env.kernel_stats();
-    let mut sched = ScheduleStats {
+    let wave_widths: Vec<usize> = waves.iter().map(Vec::len).collect();
+    let sched = ScheduleStats {
+        waves: waves.len(),
+        max_width: wave_widths.iter().copied().max().unwrap_or(0),
+        wave_widths,
         dag,
-        ..Default::default()
     };
-    let mut repaired: Vec<(usize, GlobalName, GlobalName)> = Vec::new();
-    let cancelled = || cancel.is_some_and(CancelToken::cancelled);
-
-    for (wi, wave) in waves.iter().enumerate() {
-        // A wave that never starts leaves no trace events.
-        if cancelled() {
+    let mut repaired: Vec<(usize, GlobalName)> = Vec::new();
+    for &i in waves.iter().flatten() {
+        if cancel.is_some_and(CancelToken::cancelled) {
             return Err(RepairError::Cancelled {
-                completed_waves: wi,
+                completed: repaired.len(),
             });
         }
-        sched.waves += 1;
-        sched.wave_widths.push(wave.len());
-        sched.max_width = sched.max_width.max(wave.len());
         let mark = env.order().len();
-        let (wave_u32, width_u32) = (wi as u32, wave.len() as u32);
-        env.tracer().emit(EventKind::WaveStart {
-            wave: wave_u32,
-            width: width_u32,
-        });
-        let wave_span = env.tracer().begin();
-
-        // The fork is the wave's checkpoint: a failing wave's cache
-        // entries and mappings never reach `state`.
-        let mut wst = state.fork_worker();
-        let mut error = None;
-        for &i in wave {
-            if cancelled() {
-                error = Some(RepairError::Cancelled {
-                    completed_waves: wi,
-                });
-                break;
-            }
-            match repair_constant(env, lifting, &mut wst, &nodes[i]) {
-                Ok(to) => repaired.push((i, nodes[i].clone(), to)),
-                Err(e) => {
-                    error = Some(e);
-                    break;
-                }
+        match repair_constant(env, lifting, state, &nodes[i]) {
+            Ok(to) => repaired.push((i, to)),
+            Err(e) => {
+                env.rollback_to(mark);
+                state.retain_resident(env);
+                return Err(e);
             }
         }
-        if let Some(e) = error {
-            env.rollback_to(mark);
-            env.tracer().end(
-                wave_span,
-                EventKind::Wave {
-                    wave: wave_u32,
-                    width: width_u32,
-                },
-            );
-            return Err(e);
-        }
-        let merge_start = Instant::now();
-        let merge_span = env.tracer().begin();
-        state.absorb_worker(wst);
-        env.tracer()
-            .end(merge_span, EventKind::WaveMerge { wave: wave_u32 });
-        sched.merge_nanos += merge_start.elapsed().as_nanos() as u64;
-        env.tracer().end(
-            wave_span,
-            EventKind::Wave {
-                wave: wave_u32,
-                width: width_u32,
-            },
-        );
     }
 
-    repaired.sort_unstable_by_key(|(i, _, _)| *i);
+    repaired.sort_unstable_by_key(|(i, _)| *i);
     let mut report = RepairReport::default();
-    for (_, from, to) in repaired {
-        report.record(from, to);
+    for (i, to) in repaired {
+        report.record(nodes[i].clone(), to);
     }
     report.kernel = env.kernel_stats().since(&kernel_before);
     report.schedule = sched;
@@ -443,7 +391,7 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_token_stops_before_the_first_wave() {
+    fn cancelled_token_stops_before_the_first_constant() {
         let mut env = pumpkin_stdlib::std_env();
         let lifting = crate::search::swap::configure(
             &mut env,
@@ -456,7 +404,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let mut state = LiftState::default();
-        let err = repair_module_wavefront(
+        let err = repair_in_order(
             &mut env,
             &lifting,
             &mut state,
@@ -465,7 +413,7 @@ mod tests {
         )
         .unwrap_err();
         match err {
-            RepairError::Cancelled { completed_waves } => assert_eq!(completed_waves, 0),
+            RepairError::Cancelled { completed } => assert_eq!(completed, 0),
             other => panic!("expected Cancelled, got {other:?}"),
         }
         // Nothing was installed.
@@ -473,7 +421,7 @@ mod tests {
     }
 
     /// Delegates to the configured matcher, tripping `token` on its first
-    /// probe — i.e. while the first constant of the first wave lifts.
+    /// probe — i.e. while the pass's first constant lifts.
     struct CancelOnFirstMatch {
         inner: Box<dyn SideMatch>,
         token: CancelToken,
@@ -503,7 +451,7 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_mid_wave_rolls_the_wave_back() {
+    fn cancellation_mid_run_keeps_the_completed_constant() {
         let mut env = pumpkin_stdlib::std_env();
         let lifting = crate::search::swap::configure(
             &mut env,
@@ -522,13 +470,9 @@ mod tests {
         };
         let module = pumpkin_stdlib::swap::OLD_MODULE_CONSTANTS;
         let nodes: Vec<GlobalName> = module.iter().map(|n| GlobalName::new(*n)).collect();
-        let first_wave = ModuleDag::build(&env, &nodes).waves()[0].len();
-        assert!(
-            first_wave > 1,
-            "the first wave must have a constant after the trip"
-        );
-        let mark = env.order().len();
-        let err = repair_module_wavefront(
+        let order: Vec<usize> = ModuleDag::build(&env, &nodes).waves().concat();
+        let (first, second) = (&nodes[order[0]], &nodes[order[1]]);
+        let err = repair_in_order(
             &mut env,
             &lifting,
             &mut LiftState::new(),
@@ -536,14 +480,58 @@ mod tests {
             Some(&token),
         )
         .unwrap_err();
-        // The token tripped inside the first wave's first constant; the
-        // poll before its second constant stops the run and the whole
-        // wave is rolled back.
+        // The token tripped inside the first constant; that constant
+        // completes, and the poll before the second one stops the run.
         match err {
-            RepairError::Cancelled { completed_waves } => assert_eq!(completed_waves, 0),
+            RepairError::Cancelled { completed } => assert_eq!(completed, 1),
             other => panic!("expected Cancelled, got {other:?}"),
         }
-        assert_eq!(env.order().len(), mark);
+        let renamed = |n: &GlobalName| n.as_str().replacen("Old.", "New.", 1);
+        assert!(env.contains(&renamed(first)), "{first} stays installed");
+        assert!(!env.contains(&renamed(second)), "{second} never ran");
+    }
+
+    #[test]
+    fn threaded_state_forgets_what_a_rollback_removed() {
+        let mut env = pumpkin_stdlib::std_env();
+        // Poison: the target of the only work-list constant already exists,
+        // so its repair fails after `Old.rev` and its other dependencies
+        // were repaired on demand.
+        env.define(
+            "New.rev_app_distr",
+            Term::ind("nat"),
+            Term::construct("nat", 0),
+        )
+        .unwrap();
+        let lifting = crate::search::swap::configure(
+            &mut env,
+            &"Old.list".into(),
+            &"New.list".into(),
+            crate::config::NameMap::prefix("Old.", "New."),
+        )
+        .unwrap();
+        let mut state = LiftState::new();
+        let err = repair_in_order(&mut env, &lifting, &mut state, &["Old.rev_app_distr"], None)
+            .unwrap_err();
+        assert!(
+            matches!(err, RepairError::Kernel(_)),
+            "expected a redeclaration, got {err:?}"
+        );
+        assert!(
+            !env.contains("New.rev"),
+            "the on-demand repair is rolled back"
+        );
+
+        // Without the poison, the same threaded state repairs the lemma:
+        // nothing in it still points at the rolled-back `New.rev`.
+        env.remove(&"New.rev_app_distr".into()).unwrap();
+        let report =
+            repair_in_order(&mut env, &lifting, &mut state, &["Old.rev_app_distr"], None).unwrap();
+        assert_eq!(
+            report.renamed("Old.rev_app_distr").map(GlobalName::as_str),
+            Some("New.rev_app_distr")
+        );
+        assert!(env.contains("New.rev"));
     }
 
     #[test]

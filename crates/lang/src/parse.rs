@@ -15,7 +15,12 @@
 //!               | 'Inductive' ident binders? ':' term ':='
 //!                     ('|' ident ':' term)* '.'
 //! ```
+//!
+//! Nesting is capped at [`MAX_DEPTH`], the JSON codec's cap: a term nested
+//! deeper is a parse error, never a stack overflow. A top-level term is at
+//! depth 0, and every term or `elim` nested inside another adds one.
 
+use pumpkin_kernel::trace::json::MAX_DEPTH;
 use pumpkin_kernel::universe::Sort;
 
 use crate::ast::{BinderGroup, Expr, Item};
@@ -42,6 +47,8 @@ const KEYWORDS: &[&str] = &[
 struct Parser {
     toks: Vec<Token>,
     i: usize,
+    /// Terms and `elim`s currently being parsed (see the module docs).
+    depth: usize,
 }
 
 impl Parser {
@@ -57,12 +64,10 @@ impl Parser {
         self.toks[self.i].pos
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.toks[self.i].clone();
+    fn bump(&mut self) {
         if self.i + 1 < self.toks.len() {
             self.i += 1;
         }
-        t
     }
 
     fn error<T>(&self, message: impl Into<String>) -> Result<T> {
@@ -79,6 +84,18 @@ impl Parser {
         } else {
             self.error(format!("expected {tok}, found {}", self.peek_tok()))
         }
+    }
+
+    /// Runs `f` one nesting level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, f: impl FnOnce(&mut Self) -> Result<Expr>) -> Result<Expr> {
+        if self.depth > MAX_DEPTH {
+            return self.error(format!("term nests deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn at_keyword(&self, kw: &str) -> bool {
@@ -126,7 +143,23 @@ impl Parser {
         }
     }
 
+    // The functions every nesting level passes through (`term`, `arrow`,
+    // `app`, `atom`) leave the binder forms, an arrow's right-hand side
+    // and the leaf atoms to helpers, keeping their stack frames small: an
+    // unoptimised build otherwise spends about 10 KB of stack per level,
+    // and a worker thread must fit `MAX_DEPTH` levels.
     fn term(&mut self) -> Result<Expr> {
+        self.nested(|p| {
+            if ["forall", "fun", "let"].iter().any(|kw| p.at_keyword(kw)) {
+                p.binder_form()
+            } else {
+                p.arrow()
+            }
+        })
+    }
+
+    /// `forall`, `fun` or `let`, at the current token.
+    fn binder_form(&mut self) -> Result<Expr> {
         if self.at_keyword("forall") {
             self.bump();
             let binders = self.binders()?;
@@ -139,8 +172,8 @@ impl Parser {
             self.expect(&Tok::FatArrow)?;
             let body = self.term()?;
             Ok(Expr::Fun(binders, Box::new(body)))
-        } else if self.at_keyword("let") {
-            self.bump();
+        } else {
+            self.expect_keyword("let")?;
             let name = self.ident()?;
             self.expect(&Tok::Colon)?;
             let ty = self.term()?;
@@ -149,21 +182,23 @@ impl Parser {
             self.expect_keyword("in")?;
             let body = self.term()?;
             Ok(Expr::Let(name, Box::new(ty), Box::new(val), Box::new(body)))
-        } else {
-            self.arrow()
         }
     }
 
     fn arrow(&mut self) -> Result<Expr> {
         let lhs = self.app()?;
         if self.peek_tok() == &Tok::Arrow {
-            self.bump();
-            // Right-associative; the RHS may itself be a binder form.
-            let rhs = self.term()?;
-            Ok(Expr::Arrow(Box::new(lhs), Box::new(rhs)))
+            self.arrow_rhs(lhs)
         } else {
             Ok(lhs)
         }
+    }
+
+    fn arrow_rhs(&mut self, lhs: Expr) -> Result<Expr> {
+        self.bump();
+        // Right-associative; the RHS may itself be a binder form.
+        let rhs = self.term()?;
+        Ok(Expr::Arrow(Box::new(lhs), Box::new(rhs)))
     }
 
     fn at_atom_start(&self) -> bool {
@@ -200,14 +235,24 @@ impl Parser {
     }
 
     fn atom(&mut self) -> Result<Expr> {
-        let pos = self.pos();
-        match self.peek_tok().clone() {
+        match self.peek_tok() {
             Tok::LParen => {
                 self.bump();
                 let t = self.term()?;
                 self.expect(&Tok::RParen)?;
                 Ok(t)
             }
+            // `elim`'s scrutinee and annotation recurse through `app`, not
+            // `term`, so the nesting is counted here.
+            Tok::Ident(s) if s == "elim" => self.nested(Self::elim),
+            _ => self.leaf(),
+        }
+    }
+
+    /// A sort or a variable.
+    fn leaf(&mut self) -> Result<Expr> {
+        let pos = self.pos();
+        match self.peek_tok().clone() {
             Tok::Ident(s) => match s.as_str() {
                 "Prop" => {
                     self.bump();
@@ -226,7 +271,6 @@ impl Parser {
                         Ok(Expr::Sort(pos, Sort::Type(0)))
                     }
                 }
-                "elim" => self.elim(),
                 kw if KEYWORDS.contains(&kw) => self.error(format!("unexpected keyword `{kw}`")),
                 _ => {
                     self.bump();
@@ -318,6 +362,7 @@ pub fn parse_term(src: &str) -> Result<Expr> {
     let mut p = Parser {
         toks: lex(src)?,
         i: 0,
+        depth: 0,
     };
     let t = p.term()?;
     if p.peek_tok() != &Tok::Eof {
@@ -331,6 +376,7 @@ pub fn parse_items(src: &str) -> Result<Vec<Item>> {
     let mut p = Parser {
         toks: lex(src)?,
         i: 0,
+        depth: 0,
     };
     let mut items = Vec::new();
     while p.peek_tok() != &Tok::Eof {
@@ -421,6 +467,43 @@ mod tests {
     #[test]
     fn keywords_are_not_identifiers() {
         assert!(parse_term("fun (return : T) => x").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_a_parse_error_not_an_overflow() {
+        let chain = |n: usize| format!("{}O{}", "S (".repeat(n), ")".repeat(n));
+        assert!(parse_term(&chain(64)).is_ok());
+        assert!(parse_term(&chain(MAX_DEPTH)).is_ok());
+        for n in [MAX_DEPTH + 1, 100_000] {
+            match parse_term(&chain(n)) {
+                Err(LangError::Parse { message, .. }) => {
+                    assert!(message.contains(&MAX_DEPTH.to_string()), "{message}");
+                }
+                other => panic!("depth {n}: expected a parse error, got {other:?}"),
+            }
+        }
+        let items = format!("Definition Old.deep : nat := {}.", chain(100_000));
+        assert!(matches!(parse_items(&items), Err(LangError::Parse { .. })));
+    }
+
+    #[test]
+    fn nested_elim_scrutinees_count_toward_the_cap() {
+        // A scrutinee recurses through `app`, never `term`. An unoptimised
+        // build spends about 5 KB of stack per `elim` level, more than a
+        // default test thread holds for `MAX_DEPTH` levels, so this runs
+        // on a thread sized for the cap.
+        let elims = "elim ".repeat(100_000) + "x";
+        let parsed = std::thread::Builder::new()
+            .stack_size(16 << 20)
+            .spawn(move || parse_term(&elims))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(
+            matches!(&parsed, Err(LangError::Parse { message, .. })
+                if message.contains(&MAX_DEPTH.to_string())),
+            "{parsed:?}"
+        );
     }
 
     #[test]

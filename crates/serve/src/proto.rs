@@ -42,8 +42,8 @@ pub mod code {
     /// Admission refused — the session cap is reached or the worker
     /// pool's bounded queue is full; retry later.
     pub const BUSY: &str = "busy";
-    /// The request's deadline elapsed; completed waves were discarded
-    /// with the session's throwaway environment.
+    /// The request's deadline elapsed; the constants completed before it
+    /// were discarded with the session's throwaway environment.
     pub const DEADLINE: &str = "deadline";
     /// The repair itself failed (configuration, unification, kernel).
     pub const REPAIR_FAILED: &str = "repair_failed";

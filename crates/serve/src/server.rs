@@ -1,7 +1,7 @@
 //! The pumpkind daemon proper: listeners, the worker pool, and drain.
 //!
 //! `std::net` only. Connection threads are thin: they parse frames,
-//! answer the environment-free control methods (`ping`, `metrics`,
+//! answer the environment-free control methods (`hello`, `ping`, `stats`,
 //! `shutdown`) inline, and hand everything else to a bounded work queue
 //! as a `Job`, then block until the worker's reply comes back over the
 //! job's channel. A fixed pool of worker threads drains the queue; each
@@ -39,7 +39,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use pumpkin_core::trace::serve_stats::{self, ServeStats};
-use pumpkin_core::trace::{Event, EventKind, Metrics};
+use pumpkin_core::trace::{Event, EventKind};
 use pumpkin_core::CancelToken;
 use pumpkin_kernel::env::Env;
 use pumpkin_wire::Value;
@@ -233,7 +233,6 @@ struct Shared {
     workers: usize,
     cache_dir: Option<PathBuf>,
     cache_max_bytes: Option<u64>,
-    metrics: Arc<Mutex<Metrics>>,
     /// Service stats: per-method latency/queue-wait histograms + gauges,
     /// shared with every worker session and read by the `stats` RPC.
     stats: Arc<ServeStats>,
@@ -286,7 +285,6 @@ impl Shared {
         let event = Event {
             t_ns,
             dur_ns: total_ns,
-            worker: 0,
             kind: EventKind::ServeSlow {
                 req_id: timing.req_id,
                 method: timing.method.as_str().into(),
@@ -373,7 +371,6 @@ impl Server {
                 workers: cfg.workers.max(1),
                 cache_dir: cfg.cache_dir,
                 cache_max_bytes: cfg.cache_max_bytes,
-                metrics: Arc::new(Mutex::new(Metrics::new())),
                 stats: Arc::new(ServeStats::new()),
                 queue: WorkQueue::new(cfg.queue_depth),
                 active: AtomicUsize::new(0),
@@ -451,7 +448,7 @@ impl Server {
 /// One worker: a long-lived session draining the queue until it closes.
 /// The session (and its configuration cache) outlives every connection.
 fn worker_loop(env: Env, shared: &Shared) {
-    let mut session = Session::new(env, shared.cache_dir.clone(), Arc::clone(&shared.metrics))
+    let mut session = Session::new(env, shared.cache_dir.clone())
         .cache_max_bytes(shared.cache_max_bytes)
         .serve_stats(Arc::clone(&shared.stats));
     while let Some(job) = shared.queue.pop() {
@@ -644,9 +641,7 @@ fn handle_frame(line: &str, shared: &Shared) -> (String, Control, Option<ReqTimi
             return (reply.to_string(), Control::Continue, None);
         }
     };
-    if let Some(res) =
-        session::control_result(&req.method, &req.params, &shared.metrics, &shared.stats)
-    {
+    if let Some(res) = session::control_result(&req.method, &shared.stats) {
         let (mut reply, ctl) = match res {
             Ok((result, ctl)) => (proto::ok_reply_value(&req.id, result), ctl),
             Err(e) => (e.reply(&req.id), Control::Continue),

@@ -18,12 +18,12 @@
 //! survives across connections instead of dying with each one.
 
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Duration;
 
 use pumpkin_core::trace::json::MAX_DEPTH;
 use pumpkin_core::trace::serve_stats::{self, ServeStats, STATS_SCHEMA};
-use pumpkin_core::trace::{Histogram, Metrics};
+use pumpkin_core::trace::Histogram;
 use pumpkin_core::wire::{term_from_envelope, term_to_envelope, LiftSpec, TermDigest, WireError};
 use pumpkin_core::{
     AutoPolicy, CancelToken, DigestMap, LiftState, Lifting, NameMap, RepairError, RepairReport,
@@ -54,7 +54,6 @@ const MAX_CONFIGS: usize = 8;
 pub const METHODS: &[&str] = &[
     "hello",
     "ping",
-    "metrics",
     "stats",
     "shutdown",
     "repair",
@@ -93,14 +92,11 @@ pub struct Session {
     cache_max_bytes: Option<u64>,
     /// Most-recently-used first, at most [`MAX_CONFIGS`] entries.
     configured: Vec<Configured>,
-    /// Server-wide cumulative metrics registry; every repair-family
-    /// request merges its event-derived counters here.
-    metrics: Arc<Mutex<Metrics>>,
     /// Server-wide service stats (per-method histograms + gauges). The
     /// session records only deterministic gauge traffic (config-cache,
-    /// persist-cache, incremental totals); latency recording lives in the
-    /// server's connection threads. Standalone sessions get a private
-    /// registry.
+    /// lift, persist-cache, incremental totals); latency recording lives
+    /// in the server's connection threads. Standalone sessions get a
+    /// private registry.
     stats: Arc<ServeStats>,
     /// Lifecycle id for the next request this session fronts itself
     /// (standalone use; the daemon stamps ids server-side).
@@ -139,17 +135,12 @@ impl From<(&'static str, String)> for MethodError {
 
 pub(crate) type MethodResult = Result<(Value, Control), MethodError>;
 
-/// Handles the environment-free control methods — `ping`, `metrics`,
-/// `shutdown` — or returns `None` for anything else. Shared between
-/// [`Session::dispatch`] and the server's connection threads, which
-/// answer these inline so they stay responsive (and byte-identical)
-/// while the worker pool is saturated.
-pub(crate) fn control_result(
-    method: &str,
-    params: &Value,
-    metrics: &Arc<Mutex<Metrics>>,
-    stats: &ServeStats,
-) -> Option<MethodResult> {
+/// Handles the environment-free control methods — `hello`, `ping`,
+/// `stats`, `shutdown` — or returns `None` for anything else. Shared
+/// between [`Session::dispatch`] and the server's connection threads,
+/// which answer these inline so they stay responsive (and
+/// byte-identical) while the worker pool is saturated.
+pub(crate) fn control_result(method: &str, stats: &ServeStats) -> Option<MethodResult> {
     match method {
         "ping" => Some(Ok((
             Value::Obj(vec![
@@ -187,21 +178,6 @@ pub(crate) fn control_result(
             Control::Continue,
         ))),
         "stats" => Some(Ok((stats_result(stats), Control::Continue))),
-        "metrics" => {
-            let canonical = flag(params, "canonical");
-            // Poison recovery: a panicking worker must not take every
-            // connection thread's `metrics`/`stats` RPC down with it.
-            let m = metrics.lock().unwrap_or_else(PoisonError::into_inner);
-            let text = if canonical {
-                m.canonicalize().to_text()
-            } else {
-                m.to_text()
-            };
-            Some(Ok((
-                Value::Obj(vec![("text".into(), Value::str(&text))]),
-                Control::Continue,
-            )))
-        }
         "shutdown" => Some(Ok((
             Value::Obj(vec![("draining".into(), Value::Bool(true))]),
             Control::Shutdown,
@@ -272,17 +248,14 @@ fn stats_result(stats: &ServeStats) -> Value {
 
 impl Session {
     /// A session over a (cloned, warm) base environment. `cache_dir`
-    /// enables the persistent lift cache; `metrics` is the server-wide
-    /// registry shared by every session (pass a fresh one for standalone
-    /// use).
-    pub fn new(base: Env, cache_dir: Option<PathBuf>, metrics: Arc<Mutex<Metrics>>) -> Session {
+    /// enables the persistent lift cache.
+    pub fn new(base: Env, cache_dir: Option<PathBuf>) -> Session {
         Session {
             eval_env: base.clone(),
             base,
             cache_dir,
             cache_max_bytes: None,
             configured: Vec::new(),
-            metrics,
             stats: Arc::new(ServeStats::new()),
             next_req_id: 0,
         }
@@ -369,9 +342,9 @@ impl Session {
             "repair_auto" => self.repair_auto(&req.params, cancel),
             "explain" => self.explain(&req.params, cancel),
             "eval" => self.eval(&req.params),
-            other => control_result(other, &req.params, &self.metrics, &self.stats).unwrap_or_else(
-                || Err((code::UNKNOWN_METHOD, format!("unknown method `{other}`")).into()),
-            ),
+            other => control_result(other, &self.stats).unwrap_or_else(|| {
+                Err((code::UNKNOWN_METHOD, format!("unknown method `{other}`")).into())
+            }),
         }
     }
 
@@ -539,9 +512,7 @@ impl Session {
         for (f, t) in &spec.rename {
             rename = rename.with_rule(f.as_str(), t.as_str());
         }
-        let mut driver = Repairer::auto(policy)
-            .types(spec.a.as_str(), spec.b.as_str(), rename)
-            .trace(true);
+        let mut driver = Repairer::auto(policy).types(spec.a.as_str(), spec.b.as_str(), rename);
         if let Some(src) = source {
             driver = driver.source(src);
         }
@@ -563,10 +534,6 @@ impl Session {
         serve_stats::add(&g.auto_failure_cache_hits, auto.skipped_cache as u64);
         match result {
             Ok(report) => {
-                self.metrics
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .merge(&report.metrics);
                 let mut wire = report.to_wire();
                 if deterministic {
                     wire.wall_ns = 0;
@@ -689,7 +656,6 @@ impl Session {
         let mut st = LiftState::new();
         let mut repairer = Repairer::new(&cfg.lifting)
             .state(&mut st)
-            .trace(true)
             .provenance(provenance);
         if let Some(tok) = cancel {
             repairer = repairer.cancel(tok.clone());
@@ -712,11 +678,10 @@ impl Session {
         if incremental {
             self.configured[0].snapshot = Some(DigestMap::capture(&env, &borrowed));
         }
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .merge(&report.metrics);
         let g = &self.stats.gauges;
+        serve_stats::add(&g.lift_constants, report.lift.constants_lifted);
+        serve_stats::add(&g.lift_cache_hits, report.lift.cache_hits);
+        serve_stats::add(&g.lift_cache_misses, report.lift.cache_misses);
         serve_stats::add(&g.persist_hits, report.lift.persist_hits);
         serve_stats::add(&g.persist_misses, report.lift.persist_misses);
         if let Some(incr) = &report.incr {
@@ -812,11 +777,7 @@ mod tests {
     use super::*;
 
     fn session() -> Session {
-        Session::new(
-            pumpkin_stdlib::std_env(),
-            None,
-            Arc::new(Mutex::new(Metrics::new())),
-        )
+        Session::new(pumpkin_stdlib::std_env(), None)
     }
 
     fn swap_spec() -> String {
@@ -950,11 +911,7 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("pumpkin-serve-incr-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut s = Session::new(
-            pumpkin_stdlib::std_env(),
-            Some(dir.clone()),
-            Arc::new(Mutex::new(Metrics::new())),
-        );
+        let mut s = Session::new(pumpkin_stdlib::std_env(), Some(dir.clone()));
         let line = format!(
             r#"{{"id":1,"method":"repair_module","params":{{"lifting":{},"names":["Old.rev","Old.app"],"deterministic":true,"incremental":true}}}}"#,
             swap_spec()
@@ -1002,11 +959,7 @@ mod tests {
         let (cold, _) = session().handle_line(&explain_line);
         // Warm the persist cache with an incremental repair, then explain
         // on the same session: the replayed world must cite identically.
-        let mut s = Session::new(
-            pumpkin_stdlib::std_env(),
-            Some(dir.clone()),
-            Arc::new(Mutex::new(Metrics::new())),
-        );
+        let mut s = Session::new(pumpkin_stdlib::std_env(), Some(dir.clone()));
         let repair_line = format!(
             r#"{{"id":2,"method":"repair_module","params":{{"lifting":{},"names":["Old.rev"],"deterministic":true,"incremental":true}}}}"#,
             swap_spec()

@@ -1,8 +1,6 @@
 //! End-to-end daemon tests over real sockets: concurrency determinism,
 //! batch ≡ standalone replies, backpressure, and graceful drain.
 
-use std::sync::{Arc, Mutex};
-
 use pumpkin_serve::{Client, ClientError, Server, ServerConfig, Session};
 use pumpkin_wire::{LiftSpec, Value};
 
@@ -41,11 +39,10 @@ fn repair_module_line(id: u64, names: &[&str]) -> String {
     )
 }
 
-/// A local, socket-free session with a fresh metrics registry — the
-/// "one-shot run" baseline the daemon must match byte for byte.
+/// A local, socket-free session — the "one-shot run" baseline the daemon
+/// must match byte for byte.
 fn one_shot(line: &str) -> String {
-    let metrics = Arc::new(Mutex::new(pumpkin_core::trace::Metrics::new()));
-    let mut s = Session::new(pumpkin_stdlib::std_env(), None, metrics);
+    let mut s = Session::new(pumpkin_stdlib::std_env(), None);
     s.handle_line(line).0
 }
 
@@ -355,8 +352,7 @@ fn repair_batch_matches_per_request_replies() {
         // one; the param is ignored, so the reply matches item 1's.
         r#"{"names":["Old.app","Old.rev_involutive"],"deterministic":true,"jobs":4}"#,
     ];
-    let metrics = Arc::new(Mutex::new(pumpkin_core::trace::Metrics::new()));
-    let mut s = Session::new(pumpkin_stdlib::std_env(), None, metrics);
+    let mut s = Session::new(pumpkin_stdlib::std_env(), None);
     let batch_line = format!(
         r#"{{"id":1,"method":"repair_batch","params":{{"lifting":{},"batch":[{}]}}}}"#,
         spec.to_value(),
@@ -478,6 +474,113 @@ fn stats_rpc_reports_per_method_latency_over_the_daemon() {
     );
     let gauges = stats.get("gauges").expect("gauges block");
     assert_eq!(gauges.get("live_sessions").and_then(Value::as_u64), Some(1));
+    drop(c);
+    shutdown(&addr);
+    handle.join().unwrap();
+}
+
+/// The `stats` gauges `lift_constants`, `lift_cache_hits` and
+/// `lift_cache_misses` are sums over the typed report of every repair the
+/// daemon's workers ran, whichever worker ran it.
+#[test]
+fn lift_gauges_sum_the_reports_of_every_worker() {
+    let (addr, handle) = spawn_server(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    });
+    let spec = LiftSpec::swap("Old.list", "New.list", "Old.", "New.").to_value();
+    let lines = [
+        format!(r#"{{"id":1,"method":"repair","params":{{"lifting":{spec},"name":"Old.rev"}}}}"#),
+        repair_module_line(2, &["Old.app", "Old.rev_involutive"]),
+        format!(
+            r#"{{"id":3,"method":"repair_batch","params":{{"lifting":{spec},"batch":[{{"name":"Old.length"}},{{"names":["Old.rev","Old.app_assoc"]}}]}}}}"#
+        ),
+        repair_module_line(4, &["Old.rev_app_distr"]),
+    ];
+    // Two connections, so both workers take requests.
+    let replies: Vec<String> = std::thread::scope(|s| {
+        let chunks: Vec<_> = lines
+            .chunks(2)
+            .map(|chunk| {
+                let addr = addr.clone();
+                s.spawn(move || {
+                    let mut c = Client::connect(&addr).expect("connect");
+                    chunk
+                        .iter()
+                        .map(|l| c.call_raw(l).expect("repair"))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        chunks.into_iter().flat_map(|h| h.join().unwrap()).collect()
+    });
+    let mut reports = Vec::new();
+    for reply in &replies {
+        let v = Value::parse(reply).expect("reply parses");
+        assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{reply}");
+        let result = v.get("result").expect("result");
+        match result.get("results").and_then(Value::as_arr) {
+            Some(items) => reports.extend(
+                items
+                    .iter()
+                    .map(|item| item.get("result").and_then(|r| r.get("report")).cloned()),
+            ),
+            None => reports.push(result.get("report").cloned()),
+        }
+    }
+    assert_eq!(reports.len(), 5);
+    let mut c = Client::connect(&addr).expect("connect");
+    let stats = c.call("stats", Value::Obj(vec![])).expect("stats");
+    let gauges = stats.get("gauges").expect("gauges block");
+    for (gauge, field) in [
+        ("lift_constants", "constants_lifted"),
+        ("lift_cache_hits", "cache_hits"),
+        ("lift_cache_misses", "cache_misses"),
+    ] {
+        let sum: u64 = reports
+            .iter()
+            .map(|r| {
+                r.as_ref()
+                    .and_then(|r| r.get(field))
+                    .and_then(Value::as_u64)
+                    .expect("typed report field")
+            })
+            .sum();
+        assert!(sum > 0, "{field} sums to zero");
+        assert_eq!(
+            gauges.get(gauge).and_then(Value::as_u64),
+            Some(sum),
+            "{gauge} vs the sum of {field}: {stats:?}"
+        );
+    }
+    drop(c);
+    shutdown(&addr);
+    handle.join().unwrap();
+}
+
+/// The `metrics` RPC is gone: a daemon answers it like any method it does
+/// not serve, and `hello` no longer lists it.
+#[test]
+fn metrics_requests_get_unknown_method() {
+    let (addr, handle) = spawn_server(ServerConfig::default());
+    let mut c = Client::connect(&addr).expect("connect");
+    let reply = c
+        .call_raw(r#"{"id":1,"method":"metrics","params":{"canonical":true}}"#)
+        .expect("metrics call");
+    let v = Value::parse(&reply).expect("reply parses");
+    assert_eq!(
+        v.get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Value::as_str),
+        Some("unknown_method"),
+        "{reply}"
+    );
+    let hello = c.call("hello", Value::Obj(vec![])).expect("hello");
+    let methods = hello
+        .get("methods")
+        .and_then(Value::as_arr)
+        .expect("methods");
+    assert!(methods.iter().all(|m| m.as_str() != Some("metrics")));
     drop(c);
     shutdown(&addr);
     handle.join().unwrap();

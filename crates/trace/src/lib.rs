@@ -4,15 +4,15 @@
 //!
 //! The paper's artifact reports one wall-clock number per case study; a
 //! production repair service needs to answer *where the time went* — per
-//! wave, per constant, per kernel cache probe — without
+//! run, per constant, per kernel cache probe — without
 //! perturbing the hot path it measures. This crate supplies that substrate
 //! under the same no-external-crates discipline as the rest of the
 //! workspace:
 //!
-//! * [`Event`] / [`EventKind`] — the typed event taxonomy (run/wave/merge
-//!   spans, per-constant lift spans, `whnf`/`conv` calls, cache hit/miss
-//!   probes, rollbacks), each stamped with a monotonic nanosecond offset
-//!   and a worker id (always 0 in new traces).
+//! * [`Event`] / [`EventKind`] — the typed event taxonomy (run spans,
+//!   per-constant lift spans, `whnf`/`conv` calls, cache hit/miss probes,
+//!   rollbacks), each stamped with a monotonic nanosecond offset and a
+//!   duration.
 //! * [`Tracer`] — a thread-confined event buffer. A disabled tracer is a
 //!   single `Option` discriminant check per probe (no allocation, no
 //!   timestamp read), so instrumented code pays effectively nothing when
@@ -28,8 +28,8 @@
 //! * [`prov`] — the versioned `prov` event family: per-subterm attribution
 //!   of every rewrite to the configuration rule that fired (paper §4).
 //! * [`report`] — offline trace analysis (`pumpkin trace-report`):
-//!   critical-path extraction, hottest lifts, per-constant cache
-//!   behaviour, structural diff of two traces, schema lint.
+//!   hottest lifts, per-constant cache behaviour, structural diff of two
+//!   traces, schema lint.
 
 pub mod json;
 pub mod metrics;
@@ -91,35 +91,14 @@ impl fmt::Display for CacheTable {
     }
 }
 
-/// The typed event taxonomy. Span-shaped kinds (run, wave, merge, lift)
-/// carry their duration on the enclosing [`Event`]; instant kinds have
-/// `dur_ns == 0`.
+/// The typed event taxonomy. Span-shaped kinds (run, lift) carry their
+/// duration on the enclosing [`Event`]; instant kinds have `dur_ns == 0`.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EventKind {
     /// Span over one whole repair run (the `Repairer` front door). Traces
     /// from earlier builds carry a `jobs` field on this line; readers
     /// ignore it.
     Run,
-    /// Instant marker at the start of a scheduler wave.
-    WaveStart {
-        /// Wave index, starting at 0.
-        wave: u32,
-        /// Constants in the wave.
-        width: u32,
-    },
-    /// Span over a whole scheduler wave (its constants + the merge).
-    Wave {
-        /// Wave index, starting at 0.
-        wave: u32,
-        /// Constants in the wave.
-        width: u32,
-    },
-    /// Span over a wave's merge: folding the completed wave's forked lift
-    /// state (mappings, caches, counters) back into the run's.
-    WaveMerge {
-        /// Wave index, starting at 0.
-        wave: u32,
-    },
     /// Span over the repair of one constant (nested spans mark on-demand
     /// dependency repairs).
     LiftConstant {
@@ -140,7 +119,7 @@ pub enum EventKind {
         /// Which table missed.
         table: CacheTable,
     },
-    /// Instant: a failing wave's declarations were rolled back.
+    /// Instant: a failed constant's declarations were rolled back.
     Rollback {
         /// Declarations dropped.
         dropped: u32,
@@ -218,8 +197,9 @@ pub enum EventKind {
         class: Box<str>,
     },
     /// A schema-valid line whose `kind` (or `prov`/`auto` schema version)
-    /// this reader does not know. The raw line is preserved verbatim so
-    /// re-serialising a trace written by a newer producer is lossless.
+    /// this reader does not know — a newer producer's kind, or an older
+    /// build's `wave_start`/`wave`/`wave_merge` lines. The raw line is
+    /// preserved verbatim so re-serialising such a trace is lossless.
     Unknown {
         /// The wire `kind` string we did not recognise.
         kind: Box<str>,
@@ -233,9 +213,6 @@ impl EventKind {
     pub fn as_str(&self) -> &'static str {
         match self {
             EventKind::Run => "run",
-            EventKind::WaveStart { .. } => "wave_start",
-            EventKind::Wave { .. } => "wave",
-            EventKind::WaveMerge { .. } => "wave_merge",
             EventKind::LiftConstant { .. } => "lift_constant",
             EventKind::Whnf => "whnf",
             EventKind::Conv => "conv",
@@ -256,18 +233,13 @@ impl EventKind {
 }
 
 /// One trace event: a typed kind, a monotonic start offset in nanoseconds
-/// since the run's epoch, a duration (0 for instants), and the id of the
-/// worker that recorded it.
+/// since the run's epoch, and a duration (0 for instants).
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Event {
     /// Start offset, nanoseconds since the tracer's epoch.
     pub t_ns: u64,
     /// Duration in nanoseconds; 0 for instant events.
     pub dur_ns: u64,
-    /// Recording worker: always 0 in traces from this build. Traces
-    /// written by earlier multi-worker builds number their workers from 1
-    /// per wave, and the offline report still reads them.
-    pub worker: u32,
     /// What happened.
     pub kind: EventKind,
 }
@@ -275,7 +247,7 @@ pub struct Event {
 impl Event {
     /// Serialises the event as one JSON object (no trailing newline),
     /// following the schema documented in DESIGN.md §11. Key order is
-    /// stable: `t_ns`, `dur_ns`, `worker`, `kind`, then kind-specific
+    /// stable: `t_ns`, `dur_ns`, `kind`, then kind-specific
     /// fields. [`EventKind::Unknown`] events re-serialise as their
     /// preserved raw line, byte for byte.
     pub fn to_json(&self) -> String {
@@ -289,14 +261,9 @@ impl Event {
         let mut fields = vec![
             ("t_ns", n(self.t_ns)),
             ("dur_ns", n(self.dur_ns)),
-            ("worker", n(self.worker)),
             ("kind", s(self.kind.as_str())),
         ];
         match &self.kind {
-            EventKind::WaveStart { wave, width } | EventKind::Wave { wave, width } => {
-                fields.extend([("wave", n(*wave)), ("width", n(*width))]);
-            }
-            EventKind::WaveMerge { wave } => fields.push(("wave", n(*wave))),
             EventKind::LiftConstant { name } => fields.push(("name", s(name))),
             EventKind::CacheHit { table } | EventKind::CacheMiss { table } => {
                 fields.push(("table", s(table.as_str())));
@@ -371,7 +338,8 @@ impl Event {
     /// with broken payload); a structurally valid line with an
     /// *unrecognised* `kind` — or a `prov` event from a newer schema
     /// version — parses to [`EventKind::Unknown`], preserving the raw line
-    /// so forward-compatible round-trips are lossless.
+    /// so forward-compatible round-trips are lossless. A `worker` key,
+    /// written by earlier builds, is ignored.
     pub fn from_json(line: &str) -> Option<Event> {
         let obj = Value::parse(line).ok()?;
         let num = |k: &str| -> Option<u64> { obj.get(k)?.as_u64() };
@@ -382,17 +350,6 @@ impl Event {
         };
         let kind = match st("kind")? {
             "run" => EventKind::Run,
-            "wave_start" => EventKind::WaveStart {
-                wave: num("wave")? as u32,
-                width: num("width")? as u32,
-            },
-            "wave" => EventKind::Wave {
-                wave: num("wave")? as u32,
-                width: num("width")? as u32,
-            },
-            "wave_merge" => EventKind::WaveMerge {
-                wave: num("wave")? as u32,
-            },
             "lift_constant" => EventKind::LiftConstant {
                 name: st("name")?.into(),
             },
@@ -459,7 +416,6 @@ impl Event {
         Some(Event {
             t_ns: num("t_ns")?,
             dur_ns: num("dur_ns")?,
-            worker: num("worker")? as u32,
             kind,
         })
     }
@@ -569,7 +525,6 @@ impl Tracer {
         i.buf.borrow_mut().push(Event {
             t_ns,
             dur_ns: 0,
-            worker: 0,
             kind,
         });
     }
@@ -604,7 +559,6 @@ impl Tracer {
         i.buf.borrow_mut().push(Event {
             t_ns: start,
             dur_ns: now.saturating_sub(start),
-            worker: 0,
             kind,
         });
     }
@@ -696,9 +650,6 @@ mod tests {
     fn every_kind_round_trips_through_json() {
         let kinds = vec![
             EventKind::Run,
-            EventKind::WaveStart { wave: 0, width: 6 },
-            EventKind::Wave { wave: 2, width: 1 },
-            EventKind::WaveMerge { wave: 2 },
             EventKind::LiftConstant {
                 name: "Old.rev_app_distr \"quoted\\\"".into(),
             },
@@ -749,7 +700,6 @@ mod tests {
             let e = Event {
                 t_ns: 1000 + i as u64,
                 dur_ns: i as u64,
-                worker: i as u32,
                 kind,
             };
             let line = e.to_json();
@@ -824,6 +774,27 @@ mod tests {
             other => panic!("expected Unknown, got {other:?}"),
         }
         assert_eq!(e.to_json(), line, "raw line preserved byte for byte");
+    }
+
+    #[test]
+    fn older_builds_wave_lines_and_worker_keys_still_read() {
+        // Earlier builds wrote a `worker` key on every line and three wave
+        // kinds. The key is ignored; wave lines are kept as unknown lines,
+        // byte for byte.
+        let lift = "{\"t_ns\":5,\"dur_ns\":7,\"worker\":2,\"kind\":\"lift_constant\",\"name\":\"Old.rev\"}";
+        let e = Event::from_json(lift).expect("worker keys are ignored");
+        assert_eq!(
+            e.to_json(),
+            "{\"t_ns\":5,\"dur_ns\":7,\"kind\":\"lift_constant\",\"name\":\"Old.rev\"}"
+        );
+        for kind in ["wave_start", "wave", "wave_merge"] {
+            let line = format!(
+                "{{\"t_ns\":0,\"dur_ns\":0,\"worker\":0,\"kind\":\"{kind}\",\"wave\":0,\"width\":2}}"
+            );
+            let e = Event::from_json(&line).expect("wave lines parse");
+            assert!(matches!(&e.kind, EventKind::Unknown { kind: k, .. } if **k == *kind));
+            assert_eq!(e.to_json(), line);
+        }
     }
 
     #[test]

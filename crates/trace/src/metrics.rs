@@ -1,7 +1,7 @@
 //! The counter/histogram metrics registry.
 //!
 //! [`Metrics`] aggregates what the event stream (or instrumented code
-//! directly) observed: monotonically increasing counters and log₂-bucketed
+//! directly) observed: monotonically increasing counters and log-linear
 //! nanosecond histograms. Registries derive from an event batch
 //! ([`Metrics::from_events`]), merge across runs ([`Metrics::merge`]), and
 //! render as an aligned text table ([`Metrics::to_text`]).
@@ -11,11 +11,23 @@ use std::fmt;
 
 use crate::{Event, EventKind};
 
-/// Number of log₂ buckets; bucket `i` holds values in `[2^i, 2^(i+1))`
-/// nanoseconds, so 48 buckets span sub-nanosecond to ~78 hours.
-const BUCKETS: usize = 48;
+/// Each octave `[2^e, 2^(e+1))` splits into `2^SUB_BITS` equal
+/// sub-buckets.
+const SUB_BITS: u32 = 3;
+/// Sub-buckets per octave.
+const SUBS: usize = 1 << SUB_BITS;
+/// Octaves covered above the exact range: values in `[SUBS, 2^48)`
+/// nanoseconds (up to ~78 hours) get their own sub-bucket, and larger
+/// ones share the last.
+const OCTAVES: usize = 48 - SUB_BITS as usize;
+/// Values below [`SUBS`] are counted exactly, one bucket each; then
+/// [`SUBS`] sub-buckets per octave.
+const BUCKETS: usize = SUBS + OCTAVES * SUBS;
 
-/// A log₂-bucketed histogram of nanosecond durations.
+/// A log-linear histogram of nanosecond durations: values below 8 are
+/// exact, and every power-of-two range above splits into 8 equal
+/// sub-buckets, so a reported quantile is within 1/16 of the value it
+/// stands for.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
     /// Observation count.
@@ -43,8 +55,24 @@ impl Default for Histogram {
 
 impl Histogram {
     fn bucket_index(value: u64) -> usize {
-        // 0 and 1 land in bucket 0; otherwise floor(log2(value)).
-        (63 - value.max(1).leading_zeros() as usize).min(BUCKETS - 1)
+        if value < SUBS as u64 {
+            return value as usize;
+        }
+        // `e` is the octave, `sub` the three bits after the leading one.
+        let e = 63 - value.leading_zeros();
+        let sub = (value >> (e - SUB_BITS)) as usize & (SUBS - 1);
+        (SUBS + (e - SUB_BITS) as usize * SUBS + sub).min(BUCKETS - 1)
+    }
+
+    /// The value a bucket reports: exact below [`SUBS`], otherwise the
+    /// midpoint of the sub-bucket's range.
+    fn bucket_value(i: usize) -> u64 {
+        if i < SUBS {
+            return i as u64;
+        }
+        let shift = ((i - SUBS) / SUBS) as u32;
+        let lo = ((SUBS + (i - SUBS) % SUBS) as u64) << shift;
+        lo + (1u64 << shift) / 2
     }
 
     /// Records one observation.
@@ -81,10 +109,9 @@ impl Histogram {
         (self.count > 0).then(|| self.sum as f64 / self.count as f64)
     }
 
-    /// Approximate quantile (`q` in `[0, 1]`): the geometric midpoint of
-    /// the bucket containing the `q`-th observation. Resolution is the
-    /// bucket width (a factor of 2), which is plenty for spotting orders
-    /// of magnitude.
+    /// Approximate quantile (`q` in `[0, 1]`): the midpoint of the
+    /// sub-bucket containing the nearest-rank `q`-th observation, within
+    /// 1/16 of that observation.
     pub fn quantile(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
             return None;
@@ -94,9 +121,7 @@ impl Histogram {
         for (i, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                let lo = 1u64 << i;
-                // Geometric midpoint of [2^i, 2^(i+1)): 2^i * sqrt(2).
-                return Some(((lo as f64) * std::f64::consts::SQRT_2) as u64);
+                return Some(Self::bucket_value(i));
             }
         }
         self.max()
@@ -120,7 +145,7 @@ impl Histogram {
 impl Histogram {
     /// Renders `n=… mean=… p50≈… max=…`. With `as_ns`, values are
     /// formatted as durations ([`fmt_ns`]); otherwise as plain numbers
-    /// (for dimensionless histograms like `wave.width`).
+    /// (for dimensionless histograms).
     pub fn summary(&self, as_ns: bool) -> String {
         if self.count == 0 {
             return "(empty)".to_string();
@@ -221,20 +246,13 @@ impl Metrics {
 
     /// The standard derivation from an event batch: event-kind counters
     /// (`events.whnf`, `cache.conv.hits`, …) and span-duration histograms
-    /// (`lift.constant.ns`, `wave.ns`, `wave.merge.ns`, `run.ns`).
+    /// (`lift.constant.ns`, `run.ns`).
     pub fn from_events(events: &[Event]) -> Metrics {
         let mut m = Metrics::new();
         m.incr("events.total", events.len() as u64);
         for e in events {
             match &e.kind {
                 EventKind::Run => m.observe("run.ns", e.dur_ns),
-                EventKind::WaveStart { .. } => {}
-                EventKind::Wave { width, .. } => {
-                    m.incr("schedule.waves", 1);
-                    m.observe("wave.ns", e.dur_ns);
-                    m.observe("wave.width", u64::from(*width));
-                }
-                EventKind::WaveMerge { .. } => m.observe("wave.merge.ns", e.dur_ns),
                 EventKind::LiftConstant { .. } => {
                     m.incr("lift.constants", 1);
                     m.observe("lift.constant.ns", e.dur_ns);
@@ -287,62 +305,6 @@ impl Metrics {
         m
     }
 
-    /// Folds the registry into a canonical form that does not depend on
-    /// cache warmth or timing.
-    ///
-    /// Kernel cache probe counts (`cache.*`, `events.whnf`, `events.conv`)
-    /// depend on what the memo tables held when a run started. A daemon's
-    /// pool workers each keep their own warm configurations, so which
-    /// worker served a request — and what it served before — moves the
-    /// hit/miss patterns and the recursion they prune. The same goes for
-    /// timing histograms and for provenance *site* counts (a run that
-    /// misses the lift cache re-expands a subtree's sites; `rule.cached`
-    /// absorbs the difference). The deterministic `metrics` reply is built
-    /// on this form.
-    ///
-    /// Canonicalization keeps the semantic counters verbatim
-    /// (`schedule.waves`, `lift.constants`, `prov.constants`,
-    /// `rollback.*`) plus the dimensionless `wave.width` histogram, and
-    /// folds each cache-dependent family into a presence flag:
-    /// `cache.<table>.used`, `kernel.whnf.used`, `kernel.conv.used`,
-    /// `prov.recorded` (1 when any probe of that family fired). Two runs
-    /// of the same repair over differently warmed caches canonicalize
-    /// identically.
-    pub fn canonicalize(&self) -> Metrics {
-        let mut m = Metrics::new();
-        for (k, &v) in &self.counters {
-            if k == "schedule.waves"
-                || k == "lift.constants"
-                || k == "prov.constants"
-                || k == "events.unknown"
-                || k.starts_with("rollback.")
-            {
-                m.incr(k, v);
-            }
-        }
-        for table in ["whnf", "conv", "lift"] {
-            if self.counter(&format!("cache.{table}.hits"))
-                + self.counter(&format!("cache.{table}.misses"))
-                > 0
-            {
-                m.incr(&format!("cache.{table}.used"), 1);
-            }
-        }
-        if self.counter("events.whnf") > 0 {
-            m.incr("kernel.whnf.used", 1);
-        }
-        if self.counter("events.conv") > 0 {
-            m.incr("kernel.conv.used", 1);
-        }
-        if self.counter("prov.sites") > 0 {
-            m.incr("prov.recorded", 1);
-        }
-        if let Some(h) = self.histogram("wave.width") {
-            m.histograms.insert("wave.width".to_string(), h.clone());
-        }
-        m
-    }
-
     /// Renders an aligned, name-ordered text table (counters first, then
     /// histogram summaries).
     pub fn to_text(&self) -> String {
@@ -380,10 +342,39 @@ mod tests {
         assert_eq!(h.min(), Some(100));
         assert_eq!(h.max(), Some(100_000));
         let p50 = h.quantile(0.5).unwrap();
-        // Bucket resolution: the median (400) is within its power-of-two
-        // bucket [256, 512).
-        assert!((256..512).contains(&p50), "p50 {p50}");
+        // Sub-bucket resolution: the median (400) lies in [384, 416),
+        // reported as its midpoint.
+        assert_eq!(p50, 400);
         assert!(h.quantile(1.0).unwrap() >= p50);
+    }
+
+    #[test]
+    fn small_values_are_exact_and_sub_buckets_report_midpoints() {
+        for v in 0..16 {
+            let mut h = Histogram::default();
+            h.observe(v);
+            assert_eq!(h.quantile(0.5), Some(v), "values below 16 are exact");
+        }
+        // [2^10, 2^11) splits into 8 sub-buckets 128 wide.
+        let mut h = Histogram::default();
+        h.observe(1_100);
+        assert_eq!(h.quantile(0.5), Some(1_088));
+        // Past the covered range, everything shares the last bucket.
+        assert_eq!(Histogram::bucket_index(u64::MAX), BUCKETS - 1);
+        assert_eq!(Histogram::bucket_index(1 << 48), BUCKETS - 1);
+        assert_eq!(Histogram::bucket_index((1 << 48) - 1), BUCKETS - 1);
+    }
+
+    #[test]
+    fn p99_of_a_constant_8ms_stream_is_within_7_percent() {
+        // Log2 buckets reported 2^22·√2 = 5 931 641 ns here, 26% low.
+        let mut h = Histogram::default();
+        for _ in 0..1_000 {
+            h.observe(8_000_000);
+        }
+        let p99 = h.quantile(0.99).unwrap() as f64;
+        let err = (p99 - 8e6).abs() / 8e6;
+        assert!(err <= 0.07, "p99 {p99} is {:.1}% off", 100.0 * err);
     }
 
     #[test]
@@ -408,7 +399,6 @@ mod tests {
         let ev = |kind: EventKind, dur: u64| Event {
             t_ns: 0,
             dur_ns: dur,
-            worker: 0,
             kind,
         };
         let events = vec![
@@ -432,7 +422,6 @@ mod tests {
                 },
                 5_000,
             ),
-            ev(EventKind::Wave { wave: 0, width: 3 }, 9_000),
             ev(EventKind::Run, 20_000),
         ];
         let m = Metrics::from_events(&events);
@@ -440,7 +429,6 @@ mod tests {
         assert_eq!(m.counter("cache.whnf.hits"), 1);
         assert_eq!(m.counter("cache.lift.misses"), 1);
         assert_eq!(m.counter("lift.constants"), 1);
-        assert_eq!(m.counter("schedule.waves"), 1);
         assert_eq!(m.histogram("lift.constant.ns").unwrap().sum(), 5_000);
         assert_eq!(m.histogram("run.ns").unwrap().count(), 1);
     }
@@ -453,43 +441,6 @@ mod tests {
         let text = m.to_text();
         assert!(text.contains("a.count"));
         assert!(text.contains("b.ns"));
-    }
-
-    #[test]
-    fn canonicalize_folds_cache_variant_counters_into_presence_flags() {
-        let mut fast = Metrics::new(); // e.g. a worker with warm caches
-        let mut slow = Metrics::new(); // e.g. a worker with cold caches
-        for m in [&mut fast, &mut slow] {
-            m.incr("schedule.waves", 4);
-            m.incr("lift.constants", 18);
-            m.incr("prov.constants", 18);
-            m.observe("wave.width", 6);
-        }
-        fast.incr("cache.whnf.hits", 900);
-        fast.incr("cache.whnf.misses", 100);
-        fast.incr("events.whnf", 100);
-        fast.incr("prov.sites", 40);
-        fast.incr("prov.rule.dep_constr", 30);
-        fast.incr("prov.rule.cached", 10);
-        fast.observe("run.ns", 1_000_000);
-        slow.incr("cache.whnf.hits", 600);
-        slow.incr("cache.whnf.misses", 400);
-        slow.incr("events.whnf", 400);
-        slow.incr("prov.sites", 55);
-        slow.incr("prov.rule.dep_constr", 30);
-        slow.incr("prov.rule.cached", 25);
-        slow.observe("run.ns", 700_000);
-
-        assert_ne!(fast, slow);
-        let (a, b) = (fast.canonicalize(), slow.canonicalize());
-        assert_eq!(a, b, "canonical forms are job-count-invariant");
-        assert_eq!(a.counter("lift.constants"), 18);
-        assert_eq!(a.counter("cache.whnf.used"), 1);
-        assert_eq!(a.counter("kernel.whnf.used"), 1);
-        assert_eq!(a.counter("prov.recorded"), 1);
-        assert_eq!(a.counter("cache.conv.used"), 0);
-        assert!(a.histogram("run.ns").is_none(), "timings dropped");
-        assert_eq!(a.histogram("wave.width").unwrap().count(), 1);
     }
 
     #[test]

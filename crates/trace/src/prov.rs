@@ -261,7 +261,6 @@ mod tests {
             .map(|kind| Event {
                 t_ns: 0,
                 dur_ns: 0,
-                worker: 0,
                 kind,
             })
             .collect();

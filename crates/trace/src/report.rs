@@ -1,14 +1,11 @@
 //! Offline trace analysis: the engine behind `pumpkin trace-report`.
 //!
 //! Operates on JSON-lines trace files written by `--trace` (schema in
-//! DESIGN.md §11–12) after the fact — no live run required. Four analyses:
+//! DESIGN.md §11–12) after the fact — no live run required. Three analyses:
 //!
-//! * [`critical_path`] — per wave, the slowest lift (the one the merge
-//!   barrier waited for), summed into the run's critical path and a
-//!   parallel-efficiency figure.
 //! * [`hottest_lifts`] — top-k lift spans by duration.
 //! * [`cache_by_constant`] — kernel/cache probes attributed to the
-//!   innermost enclosing lift span on the same worker.
+//!   innermost enclosing lift span.
 //! * [`diff`] — structural comparison of two traces (event-kind counts,
 //!   constants appearing/disappearing, largest per-constant duration
 //!   movers) for regression triage.
@@ -78,16 +75,6 @@ pub fn lint(text: &str) -> Vec<String> {
     out
 }
 
-/// One wave's entry on the critical path.
-struct WaveCrit {
-    wave: u32,
-    width: u32,
-    span_ns: u64,
-    merge_ns: u64,
-    crit_name: Option<String>,
-    crit_ns: u64,
-}
-
 fn lift_spans(events: &[Event]) -> Vec<(&str, &Event)> {
     events
         .iter()
@@ -96,105 +83,6 @@ fn lift_spans(events: &[Event]) -> Vec<(&str, &Event)> {
             _ => None,
         })
         .collect()
-}
-
-/// Critical-path extraction over wave spans: for each wave, the
-/// longest-duration lift whose start falls inside the wave's window (the
-/// lift the barrier waited for; ties broken by name for determinism),
-/// plus the merge span. The sum against the run's total duration gives
-/// the fraction of wall-clock the critical chain explains.
-pub fn critical_path(events: &[Event]) -> String {
-    let mut out = String::new();
-    let run = events.iter().find(|e| matches!(e.kind, EventKind::Run));
-    let mut waves: Vec<&Event> = events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::Wave { .. }))
-        .collect();
-    waves.sort_by_key(|e| match e.kind {
-        EventKind::Wave { wave, .. } => wave,
-        _ => unreachable!(),
-    });
-    if waves.is_empty() {
-        out.push_str("critical path: (no wave spans in trace)\n");
-        return out;
-    }
-    let lifts = lift_spans(events);
-    let mut crits: Vec<WaveCrit> = Vec::new();
-    for w in &waves {
-        let (wave, width) = match w.kind {
-            EventKind::Wave { wave, width } => (wave, width),
-            _ => unreachable!(),
-        };
-        let (lo, hi) = (w.t_ns, w.t_ns + w.dur_ns);
-        let mut crit: Option<(&str, u64)> = None;
-        for (name, l) in &lifts {
-            if l.t_ns < lo || l.t_ns > hi {
-                continue;
-            }
-            let better = match crit {
-                None => true,
-                Some((cn, cd)) => l.dur_ns > cd || (l.dur_ns == cd && *name < cn),
-            };
-            if better {
-                crit = Some((name, l.dur_ns));
-            }
-        }
-        let merge_ns = events
-            .iter()
-            .find_map(|e| match e.kind {
-                EventKind::WaveMerge { wave: mw } if mw == wave => Some(e.dur_ns),
-                _ => None,
-            })
-            .unwrap_or(0);
-        crits.push(WaveCrit {
-            wave,
-            width,
-            span_ns: w.dur_ns,
-            merge_ns,
-            crit_name: crit.map(|(n, _)| n.to_string()),
-            crit_ns: crit.map(|(_, d)| d).unwrap_or(0),
-        });
-    }
-
-    out.push_str(&format!("critical path ({} waves):\n", crits.len()));
-    let name_w = crits
-        .iter()
-        .filter_map(|c| c.crit_name.as_deref().map(str::len))
-        .max()
-        .unwrap_or(1);
-    let mut crit_total = 0u64;
-    for c in &crits {
-        crit_total += c.crit_ns + c.merge_ns;
-        out.push_str(&format!(
-            "  wave {:<2} width={:<2} crit={:<name_w$}  lift={:<8} merge={:<8} span={}\n",
-            c.wave,
-            c.width,
-            c.crit_name.as_deref().unwrap_or("-"),
-            fmt_ns(c.crit_ns),
-            fmt_ns(c.merge_ns),
-            fmt_ns(c.span_ns),
-        ));
-    }
-    match run {
-        Some(r) if r.dur_ns > 0 => {
-            let pct = 100.0 * crit_total as f64 / r.dur_ns as f64;
-            out.push_str(&format!(
-                "  critical chain {} of run {} ({pct:.1}%)\n",
-                fmt_ns(crit_total),
-                fmt_ns(r.dur_ns)
-            ));
-            let lift_sum: u64 = lifts.iter().map(|(_, l)| l.dur_ns).sum();
-            if crit_total > 0 {
-                out.push_str(&format!(
-                    "  total lift work {} / critical chain = {:.2}x parallel speedup bound\n",
-                    fmt_ns(lift_sum),
-                    lift_sum as f64 / crit_total as f64
-                ));
-            }
-        }
-        _ => out.push_str(&format!("  critical chain {}\n", fmt_ns(crit_total))),
-    }
-    out
 }
 
 /// The `k` longest lift spans, longest first (ties broken by name, then
@@ -220,11 +108,7 @@ pub fn hottest_lifts(events: &[Event], k: usize) -> String {
         .max()
         .unwrap_or(1);
     for (name, l) in lifts.iter().take(k) {
-        out.push_str(&format!(
-            "  {name:<name_w$}  w{:<2} {}\n",
-            l.worker,
-            fmt_ns(l.dur_ns)
-        ));
+        out.push_str(&format!("  {name:<name_w$}  {}\n", fmt_ns(l.dur_ns)));
     }
     out
 }
@@ -255,16 +139,17 @@ impl CacheRow {
 }
 
 /// Per-constant cache behaviour: every instant kernel/cache probe is
-/// attributed to the innermost lift span that contains its timestamp on
-/// the same worker (nested dependency repairs win over the outer lift).
-/// Probes outside any lift span land in the `(outside lift)` row.
+/// attributed to the innermost lift span that contains its timestamp
+/// (nested dependency repairs win over the outer lift). Lift spans are
+/// nested or disjoint, because one thread writes them. Probes outside any
+/// lift span land in the `(outside lift)` row.
 pub fn cache_by_constant(events: &[Event]) -> String {
     use crate::CacheTable as T;
     let lifts = lift_spans(events);
     let attribute = |e: &Event| -> String {
         let mut best: Option<(&str, u64)> = None;
         for (name, l) in &lifts {
-            if l.worker != e.worker || e.t_ns < l.t_ns || e.t_ns > l.t_ns + l.dur_ns {
+            if e.t_ns < l.t_ns || e.t_ns > l.t_ns + l.dur_ns {
                 continue;
             }
             // The innermost enclosing span is the shortest one.
@@ -346,8 +231,8 @@ pub fn provenance_summary(events: &[Event]) -> String {
     out
 }
 
-/// The full offline report: critical path, hottest lifts, per-constant
-/// cache behaviour, and (if present) provenance citations.
+/// The full offline report: hottest lifts, per-constant cache behaviour,
+/// and (if present) provenance citations.
 pub fn render(events: &[Event], top_k: usize) -> String {
     let mut out = String::new();
     let runs = events
@@ -360,8 +245,6 @@ pub fn render(events: &[Event], top_k: usize) -> String {
         runs,
         if runs == 1 { "" } else { "s" }
     ));
-    out.push_str(&critical_path(events));
-    out.push('\n');
     out.push_str(&hottest_lifts(events, top_k));
     out.push('\n');
     out.push_str(&cache_by_constant(events));
@@ -475,67 +358,36 @@ mod tests {
     use super::*;
     use crate::CacheTable;
 
-    fn ev(t_ns: u64, dur_ns: u64, worker: u32, kind: EventKind) -> Event {
-        Event {
-            t_ns,
-            dur_ns,
-            worker,
-            kind,
-        }
+    fn ev(t_ns: u64, dur_ns: u64, kind: EventKind) -> Event {
+        Event { t_ns, dur_ns, kind }
     }
 
-    fn lift(t: u64, d: u64, w: u32, name: &str) -> Event {
-        ev(t, d, w, EventKind::LiftConstant { name: name.into() })
+    fn lift(t: u64, d: u64, name: &str) -> Event {
+        ev(t, d, EventKind::LiftConstant { name: name.into() })
     }
 
     fn sample() -> Vec<Event> {
         vec![
-            ev(0, 10_000, 0, EventKind::Run),
-            ev(100, 4_000, 0, EventKind::Wave { wave: 0, width: 2 }),
-            ev(3_800, 200, 0, EventKind::WaveMerge { wave: 0 }),
-            lift(200, 1_000, 1, "Old.app"),
-            lift(250, 2_000, 2, "Old.rev"),
-            ev(5_000, 4_000, 0, EventKind::Wave { wave: 1, width: 1 }),
-            ev(8_900, 100, 0, EventKind::WaveMerge { wave: 1 }),
-            lift(5_100, 3_000, 1, "Old.rev_involutive"),
+            ev(0, 10_000, EventKind::Run),
+            lift(200, 1_000, "Old.app"),
+            lift(1_300, 2_000, "Old.rev"),
+            lift(5_100, 3_000, "Old.rev_involutive"),
             ev(
                 300,
                 0,
-                1,
                 EventKind::CacheHit {
                     table: CacheTable::Lift,
                 },
             ),
             ev(
-                260,
+                1_400,
                 0,
-                2,
                 EventKind::CacheMiss {
                     table: CacheTable::Whnf,
                 },
             ),
-            ev(5_200, 0, 1, EventKind::Whnf),
+            ev(5_200, 0, EventKind::Whnf),
         ]
-    }
-
-    #[test]
-    fn critical_path_picks_longest_lift_per_wave() {
-        let text = critical_path(&sample());
-        assert!(text.contains("crit=Old.rev "), "wave 0 critical: {text}");
-        assert!(text.contains("crit=Old.rev_involutive"));
-        // 2000 + 200 + 3000 + 100 = 5300 of 10000.
-        assert!(text.contains("53.0%"), "{text}");
-    }
-
-    #[test]
-    fn critical_path_breaks_duration_ties_by_name() {
-        let events = vec![
-            ev(0, 5_000, 0, EventKind::Run),
-            ev(0, 4_000, 0, EventKind::Wave { wave: 0, width: 2 }),
-            lift(10, 1_000, 1, "Old.b"),
-            lift(20, 1_000, 2, "Old.a"),
-        ];
-        assert!(critical_path(&events).contains("crit=Old.a"));
     }
 
     #[test]
@@ -550,13 +402,13 @@ mod tests {
     #[test]
     fn cache_probes_attribute_to_enclosing_lift_span() {
         let text = cache_by_constant(&sample());
-        // lift-cache hit at t=300 on worker 1 sits inside Old.app's span.
+        // The lift-cache hit at t=300 sits inside Old.app's span.
         let row = text
             .lines()
             .find(|l| l.contains("Old.app"))
             .expect("Old.app row");
         assert!(row.contains("1/0"), "lift hit attributed: {row}");
-        // whnf miss at t=260 on worker 2 sits inside Old.rev's span.
+        // The whnf miss at t=1400 sits inside Old.rev's span.
         let row = text
             .lines()
             .find(|l| l.contains("Old.rev "))
@@ -567,9 +419,9 @@ mod tests {
     #[test]
     fn nested_dependency_lift_wins_attribution() {
         let events = vec![
-            lift(0, 10_000, 1, "Old.outer"),
-            lift(1_000, 2_000, 1, "Old.inner"),
-            ev(1_500, 0, 1, EventKind::Whnf),
+            lift(0, 10_000, "Old.outer"),
+            lift(1_000, 2_000, "Old.inner"),
+            ev(1_500, 0, EventKind::Whnf),
         ];
         let text = cache_by_constant(&events);
         let inner = text.lines().find(|l| l.contains("Old.inner")).unwrap();
@@ -579,11 +431,11 @@ mod tests {
 
     #[test]
     fn diff_reports_kind_deltas_and_movers() {
-        let a = vec![lift(0, 1_000, 0, "Old.rev"), lift(0, 500, 0, "Old.app")];
+        let a = vec![lift(0, 1_000, "Old.rev"), lift(0, 500, "Old.app")];
         let b = vec![
-            lift(0, 3_000, 0, "Old.rev"),
-            lift(0, 500, 0, "Old.app"),
-            ev(0, 0, 0, EventKind::Whnf),
+            lift(0, 3_000, "Old.rev"),
+            lift(0, 500, "Old.app"),
+            ev(0, 0, EventKind::Whnf),
         ];
         let text = diff(&a, &b, 5);
         assert!(text.contains("lift_constant      2 → 2"), "{text}");
@@ -600,8 +452,8 @@ mod tests {
 
     #[test]
     fn diff_reports_added_and_removed_constants() {
-        let a = vec![lift(0, 1_000, 0, "Old.gone")];
-        let b = vec![lift(0, 1_000, 0, "Old.new")];
+        let a = vec![lift(0, 1_000, "Old.gone")];
+        let b = vec![lift(0, 1_000, "Old.new")];
         let text = diff(&a, &b, 5);
         assert!(text.contains("- Old.gone"));
         assert!(text.contains("+ Old.new"));
@@ -609,10 +461,8 @@ mod tests {
 
     #[test]
     fn lint_flags_malformed_and_unknown() {
-        let good = ev(0, 0, 0, EventKind::Whnf).to_json();
-        let text = format!(
-            "{good}\nnot json\n{{\"t_ns\":0,\"dur_ns\":0,\"worker\":0,\"kind\":\"mystery\"}}\n"
-        );
+        let good = ev(0, 0, EventKind::Whnf).to_json();
+        let text = format!("{good}\nnot json\n{{\"t_ns\":0,\"dur_ns\":0,\"kind\":\"mystery\"}}\n");
         let errors = lint(&text);
         assert_eq!(errors.len(), 2, "{errors:?}");
         assert!(errors[0].contains("line 2"));
@@ -622,7 +472,7 @@ mod tests {
 
     #[test]
     fn parse_lines_recovers_after_bad_line() {
-        let good = ev(0, 0, 0, EventKind::Conv).to_json();
+        let good = ev(0, 0, EventKind::Conv).to_json();
         let parsed = parse_lines(&format!("garbage\n\n{good}\n"));
         assert_eq!(parsed.events.len(), 1);
         assert_eq!(parsed.errors.len(), 1);
@@ -632,7 +482,6 @@ mod tests {
     #[test]
     fn render_composes_all_sections() {
         let text = render(&sample(), 3);
-        assert!(text.contains("critical path"));
         assert!(text.contains("hottest lifts"));
         assert!(text.contains("per-constant cache behaviour"));
     }

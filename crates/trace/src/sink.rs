@@ -153,13 +153,11 @@ mod tests {
             Event {
                 t_ns: 0,
                 dur_ns: 500,
-                worker: 0,
                 kind: EventKind::Run,
             },
             Event {
                 t_ns: 10,
                 dur_ns: 0,
-                worker: 1,
                 kind: EventKind::Whnf,
             },
         ]

@@ -1,17 +1,20 @@
 //! The wire form of a repair report.
 //!
 //! A `RepairReport` proper owns event buffers, provenance trees, and a DAG;
-//! the reply a client needs is much smaller: what got repaired, how the
-//! schedule looked, cache behavior, and timings. This struct is that
-//! projection. Two deliberate omissions keep replies byte-stable across
-//! debug and release builds (the golden-transcript test runs in both):
+//! the reply a client needs is much smaller: what got repaired, the shape
+//! of the module's DAG, lift-cache behavior, and timings. This struct is
+//! that projection. Two deliberate omissions keep replies byte-stable
+//! across debug and release builds (the golden-transcript test runs in
+//! both):
 //!
 //! * raw `KernelStats` are excluded — debug builds re-typecheck merged
 //!   declarations inside `admit_checked`, inflating kernel counters in a
-//!   build-dependent way (the tracer is paused there, so *event-derived*
-//!   metrics counters agree across builds and are included);
+//!   build-dependent way;
 //! * all wall-clock fields are zeroed when a request asks for
 //!   `"deterministic":true` replies.
+//!
+//! Replies from earlier daemons carry a `counters` object as well; readers
+//! ignore it.
 
 use crate::Value;
 use crate::WireError;
@@ -21,7 +24,7 @@ use crate::WireError;
 pub struct ReportWire {
     /// `(old, new)` pairs actually repaired by this run.
     pub repaired: Vec<(String, String)>,
-    /// Number of waves in the schedule.
+    /// Number of waves (longest-path layers) in the module's DAG.
     pub waves: u64,
     /// Widest wave.
     pub max_width: u64,
@@ -38,9 +41,6 @@ pub struct ReportWire {
     /// Wall-clock time of the repair work itself, excluding queue wait
     /// (zeroed in deterministic replies).
     pub wall_ns: u64,
-    /// Event-derived metrics counters (stable across builds; see module
-    /// docs), sorted by name.
-    pub counters: Vec<(String, u64)>,
     /// Incremental accounting `{changed, replayed, skipped}` for
     /// differential runs; `None` (and absent on the wire) for cold runs,
     /// so cold replies stay byte-identical to pre-incremental ones.
@@ -271,15 +271,6 @@ impl ReportWire {
             ("persist_hits".into(), Value::UInt(self.persist_hits)),
             ("persist_misses".into(), Value::UInt(self.persist_misses)),
             ("wall_ns".into(), Value::UInt(self.wall_ns)),
-            (
-                "counters".into(),
-                Value::Obj(
-                    self.counters
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Value::UInt(*v)))
-                        .collect(),
-                ),
-            ),
         ];
         if let Some(i) = &self.incr {
             fields.push((
@@ -319,17 +310,6 @@ impl ReportWire {
                 }
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let counters = v
-            .get("counters")
-            .and_then(Value::as_obj)
-            .ok_or_else(|| WireError::Shape("report is missing `counters`".into()))?
-            .iter()
-            .map(|(k, c)| {
-                c.as_u64()
-                    .map(|c| (k.clone(), c))
-                    .ok_or_else(|| WireError::Shape(format!("counter `{k}` must be an integer")))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
         let incr = match v.get("incr") {
             None | Some(Value::Null) => None,
             Some(obj) => {
@@ -360,7 +340,6 @@ impl ReportWire {
             persist_hits: n("persist_hits")?,
             persist_misses: n("persist_misses")?,
             wall_ns: n("wall_ns")?,
-            counters,
             incr,
             auto,
         })
@@ -384,7 +363,6 @@ mod tests {
             persist_hits: 1,
             persist_misses: 0,
             wall_ns: 12345,
-            counters: vec![("lift.constants".into(), 1)],
             incr: None,
             auto: None,
         };
@@ -394,11 +372,13 @@ mod tests {
         // a plain (non-auto) one never mentions the auto search.
         assert!(!r.to_value().to_string().contains("incr"));
         assert!(!r.to_value().to_string().contains("auto"));
-        // Replies from daemons that still reported a worker cap parse too.
+        // Replies from daemons that still reported a worker cap or a
+        // counters block parse too.
         let legacy = r
             .to_value()
             .to_string()
-            .replace("\"waves\"", "\"jobs\":1,\"waves\"");
+            .replace("\"waves\"", "\"jobs\":1,\"waves\"")
+            .replace("}", ",\"counters\":{\"lift.constants\":1}}");
         let v = Value::parse(&legacy).unwrap();
         assert_eq!(ReportWire::from_value(&v).unwrap(), r);
     }

@@ -1,6 +1,6 @@
 //! Round-trip against a live pumpkind: start the daemon in-process,
-//! repair a module over the wire, ask it to explain one repair, then
-//! shut it down gracefully.
+//! repair a module over the wire, ask it to explain one repair, read its
+//! lift gauges from `stats`, then shut it down gracefully.
 //!
 //! The same protocol works against an external daemon — swap the
 //! in-process server for `pumpkin serve --listen 127.0.0.1:7717` and
@@ -74,13 +74,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("{text}");
     }
 
-    // Cumulative service-side metrics for everything this daemon ran.
-    let result = client.call(
-        "metrics",
-        Value::Obj(vec![("canonical".into(), Value::Bool(false))]),
-    )?;
-    if let Some(text) = result.get("text").and_then(Value::as_str) {
-        println!("== daemon metrics ==\n{text}");
+    // The daemon's lift gauges: sums over every repair its workers ran.
+    let stats = client.call("stats", Value::Obj(vec![]))?;
+    println!("== daemon lift gauges ==");
+    for name in ["lift_constants", "lift_cache_hits", "lift_cache_misses"] {
+        let value = stats
+            .get("gauges")
+            .and_then(|g| g.get(name))
+            .and_then(Value::as_u64)
+            .unwrap_or(0);
+        println!("{name:<18} {value}");
     }
 
     let reply = client.call("shutdown", Value::Obj(vec![]))?;

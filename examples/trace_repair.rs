@@ -2,7 +2,7 @@
 //! through the [`pumpkin_core::Repairer`] front door with trace capture on,
 //! then show the three views of the same event stream — the JSON-lines wire
 //! form (what `pumpkin --trace out.jsonl` writes), the derived
-//! counter/histogram metrics, and the flamegraph-style wave/lift summary.
+//! counter/histogram metrics, and the flamegraph-style lift summary.
 //!
 //! Run with `cargo run --example trace_repair`.
 
@@ -22,7 +22,7 @@ fn main() -> pumpkin_core::Result<()> {
         .run(&mut env, pumpkin_stdlib::swap::OLD_MODULE_CONSTANTS)?;
 
     println!(
-        "repaired {} constants across {} waves\n",
+        "repaired {} constants (DAG of {} waves)\n",
         report.repaired.len(),
         report.schedule.waves
     );
@@ -36,7 +36,7 @@ fn main() -> pumpkin_core::Result<()> {
     println!("=== metrics registry ===");
     print!("{}", report.metrics().to_text());
 
-    println!("\n=== wave/lift summary ===");
+    println!("\n=== lift summary ===");
     print!("{}", report.trace_summary());
     Ok(())
 }

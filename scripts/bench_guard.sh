@@ -210,10 +210,11 @@ fi
 # daemon's own view (loadgen --server-stats): the server measures each
 # request from frame parse to reply write, which excludes the client's
 # connects, busy-retry backoffs, and network time — so its p99 must not
-# exceed the client's. The daemon's histograms are log₂-bucketed and
-# quantiles are bucket midpoints (up to √2 over the exact value), so the
-# gate allows a 1.5x factor: it catches a broken lifecycle clock (server
-# "latency" including time the client never saw), not bucket granularity.
+# exceed the client's. The daemon's histograms are log-linear and
+# quantiles are sub-bucket midpoints (within 6.25% of the exact value), so
+# the 1.5x factor is headroom, not bucket granularity: the gate catches a
+# broken lifecycle clock (server "latency" including time the client never
+# saw).
 srv_p99=$(median "$new" 'serve_load/server_p99')
 if [ -n "$srv_p99" ] && [ -n "${sl_p99:-}" ]; then
     srv_q99=$(median "$new" 'serve_load/server_queue_p99')

@@ -105,6 +105,10 @@ echo "$stats_json" | grep -Eq '"repair(_module)?":\{"count":[1-9]' || {
     echo "stats: no per-method counts after the loadgen burst: $stats_json" >&2; exit 1; }
 echo "$stats_json" | grep -q '"p99_ns":' || {
     echo "stats: no percentile fields: $stats_json" >&2; exit 1; }
+# The engine gauges are summed from the typed report of every repair the
+# daemon's workers ran; the loadgen burst above repaired real constants.
+echo "$stats_json" | grep -Eq '"lift_constants":[1-9]' || {
+    echo "stats: lift_constants did not move after the loadgen burst: $stats_json" >&2; exit 1; }
 timeout 30 ./target/release/pumpkin client --connect "$addr" stats --prometheus \
     | grep -q '^pumpkin_requests_total{method=' || {
     echo "stats --prometheus: no counter samples" >&2; exit 1; }

@@ -11,8 +11,8 @@
 //!
 //! A second mode analyzes traces offline (no script, no environment):
 //! `pumpkin trace-report [--lint] [--top K] <file.jsonl> [file2.jsonl]`.
-//! One file renders the full report (critical path, hottest lifts, cache
-//! behavior per constant, provenance summary); two files render a
+//! One file renders the full report (hottest lifts, cache behavior per
+//! constant, provenance summary); two files render a
 //! structural diff; `--lint` validates the file(s) against the schema and
 //! exits nonzero on violations.
 
@@ -28,7 +28,7 @@ const USAGE: &str = "usage: pumpkin [--trace out.jsonl] [--metrics] <script.pi |
                      \x20      pumpkin serve [--listen ADDR] [--unix PATH] [--max-sessions N]\n\
                      \x20                    [--workers N] [--queue-depth N] [--cache-dir DIR]\n\
                      \x20                    [--cache-max-bytes N] [--slow-ms N] [--log PATH]\n\
-                     \x20      pumpkin client --connect ADDR <hello|ping|shutdown|metrics|stats|repair-module|explain|call> [args]\n\
+                     \x20      pumpkin client --connect ADDR <hello|ping|shutdown|stats|repair-module|explain|call> [args]\n\
                      \x20                     (stats takes [--json|--prometheus])\n\
                      \x20      pumpkin top --connect ADDR [--interval-ms N] [--count N]\n\
                      \x20      pumpkin watch [--poll-ms MS] [--max-runs N] [--cache-dir DIR]\n\
@@ -239,10 +239,6 @@ fn render_client_result(method: &str, result: &Value) {
             println!("{result}");
         }
         "explain" => match result.get("explanation").and_then(Value::as_str) {
-            Some(text) => print!("{text}"),
-            None => println!("{result}"),
-        },
-        "metrics" => match result.get("text").and_then(Value::as_str) {
             Some(text) => print!("{text}"),
             None => println!("{result}"),
         },
@@ -480,13 +476,6 @@ fn client(argv: &[String]) -> ExitCode {
             }
             (verb.clone(), Value::Obj(vec![]))
         }
-        "metrics" => {
-            let canonical = args.next().map(String::as_str) == Some("--canonical");
-            (
-                verb.clone(),
-                Value::Obj(vec![("canonical".into(), Value::Bool(canonical))]),
-            )
-        }
         "repair-module" => match client_lift_params(&mut args, false) {
             Ok(fields) => ("repair_module".to_string(), Value::Obj(fields)),
             Err(e) => {
@@ -533,7 +522,7 @@ fn client(argv: &[String]) -> ExitCode {
     // Repair-family verbs negotiate first: a version-skewed server fails
     // fast (and distinctly) instead of mid-workload. The cheap control
     // verbs skip the extra round trip — `hello` *is* the negotiation, and
-    // `ping`/`shutdown`/`metrics`/`call` must keep working against any
+    // `ping`/`shutdown`/`stats`/`call` must keep working against any
     // server for diagnostics.
     if matches!(verb.as_str(), "repair-module" | "explain") {
         match client_negotiate(&mut client) {

@@ -583,9 +583,8 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
 
 /// Reads the daemon's `stats` snapshot and lifts its whole-population
 /// (`total`) latency and queue-wait percentiles into bench rows. The
-/// daemon's histograms are log₂-bucketed, so these are bucket-midpoint
-/// estimates (within √2 of exact) — `bench_guard.sh`'s server-vs-client
-/// gate allows for that.
+/// daemon's histograms are log-linear, so these are sub-bucket midpoint
+/// estimates (within 6.25% of exact).
 fn fetch_server_rows(addr: &str) -> Result<Vec<Sample>, String> {
     let mut c = Client::connect(addr).map_err(|e| format!("stats connect failed: {e}"))?;
     let stats = c

@@ -276,10 +276,12 @@ fn structural_hash_is_stable_under_reallocation() {
 }
 
 #[test]
-fn parallel_repair_error_keeps_only_completed_waves() {
-    // Error barrier regression: when a mid-module repair fails, the failing
-    // wave is rolled back wholesale, so the environment contains exactly
-    // the completed earlier waves — every installed constant type-correct.
+fn repair_error_keeps_the_constants_before_the_failing_one() {
+    // Rollback regression: module repair is one pass over the DAG's
+    // waves, constant by constant. When a mid-module repair fails, only
+    // the failing constant is rolled back, so the environment contains
+    // exactly the constants before it in pass order — every installed
+    // constant type-correct — and nothing after it.
     use pumpkin_pi::pumpkin_core::{LiftState, ModuleDag, Repairer};
     use pumpkin_pi::pumpkin_kernel::name::GlobalName;
     use pumpkin_pi::pumpkin_kernel::typecheck::{check_closed, check_is_type};
@@ -287,7 +289,7 @@ fn parallel_repair_error_keeps_only_completed_waves() {
     let all = stdlib::swap::OLD_MODULE_CONSTANTS;
     let mut env = stdlib::std_env();
     // Poison: the repair target of a mid-module lemma already exists with
-    // an unrelated definition, so its wave fails (redeclaration).
+    // an unrelated definition, so its repair fails (redeclaration).
     env.define("New.rev_app_distr", Term::ind("nat"), nat_lit(0))
         .unwrap();
     let lifting = pumpkin_pi::pumpkin_core::search::swap::configure(
@@ -299,31 +301,30 @@ fn parallel_repair_error_keeps_only_completed_waves() {
     .unwrap();
 
     let nodes: Vec<GlobalName> = all.iter().map(GlobalName::new).collect();
-    let waves = ModuleDag::build(&env, &nodes).waves();
-    let failing_wave = waves
+    let order: Vec<usize> = ModuleDag::build(&env, &nodes).waves().concat();
+    let failing = order
         .iter()
-        .position(|w| w.iter().any(|&i| nodes[i].as_str() == "Old.rev_app_distr"))
+        .position(|&i| nodes[i].as_str() == "Old.rev_app_distr")
         .unwrap();
-    assert!(failing_wave > 0, "the poisoned lemma must not be a root");
+    assert!(failing > 0, "the poisoned lemma must not come first");
+    assert!(failing + 1 < order.len(), "a constant must follow it");
 
     let mut st = LiftState::new();
     let res = Repairer::new(&lifting).state(&mut st).run(&mut env, all);
     assert!(res.is_err(), "poisoned repair must fail");
 
-    for (w, members) in waves.iter().enumerate() {
-        for &i in members {
-            let new_name = nodes[i].as_str().replace("Old.", "New.");
-            if w < failing_wave {
-                assert!(
-                    env.contains(&new_name),
-                    "completed-wave constant {new_name} missing"
-                );
-            } else if new_name != "New.rev_app_distr" {
-                assert!(
-                    !env.contains(&new_name),
-                    "{new_name} leaked from dropped wave {w}"
-                );
-            }
+    for (pos, &i) in order.iter().enumerate() {
+        let new_name = nodes[i].as_str().replace("Old.", "New.");
+        if pos < failing {
+            assert!(
+                env.contains(&new_name),
+                "{new_name}, completed before the failure, is missing"
+            );
+        } else if pos > failing {
+            assert!(
+                !env.contains(&new_name),
+                "{new_name} comes after the failure but was installed"
+            );
         }
     }
     // The poison is untouched, and everything installed re-typechecks.

@@ -10,8 +10,6 @@
 //! Regenerate after an intentional protocol change with
 //! `PUMPKIN_UPDATE_GOLDEN=1 cargo test --test serve_protocol`.
 
-use std::sync::{Arc, Mutex};
-
 use pumpkin_kernel::term::Term;
 use pumpkin_serve::Session;
 use pumpkin_wire::{term_to_envelope, LiftSpec};
@@ -46,7 +44,6 @@ fn requests() -> Vec<String> {
             r#"{{"id":6,"method":"eval","params":{{"term":{}}}}}"#,
             term_to_envelope(&sum)
         ),
-        r#"{"id":7,"method":"metrics","params":{"canonical":true}}"#.to_string(),
         // One frame, several repairs: each results entry must be the
         // byte-identical standalone reply with a null id.
         format!(
@@ -79,15 +76,15 @@ fn requests() -> Vec<String> {
         ),
         // A bare session records no latency (that is the server layer's
         // job), so this reply is deterministic: empty method map, zeroed
-        // totals, and only deterministic gauge traffic.
+        // totals, and only deterministic gauge traffic — the lift gauges
+        // sum the typed reports above.
         r#"{"id":15,"method":"stats"}"#.to_string(),
         r#"{"id":16,"method":"shutdown"}"#.to_string(),
     ]
 }
 
 fn transcript() -> String {
-    let metrics = Arc::new(Mutex::new(pumpkin_core::trace::Metrics::new()));
-    let mut session = Session::new(pumpkin_stdlib::std_env(), None, metrics);
+    let mut session = Session::new(pumpkin_stdlib::std_env(), None);
     let mut out = String::new();
     for line in requests() {
         let (reply, _) = session.handle_line(&line);
