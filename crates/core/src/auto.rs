@@ -266,10 +266,17 @@ impl AutoReport {
 
 /// The process-wide failure cache: `(config digest, module digest)` →
 /// error class. Both keys are content-addressed, so entries never go
-/// stale; the map only grows within a process (entries are a few words
-/// each — candidate enumerations are small).
+/// stale, but every rejected candidate of every new module adds one (a
+/// daemon's `repair_auto` with a fresh `source` is a new module), so the
+/// map is cleared whole at [`FAILURES_CAP`] entries
+/// ([`crate::insert_capped`]).
 static FAILURES: OnceLock<Mutex<std::collections::HashMap<(u64, u64), ErrorClass>>> =
     OnceLock::new();
+
+/// Entry cap for [`FAILURES`]: 4 096 entries of 24 bytes, which bounds the
+/// table at about 200 KiB (8 192 buckets at hashbrown's 7/8 load factor).
+/// That is the failures of 512 eight-candidate modules.
+const FAILURES_CAP: usize = 4096;
 
 fn failures() -> &'static Mutex<std::collections::HashMap<(u64, u64), ErrorClass>> {
     FAILURES.get_or_init(Default::default)
@@ -284,14 +291,12 @@ fn failure_cache_get(config: u64, module: u64) -> Option<ErrorClass> {
 }
 
 fn failure_cache_put(config: u64, module: u64, class: ErrorClass) {
-    failures()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .insert((config, module), class);
+    let mut failures = failures().lock().unwrap_or_else(PoisonError::into_inner);
+    crate::insert_capped(&mut failures, FAILURES_CAP, (config, module), class);
 }
 
 /// Number of entries in the process-wide failure cache (observability and
-/// tests; there is deliberately no way to clear it — keys are
+/// tests; only reaching its cap of 4 096 entries clears it — keys are
 /// content-addressed, so stale entries cannot exist).
 pub fn failure_cache_len() -> usize {
     failures()

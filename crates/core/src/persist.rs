@@ -111,9 +111,9 @@ static DECODED: std::sync::OnceLock<
     std::sync::Mutex<std::collections::HashMap<Vec<u8>, ConstDecl>>,
 > = std::sync::OnceLock::new();
 
-/// Entry cap for [`DECODED`]. Hitting it means the working set dwarfs
-/// anything a session replays; dropping the whole memo and re-filling is
-/// simpler than tracking recency and keeps the footprint bounded.
+/// Entry cap for [`DECODED`] (cleared whole at the cap, see
+/// [`crate::insert_capped`]): 1 024 frames and their declarations. Hitting
+/// it means the working set dwarfs anything a session replays.
 const DECODED_CAP: usize = 1024;
 
 fn decode_decl_cached(bytes: &[u8]) -> Option<ConstDecl> {
@@ -125,10 +125,7 @@ fn decode_decl_cached(bytes: &[u8]) -> Option<ConstDecl> {
     }
     let decl = decode_decl(bytes).ok()?;
     if let Ok(mut memo) = memo.lock() {
-        if memo.len() >= DECODED_CAP {
-            memo.clear();
-        }
-        memo.insert(bytes.to_vec(), decl.clone());
+        crate::insert_capped(&mut memo, DECODED_CAP, bytes.to_vec(), decl.clone());
     }
     Some(decl)
 }

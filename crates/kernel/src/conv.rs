@@ -5,15 +5,13 @@
 //! instead of being repeatedly rewritten to weak head normal form, and
 //! transparent constants are unfolded only when their spines disagree. This
 //! module owns the public entry points — the syntactic fast path, the
-//! per-[`Env`] `(TermId, TermId)` memo table, statistics, and tracing —
-//! and retains the original whnf-rewriting checker
-//! ([`conv_via_whnf`] / [`conv_leq_via_whnf`]) as a differential-testing
-//! oracle.
+//! per-[`Env`] `(TermId, TermId)` memo table, statistics, and tracing.
+//! The whnf-rewriting checker NbE replaced is a differential oracle in the
+//! workspace's `tests/oracle`, outside the kernel: it keeps no memo, so a
+//! verdict it gives was computed, never read back from this module's table.
 
 use crate::env::Env;
-use crate::reduce::whnf;
-use crate::subst::lift;
-use crate::term::{Term, TermData};
+use crate::term::Term;
 
 /// Are `t` and `u` definitionally equal (βδιζη-convertible)?
 ///
@@ -47,173 +45,6 @@ pub fn conv_leq(env: &Env, t: &Term, u: &Term) -> bool {
         return true;
     }
     crate::nbe::conv_terms(env, t, u, true)
-}
-
-/// The pre-NbE conversion checker: repeated whnf rewriting plus structural
-/// comparison. Kept as an executable specification — the property suite
-/// checks [`conv`] agrees with it across the stdlib and case-study corpora.
-pub fn conv_via_whnf(env: &Env, t: &Term, u: &Term) -> bool {
-    if t == u {
-        return true;
-    }
-    env.tally(|s| s.conv_calls += 1);
-    if let Some(verdict) = env.conv_cached(t, u) {
-        return verdict;
-    }
-    let tw = whnf(env, t);
-    let uw = whnf(env, u);
-    let verdict = conv_whnf(env, &tw, &uw);
-    env.conv_insert(t, u, verdict);
-    // Distinct queries that reduce to the same weak head normal forms
-    // share a verdict, so memoize under the reduced pair as well.
-    if &tw != t || &uw != u {
-        env.conv_insert(&tw, &uw, verdict);
-    }
-    verdict
-}
-
-/// Whnf-rewriting cumulativity, the oracle counterpart of [`conv_leq`].
-pub fn conv_leq_via_whnf(env: &Env, t: &Term, u: &Term) -> bool {
-    if t == u {
-        return true;
-    }
-    let t = whnf(env, t);
-    let u = whnf(env, u);
-    match (t.data(), u.data()) {
-        (TermData::Sort(s1), TermData::Sort(s2)) => s1.leq(*s2),
-        (TermData::Pi(b1, c1), TermData::Pi(b2, c2)) => {
-            conv_via_whnf(env, &b1.ty, &b2.ty) && conv_leq_via_whnf(env, c1, c2)
-        }
-        _ => conv_whnf(env, &t, &u),
-    }
-}
-
-/// Conversion on terms already in weak head normal form.
-fn conv_whnf(env: &Env, t: &Term, u: &Term) -> bool {
-    if conv_whnf_structural(env, t, u) {
-        return true;
-    }
-    // Surjective pairing (definitional η for single-constructor,
-    // non-recursive inductives — Coq's "primitive records"):
-    // `C (proj₀ z) … (projₙ z) ≡ z`.
-    record_eta(env, t, u) || record_eta(env, u, t)
-}
-
-/// Does `t = Construct(I, 0) params (proj₀ z) … (projₙ z)` for a record-like
-/// inductive `I`, with `z ≡ u`?
-fn record_eta(env: &Env, t: &Term, u: &Term) -> bool {
-    let Some((ind, 0, args)) = t.as_construct_app() else {
-        return false;
-    };
-    let Ok(decl) = env.inductive(ind) else {
-        env.note_stuck_ind(ind);
-        return false;
-    };
-    if decl.ctors.len() != 1 || decl.nindices() != 0 {
-        return false;
-    }
-    let p = decl.nparams();
-    let nfields = decl.ctors[0].args.len();
-    if nfields == 0 || args.len() != p + nfields {
-        return false;
-    }
-    // No recursive fields (otherwise η is unsound for this check).
-    if decl.recursive_flags(0).iter().any(|&r| r) {
-        return false;
-    }
-    let mut scrutinee: Option<Term> = None;
-    for i in 0..nfields {
-        let w = whnf(env, &args[p + i]);
-        let TermData::Elim(e) = w.data() else {
-            return false;
-        };
-        if &e.ind != ind || e.cases.len() != 1 {
-            return false;
-        }
-        // The case must select field i.
-        let (binders, body) = e.cases[0].strip_lambdas();
-        if binders.len() != nfields || body != Term::rel(nfields - 1 - i) {
-            return false;
-        }
-        // Parameters must agree with the constructor's.
-        if e.params.len() != p
-            || !e
-                .params
-                .iter()
-                .zip(args.iter())
-                .all(|(x, y)| conv_via_whnf(env, x, y))
-        {
-            return false;
-        }
-        match &scrutinee {
-            None => scrutinee = Some(e.scrutinee.clone()),
-            Some(s) => {
-                if !conv_via_whnf(env, s, &e.scrutinee) {
-                    return false;
-                }
-            }
-        }
-    }
-    match scrutinee {
-        Some(s) => conv_via_whnf(env, &s, u),
-        None => false,
-    }
-}
-
-fn conv_whnf_structural(env: &Env, t: &Term, u: &Term) -> bool {
-    if t == u {
-        return true;
-    }
-    match (t.data(), u.data()) {
-        (TermData::Rel(i), TermData::Rel(j)) => i == j,
-        (TermData::Sort(s1), TermData::Sort(s2)) => s1 == s2,
-        // Opaque or bodyless constants are compared by name; transparent
-        // ones were unfolded by whnf already.
-        (TermData::Const(n1), TermData::Const(n2)) => n1 == n2,
-        (TermData::Ind(n1), TermData::Ind(n2)) => n1 == n2,
-        (TermData::Construct(n1, j1), TermData::Construct(n2, j2)) => n1 == n2 && j1 == j2,
-        (TermData::Pi(b1, c1), TermData::Pi(b2, c2)) => {
-            conv_via_whnf(env, &b1.ty, &b2.ty) && conv_via_whnf(env, c1, c2)
-        }
-        (TermData::Lambda(b1, c1), TermData::Lambda(b2, c2)) => {
-            conv_via_whnf(env, &b1.ty, &b2.ty) && conv_via_whnf(env, c1, c2)
-        }
-        // η: fun x => b  ≡  u  when  b ≡ u x.
-        (TermData::Lambda(_, body), _) => {
-            let expanded = Term::app(lift(u, 1), [Term::rel(0)]);
-            conv_via_whnf(env, body, &expanded)
-        }
-        (_, TermData::Lambda(_, body)) => {
-            let expanded = Term::app(lift(t, 1), [Term::rel(0)]);
-            conv_via_whnf(env, &expanded, body)
-        }
-        (TermData::App(h1, a1), TermData::App(h2, a2)) => {
-            a1.len() == a2.len()
-                && conv_whnf(env, h1, h2)
-                && a1
-                    .iter()
-                    .zip(a2.iter())
-                    .all(|(x, y)| conv_via_whnf(env, x, y))
-        }
-        (TermData::Elim(e1), TermData::Elim(e2)) => {
-            e1.ind == e2.ind
-                && e1.params.len() == e2.params.len()
-                && e1.cases.len() == e2.cases.len()
-                && e1
-                    .params
-                    .iter()
-                    .zip(e2.params.iter())
-                    .all(|(x, y)| conv_via_whnf(env, x, y))
-                && conv_via_whnf(env, &e1.motive, &e2.motive)
-                && e1
-                    .cases
-                    .iter()
-                    .zip(e2.cases.iter())
-                    .all(|(x, y)| conv_via_whnf(env, x, y))
-                && conv_via_whnf(env, &e1.scrutinee, &e2.scrutinee)
-        }
-        _ => false,
-    }
 }
 
 #[cfg(test)]
@@ -314,39 +145,5 @@ mod tests {
         assert_eq!(cached, uncached);
         assert!(!env.kernel_cache_enabled());
         env.set_kernel_cache(true);
-    }
-
-    #[test]
-    fn nbe_and_whnf_checkers_agree_on_basic_queries() {
-        let mut env = Env::new();
-        env.define("T", Term::type_(1), Term::set()).unwrap();
-        env.define("U", Term::type_(1), Term::const_("T")).unwrap();
-        env.assume("f", Term::arrow(Term::set(), Term::set()))
-            .unwrap();
-        let etad = Term::lambda(
-            "x",
-            Term::set(),
-            Term::app(Term::const_("f"), [Term::rel(0)]),
-        );
-        let queries = [
-            (Term::const_("U"), Term::set()),
-            (Term::const_("U"), Term::const_("T")),
-            (Term::const_("T"), Term::prop()),
-            (etad, Term::const_("f")),
-        ];
-        for (a, b) in &queries {
-            let fresh1 = env.clone();
-            let fresh2 = env.clone();
-            assert_eq!(
-                conv(&fresh1, a, b),
-                conv_via_whnf(&fresh2, a, b),
-                "disagreement on {a} ≡ {b}"
-            );
-            assert_eq!(
-                conv_leq(&fresh1, a, b),
-                conv_leq_via_whnf(&fresh2, a, b),
-                "leq disagreement on {a} ≤ {b}"
-            );
-        }
     }
 }

@@ -579,9 +579,10 @@ impl Env {
     /// about terms mentioning the removed names, so the generation is
     /// retired unconditionally.
     ///
-    /// This is the error path of wave-based repair: when a wave fails or is
-    /// cancelled, its partial output is rolled back wholesale so the
-    /// environment only ever exposes completed waves.
+    /// This is the error path of module repair: when a constant's repair
+    /// fails or is cancelled, its partial output (including dependencies it
+    /// repaired on demand) is rolled back, so the environment only ever
+    /// exposes the constants completed before it.
     ///
     /// # Panics
     ///

@@ -74,7 +74,6 @@ pub mod prelude {
     pub use crate::inductive::{CtorDecl, InductiveDecl};
     pub use crate::intern::{interner_stats, InternerStats, TermId};
     pub use crate::name::{GlobalName, Name};
-    pub use crate::nbe::nbe_normalize;
     pub use crate::reduce::{normalize, whnf};
     pub use crate::stats::KernelStats;
     pub use crate::subst::{

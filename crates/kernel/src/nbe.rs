@@ -1,12 +1,15 @@
-//! Normalization by evaluation: the conversion checker's engine.
+//! Normalization by evaluation: the kernel's conversion checker and its
+//! only normaliser ([`crate::reduce::normalize`] is evaluate + quote).
 //!
-//! The whnf-rewriting checker this replaces re-built a term at every β/ι
-//! step (each one an O(size) substitution), so deciding `t ≡ u` on large
-//! literal-heavy proofs re-walked the same structurally shared trees over
-//! and over. NbE evaluates both sides *once* into a value domain where
-//! binders are closures over an environment — substitution disappears
-//! entirely — and then compares values, introducing fresh variables (de
-//! Bruijn *levels*) to go under binders.
+//! The whnf-rewriting checker and normaliser this replaces re-built a term
+//! at every β/ι step (each one an O(size) substitution), so deciding
+//! `t ≡ u` on large literal-heavy proofs re-walked the same structurally
+//! shared trees over and over. NbE evaluates both sides *once* into a value
+//! domain where binders are closures over an environment — substitution
+//! disappears entirely — and then compares values, introducing fresh
+//! variables (de Bruijn *levels*) to go under binders. The rewriting
+//! engine survives only as the differential oracle in the workspace's
+//! `tests/oracle`.
 //!
 //! The domain (strict: arguments are evaluated when applications are):
 //!
@@ -20,7 +23,7 @@
 //!   (`NHead::Free`), a δ-blocked constant (`NHead::Const`), or a stuck
 //!   eliminator (`NHead::Elim`) — applied to a spine of values.
 //!
-//! Equality rules mirror the syntactic checker: η for functions (a lambda
+//! Equality rules mirror the rewriting oracle's: η for functions (a lambda
 //! against a non-lambda is compared after applying both to a fresh level),
 //! record-η (surjective pairing for single-constructor non-recursive
 //! families) as a fallback when a constructor spine fails to match, sorts by
@@ -51,7 +54,8 @@
 //! re-runs every inner spine attempt after each outer one fails — 2^k work;
 //! with it the cost is linear.
 //!
-//! Forced bodies evaluate eagerly (`Delta::Unfold`). Gluing inside
+//! Forced bodies, and terms being normalised, evaluate eagerly
+//! (`Delta::Unfold`). Gluing inside
 //! unfolded bodies too would defer chains of unfoldings that, forced later,
 //! nest far deeper on the native stack than strict evaluation does (the
 //! debug test suite then needs a 4 MiB stack); CI pins the depth by running
@@ -83,8 +87,8 @@
 //! Termination: evaluation is strongly normalizing on well-typed terms (the
 //! calculus has no general recursion; δ cannot be cyclic because a body is
 //! checked against an environment that does not yet contain its name). The
-//! kernel only converts terms it has checked, mirroring the old checker,
-//! which looped on the same ill-typed diverging redexes.
+//! kernel only converts and normalises terms it has checked; the rewriting
+//! oracle loops on the same ill-typed diverging redexes.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -152,7 +156,7 @@ pub(crate) struct Glue {
 enum Delta {
     /// Glue it: the compared terms and the closures built from them.
     Glue,
-    /// Unfold it on the spot: forced bodies and [`nbe_normalize`].
+    /// Unfold it on the spot: forced bodies and [`normalize`].
     Unfold,
 }
 
@@ -567,8 +571,8 @@ impl Conv<'_> {
                     })
             }
             (Value::Lambda(_, t1, c1), Value::Lambda(_, t2, c2)) => {
-                // Domains are compared to match the syntactic checker (which
-                // required convertible binder types on lambdas, not just Pis).
+                // Domains are compared to match the rewriting oracle (which
+                // requires convertible binder types on lambdas, not just Pis).
                 self.val(lvl, t1, t2, false)
                     && (c1.same_function(c2) || {
                         let fresh = neutral(NHead::Local(lvl));
@@ -640,7 +644,7 @@ impl Conv<'_> {
         match (a, b) {
             (NHead::Local(i), NHead::Local(j)) => i == j,
             (NHead::Free(i), NHead::Free(j)) => i == j,
-            // Both δ-blocked: equal only by name (the syntactic checker's
+            // Both δ-blocked: equal only by name (the rewriting oracle's
             // rule for opaque/bodyless constants).
             (NHead::Const(n1), NHead::Const(n2)) => n1 == n2,
             (NHead::Elim(e1), NHead::Elim(e2)) => {
@@ -657,7 +661,7 @@ impl Conv<'_> {
 
     /// Does `t = Construct(I, 0) params (proj₀ z) … (projₙ z)` for a
     /// record-like inductive `I`, with `z ≡ u`? The value-level port of the
-    /// syntactic record-η check: each (forced) field must be a stuck
+    /// rewriting oracle's record-η check: each (forced) field must be a stuck
     /// eliminator of `I` whose single case projects field `i` (checked by
     /// applying the case value to fresh levels), with agreeing parameters
     /// and a common scrutinee.
@@ -784,11 +788,10 @@ fn quote(env: &Env, lvl: usize, v: &VRc) -> Term {
     }
 }
 
-/// Full βδιζ normal form via evaluate-then-read-back. Agrees with
-/// [`crate::reduce::normalize`] (the rewriting normalizer) on well-typed
-/// terms — `tests/kernel_properties.rs` pins that agreement — but does its
-/// work in one pass over the value domain.
-pub fn nbe_normalize(env: &Env, t: &Term) -> Term {
+/// Full βδιζ normal form via evaluate-then-read-back, the body of
+/// [`crate::reduce::normalize`]. `tests/kernel_properties.rs` pins its
+/// agreement with the rewriting oracle on well-typed terms.
+pub(crate) fn normalize(env: &Env, t: &Term) -> Term {
     let v = eval(env, &VEnv::nil(), t, Delta::Unfold);
     quote(env, 0, &v)
 }
@@ -798,7 +801,6 @@ mod tests {
     use super::*;
     use crate::conv::{conv, conv_leq};
     use crate::inductive::{CtorDecl, InductiveDecl};
-    use crate::reduce::normalize;
 
     fn env_with_nat() -> Env {
         let mut env = Env::new();
@@ -874,86 +876,9 @@ mod tests {
         )
         .unwrap();
         let call = Term::app(Term::const_("add"), [nat_lit(2), nat_lit(3)]);
-        assert_eq!(nbe_normalize(&env, &call), nat_lit(5));
+        assert_eq!(normalize(&env, &call), nat_lit(5));
         assert!(conv(&env, &call, &nat_lit(5)));
         assert!(!conv(&env, &call, &nat_lit(4)));
-    }
-
-    #[test]
-    fn nbe_normalize_agrees_with_rewriting_normalize() {
-        let mut env = env_with_nat();
-        env.define(
-            "add",
-            Term::arrow(
-                Term::ind("nat"),
-                Term::arrow(Term::ind("nat"), Term::ind("nat")),
-            ),
-            add(),
-        )
-        .unwrap();
-        let samples = [
-            Term::app(Term::const_("add"), [nat_lit(2), nat_lit(3)]),
-            Term::lambda(
-                "k",
-                Term::ind("nat"),
-                Term::app(Term::const_("add"), [Term::rel(0), nat_lit(1)]),
-            ),
-            Term::pi("A", Term::type_(0), Term::arrow(Term::rel(0), Term::rel(0))),
-            Term::let_("x", Term::ind("nat"), nat_lit(2), Term::rel(0)),
-        ];
-        for t in &samples {
-            assert_eq!(nbe_normalize(&env, t), normalize(&env, t), "term: {t}");
-        }
-    }
-
-    #[test]
-    fn one_node_and_nested_applications_agree() {
-        // A glued or stuck head takes all its remaining arguments in one
-        // step; nested `App` nodes (which `Term::app` never builds) hand
-        // them over one node at a time. Both shapes must normalize as the
-        // rewriting normalizer does and convert with each other; the flat
-        // one converts with the normal form exactly as the oracle says.
-        use crate::conv::{conv_leq_via_whnf, conv_via_whnf};
-        let mut env = env_with_nat();
-        let nat = || Term::ind("nat");
-        let nat_to_nat = || Term::arrow(nat(), nat());
-        env.define("add", Term::arrow(nat(), nat_to_nat()), add())
-            .unwrap();
-        env.assume("f", Term::arrow(nat(), Term::arrow(nat(), nat_to_nat())))
-            .unwrap();
-        let nested = |head: Term, args: &[Term]| {
-            args.iter()
-                .fold(head, |t, a| Term::new(TermData::App(t, vec![a.clone()])))
-        };
-        // A β-redex whose result is a glued head with a partial spine.
-        let add_to = Term::lambda("x", nat(), Term::app(Term::const_("add"), [Term::rel(0)]));
-        let cases = [
-            (Term::const_("add"), vec![nat_lit(2), nat_lit(3)]),
-            (
-                Term::const_("f"),
-                vec![nat_lit(1), Term::rel(0), nat_lit(0)],
-            ),
-            (add_to, vec![nat_lit(1), Term::rel(2)]),
-            (Term::rel(3), vec![nat_lit(0), Term::rel(1)]),
-        ];
-        for (head, args) in cases {
-            let flat = Term::app(head.clone(), args.clone());
-            let deep = nested(head, &args);
-            assert_ne!(flat, deep, "the two shapes must be distinct nodes");
-            let normal = normalize(&env, &flat);
-            assert_eq!(nbe_normalize(&env, &flat), normal, "{flat}");
-            assert_eq!(nbe_normalize(&env, &deep), normal, "{deep}");
-            assert!(conv(&env, &flat, &deep) && conv(&env, &deep, &normal));
-            assert!(conv_leq(&env, &deep, &flat) && conv_leq(&env, &normal, &deep));
-            for (t, u) in [(&flat, &normal), (&flat, &nat_lit(5))] {
-                assert_eq!(conv(&env, t, u), conv_via_whnf(&env, t, u), "{t} ≡ {u}");
-                assert_eq!(
-                    conv_leq(&env, t, u),
-                    conv_leq_via_whnf(&env, t, u),
-                    "{t} ≤ {u}"
-                );
-            }
-        }
     }
 
     #[test]

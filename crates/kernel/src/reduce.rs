@@ -4,10 +4,17 @@
 //! constants), ι (eliminator applied to a constructor, paper §4.1.2), and ζ
 //! (let). Opaque constants (see [`crate::env::ConstDecl::opaque`]) block δ,
 //! reproducing the paper's δ-blocklist (§4.4).
+//!
+//! [`whnf`] rewrites only the head and leaves every argument as written:
+//! the type checker, the tactic interpreter and the tuple/record search
+//! build terms from those unreduced arguments. [`normalize`] runs on the
+//! evaluator that also decides conversion ([`crate::nbe`]), so the kernel
+//! has one normaliser. The rewriting normaliser it replaced lives on as a
+//! test oracle in the workspace's `tests/oracle`.
 
 use crate::env::Env;
 use crate::subst::{beta_apply, subst1};
-use crate::term::{Binder, ElimData, Term, TermData};
+use crate::term::{ElimData, Term, TermData};
 
 /// Weak head normal form.
 ///
@@ -108,41 +115,12 @@ fn whnf_uncached(env: &Env, t: &Term) -> Term {
     }
 }
 
-/// Full βδιζ-normal form.
+/// Full βδιζ-normal form: evaluates `t` with every transparent constant
+/// unfolded, then reads the value back ([`crate::nbe`]). Closed subterms
+/// go through the environment's value memo, so repeating a query does no
+/// reduction work until the environment changes.
 pub fn normalize(env: &Env, t: &Term) -> Term {
-    let t = whnf(env, t);
-    match t.data() {
-        TermData::Rel(_)
-        | TermData::Sort(_)
-        | TermData::Const(_)
-        | TermData::Ind(_)
-        | TermData::Construct(_, _) => t.clone(),
-        TermData::App(h, args) => {
-            Term::app(normalize(env, h), args.iter().map(|a| normalize(env, a)))
-        }
-        TermData::Lambda(b, body) => Term::new(TermData::Lambda(
-            Binder {
-                name: b.name.clone(),
-                ty: normalize(env, &b.ty),
-            },
-            normalize(env, body),
-        )),
-        TermData::Pi(b, body) => Term::new(TermData::Pi(
-            Binder {
-                name: b.name.clone(),
-                ty: normalize(env, &b.ty),
-            },
-            normalize(env, body),
-        )),
-        TermData::Let(_, _, _) => unreachable!("whnf eliminates let"),
-        TermData::Elim(e) => Term::elim(ElimData {
-            ind: e.ind.clone(),
-            params: e.params.iter().map(|p| normalize(env, p)).collect(),
-            motive: normalize(env, &e.motive),
-            cases: e.cases.iter().map(|c| normalize(env, c)).collect(),
-            scrutinee: normalize(env, &e.scrutinee),
-        }),
-    }
+    crate::nbe::normalize(env, t)
 }
 
 #[cfg(test)]

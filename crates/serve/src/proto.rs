@@ -56,10 +56,10 @@ pub mod code {
     /// The server is draining after a `shutdown`.
     pub const SHUTTING_DOWN: &str = "shutting_down";
     /// The request ran past a resource limit. Today that limit is the
-    /// reply's JSON nesting: a result nested deeper than
+    /// depth of an `eval` normal form: a term nested deeper than
     /// [`MAX_DEPTH`](pumpkin_core::trace::json::MAX_DEPTH) would be
-    /// refused by the client's parser, so the daemon sends this error
-    /// instead.
+    /// refused by the client's wire decoder, so the daemon sends this
+    /// error instead.
     pub const BUDGET_EXCEEDED: &str = "budget_exceeded";
 
     /// Every code the server can put in `error.code`, in declaration

@@ -24,7 +24,9 @@ use std::time::Duration;
 use pumpkin_core::trace::json::MAX_DEPTH;
 use pumpkin_core::trace::serve_stats::{self, ServeStats, STATS_SCHEMA};
 use pumpkin_core::trace::Histogram;
-use pumpkin_core::wire::{term_from_envelope, term_to_envelope, LiftSpec, TermDigest, WireError};
+use pumpkin_core::wire::{
+    term_depth, term_from_envelope, term_to_envelope, LiftSpec, TermDigest, WireError,
+};
 use pumpkin_core::{
     AutoPolicy, CancelToken, DigestMap, LiftState, Lifting, NameMap, RepairError, RepairReport,
     Repairer,
@@ -322,14 +324,6 @@ impl Session {
             Ok((result, ctl)) => (proto::ok_reply_value(&req.id, result), ctl),
             Err(e) => (e.reply(&req.id), Control::Continue),
         };
-        // Never send a frame the client's parser would refuse: a reply
-        // nested past the JSON depth cap (a deep normal form, say) becomes
-        // a structured error. The request's own `id` parsed under the same
-        // cap, so the error reply always fits.
-        if reply.nests_deeper_than(MAX_DEPTH) {
-            let message = format!("the reply would nest deeper than {MAX_DEPTH} JSON levels");
-            reply = proto::err_reply_value(&req.id, code::BUDGET_EXCEEDED, &message);
-        }
         proto::stamp_req_id(&mut reply, req_id);
         (reply.to_string(), ctl)
     }
@@ -599,7 +593,9 @@ impl Session {
 
     /// `eval`: decode a digest-verified term envelope, typecheck and
     /// normalize it against the session's eval environment, and return
-    /// both the pretty form and the normal form's envelope.
+    /// both the pretty form and the normal form's envelope. A normal form
+    /// nested deeper than [`MAX_DEPTH`] is a `budget_exceeded` error
+    /// instead, since the client's wire decoder would refuse it.
     fn eval(&mut self, params: &Value) -> MethodResult {
         let envelope = params
             .get("term")
@@ -612,6 +608,12 @@ impl Session {
         pumpkin_kernel::typecheck::infer_closed(env, &term)
             .map_err(|e| (code::BAD_PARAMS, format!("term does not typecheck: {e}")))?;
         let normal = pumpkin_kernel::reduce::normalize(env, &term);
+        let depth = term_depth(&normal);
+        if depth > MAX_DEPTH {
+            let message =
+                format!("the normal form nests {depth} levels deep, past the wire's {MAX_DEPTH}");
+            return Err((code::BUDGET_EXCEEDED, message).into());
+        }
         Ok((
             Value::Obj(vec![
                 (
@@ -793,7 +795,7 @@ mod tests {
         assert_eq!(ctl, Control::Continue);
         assert_eq!(
             reply,
-            r#"{"id":1,"req_id":1,"ok":true,"result":{"pong":true,"proto":1,"wire":"pumpkin-wire/2"}}"#
+            r#"{"id":1,"req_id":1,"ok":true,"result":{"pong":true,"proto":1,"wire":"pumpkin-wire/3"}}"#
         );
     }
 
@@ -1013,7 +1015,7 @@ mod tests {
                 code::BAD_PARAMS,
             ),
             (
-                r#"{"id":1,"method":"eval","params":{"term":{"wire":"pumpkin-wire/2","digest":"0000000000000000","term":{"k":"sort","s":"prop"}}}}"#,
+                r#"{"id":1,"method":"eval","params":{"term":{"wire":"pumpkin-wire/3","digest":"0000000000000000","nodes":[[1]]}}}"#,
                 code::BAD_DIGEST,
             ),
         ] {
@@ -1062,7 +1064,7 @@ mod tests {
     }
 
     #[test]
-    fn over_deep_replies_become_budget_exceeded_errors() {
+    fn over_deep_normal_forms_become_budget_exceeded_errors() {
         use pumpkin_kernel::term::Term;
         let numeral = |n: usize| {
             (0..n).fold(Term::construct("nat", 0), |t, _| {
@@ -1079,8 +1081,8 @@ mod tests {
             Value::parse(&reply).unwrap_or_else(|e| panic!("unparseable reply ({e}): {reply}"))
         };
         let mut s = session();
-        // 256 nested successors nest past the JSON depth cap.
-        let deep = mul(&mut s, 16);
+        // 23 × 23 = 529 nested successors: past the wire's depth cap.
+        let deep = mul(&mut s, 23);
         assert_eq!(deep.get("ok"), Some(&Value::Bool(false)));
         assert_eq!(
             deep.get("error")
@@ -1092,11 +1094,11 @@ mod tests {
         assert!(deep.get("req_id").is_some());
         let (reply, _) = s.handle_line(r#"{"id":8,"method":"ping"}"#);
         assert!(reply.contains("\"pong\":true"), "{reply}");
-        // 144 still fits, and comes back as its normal form.
-        let ok = mul(&mut s, 12);
+        // 484 fits, and comes back as its normal form.
+        let ok = mul(&mut s, 22);
         assert_eq!(ok.get("ok"), Some(&Value::Bool(true)));
         let normal = term_from_envelope(ok.get("result").unwrap().get("term").unwrap()).unwrap();
-        assert_eq!(normal, numeral(144));
+        assert_eq!(normal, numeral(484));
     }
 
     #[test]
@@ -1123,11 +1125,12 @@ mod tests {
         }
         assert_eq!(s.base.kernel_stats(), base);
 
+        // A repeated eval is answered from the warm env's value and type
+        // memos: no reduction step at all.
         let warm = s.eval_env.kernel_stats();
         eval(&mut s, 7);
         let repeat = s.eval_env.kernel_stats().since(&warm);
-        assert!(repeat.whnf_cache_hits > 0, "{repeat:?}");
-        assert_eq!(repeat.whnf_cache_misses, 0, "{repeat:?}");
+        assert_eq!(repeat.reduction_steps(), 0, "{repeat:?}");
         assert_eq!(s.base.kernel_stats(), base);
     }
 

@@ -20,10 +20,11 @@
 
 use std::fmt;
 
-/// Maximum nesting depth accepted by [`Value::parse`]. Deep enough for the
-/// largest terms the test suite round-trips (a length-64 list literal nests
-/// ~200 levels of JSON), small enough that hostile input cannot overflow
-/// the stack.
+/// Maximum nesting depth accepted by [`Value::parse`], small enough that
+/// hostile input cannot overflow the stack. The workspace's other nesting
+/// caps reuse it: the lang parser's, and the wire decoder's cap on term
+/// depth (a wire frame itself nests a fixed three levels, since terms
+/// travel as flat node tables).
 pub const MAX_DEPTH: usize = 512;
 
 /// A JSON value. Objects keep insertion order so encoding is deterministic.
@@ -70,20 +71,6 @@ impl Value {
     /// Convenience constructor for string values.
     pub fn str(s: impl Into<String>) -> Value {
         Value::Str(s.into())
-    }
-
-    /// Does this value nest deeper than `max` levels, so that
-    /// [`Value::parse`] would refuse its serialization when `max` is
-    /// [`MAX_DEPTH`]? The top level is depth 0, as in the parser. The walk
-    /// stops one level past `max`, so checking a value of any depth cannot
-    /// overflow the stack.
-    pub fn nests_deeper_than(&self, max: usize) -> bool {
-        let too_deep = |v: &Value| max == 0 || v.nests_deeper_than(max - 1);
-        match self {
-            Value::Arr(items) => items.iter().any(too_deep),
-            Value::Obj(fields) => fields.iter().any(|(_, v)| too_deep(v)),
-            _ => false,
-        }
     }
 
     /// Object field lookup (first match; `None` on non-objects).
@@ -574,22 +561,6 @@ mod tests {
         assert_eq!(Value::parse(&deep), Err(ParseError::TooDeep));
         let ok = "[".repeat(64) + &"]".repeat(64);
         assert!(Value::parse(&ok).is_ok());
-    }
-
-    #[test]
-    fn nesting_check_agrees_with_the_parser() {
-        // `[[…[0]…]]` with `n` brackets puts the `0` at depth `n`.
-        let nested = |n: usize| (0..n).fold(Value::UInt(0), |v, _| Value::Arr(vec![v]));
-        for n in [0, 1, MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1, 4 * MAX_DEPTH] {
-            let v = nested(n);
-            let parsed = Value::parse(&v.to_string());
-            assert_eq!(v.nests_deeper_than(MAX_DEPTH), parsed.is_err(), "n = {n}");
-            assert_eq!(parsed.err(), (n > MAX_DEPTH).then_some(ParseError::TooDeep));
-        }
-        let obj = Value::Obj(vec![("k".into(), nested(MAX_DEPTH))]);
-        assert!(obj.nests_deeper_than(MAX_DEPTH));
-        assert!(!obj.nests_deeper_than(MAX_DEPTH + 1));
-        assert!(!Value::Arr(vec![]).nests_deeper_than(0));
     }
 
     #[test]

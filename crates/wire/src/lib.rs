@@ -1,18 +1,23 @@
 //! # pumpkin-wire
 //!
 //! Canonical serialization for the repair pipeline: kernel terms,
-//! declarations, lifting configurations, and repair reports, in two
-//! interchangeable forms —
+//! declarations, lifting configurations, and repair reports.
 //!
-//! * a **versioned JSON form** (envelope `{"wire":"pumpkin-wire/2",…}`)
+//! A term has one encoding, a shared-subterm **node table** (each
+//! hash-consed node once, children before parents, child slots as
+//! backward references; see [`term`]), with two renderings:
+//!
+//! * **JSON** (envelope `{"wire":"pumpkin-wire/3","digest":…,"nodes":[…]}`),
 //!   built on the workspace's one JSON codec, [`Value`] (defined in
 //!   `pumpkin_trace::json` and re-exported here), used by the
 //!   `pumpkin serve` NDJSON-RPC protocol; and
-//! * a **compact length-prefixed binary form** (magic `PWIR`) whose term
-//!   payload is a shared-subterm node table (each hash-consed node once,
-//!   referenced by index), used by the persistent lift cache on disk.
+//! * **length-prefixed binary** (magic `PWIR`), used by the persistent lift
+//!   cache on disk.
 //!
-//! Both forms embed a [`TermDigest`] — a content hash derived from the
+//! One builder writes the table and one iterative decoder reads it back
+//! in both renderings; the decoder refuses a term nested deeper than
+//! `pumpkin_trace::json::MAX_DEPTH` ([`term_depth`] measures it). Both
+//! renderings embed a [`TermDigest`] — a content hash derived from the
 //! kernel's cached structural hash, which is computed with a fixed-key
 //! hasher and therefore stable across processes — and both verify it on
 //! decode, so corrupt frames surface as [`WireError::BadDigest`] instead of
@@ -35,25 +40,28 @@ pub use pumpkin_trace::json::Value;
 pub use report::{AutoWire, IncrWire, ReportWire, ReproWire, AUTO_WIRE_VERSION};
 pub use spec::LiftSpec;
 pub use term::{
-    decl_digest, decl_from_value, decl_to_value, decode_decl, decode_term, encode_decl,
-    encode_term, term_from_envelope, term_from_value, term_to_envelope, term_to_value,
+    decl_digest, decode_decl, decode_term, encode_decl, encode_term, term_depth,
+    term_from_envelope, term_to_envelope,
 };
 
 /// Wire format version. Bumping it invalidates all persisted cache entries
 /// (the version is folded into every digest) and changes [`WIRE_TAG`].
-pub const WIRE_VERSION: u32 = 2;
+/// Version 3 renders the JSON envelope as the binary form's node table.
+pub const WIRE_VERSION: u32 = 3;
 
 /// The version tag carried by every JSON envelope.
-pub const WIRE_TAG: &str = "pumpkin-wire/2";
+pub const WIRE_TAG: &str = "pumpkin-wire/3";
 
 /// What can go wrong decoding a frame. All decoding is total: hostile
 /// input produces one of these, never a panic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireError {
-    /// Malformed binary framing (JSON syntax errors are
+    /// Malformed binary framing, or a node table whose tag, reference or
+    /// spine is invalid in either rendering (JSON syntax errors are
     /// `pumpkin_trace::json::ParseError`s, raised before a frame gets here).
     Syntax(String),
-    /// Well-formed JSON, wrong shape (missing field, wrong type, bad tag).
+    /// Well-formed input, wrong shape: a missing envelope field, a JSON
+    /// node field of the wrong type, or a term nested past the depth cap.
     Shape(String),
     /// The envelope's version tag is not this crate's [`WIRE_TAG`].
     Version(String),

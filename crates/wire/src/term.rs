@@ -1,32 +1,54 @@
-//! Term and declaration codecs: versioned JSON and length-prefixed binary.
+//! Term and declaration codecs: one shared-subterm node table, rendered
+//! as JSON for the protocol and as length-prefixed binary for the persist
+//! cache.
 //!
-//! Both directions route through the kernel's smart constructors, so the
-//! cached structural hashes (and the spine invariant for applications) are
-//! recomputed on decode — `decode(encode(t)) == t` holds including hashes.
+//! The table lists a term's distinct nodes children first, the root last.
+//! Hash-consing in the kernel makes each distinct subterm one allocation,
+//! so the table holds it once however often it occurs: terms with heavy
+//! internal sharing (literals, repaired proof spines) stay small. A node is
+//! its tag number followed by its fields, and a child slot is a *backward
+//! reference*, the index of an earlier node:
 //!
-//! JSON form: each node is an object tagged by `"k"`; binder name hints are
-//! serialized (as `null` when anonymous) even though term equality ignores
-//! them, so pretty-printing survives a round-trip. Standalone terms travel
-//! in an envelope `{"wire":"pumpkin-wire/2","digest":"…","term":…}` whose
-//! digest is verified on decode.
+//! | tag | node | fields after the tag |
+//! |-----|------|----------------------|
+//! | 0 | `Rel` | index |
+//! | 1, 2 | `Prop`, `Set` | — |
+//! | 3 | `Type` | level |
+//! | 4, 5 | `Const`, `Ind` | name |
+//! | 6 | `Construct` | family, constructor number |
+//! | 7 | `App` | head, argument count, arguments |
+//! | 8, 9 | `Lambda`, `Pi` | binder name, binder type, body |
+//! | 10 | `Let` | binder name, binder type, value, body |
+//! | 11 | `Elim` | family, parameter count, parameters, motive, case count, cases, scrutinee |
+//!
+//! JSON form: the envelope `{"wire":"pumpkin-wire/3","digest":"…",
+//! "nodes":[…]}`, each node a flat array of numbers and strings, with
+//! `null` for an anonymous binder name (binder names travel, although term
+//! equality ignores them, so pretty-printing survives a round trip).
+//! A frame nests three levels whatever the term.
 //!
 //! Binary form: magic `PWIR`, version byte, kind byte (`T` term, `D`
-//! declaration), the content digest (u64 LE), a u32 LE payload length, then
-//! a **shared-subterm node table**: a varint node count followed by the
-//! term's distinct nodes in children-first order, each a tag byte whose
-//! child slots are varint *backward references* into the table (the root is
-//! the last node). Hash-consing in the kernel means each distinct subterm
-//! is a single allocation, so the encoder emits it exactly once however
-//! often it occurs — terms with heavy internal sharing (literals, repaired
-//! proof spines) stay small on the wire, and decoding is **iterative**, so
-//! no input depth can exhaust the stack. Forward or self references are
-//! rejected, which makes cycles unrepresentable. Decoding recomputes the
-//! digest from the decoded value; any mismatch is [`WireError::BadDigest`].
+//! declaration), the content digest (u64 LE), a u32 LE payload length,
+//! then the payload. A term's table is a varint node count and each node's
+//! fields: numbers as varints, strings as a varint length and UTF-8 bytes,
+//! a binder name as `0` (anonymous) or `1` and the string.
+//!
+//! One builder writes the table for both forms, and one decoder reads it
+//! back, generic over where the fields come from. Decoding is iterative,
+//! so no input can exhaust the stack: a forward or self reference is
+//! rejected, which makes cycles unrepresentable, and a term deeper than
+//! [`MAX_DEPTH`] is refused (see [`term_depth`]). Decoding routes through
+//! the kernel's smart constructors, so cached structural hashes are
+//! recomputed and `decode(encode(t)) == t`; the digest is recomputed from
+//! the decoded term, and any mismatch is [`WireError::BadDigest`].
+
+use std::collections::HashMap;
 
 use pumpkin_kernel::env::ConstDecl;
 use pumpkin_kernel::name::Name;
 use pumpkin_kernel::term::{ElimData, Term, TermData};
 use pumpkin_kernel::universe::Sort;
+use pumpkin_trace::json::MAX_DEPTH;
 
 use crate::Value;
 use crate::{DigestBuilder, TermDigest, WireError, WIRE_TAG, WIRE_VERSION};
@@ -36,198 +58,402 @@ use crate::{DigestBuilder, TermDigest, WireError, WIRE_TAG, WIRE_VERSION};
 pub const MAX_PAYLOAD: usize = 16 << 20;
 
 // ---------------------------------------------------------------------
+// The node table
+// ---------------------------------------------------------------------
+
+/// Where an encoded node's fields go: a byte buffer or a JSON array.
+trait Sink {
+    fn uint(&mut self, v: u64);
+    fn str(&mut self, s: &str);
+    fn name(&mut self, n: &Name);
+}
+
+impl Sink for Vec<u8> {
+    fn uint(&mut self, v: u64) {
+        put_varint(self, v);
+    }
+
+    fn str(&mut self, s: &str) {
+        put_varint(self, s.len() as u64);
+        self.extend_from_slice(s.as_bytes());
+    }
+
+    fn name(&mut self, n: &Name) {
+        match n.as_str() {
+            Some(s) => {
+                self.push(1);
+                self.str(s);
+            }
+            None => self.push(0),
+        }
+    }
+}
+
+impl Sink for Vec<Value> {
+    fn uint(&mut self, v: u64) {
+        self.push(Value::UInt(v));
+    }
+
+    fn str(&mut self, s: &str) {
+        self.push(Value::str(s));
+    }
+
+    fn name(&mut self, n: &Name) {
+        self.push(n.as_str().map_or(Value::Null, Value::str));
+    }
+}
+
+fn for_each_child(t: &Term, mut f: impl FnMut(&Term)) {
+    match t.data() {
+        TermData::Rel(_)
+        | TermData::Sort(_)
+        | TermData::Const(_)
+        | TermData::Ind(_)
+        | TermData::Construct(_, _) => {}
+        TermData::App(h, args) => {
+            f(h);
+            args.iter().for_each(f);
+        }
+        TermData::Lambda(b, body) | TermData::Pi(b, body) => {
+            f(&b.ty);
+            f(body);
+        }
+        TermData::Let(b, val, body) => {
+            f(&b.ty);
+            f(val);
+            f(body);
+        }
+        TermData::Elim(e) => {
+            e.params.iter().for_each(&mut f);
+            f(&e.motive);
+            e.cases.iter().for_each(&mut f);
+            f(&e.scrutinee);
+        }
+    }
+}
+
+/// A term's node table: each distinct node once, children before parents,
+/// the root last.
+struct Table {
+    order: Vec<Term>,
+    /// Table position by [`Term::alloc_id`]: the interner guarantees that
+    /// name-identical structurally equal subterms share an allocation.
+    index: HashMap<u32, u64>,
+}
+
+impl Table {
+    /// Iterative post-order DFS (explicit stack): depth is unbounded.
+    fn build(t: &Term) -> Table {
+        let mut index = HashMap::new();
+        let mut order: Vec<Term> = Vec::new();
+        // (node, children already pushed?)
+        let mut stack: Vec<(Term, bool)> = vec![(t.clone(), false)];
+        while let Some((node, expanded)) = stack.pop() {
+            if index.contains_key(&node.alloc_id()) {
+                continue;
+            }
+            if expanded {
+                index.insert(node.alloc_id(), order.len() as u64);
+                order.push(node);
+            } else {
+                stack.push((node.clone(), true));
+                let mut kids = Vec::new();
+                for_each_child(&node, |c| kids.push(c.clone()));
+                // Reversed so the leftmost child is visited (and numbered)
+                // first — cosmetic, but keeps the table order intuitive.
+                stack.extend(kids.into_iter().rev().map(|c| (c, false)));
+            }
+        }
+        Table { order, index }
+    }
+
+    /// Writes one node: its tag, then its fields, children as backward
+    /// references.
+    fn put<S: Sink>(&self, out: &mut S, t: &Term) {
+        let put_ref = |out: &mut S, c: &Term| out.uint(self.index[&c.alloc_id()]);
+        let put_refs = |out: &mut S, cs: &[Term]| {
+            out.uint(cs.len() as u64);
+            cs.iter().for_each(|c| put_ref(out, c));
+        };
+        match t.data() {
+            TermData::Rel(i) => {
+                out.uint(0);
+                out.uint(*i as u64);
+            }
+            TermData::Sort(Sort::Prop) => out.uint(1),
+            TermData::Sort(Sort::Set) => out.uint(2),
+            TermData::Sort(Sort::Type(u)) => {
+                out.uint(3);
+                out.uint(u64::from(*u));
+            }
+            TermData::Const(n) => {
+                out.uint(4);
+                out.str(n.as_str());
+            }
+            TermData::Ind(n) => {
+                out.uint(5);
+                out.str(n.as_str());
+            }
+            TermData::Construct(n, j) => {
+                out.uint(6);
+                out.str(n.as_str());
+                out.uint(*j as u64);
+            }
+            TermData::App(h, args) => {
+                out.uint(7);
+                put_ref(out, h);
+                put_refs(out, args);
+            }
+            TermData::Lambda(b, body) | TermData::Pi(b, body) => {
+                let lambda = matches!(t.data(), TermData::Lambda(..));
+                out.uint(if lambda { 8 } else { 9 });
+                out.name(&b.name);
+                put_ref(out, &b.ty);
+                put_ref(out, body);
+            }
+            TermData::Let(b, val, body) => {
+                out.uint(10);
+                out.name(&b.name);
+                put_ref(out, &b.ty);
+                put_ref(out, val);
+                put_ref(out, body);
+            }
+            TermData::Elim(e) => {
+                out.uint(11);
+                out.str(e.ind.as_str());
+                put_refs(out, &e.params);
+                put_ref(out, &e.motive);
+                put_refs(out, &e.cases);
+                put_ref(out, &e.scrutinee);
+            }
+        }
+    }
+}
+
+/// The depth of `t` as the decoder measures it: a leaf is 0, and any other
+/// node is one more than its deepest child. A term deeper than
+/// [`MAX_DEPTH`] encodes, but neither rendering decodes it.
+pub fn term_depth(t: &Term) -> usize {
+    let table = Table::build(t);
+    let mut depths: Vec<usize> = Vec::with_capacity(table.order.len());
+    for node in &table.order {
+        let mut depth = 0;
+        for_each_child(node, |c| {
+            depth = depth.max(depths[table.index[&c.alloc_id()] as usize] + 1);
+        });
+        depths.push(depth);
+    }
+    depths.last().copied().unwrap_or(0)
+}
+
+/// Where a decoded node's fields come from: a binary cursor or one JSON
+/// node array.
+trait Source {
+    fn uint(&mut self) -> Result<u64, WireError>;
+    fn string(&mut self) -> Result<String, WireError>;
+    fn name(&mut self) -> Result<Name, WireError>;
+    /// A count prefix that is about to drive `count` field reads. Each read
+    /// consumes at least one field, so any count above the fields left is
+    /// malformed (and would otherwise let a tiny frame request a huge
+    /// allocation).
+    fn count(&mut self) -> Result<usize, WireError>;
+}
+
+/// Narrows a decoded number with an explicit range check. A plain `as`
+/// cast would silently wrap on 32-bit targets, letting a non-canonical
+/// frame (whose digest was computed over the wrapped value) decode to a
+/// different term than its fields spell.
+fn narrow<T: TryFrom<u64>>(v: u64) -> Result<T, WireError> {
+    T::try_from(v)
+        .map_err(|_| WireError::Syntax(format!("{v} overflows {}", std::any::type_name::<T>())))
+}
+
+/// A node table being decoded: each node so far, with its depth.
+struct Decoder {
+    nodes: Vec<(Term, usize)>,
+}
+
+impl Decoder {
+    fn with_capacity(n: usize) -> Decoder {
+        Decoder {
+            nodes: Vec::with_capacity(n),
+        }
+    }
+
+    /// Resolves one backward reference against the nodes decoded so far,
+    /// raising `depth` past the child's.
+    fn child(&self, f: &mut impl Source, depth: &mut usize) -> Result<Term, WireError> {
+        let j = f.uint()?;
+        let (t, d) = usize::try_from(j)
+            .ok()
+            .and_then(|j| self.nodes.get(j))
+            .ok_or_else(|| {
+                WireError::Syntax(format!(
+                    "node reference {j} is not backward (only {} nodes decoded)",
+                    self.nodes.len()
+                ))
+            })?;
+        *depth = (*depth).max(d + 1);
+        Ok(t.clone())
+    }
+
+    fn children(&self, f: &mut impl Source, depth: &mut usize) -> Result<Vec<Term>, WireError> {
+        let n = f.count()?;
+        (0..n).map(|_| self.child(f, depth)).collect()
+    }
+
+    /// Decodes the next node from `f` (the inverse of [`Table::put`]) and
+    /// appends it, refusing it if it nests deeper than [`MAX_DEPTH`].
+    fn push(&mut self, f: &mut impl Source) -> Result<(), WireError> {
+        let mut depth = 0;
+        let d = &mut depth;
+        let t = match f.uint()? {
+            0 => Term::rel(narrow(f.uint()?)?),
+            1 => Term::prop(),
+            2 => Term::set(),
+            3 => Term::type_(narrow(f.uint()?)?),
+            4 => Term::const_(f.string()?),
+            5 => Term::ind(f.string()?),
+            6 => {
+                let n = f.string()?;
+                Term::construct(n, narrow(f.uint()?)?)
+            }
+            7 => {
+                let head = self.child(f, d)?;
+                let args = self.children(f, d)?;
+                if args.is_empty() {
+                    return Err(WireError::Syntax("empty application spine".into()));
+                }
+                Term::app(head, args)
+            }
+            tag @ (8 | 9) => {
+                let name = f.name()?;
+                let ty = self.child(f, d)?;
+                let body = self.child(f, d)?;
+                if tag == 8 {
+                    Term::lambda(name, ty, body)
+                } else {
+                    Term::pi(name, ty, body)
+                }
+            }
+            10 => {
+                let name = f.name()?;
+                let ty = self.child(f, d)?;
+                let val = self.child(f, d)?;
+                let body = self.child(f, d)?;
+                Term::let_(name, ty, val, body)
+            }
+            // Struct expressions evaluate their fields in the order
+            // written, which is the table's field order.
+            11 => Term::elim(ElimData {
+                ind: f.string()?.into(),
+                params: self.children(f, d)?,
+                motive: self.child(f, d)?,
+                cases: self.children(f, d)?,
+                scrutinee: self.child(f, d)?,
+            }),
+            tag => return Err(WireError::Syntax(format!("bad term tag {tag}"))),
+        };
+        if depth > MAX_DEPTH {
+            return Err(WireError::Shape(format!(
+                "term nests deeper than {MAX_DEPTH} levels"
+            )));
+        }
+        self.nodes.push((t, depth));
+        Ok(())
+    }
+
+    /// The root: the last node.
+    fn root(mut self) -> Result<Term, WireError> {
+        self.nodes
+            .pop()
+            .map(|(t, _)| t)
+            .ok_or_else(|| WireError::Syntax("empty term node table".into()))
+    }
+}
+
+/// `decoded` if its recomputed digest `actual` is the frame's `expected`.
+fn verified<T>(decoded: T, expected: TermDigest, actual: TermDigest) -> Result<T, WireError> {
+    if actual != expected {
+        return Err(WireError::BadDigest {
+            expected: expected.0,
+            actual: actual.0,
+        });
+    }
+    Ok(decoded)
+}
+
+// ---------------------------------------------------------------------
 // JSON form
 // ---------------------------------------------------------------------
 
-fn name_to_value(n: &Name) -> Value {
-    match n.as_str() {
-        Some(s) => Value::str(s),
-        None => Value::Null,
+/// One JSON node's fields, read front to back.
+struct Fields<'v>(std::slice::Iter<'v, Value>);
+
+impl<'v> Fields<'v> {
+    fn next(&mut self) -> Result<&'v Value, WireError> {
+        self.0
+            .next()
+            .ok_or_else(|| WireError::Shape("a node ends before its last field".into()))
     }
 }
 
-fn name_from_value(v: &Value) -> Result<Name, WireError> {
-    match v {
-        Value::Null => Ok(Name::Anonymous),
-        Value::Str(s) => Ok(Name::named(s)),
-        _ => Err(WireError::Shape(
-            "binder name must be a string or null".into(),
-        )),
+impl Source for Fields<'_> {
+    fn uint(&mut self) -> Result<u64, WireError> {
+        self.next()?
+            .as_u64()
+            .ok_or_else(|| WireError::Shape("a node field must be a non-negative integer".into()))
     }
-}
 
-/// Encodes a term as a bare (envelope-less) JSON value.
-pub fn term_to_value(t: &Term) -> Value {
-    let kv = |k: &str, rest: Vec<(String, Value)>| {
-        let mut fields = vec![("k".to_string(), Value::str(k))];
-        fields.extend(rest);
-        Value::Obj(fields)
-    };
-    match t.data() {
-        TermData::Rel(i) => kv("rel", vec![("i".into(), Value::UInt(*i as u64))]),
-        TermData::Sort(Sort::Prop) => kv("sort", vec![("s".into(), Value::str("prop"))]),
-        TermData::Sort(Sort::Set) => kv("sort", vec![("s".into(), Value::str("set"))]),
-        TermData::Sort(Sort::Type(u)) => kv(
-            "sort",
-            vec![
-                ("s".into(), Value::str("type")),
-                ("u".into(), Value::UInt(*u as u64)),
-            ],
-        ),
-        TermData::Const(n) => kv("const", vec![("n".into(), Value::str(n.as_str()))]),
-        TermData::Ind(n) => kv("ind", vec![("n".into(), Value::str(n.as_str()))]),
-        TermData::Construct(n, j) => kv(
-            "ctor",
-            vec![
-                ("n".into(), Value::str(n.as_str())),
-                ("j".into(), Value::UInt(*j as u64)),
-            ],
-        ),
-        TermData::App(h, args) => kv(
-            "app",
-            vec![
-                ("f".into(), term_to_value(h)),
-                (
-                    "a".into(),
-                    Value::Arr(args.iter().map(term_to_value).collect()),
-                ),
-            ],
-        ),
-        TermData::Lambda(b, body) => kv(
-            "lam",
-            vec![
-                ("x".into(), name_to_value(&b.name)),
-                ("t".into(), term_to_value(&b.ty)),
-                ("b".into(), term_to_value(body)),
-            ],
-        ),
-        TermData::Pi(b, body) => kv(
-            "pi",
-            vec![
-                ("x".into(), name_to_value(&b.name)),
-                ("t".into(), term_to_value(&b.ty)),
-                ("b".into(), term_to_value(body)),
-            ],
-        ),
-        TermData::Let(b, val, body) => kv(
-            "let",
-            vec![
-                ("x".into(), name_to_value(&b.name)),
-                ("t".into(), term_to_value(&b.ty)),
-                ("v".into(), term_to_value(val)),
-                ("b".into(), term_to_value(body)),
-            ],
-        ),
-        TermData::Elim(e) => kv(
-            "elim",
-            vec![
-                ("ind".into(), Value::str(e.ind.as_str())),
-                (
-                    "p".into(),
-                    Value::Arr(e.params.iter().map(term_to_value).collect()),
-                ),
-                ("m".into(), term_to_value(&e.motive)),
-                (
-                    "c".into(),
-                    Value::Arr(e.cases.iter().map(term_to_value).collect()),
-                ),
-                ("s".into(), term_to_value(&e.scrutinee)),
-            ],
-        ),
+    fn string(&mut self) -> Result<String, WireError> {
+        self.next()?
+            .as_str()
+            .map(str::to_string)
+            .ok_or_else(|| WireError::Shape("a node field must be a string".into()))
     }
-}
 
-fn field<'v>(v: &'v Value, k: &str, node: &str) -> Result<&'v Value, WireError> {
-    v.get(k)
-        .ok_or_else(|| WireError::Shape(format!("`{node}` node is missing field `{k}`")))
-}
-
-fn str_field(v: &Value, k: &str, node: &str) -> Result<String, WireError> {
-    field(v, k, node)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| WireError::Shape(format!("`{node}.{k}` must be a string")))
-}
-
-fn uint_field(v: &Value, k: &str, node: &str) -> Result<u64, WireError> {
-    field(v, k, node)?
-        .as_u64()
-        .ok_or_else(|| WireError::Shape(format!("`{node}.{k}` must be a non-negative integer")))
-}
-
-/// Decodes a bare term value (inverse of [`term_to_value`]).
-pub fn term_from_value(v: &Value) -> Result<Term, WireError> {
-    let kind = v
-        .get("k")
-        .and_then(Value::as_str)
-        .ok_or_else(|| WireError::Shape("term node must be an object with a `k` tag".into()))?;
-    let terms = |k: &str| -> Result<Vec<Term>, WireError> {
-        field(v, k, kind)?
-            .as_arr()
-            .ok_or_else(|| WireError::Shape(format!("`{kind}.{k}` must be an array")))?
-            .iter()
-            .map(term_from_value)
-            .collect()
-    };
-    match kind {
-        "rel" => Ok(Term::rel(uint_field(v, "i", "rel")? as usize)),
-        "sort" => match str_field(v, "s", "sort")?.as_str() {
-            "prop" => Ok(Term::prop()),
-            "set" => Ok(Term::set()),
-            "type" => Ok(Term::type_(uint_field(v, "u", "sort")? as u32)),
-            s => Err(WireError::Shape(format!("unknown sort `{s}`"))),
-        },
-        "const" => Ok(Term::const_(str_field(v, "n", "const")?)),
-        "ind" => Ok(Term::ind(str_field(v, "n", "ind")?)),
-        "ctor" => Ok(Term::construct(
-            str_field(v, "n", "ctor")?,
-            uint_field(v, "j", "ctor")? as usize,
-        )),
-        "app" => {
-            let head = term_from_value(field(v, "f", "app")?)?;
-            let args = terms("a")?;
-            if args.is_empty() {
-                return Err(WireError::Shape("`app.a` must be non-empty".into()));
-            }
-            Ok(Term::app(head, args))
+    fn name(&mut self) -> Result<Name, WireError> {
+        match self.next()? {
+            Value::Null => Ok(Name::Anonymous),
+            Value::Str(s) => Ok(Name::named(s)),
+            _ => Err(WireError::Shape(
+                "binder name must be a string or null".into(),
+            )),
         }
-        "lam" | "pi" => {
-            let name = name_from_value(field(v, "x", kind)?)?;
-            let ty = term_from_value(field(v, "t", kind)?)?;
-            let body = term_from_value(field(v, "b", kind)?)?;
-            Ok(if kind == "lam" {
-                Term::lambda(name, ty, body)
-            } else {
-                Term::pi(name, ty, body)
-            })
+    }
+
+    fn count(&mut self) -> Result<usize, WireError> {
+        let n = narrow(self.uint()?)?;
+        if n > self.0.len() {
+            return Err(WireError::Shape(format!(
+                "a node counts {n} references but has {} fields left",
+                self.0.len()
+            )));
         }
-        "let" => {
-            let name = name_from_value(field(v, "x", "let")?)?;
-            let ty = term_from_value(field(v, "t", "let")?)?;
-            let val = term_from_value(field(v, "v", "let")?)?;
-            let body = term_from_value(field(v, "b", "let")?)?;
-            Ok(Term::let_(name, ty, val, body))
-        }
-        "elim" => Ok(Term::elim(ElimData {
-            ind: str_field(v, "ind", "elim")?.into(),
-            params: terms("p")?,
-            motive: term_from_value(field(v, "m", "elim")?)?,
-            cases: terms("c")?,
-            scrutinee: term_from_value(field(v, "s", "elim")?)?,
-        })),
-        other => Err(WireError::Shape(format!("unknown term tag `{other}`"))),
+        Ok(n)
     }
 }
 
-/// Wraps a term in the versioned, digest-carrying envelope.
+/// Wraps a term in the versioned, digest-carrying envelope
+/// `{"wire":…,"digest":…,"nodes":[…]}`.
 pub fn term_to_envelope(t: &Term) -> Value {
+    let table = Table::build(t);
+    let nodes = table
+        .order
+        .iter()
+        .map(|node| {
+            let mut fields = Vec::new();
+            table.put(&mut fields, node);
+            Value::Arr(fields)
+        })
+        .collect();
     Value::Obj(vec![
         ("wire".into(), Value::str(WIRE_TAG)),
         (
             "digest".into(),
             Value::str(TermDigest::of_term(t).to_string()),
         ),
-        ("term".into(), term_to_value(t)),
+        ("nodes".into(), Value::Arr(nodes)),
     ])
 }
 
@@ -245,45 +471,26 @@ pub fn term_from_envelope(v: &Value) -> Result<Term, WireError> {
         .and_then(Value::as_str)
         .and_then(TermDigest::from_hex)
         .ok_or_else(|| WireError::Shape("envelope has a missing or malformed `digest`".into()))?;
-    let t = term_from_value(field(v, "term", "envelope")?)?;
-    let actual = TermDigest::of_term(&t);
-    if actual != digest {
-        return Err(WireError::BadDigest {
-            expected: digest.0,
-            actual: actual.0,
-        });
+    let nodes = v
+        .get("nodes")
+        .and_then(Value::as_arr)
+        .ok_or_else(|| WireError::Shape("envelope is missing its `nodes` array".into()))?;
+    let mut table = Decoder::with_capacity(nodes.len());
+    for node in nodes {
+        let fields = node
+            .as_arr()
+            .ok_or_else(|| WireError::Shape("a node must be an array".into()))?;
+        let mut f = Fields(fields.iter());
+        table.push(&mut f)?;
+        if f.0.len() != 0 {
+            return Err(WireError::Shape(
+                "a node has more fields than its tag takes".into(),
+            ));
+        }
     }
-    Ok(t)
-}
-
-/// Encodes a declaration as a bare JSON value
-/// (`{"name":…,"ty":…,"body":…|null,"opaque":…}`).
-pub fn decl_to_value(d: &ConstDecl) -> Value {
-    Value::Obj(vec![
-        ("name".into(), Value::str(d.name.as_str())),
-        ("ty".into(), term_to_value(&d.ty)),
-        (
-            "body".into(),
-            d.body.as_ref().map(term_to_value).unwrap_or(Value::Null),
-        ),
-        ("opaque".into(), Value::Bool(d.opaque)),
-    ])
-}
-
-/// Decodes [`decl_to_value`].
-pub fn decl_from_value(v: &Value) -> Result<ConstDecl, WireError> {
-    let body = match field(v, "body", "decl")? {
-        Value::Null => None,
-        b => Some(term_from_value(b)?),
-    };
-    Ok(ConstDecl {
-        name: str_field(v, "name", "decl")?.into(),
-        ty: term_from_value(field(v, "ty", "decl")?)?,
-        body,
-        opaque: field(v, "opaque", "decl")?
-            .as_bool()
-            .ok_or_else(|| WireError::Shape("`decl.opaque` must be a bool".into()))?,
-    })
+    let t = table.root()?;
+    let actual = TermDigest::of_term(&t);
+    verified(t, digest, actual)
 }
 
 /// A content digest for a declaration: name, type digest, body digest (or
@@ -324,150 +531,12 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_name(out: &mut Vec<u8>, n: &Name) {
-    match n.as_str() {
-        Some(s) => {
-            out.push(1);
-            put_str(out, s);
-        }
-        None => out.push(0),
-    }
-}
-
-fn for_each_child(t: &Term, mut f: impl FnMut(&Term)) {
-    match t.data() {
-        TermData::Rel(_)
-        | TermData::Sort(_)
-        | TermData::Const(_)
-        | TermData::Ind(_)
-        | TermData::Construct(_, _) => {}
-        TermData::App(h, args) => {
-            f(h);
-            args.iter().for_each(f);
-        }
-        TermData::Lambda(b, body) | TermData::Pi(b, body) => {
-            f(&b.ty);
-            f(body);
-        }
-        TermData::Let(b, val, body) => {
-            f(&b.ty);
-            f(val);
-            f(body);
-        }
-        TermData::Elim(e) => {
-            e.params.iter().for_each(&mut f);
-            f(&e.motive);
-            e.cases.iter().for_each(&mut f);
-            f(&e.scrutinee);
-        }
-    }
-}
-
-/// Writes `t` as a node table: a varint node count, then each distinct node
-/// once, children before parents, the root last. The dedup key is
-/// [`Term::alloc_id`] — the interner guarantees name-identical structurally
-/// equal subterms share an allocation, so every shared subterm is emitted
-/// exactly once. Iterative (explicit stack): encoding depth is unbounded.
+/// Writes `t`'s node table: a varint node count, then each node.
 fn put_term(out: &mut Vec<u8>, t: &Term) {
-    let mut index: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
-    let mut order: Vec<Term> = Vec::new();
-    // (node, children already pushed?) — post-order DFS.
-    let mut stack: Vec<(Term, bool)> = vec![(t.clone(), false)];
-    while let Some((node, expanded)) = stack.pop() {
-        if index.contains_key(&node.alloc_id()) {
-            continue;
-        }
-        if expanded {
-            index.insert(node.alloc_id(), order.len() as u64);
-            order.push(node);
-        } else {
-            stack.push((node.clone(), true));
-            let mut kids = Vec::new();
-            for_each_child(&node, |c| kids.push(c.clone()));
-            // Reversed so the leftmost child is visited (and numbered)
-            // first — cosmetic, but keeps the table order intuitive.
-            stack.extend(kids.into_iter().rev().map(|c| (c, false)));
-        }
-    }
-    put_varint(out, order.len() as u64);
-    for node in &order {
-        put_node(out, node, &index);
-    }
-}
-
-/// Writes one table node; child positions carry varint backward references.
-fn put_node(out: &mut Vec<u8>, t: &Term, index: &std::collections::HashMap<u32, u64>) {
-    let put_ref = |out: &mut Vec<u8>, c: &Term| put_varint(out, index[&c.alloc_id()]);
-    match t.data() {
-        TermData::Rel(i) => {
-            out.push(0);
-            put_varint(out, *i as u64);
-        }
-        TermData::Sort(Sort::Prop) => out.push(1),
-        TermData::Sort(Sort::Set) => out.push(2),
-        TermData::Sort(Sort::Type(u)) => {
-            out.push(3);
-            put_varint(out, *u as u64);
-        }
-        TermData::Const(n) => {
-            out.push(4);
-            put_str(out, n.as_str());
-        }
-        TermData::Ind(n) => {
-            out.push(5);
-            put_str(out, n.as_str());
-        }
-        TermData::Construct(n, j) => {
-            out.push(6);
-            put_str(out, n.as_str());
-            put_varint(out, *j as u64);
-        }
-        TermData::App(h, args) => {
-            out.push(7);
-            put_ref(out, h);
-            put_varint(out, args.len() as u64);
-            for a in args {
-                put_ref(out, a);
-            }
-        }
-        TermData::Lambda(b, body) => {
-            out.push(8);
-            put_name(out, &b.name);
-            put_ref(out, &b.ty);
-            put_ref(out, body);
-        }
-        TermData::Pi(b, body) => {
-            out.push(9);
-            put_name(out, &b.name);
-            put_ref(out, &b.ty);
-            put_ref(out, body);
-        }
-        TermData::Let(b, val, body) => {
-            out.push(10);
-            put_name(out, &b.name);
-            put_ref(out, &b.ty);
-            put_ref(out, val);
-            put_ref(out, body);
-        }
-        TermData::Elim(e) => {
-            out.push(11);
-            put_str(out, e.ind.as_str());
-            put_varint(out, e.params.len() as u64);
-            for p in &e.params {
-                put_ref(out, p);
-            }
-            put_ref(out, &e.motive);
-            put_varint(out, e.cases.len() as u64);
-            for c in &e.cases {
-                put_ref(out, c);
-            }
-            put_ref(out, &e.scrutinee);
-        }
+    let table = Table::build(t);
+    put_varint(out, table.order.len() as u64);
+    for node in &table.order {
+        table.put(out, node);
     }
 }
 
@@ -493,7 +562,20 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    fn varint(&mut self) -> Result<u64, WireError> {
+    /// Reads a node table (inverse of [`put_term`]): a varint count, then
+    /// that many nodes.
+    fn term(&mut self) -> Result<Term, WireError> {
+        let n = self.count()?;
+        let mut table = Decoder::with_capacity(n);
+        for _ in 0..n {
+            table.push(self)?;
+        }
+        table.root()
+    }
+}
+
+impl Source for Cursor<'_> {
+    fn uint(&mut self) -> Result<u64, WireError> {
         let mut v: u64 = 0;
         for shift in (0..64).step_by(7) {
             let b = self.byte()?;
@@ -505,24 +587,8 @@ impl<'a> Cursor<'a> {
         Err(WireError::Syntax("varint too long".into()))
     }
 
-    /// A varint narrowed to `usize` with an explicit range check. A plain
-    /// `as` cast would silently wrap on 32-bit targets, letting a
-    /// non-canonical frame (whose digest was computed over the wrapped
-    /// value) decode to a different term than its bytes spell.
-    fn varint_usize(&mut self) -> Result<usize, WireError> {
-        let v = self.varint()?;
-        usize::try_from(v).map_err(|_| WireError::Syntax(format!("varint {v} overflows usize")))
-    }
-
-    /// A varint narrowed to `u32`, rejecting out-of-range values for the
-    /// same reason as [`Cursor::varint_usize`].
-    fn varint_u32(&mut self) -> Result<u32, WireError> {
-        let v = self.varint()?;
-        u32::try_from(v).map_err(|_| WireError::Syntax(format!("varint {v} overflows u32")))
-    }
-
     fn string(&mut self) -> Result<String, WireError> {
-        let len = self.varint_usize()?;
+        let len = narrow(self.uint()?)?;
         if len > self.bytes.len() - self.pos {
             return Err(WireError::Truncated);
         }
@@ -539,114 +605,12 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Reads a `count` prefix that is about to drive `count` recursive
-    /// decodes; each decoded item consumes ≥ 1 byte, so any count above
-    /// the remaining length is malformed (and would otherwise let a tiny
-    /// frame request a huge allocation).
     fn count(&mut self) -> Result<usize, WireError> {
-        let n = self.varint_usize()?;
+        let n = narrow(self.uint()?)?;
         if n > self.bytes.len() - self.pos {
             return Err(WireError::Truncated);
         }
         Ok(n)
-    }
-
-    /// Reads a node table (inverse of [`put_term`]): a varint count, then
-    /// that many nodes, each resolving its children against the prefix of
-    /// the table decoded so far. Iterative — input depth cannot exhaust the
-    /// stack — and references are backward by construction (an index at or
-    /// past the current position is rejected), so cycles are
-    /// unrepresentable.
-    fn term(&mut self) -> Result<Term, WireError> {
-        let n = self.count()?;
-        if n == 0 {
-            return Err(WireError::Syntax("empty term node table".into()));
-        }
-        let mut nodes: Vec<Term> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let t = self.node(&nodes)?;
-            nodes.push(t);
-        }
-        Ok(nodes.pop().expect("n > 0"))
-    }
-
-    /// Resolves one backward reference against the already-decoded prefix.
-    fn node_ref(&mut self, nodes: &[Term]) -> Result<Term, WireError> {
-        let j = self.varint_usize()?;
-        nodes.get(j).cloned().ok_or_else(|| {
-            WireError::Syntax(format!(
-                "node reference {j} is not backward (only {} nodes decoded)",
-                nodes.len()
-            ))
-        })
-    }
-
-    fn node(&mut self, nodes: &[Term]) -> Result<Term, WireError> {
-        match self.byte()? {
-            0 => Ok(Term::rel(self.varint_usize()?)),
-            1 => Ok(Term::prop()),
-            2 => Ok(Term::set()),
-            3 => Ok(Term::type_(self.varint_u32()?)),
-            4 => Ok(Term::const_(self.string()?)),
-            5 => Ok(Term::ind(self.string()?)),
-            6 => {
-                let n = self.string()?;
-                Ok(Term::construct(n, self.varint_usize()?))
-            }
-            7 => {
-                let head = self.node_ref(nodes)?;
-                let argc = self.count()?;
-                if argc == 0 {
-                    return Err(WireError::Syntax("empty application spine".into()));
-                }
-                let mut args = Vec::with_capacity(argc);
-                for _ in 0..argc {
-                    args.push(self.node_ref(nodes)?);
-                }
-                Ok(Term::app(head, args))
-            }
-            8 | 9 => {
-                let tag = self.bytes[self.pos - 1];
-                let name = self.name()?;
-                let ty = self.node_ref(nodes)?;
-                let body = self.node_ref(nodes)?;
-                Ok(if tag == 8 {
-                    Term::lambda(name, ty, body)
-                } else {
-                    Term::pi(name, ty, body)
-                })
-            }
-            10 => {
-                let name = self.name()?;
-                let ty = self.node_ref(nodes)?;
-                let val = self.node_ref(nodes)?;
-                let body = self.node_ref(nodes)?;
-                Ok(Term::let_(name, ty, val, body))
-            }
-            11 => {
-                let ind = self.string()?;
-                let np = self.count()?;
-                let mut params = Vec::with_capacity(np);
-                for _ in 0..np {
-                    params.push(self.node_ref(nodes)?);
-                }
-                let motive = self.node_ref(nodes)?;
-                let nc = self.count()?;
-                let mut cases = Vec::with_capacity(nc);
-                for _ in 0..nc {
-                    cases.push(self.node_ref(nodes)?);
-                }
-                let scrutinee = self.node_ref(nodes)?;
-                Ok(Term::elim(ElimData {
-                    ind: ind.into(),
-                    params,
-                    motive,
-                    cases,
-                    scrutinee,
-                }))
-            }
-            b => Err(WireError::Syntax(format!("bad term tag {b}"))),
-        }
     }
 }
 
@@ -706,30 +670,18 @@ pub fn decode_term(bytes: &[u8]) -> Result<Term, WireError> {
         return Err(WireError::Syntax("trailing bytes in frame".into()));
     }
     let actual = TermDigest::of_term(&t);
-    if actual != digest {
-        return Err(WireError::BadDigest {
-            expected: digest.0,
-            actual: actual.0,
-        });
-    }
-    Ok(t)
+    verified(t, digest, actual)
 }
 
 /// Encodes a declaration as a self-contained binary frame.
 pub fn encode_decl(d: &ConstDecl) -> Vec<u8> {
     let mut payload = Vec::new();
-    put_str(&mut payload, d.name.as_str());
+    payload.str(d.name.as_str());
     payload.push(d.opaque as u8);
-    match &d.body {
-        Some(b) => {
-            payload.push(1);
-            put_term(&mut payload, &d.ty);
-            put_term(&mut payload, b);
-        }
-        None => {
-            payload.push(0);
-            put_term(&mut payload, &d.ty);
-        }
+    payload.push(d.body.is_some() as u8);
+    put_term(&mut payload, &d.ty);
+    if let Some(b) = &d.body {
+        put_term(&mut payload, b);
     }
     frame(KIND_DECL, decl_digest(d), payload)
 }
@@ -760,13 +712,7 @@ pub fn decode_decl(bytes: &[u8]) -> Result<ConstDecl, WireError> {
         opaque,
     };
     let actual = decl_digest(&d);
-    if actual != digest {
-        return Err(WireError::BadDigest {
-            expected: digest.0,
-            actual: actual.0,
-        });
-    }
-    Ok(d)
+    verified(d, digest, actual)
 }
 
 #[cfg(test)]
@@ -825,18 +771,52 @@ mod tests {
         }
     }
 
+    /// Encodes `t` as a JSON envelope, prints and re-parses it, and decodes.
+    fn json_roundtrip(t: &Term) -> Result<Term, WireError> {
+        term_from_envelope(&Value::parse(&term_to_envelope(t).to_string()).unwrap())
+    }
+
+    /// A JSON envelope around a hand-written node table.
+    fn envelope(digest: TermDigest, nodes: &str) -> Value {
+        Value::parse(&format!(
+            r#"{{"wire":"{WIRE_TAG}","digest":"{digest}","nodes":{nodes}}}"#
+        ))
+        .unwrap()
+    }
+
     #[test]
     fn json_roundtrip_random_terms() {
         check(200, |rng| {
             let t = random_term(rng, 5);
-            let v = term_to_envelope(&t);
-            let reparsed = Value::parse(&v.to_string()).unwrap();
-            let back = term_from_envelope(&reparsed).unwrap();
+            let back = json_roundtrip(&t).unwrap();
             assert_eq!(back, t);
             // Structural hashes are recomputed, not trusted: equal terms
             // must agree on the cached hash.
             assert_eq!(back.structural_hash(), t.structural_hash());
         });
+    }
+
+    #[test]
+    fn json_nodes_are_the_binary_table() {
+        // `S (S O)`: S, O, S O, S (S O) — the root last, children as
+        // backward references, one flat array per node.
+        let s = |t: Term| Term::app(Term::construct("nat", 1), [t]);
+        let t = s(s(Term::construct("nat", 0)));
+        let env = term_to_envelope(&t);
+        assert_eq!(
+            env.get("nodes").unwrap().to_string(),
+            r#"[[6,"nat",1],[6,"nat",0],[7,0,1,1],[7,0,1,2]]"#
+        );
+        // The binary payload (past the 18-byte header) holds the same
+        // fields in the same order, after the node count.
+        let nat = |j| [6, 3, b'n', b'a', b't', j];
+        let nodes: Vec<u8> = [&[4u8][..], &nat(1), &nat(0), &[7, 0, 1, 1], &[7, 0, 1, 2]].concat();
+        assert_eq!(&encode_term(&t)[18..], &nodes[..]);
+        let lam = Term::lambda(Name::Anonymous, Term::prop(), Term::rel(0));
+        assert_eq!(
+            term_to_envelope(&lam).get("nodes").unwrap().to_string(),
+            "[[1],[0,0],[8,null,0,1]]"
+        );
     }
 
     #[test]
@@ -858,7 +838,7 @@ mod tests {
             TermData::Lambda(b, _) => assert_eq!(b.name.as_str(), Some("hint")),
             _ => panic!("shape changed"),
         }
-        let back = term_from_value(&term_to_value(&t)).unwrap();
+        let back = json_roundtrip(&t).unwrap();
         match back.data() {
             TermData::Lambda(b, _) => assert_eq!(b.name.as_str(), Some("hint")),
             _ => panic!("shape changed"),
@@ -866,7 +846,7 @@ mod tests {
     }
 
     #[test]
-    fn decl_roundtrip_both_forms() {
+    fn decl_roundtrip() {
         check(100, |rng| {
             let d = ConstDecl {
                 name: format!("M.c{}", rng.below(100)).into(),
@@ -879,8 +859,6 @@ mod tests {
                 opaque: rng.bool(),
             };
             assert_eq!(decode_decl(&encode_decl(&d)).unwrap(), d);
-            let v = Value::parse(&decl_to_value(&d).to_string()).unwrap();
-            assert_eq!(decl_from_value(&v).unwrap(), d);
         });
     }
 
@@ -973,39 +951,74 @@ mod tests {
     }
 
     #[test]
-    fn deep_terms_roundtrip_iteratively() {
-        // 100k nested lambdas: both encode and decode are iterative, so
-        // depth is limited by memory, never the call stack.
-        let mut t = Term::prop();
-        for _ in 0..100_000 {
-            t = Term::lambda(Name::Anonymous, Term::set(), t);
+    fn terms_deeper_than_the_cap_are_refused_in_both_renderings() {
+        let lambdas = |n: usize| {
+            (0..n).fold(Term::prop(), |t, _| {
+                Term::lambda(Name::Anonymous, Term::set(), t)
+            })
+        };
+        let numeral = |n: usize| {
+            (0..n).fold(Term::construct("nat", 0), |t, _| {
+                Term::app(Term::construct("nat", 1), [t])
+            })
+        };
+        for t in [lambdas(MAX_DEPTH), numeral(MAX_DEPTH)] {
+            assert_eq!(term_depth(&t), MAX_DEPTH);
+            assert_eq!(decode_term(&encode_term(&t)).unwrap(), t);
+            assert_eq!(json_roundtrip(&t).unwrap(), t);
         }
-        let bytes = encode_term(&t);
-        assert_eq!(decode_term(&bytes).unwrap(), t);
+        let refused = |r: Result<Term, WireError>| matches!(r, Err(WireError::Shape(m)) if m.contains(&format!("deeper than {MAX_DEPTH}")));
+        // One level past the cap, and 100k levels: the decoders stop at
+        // the first node past the cap. Encoding and decoding are both
+        // iterative, so neither depth touches the call stack.
+        for t in [
+            lambdas(MAX_DEPTH + 1),
+            numeral(MAX_DEPTH + 1),
+            lambdas(100_000),
+        ] {
+            assert!(term_depth(&t) > MAX_DEPTH);
+            assert!(refused(decode_term(&encode_term(&t))), "binary accepted it");
+            assert!(refused(json_roundtrip(&t)), "JSON accepted it");
+        }
+        // Leaves are depth 0; sharing does not add depth.
+        assert_eq!(term_depth(&Term::prop()), 0);
+        let n = numeral(3);
+        assert_eq!(
+            term_depth(&Term::app(Term::const_("pair"), [n.clone(), n])),
+            4
+        );
     }
 
     #[test]
     fn shared_subterms_are_encoded_once() {
         // A bushy term whose two halves are the same allocation: the node
         // table stores the half once, so doubling the occurrences barely
-        // grows the frame.
+        // grows the frame, in either rendering.
         let mut big = Term::rel(0);
         for i in 0..64 {
             big = Term::app(Term::const_(format!("f{i}")), [big]);
         }
+        let pair = Term::app(Term::const_("pair"), [big.clone(), big.clone()]);
         let once = encode_term(&big).len();
-        let twice = encode_term(&Term::app(Term::const_("pair"), [big.clone(), big.clone()])).len();
+        let twice = encode_term(&pair).len();
         assert!(
             twice < once + 32,
             "sharing lost: one copy {once}B, two copies {twice}B"
         );
+        let once = term_to_envelope(&big).to_string().len();
+        let twice = term_to_envelope(&pair).to_string().len();
+        assert!(
+            twice < once + 32,
+            "JSON sharing lost: one copy {once}B, two copies {twice}B"
+        );
         // And the shared form still decodes to the right term.
-        let t = Term::app(Term::const_("pair"), [big.clone(), big]);
-        assert_eq!(decode_term(&encode_term(&t)).unwrap(), t);
+        assert_eq!(decode_term(&encode_term(&pair)).unwrap(), pair);
+        assert_eq!(json_roundtrip(&pair).unwrap(), pair);
     }
 
     #[test]
     fn forward_and_self_references_are_rejected() {
+        let backward = |r: Result<Term, WireError>| matches!(r, Err(WireError::Syntax(m)) if m.contains("backward"));
         // A single-node table whose lambda cites itself (index 0 = the
         // node being decoded — not yet in the table, so not backward).
         let payload = vec![
@@ -1016,9 +1029,11 @@ mod tests {
             0,   // body = ref 0 (self)
         ];
         let bytes = frame(KIND_TERM, TermDigest(0), payload);
+        assert!(backward(decode_term(&bytes)), "self reference accepted");
+        let json = envelope(TermDigest(0), "[[8,null,0,0]]");
         assert!(
-            matches!(decode_term(&bytes), Err(WireError::Syntax(m)) if m.contains("backward")),
-            "self reference accepted"
+            backward(term_from_envelope(&json)),
+            "JSON self reference accepted"
         );
 
         // A two-node table where the first node cites the second.
@@ -1028,9 +1043,41 @@ mod tests {
             1, // Prop
         ];
         let bytes = frame(KIND_TERM, TermDigest(0), payload);
+        assert!(backward(decode_term(&bytes)), "forward reference accepted");
+        let json = envelope(TermDigest(0), "[[8,null,1,1],[1]]");
         assert!(
-            matches!(decode_term(&bytes), Err(WireError::Syntax(m)) if m.contains("backward")),
-            "forward reference accepted"
+            backward(term_from_envelope(&json)),
+            "JSON forward reference accepted"
         );
+    }
+
+    #[test]
+    fn malformed_json_nodes_are_rejected() {
+        let prop = TermDigest::of_term(&Term::prop());
+        assert_eq!(
+            term_from_envelope(&envelope(prop, "[[1]]")),
+            Ok(Term::prop())
+        );
+        for (nodes, want) in [
+            ("[]", "empty term node table"),
+            ("[1]", "must be an array"),
+            ("[[]]", "ends before"),
+            ("[[1,0]]", "more fields than its tag takes"),
+            ("[[12]]", "bad term tag"),
+            (r#"[["1"]]"#, "non-negative integer"),
+            (r#"[[4,7]]"#, "must be a string"),
+            ("[[1],[8,0,0,0]]", "binder name"),
+            ("[[1],[7,0,5,0]]", "fields left"),
+            ("[[1],[7,0,0]]", "empty application spine"),
+        ] {
+            let err = term_from_envelope(&envelope(prop, nodes)).unwrap_err();
+            assert!(err.to_string().contains(want), "{nodes}: {err}");
+        }
+        let missing =
+            Value::parse(&format!(r#"{{"wire":"{WIRE_TAG}","digest":"{prop}"}}"#)).unwrap();
+        assert!(matches!(
+            term_from_envelope(&missing),
+            Err(WireError::Shape(_))
+        ));
     }
 }

@@ -127,6 +127,20 @@ case "$ping_reply" in
     *'"req_id":'*) ;;
     *) echo "ping reply carries no req_id: $ping_reply" >&2; exit 1 ;;
 esac
+# The eval path on the live daemon: the golden transcript's eval request
+# (a node-table envelope for `add (S (S O)) O`) must come back normalised,
+# as a node-table envelope.
+eval_request=$(sed -n 's/^C: //p' tests/golden/serve_transcript.txt | grep '"method":"eval"')
+exec 3<>"/dev/tcp/$ping_host/$ping_port"
+printf '%s\n' "$eval_request" >&3
+IFS= read -r eval_reply <&3
+exec 3<&- 3>&-
+for want in '"ok":true' '"pretty":"S (S O)"' '"nodes":['; do
+    case "$eval_reply" in
+        *"$want"*) ;;
+        *) echo "eval reply lacks $want: $eval_reply" >&2; exit 1 ;;
+    esac
+done
 
 timeout 30 ./target/release/pumpkin client --connect "$addr" shutdown
 wait "$serve_pid" || { echo "pumpkind exited nonzero" >&2; cat "$serve_log"; exit 1; }

@@ -10,7 +10,9 @@ use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use pumpkin_wire::{LiftSpec, Value};
+use pumpkin_kernel::term::Term;
+use pumpkin_serve::proto::MAX_FRAME;
+use pumpkin_wire::{term_from_envelope, term_to_envelope, LiftSpec, Value};
 
 /// A `pumpkin serve` child on a free loopback port, killed on drop.
 struct Daemon {
@@ -117,4 +119,72 @@ fn deeply_nested_source_gets_an_error_and_the_daemon_lives() {
         Some(&Value::Bool(true)),
         "{pong:?}"
     );
+}
+
+/// An `eval` request frame for `term`, a JSON envelope.
+fn eval_frame(id: u64, term: Value) -> String {
+    Value::Obj(vec![
+        ("id".into(), Value::UInt(id)),
+        ("method".into(), Value::str("eval")),
+        ("params".into(), Value::Obj(vec![("term".into(), term)])),
+    ])
+    .to_string()
+}
+
+#[test]
+fn deeply_nested_eval_frame_gets_an_error_and_the_daemon_lives() {
+    // A node table 50 000 lambdas deep: `Set`, then each node binds the
+    // one before it. The frame is flat JSON well under the frame cap, so
+    // only the wire decoder's depth cap stands between it and the kernel.
+    let depth = 50_000;
+    let mut nodes = String::from("[[2]");
+    for k in 0..depth {
+        nodes.push_str(&format!(",[8,null,0,{k}]"));
+    }
+    nodes.push(']');
+    let envelope = Value::parse(&format!(
+        r#"{{"wire":"{}","digest":"0000000000000000","nodes":{nodes}}}"#,
+        pumpkin_wire::WIRE_TAG
+    ))
+    .unwrap();
+    let frame = eval_frame(1, envelope);
+    assert!(frame.len() < MAX_FRAME, "{} bytes", frame.len());
+
+    let mut daemon = Daemon::spawn();
+    let reply = daemon.call(&frame);
+    assert_eq!(reply.get("ok"), Some(&Value::Bool(false)), "{reply:?}");
+    let error = reply.get("error").expect("structured error");
+    assert_eq!(
+        error.get("code").and_then(Value::as_str),
+        Some("bad_params"),
+        "{reply:?}"
+    );
+    let message = error.get("message").and_then(Value::as_str).unwrap();
+    assert!(message.contains("deeper than 512"), "{message}");
+    let pong = daemon.call(r#"{"id":2,"method":"ping"}"#);
+    assert_eq!(
+        pong.get("result").and_then(|r| r.get("pong")),
+        Some(&Value::Bool(true)),
+        "{pong:?}"
+    );
+}
+
+#[test]
+fn eval_at_the_depth_cap_answers() {
+    // `S^512 O` and a chain of 512 lambdas nest exactly as deep as the
+    // decoder accepts: each type-checks, normalises and pretty-prints on
+    // a worker's stack, and its normal form (itself) travels back.
+    let numeral = (0..512).fold(Term::construct("nat", 0), |t, _| {
+        Term::app(Term::construct("nat", 1), [t])
+    });
+    let lambdas = (0..512).fold(Term::construct("nat", 0), |t, _| {
+        Term::lambda("x", Term::ind("nat"), t)
+    });
+    let mut daemon = Daemon::spawn();
+    for (id, term) in [(1, numeral), (2, lambdas)] {
+        let reply = daemon.call(&eval_frame(id, term_to_envelope(&term)));
+        assert_eq!(reply.get("ok"), Some(&Value::Bool(true)), "{reply:?}");
+        let normal = reply.get("result").and_then(|r| r.get("term")).unwrap();
+        assert_eq!(term_from_envelope(normal), Ok(term));
+    }
 }

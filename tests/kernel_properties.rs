@@ -1,10 +1,13 @@
 //! Property-based tests of the kernel substrate: substitution laws,
 //! normalization idempotence, conversion congruence, parser ↔
-//! pretty-printer round trips, and coherence of the kernel's conv/whnf
-//! memo layer — all on randomly generated terms from the deterministic
-//! [`pumpkin_testkit`] generator.
+//! pretty-printer round trips, coherence of the kernel's conv/whnf
+//! memo layer, and agreement of NbE with the rewriting [`oracle`] — all
+//! on randomly generated terms from the deterministic [`pumpkin_testkit`]
+//! generator.
 
-use pumpkin_pi::pumpkin_kernel::conv::conv;
+mod oracle;
+
+use pumpkin_pi::pumpkin_kernel::conv::{conv, conv_leq};
 use pumpkin_pi::pumpkin_kernel::reduce::{normalize, whnf};
 use pumpkin_pi::pumpkin_kernel::subst::{lift, lift_from, subst1, subst_at, subst_many};
 use pumpkin_pi::pumpkin_kernel::term::Term;
@@ -368,8 +371,6 @@ fn record_eta_holds_through_glued_projections() {
     // two projections against the packed value itself. Lazy δ leaves each
     // field as a glued `projT1 …`/`projT2 …` application, which record-η
     // must unfold to see the projection eliminator.
-    use pumpkin_pi::pumpkin_kernel::conv::{conv_leq, conv_leq_via_whnf, conv_via_whnf};
-
     let mut env = stdlib::std_env();
     pumpkin_lang::load_source(
         &mut env,
@@ -400,18 +401,15 @@ fn record_eta_holds_through_glued_projections() {
         let fresh = || env.clone();
         assert!(conv(&fresh(), t, u), "{t} ≢ {u}");
         assert!(conv_leq(&fresh(), t, u), "{t} ≰ {u}");
-        assert!(conv_via_whnf(&fresh(), t, u), "oracle: {t} ≢ {u}");
-        assert!(conv_leq_via_whnf(&fresh(), t, u), "oracle: {t} ≰ {u}");
+        assert!(oracle::conv(&env, t, u), "oracle: {t} ≢ {u}");
+        assert!(oracle::conv_leq(&env, t, u), "oracle: {t} ≰ {u}");
     }
     // A constant pair is not η-equal to the packed value.
     let empty = term("existT nat (fun (n : nat) => vector T n) O (vnil T)");
     for u in [&identity, &packed, &via_constant] {
         assert!(!conv(&env.clone(), &empty, u), "{empty} ≡ {u}");
         assert!(!conv_leq(&env.clone(), u, &empty), "{u} ≤ {empty}");
-        assert!(
-            !conv_via_whnf(&env.clone(), &empty, u),
-            "oracle: {empty} ≡ {u}"
-        );
+        assert!(!oracle::conv(&env, &empty, u), "oracle: {empty} ≡ {u}");
     }
 }
 
@@ -421,9 +419,7 @@ fn shared_head_pairs_agree_with_the_oracle_and_the_model() {
     // `c`. For add/mul/sub over random operands (some shared between the
     // sides) and for constants that ignore some arguments, a spine
     // mismatch must fall back to the unfoldings: every verdict equals the
-    // whnf oracle's and the arithmetic model's.
-    use pumpkin_pi::pumpkin_kernel::conv::{conv_leq, conv_leq_via_whnf, conv_via_whnf};
-
+    // rewriting oracle's and the arithmetic model's.
     let mut env = stdlib::std_env();
     pumpkin_lang::load_source(
         &mut env,
@@ -437,8 +433,8 @@ fn shared_head_pairs_agree_with_the_oracle_and_the_model() {
         let fresh = || env.clone();
         assert_eq!(conv(&fresh(), t, u), truth, "conv {t} ≡ {u}");
         assert_eq!(conv_leq(&fresh(), t, u), truth, "conv_leq {t} ≤ {u}");
-        assert_eq!(conv_via_whnf(&fresh(), t, u), truth, "oracle {t} ≡ {u}");
-        assert_eq!(conv_leq_via_whnf(&fresh(), t, u), truth, "oracle {t} ≤ {u}");
+        assert_eq!(oracle::conv(&env, t, u), truth, "oracle {t} ≡ {u}");
+        assert_eq!(oracle::conv_leq(&env, t, u), truth, "oracle {t} ≤ {u}");
     };
     // `(fun x y => x) v` evaluates to a closure over `v`: two of them share
     // a body, so conversion may skip applying them only when the captured
@@ -554,12 +550,11 @@ fn wire_round_trip_preserves_interned_identity() {
 
 #[test]
 fn nbe_conversion_agrees_with_whnf_conversion_on_the_corpus() {
-    // The NbE checker and the retained whnf-rewriting oracle must agree on
-    // every verdict over the real corpus: all stdlib constants plus the
-    // case-study module after a swap repair. Each checker runs against its
-    // own Env clone so neither can serve the other's memoized verdicts.
-    use pumpkin_pi::pumpkin_kernel::conv::{conv_leq, conv_leq_via_whnf, conv_via_whnf};
-
+    // The NbE checker and the whnf-rewriting oracle must agree on every
+    // verdict over the real corpus: all stdlib constants plus the
+    // case-study module after a swap repair. The oracle keeps no memo; the
+    // checker runs on a fresh Env clone per query, so no verdict is served
+    // from an earlier query's table.
     let mut env = stdlib::std_env();
     pumpkin_pi::case_studies::swap_list_module(&mut env).expect("case-study repair");
     let corpus: Vec<Term> = env
@@ -573,16 +568,14 @@ fn nbe_conversion_agrees_with_whnf_conversion_on_the_corpus() {
     );
 
     let agree = |t: &Term, u: &Term| {
-        let (nbe_env, whnf_env) = (env.clone(), env.clone());
         assert_eq!(
-            conv(&nbe_env, t, u),
-            conv_via_whnf(&whnf_env, t, u),
+            conv(&env.clone(), t, u),
+            oracle::conv(&env, t, u),
             "conv checkers disagree on {t} ≡ {u}"
         );
-        let (nbe_env, whnf_env) = (env.clone(), env.clone());
         assert_eq!(
-            conv_leq(&nbe_env, t, u),
-            conv_leq_via_whnf(&whnf_env, t, u),
+            conv_leq(&env.clone(), t, u),
+            oracle::conv_leq(&env, t, u),
             "leq checkers disagree on {t} ≤ {u}"
         );
     };
@@ -593,6 +586,110 @@ fn nbe_conversion_agrees_with_whnf_conversion_on_the_corpus() {
         // …and mixed queries against nearby corpus terms (mostly negative).
         for u in corpus.iter().skip(i + 1).take(2) {
             agree(t, u);
+        }
+    }
+}
+
+#[test]
+fn nbe_and_whnf_checkers_agree_on_basic_queries() {
+    // δ through a chain of constants, a failing sort query and η against a
+    // bodyless constant. Each checker runs first on the same environment:
+    // the oracle keeps no memo, so it cannot answer from the table the
+    // checker just filled.
+    use pumpkin_pi::pumpkin_kernel::env::Env;
+
+    let mut env = Env::new();
+    env.define("T", Term::type_(1), Term::set()).unwrap();
+    env.define("U", Term::type_(1), Term::const_("T")).unwrap();
+    env.assume("f", Term::arrow(Term::set(), Term::set()))
+        .unwrap();
+    let etad = Term::lambda(
+        "x",
+        Term::set(),
+        Term::app(Term::const_("f"), [Term::rel(0)]),
+    );
+    let queries = [
+        (Term::const_("U"), Term::set()),
+        (Term::const_("U"), Term::const_("T")),
+        (Term::const_("T"), Term::prop()),
+        (etad, Term::const_("f")),
+    ];
+    for (a, b) in &queries {
+        assert_eq!(conv(&env, a, b), oracle::conv(&env, a, b), "{a} ≡ {b}");
+        assert_eq!(
+            conv_leq(&env, a, b),
+            oracle::conv_leq(&env, a, b),
+            "{a} ≤ {b}"
+        );
+    }
+}
+
+#[test]
+fn nbe_normalize_agrees_with_rewriting_normalize() {
+    let env = stdlib::std_env();
+    let add = |a: Term, b: Term| Term::app(Term::const_("add"), [a, b]);
+    let samples = [
+        add(nat_lit(2), nat_lit(3)),
+        Term::lambda("k", Term::ind("nat"), add(Term::rel(0), nat_lit(1))),
+        Term::lambda("k", Term::ind("nat"), add(nat_lit(1), Term::rel(0))),
+        Term::pi("A", Term::type_(0), Term::arrow(Term::rel(0), Term::rel(0))),
+        Term::let_("x", Term::ind("nat"), nat_lit(2), Term::rel(0)),
+    ];
+    for t in &samples {
+        assert_eq!(normalize(&env, t), oracle::normalize(&env, t), "term: {t}");
+    }
+    // And on random arithmetic.
+    check(32, |rng| {
+        let t = arb_arith(rng, 3).term();
+        assert_eq!(normalize(&env, &t), oracle::normalize(&env, &t), "{t}");
+    });
+}
+
+#[test]
+fn one_node_and_nested_applications_agree() {
+    // A glued or stuck head takes all its remaining arguments in one step;
+    // nested `App` nodes (which `Term::app` never builds) hand them over one
+    // node at a time. Both shapes must normalize as the rewriting oracle
+    // does and convert with each other; the flat one converts with the
+    // normal form exactly as the oracle says.
+    use pumpkin_pi::pumpkin_kernel::term::TermData;
+
+    let mut env = stdlib::std_env();
+    let nat = || Term::ind("nat");
+    let nat_to_nat = || Term::arrow(nat(), nat());
+    env.assume("f", Term::arrow(nat(), Term::arrow(nat(), nat_to_nat())))
+        .unwrap();
+    let nested = |head: Term, args: &[Term]| {
+        args.iter()
+            .fold(head, |t, a| Term::new(TermData::App(t, vec![a.clone()])))
+    };
+    // A β-redex whose result is a glued head with a partial spine.
+    let add_to = Term::lambda("x", nat(), Term::app(Term::const_("add"), [Term::rel(0)]));
+    let cases = [
+        (Term::const_("add"), vec![nat_lit(2), nat_lit(3)]),
+        (
+            Term::const_("f"),
+            vec![nat_lit(1), Term::rel(0), nat_lit(0)],
+        ),
+        (add_to, vec![nat_lit(1), Term::rel(2)]),
+        (Term::rel(3), vec![nat_lit(0), Term::rel(1)]),
+    ];
+    for (head, args) in cases {
+        let flat = Term::app(head.clone(), args.clone());
+        let deep = nested(head, &args);
+        assert_ne!(flat, deep, "the two shapes must be distinct nodes");
+        let normal = oracle::normalize(&env, &flat);
+        assert_eq!(normalize(&env, &flat), normal, "{flat}");
+        assert_eq!(normalize(&env, &deep), normal, "{deep}");
+        assert!(conv(&env, &flat, &deep) && conv(&env, &deep, &normal));
+        assert!(conv_leq(&env, &deep, &flat) && conv_leq(&env, &normal, &deep));
+        for (t, u) in [(&flat, &normal), (&flat, &nat_lit(5))] {
+            assert_eq!(conv(&env, t, u), oracle::conv(&env, t, u), "{t} ≡ {u}");
+            assert_eq!(
+                conv_leq(&env, t, u),
+                oracle::conv_leq(&env, t, u),
+                "{t} ≤ {u}"
+            );
         }
     }
 }
