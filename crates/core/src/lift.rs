@@ -27,9 +27,9 @@ use crate::prov::{ConstProv, ProvRecorder, Rule};
 
 /// Counters exposed for the benchmark harness (cache ablation, §6.4).
 ///
-/// These measure the *lift-layer* closed-subterm cache; the kernel-layer
-/// conv/whnf cache underneath it reports through
-/// [`pumpkin_kernel::stats::KernelStats`] (see `Env::kernel_stats`).
+/// These measure the *lift-layer* closed-subterm cache; the kernel layer
+/// underneath it reports through [`pumpkin_kernel::stats::KernelStats`]
+/// (see `Env::kernel_stats`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LiftStats {
     /// Closed-subterm cache hits.

@@ -36,7 +36,7 @@ pub struct RepairReport {
     /// O(1) instead of a linear scan (module work lists are consulted once
     /// per constant by the drivers and tests).
     index: HashMap<GlobalName, usize>,
-    /// Kernel counters (conv/whnf cache traffic, reduction steps) accrued
+    /// Kernel counters (conv/whnf/infer calls, reduction steps) accrued
     /// while this report's constants were repaired and re-checked.
     pub kernel: KernelStats,
     /// Lift-layer counters (closed-subterm cache traffic, constants

@@ -538,7 +538,6 @@ mod tests {
     use crate::config::NameMap;
     use crate::search::swap;
     use pumpkin_stdlib as stdlib;
-    use pumpkin_trace::CacheTable;
 
     fn configured() -> (Env, Lifting) {
         let mut env = stdlib::std_env();
@@ -580,14 +579,6 @@ mod tests {
             EventKind::LiftConstant { name } if &**name == "Old.rev_app_distr"
         )));
         assert!(has(&|k| matches!(k, EventKind::Whnf)));
-        assert!(has(&|k| matches!(
-            k,
-            EventKind::CacheHit {
-                table: CacheTable::Whnf
-            } | EventKind::CacheMiss {
-                table: CacheTable::Whnf
-            }
-        )));
         // The metrics registry derives from the same stream.
         assert_eq!(
             report.metrics().counter("lift.constants"),

@@ -1,10 +1,10 @@
 //! The global environment: constants and inductive families — plus the
-//! sharing-aware memo tables for the kernel's `conv`/`whnf` hot paths.
+//! kernel's two memo tables, for the values and the types of closed terms.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 
-use pumpkin_trace::{CacheTable, EventKind, Tracer};
+use pumpkin_trace::{EventKind, Tracer};
 
 use crate::error::{KernelError, Result};
 use crate::inductive::InductiveDecl;
@@ -43,8 +43,10 @@ pub enum GlobalRef {
 /// real module repairs stay far below it).
 const CACHE_CAP: usize = 1 << 20;
 
-/// Interior-mutable memo tables for `whnf` and `conv`, plus the
-/// [`KernelStats`] counters.
+/// Interior-mutable memo tables for the values and the types of closed
+/// terms, plus the [`KernelStats`] counters. `whnf` and `conv` verdicts are
+/// not memoised: whnf must answer the same whatever the value memo holds
+/// (see [`crate::nbe`]), and conversion reuses the memoised values.
 ///
 /// Cached results are valid for a single environment *generation*:
 /// δ-unfolding depends on which constants exist and on their transparency,
@@ -64,25 +66,18 @@ const CACHE_CAP: usize = 1 << 20;
 /// The tables key on [`TermId`] — the interner's alpha-canonical integer
 /// identity — so a probe hashes and compares plain `u32`s regardless of
 /// term size, and alpha-variant queries share one entry by construction.
-/// The `whnf` table keeps the result `Term` alive; `conv` entries are pure
-/// integers.
 #[derive(Clone, Debug)]
 struct KernelCache {
     /// Generation the tables were computed at.
     stamp: Cell<u64>,
     /// Master switch (ablation / differential testing).
     enabled: Cell<bool>,
-    whnf: RefCell<HashMap<TermId, Term>>,
-    /// Keyed on the *ordered* id pair (min first): conversion is symmetric,
-    /// so both orientations of a query land on the same entry.
-    conv: RefCell<HashMap<(TermId, TermId), bool>>,
     /// NbE values of *closed* terms. A closed term's value cannot mention
     /// the local evaluation environment, so one entry serves every context
     /// the term appears in — hash-consing makes the repeated occurrences of
     /// a large shared subterm (one `TermId`) evaluate exactly once per
-    /// generation. Invalidation is the whnf table's: values embed neutrals
-    /// for δ-blocked names, and declaring an observed-stuck name retires
-    /// the generation.
+    /// generation. Values embed neutrals for δ-blocked names, so declaring
+    /// an observed-stuck name retires the generation.
     nf: RefCell<HashMap<TermId, crate::nbe::VRc>>,
     /// Inferred types of *closed* terms. A closed term's type cannot
     /// mention the local context, so one entry serves every context the
@@ -91,7 +86,7 @@ struct KernelCache {
     /// k occurrences share suffixes, like numeral chains — is inferred
     /// once per distinct `TermId`, not once per occurrence.
     ty: RefCell<HashMap<TermId, Term>>,
-    /// Undeclared names observed stuck by `whnf`/`conv` this generation;
+    /// Undeclared names observed stuck by evaluation this generation;
     /// declaring one of these retires the generation.
     stuck: RefCell<HashSet<GlobalName>>,
     stats: RefCell<KernelStats>,
@@ -102,8 +97,6 @@ impl Default for KernelCache {
         KernelCache {
             stamp: Cell::new(0),
             enabled: Cell::new(true),
-            whnf: RefCell::new(HashMap::new()),
-            conv: RefCell::new(HashMap::new()),
             nf: RefCell::new(HashMap::new()),
             ty: RefCell::new(HashMap::new()),
             stuck: RefCell::new(HashSet::new()),
@@ -119,7 +112,7 @@ impl Default for KernelCache {
 ///
 /// ## Thread confinement
 ///
-/// `Env` is `Send` but deliberately **not** `Sync`: the conv/whnf memo
+/// `Env` is `Send` but deliberately **not** `Sync`: the value and type memo
 /// tables are interior-mutable (`Cell`/`RefCell`), so an environment — and
 /// with it its caches — belongs to exactly one thread at a time. The
 /// serve worker pool honours this by *cloning* the base `Env` once per
@@ -134,8 +127,8 @@ pub struct Env {
     /// Bumped by every mutation that can change reduction or conversion.
     generation: u64,
     cache: KernelCache,
-    /// Structured trace sink for kernel probes (whnf/conv calls, cache
-    /// hits/misses, rollbacks). Disabled by default — every probe is then a
+    /// Structured trace sink for kernel probes (whnf/conv calls,
+    /// rollbacks). Disabled by default — every probe is then a
     /// single branch. Like the memo tables, the tracer is thread-confined;
     /// cloning an `Env` clones the tracer's *configuration* but not its
     /// buffered events.
@@ -187,7 +180,7 @@ impl Env {
     }
 
     // ------------------------------------------------------------------
-    // Conversion/whnf memo tables (see `KernelCache`)
+    // Value and type memo tables (see `KernelCache`)
     // ------------------------------------------------------------------
 
     /// The environment's mutation generation. Any cached judgement about
@@ -197,14 +190,12 @@ impl Env {
         self.generation
     }
 
-    /// Enables or disables the kernel-side conv/whnf memo tables
+    /// Enables or disables the kernel's value and type memo tables
     /// (disabling also flushes them). For ablation benchmarks and
     /// differential tests; results must be identical either way.
     pub fn set_kernel_cache(&mut self, enabled: bool) {
         self.cache.enabled.set(enabled);
         if !enabled {
-            self.cache.whnf.borrow_mut().clear();
-            self.cache.conv.borrow_mut().clear();
             self.cache.nf.borrow_mut().clear();
             self.cache.ty.borrow_mut().clear();
             self.cache.stuck.borrow_mut().clear();
@@ -216,8 +207,8 @@ impl Env {
         self.cache.enabled.get()
     }
 
-    /// Snapshot of the kernel counters (cache hits/misses, reduction
-    /// steps). Use [`KernelStats::since`] to diff snapshots.
+    /// Snapshot of the kernel counters (calls, reduction steps,
+    /// invalidations). Use [`KernelStats::since`] to diff snapshots.
     pub fn kernel_stats(&self) -> KernelStats {
         *self.cache.stats.borrow()
     }
@@ -231,8 +222,8 @@ impl Env {
     // Structured tracing (see `pumpkin_trace`)
     // ------------------------------------------------------------------
 
-    /// Installs a tracer; kernel probes (whnf/conv calls, cache hits and
-    /// misses, rollbacks) are recorded into it from now on. Install a
+    /// Installs a tracer; kernel probes (whnf/conv calls, rollbacks) are
+    /// recorded into it from now on. Install a
     /// [`Tracer::disabled`] to turn tracing back off.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
@@ -261,8 +252,6 @@ impl Env {
             return false;
         }
         if self.cache.stamp.get() != self.generation {
-            self.cache.whnf.borrow_mut().clear();
-            self.cache.conv.borrow_mut().clear();
             self.cache.nf.borrow_mut().clear();
             self.cache.ty.borrow_mut().clear();
             self.cache.stuck.borrow_mut().clear();
@@ -306,48 +295,9 @@ impl Env {
         f(&mut self.cache.stats.borrow_mut());
     }
 
-    /// Cached weak head normal form of `t`, if the memo layer has one.
-    pub(crate) fn whnf_cached(&self, t: &Term) -> Option<Term> {
-        if !self.cache_fresh() {
-            return None;
-        }
-        let hit = self.cache.whnf.borrow().get(&t.id()).cloned();
-        let is_hit = hit.is_some();
-        self.tally(|s| {
-            if is_hit {
-                s.whnf_cache_hits += 1;
-            } else {
-                s.whnf_cache_misses += 1;
-            }
-        });
-        self.tracer.emit(if is_hit {
-            EventKind::CacheHit {
-                table: CacheTable::Whnf,
-            }
-        } else {
-            EventKind::CacheMiss {
-                table: CacheTable::Whnf,
-            }
-        });
-        hit
-    }
-
-    /// Memoizes `whnf(t) = r` for the current generation.
-    pub(crate) fn whnf_insert(&self, t: Term, r: Term) {
-        if !self.cache_fresh() {
-            return;
-        }
-        let mut table = self.cache.whnf.borrow_mut();
-        if table.len() >= CACHE_CAP {
-            table.clear();
-        }
-        table.insert(t.id(), r);
-    }
-
     /// Cached NbE value of the *closed* term `t`, if the memo layer has
-    /// one. Untallied and untraced: this table sits below the whnf/conv
-    /// probes the telemetry pins, and a probe here is a `u32` hash on the
-    /// hot evaluation path.
+    /// one. Untallied and untraced: a probe here is a `u32` hash on the hot
+    /// evaluation path.
     pub(crate) fn nbe_cached(&self, t: &Term) -> Option<crate::nbe::VRc> {
         if !self.cache_fresh() {
             return None;
@@ -389,55 +339,6 @@ impl Env {
             table.clear();
         }
         table.insert(t.id(), ty);
-    }
-
-    /// The symmetric conv-table key: ids in ascending order.
-    fn conv_key(t: &Term, u: &Term) -> (TermId, TermId) {
-        let (a, b) = (t.id(), u.id());
-        if a <= b {
-            (a, b)
-        } else {
-            (b, a)
-        }
-    }
-
-    /// Cached conversion verdict for `(t, u)`, if the memo layer has one.
-    /// The key is order-normalized, so the swapped query is the same probe.
-    pub(crate) fn conv_cached(&self, t: &Term, u: &Term) -> Option<bool> {
-        if !self.cache_fresh() {
-            return None;
-        }
-        let hit = self.cache.conv.borrow().get(&Self::conv_key(t, u)).copied();
-        let is_hit = hit.is_some();
-        self.tally(|s| {
-            if is_hit {
-                s.conv_cache_hits += 1;
-            } else {
-                s.conv_cache_misses += 1;
-            }
-        });
-        self.tracer.emit(if is_hit {
-            EventKind::CacheHit {
-                table: CacheTable::Conv,
-            }
-        } else {
-            EventKind::CacheMiss {
-                table: CacheTable::Conv,
-            }
-        });
-        hit
-    }
-
-    /// Memoizes `conv(t, u) = verdict` for the current generation.
-    pub(crate) fn conv_insert(&self, t: &Term, u: &Term, verdict: bool) {
-        if !self.cache_fresh() {
-            return;
-        }
-        let mut table = self.cache.conv.borrow_mut();
-        if table.len() >= CACHE_CAP {
-            table.clear();
-        }
-        table.insert(Self::conv_key(t, u), verdict);
     }
 
     /// Looks up a constant.
@@ -740,8 +641,8 @@ impl Env {
             .ok_or_else(|| KernelError::UnknownGlobal(name.clone()))?;
         if decl.opaque != opaque {
             decl.opaque = opaque;
-            // Transparency changes which δ-steps fire: cached whnf/conv
-            // results are stale.
+            // Transparency changes which δ-steps fire: memoised values
+            // and types are stale.
             self.bump_generation();
         }
         Ok(())

@@ -299,47 +299,6 @@ impl InductiveDecl {
         Ok(Term::pis(out, concl))
     }
 
-    /// ι-reduction: the value of `Elim` applied to constructor `j` with the
-    /// given constructor arguments (parameters already stripped).
-    ///
-    /// `elim` supplies the motive and cases; recursive arguments generate
-    /// recursive eliminations.
-    pub fn iota_reduce(&self, elim: &ElimData, j: usize, ctor_args: &[Term]) -> Result<Term> {
-        let ctor = self
-            .ctors
-            .get(j)
-            .ok_or_else(|| KernelError::NoSuchConstructor {
-                ind: self.name.clone(),
-                index: j,
-            })?;
-        if ctor_args.len() != ctor.args.len() {
-            return Err(KernelError::IllFormedElim {
-                ind: self.name.clone(),
-                reason: format!(
-                    "constructor {} applied to {} arguments, expected {}",
-                    ctor.name,
-                    ctor_args.len(),
-                    ctor.args.len()
-                ),
-            });
-        }
-        let flags = self.recursive_flags(j);
-        let mut actual: Vec<Term> = Vec::with_capacity(ctor_args.len() * 2);
-        for (k, v) in ctor_args.iter().enumerate() {
-            actual.push(v.clone());
-            if flags[k] {
-                actual.push(Term::elim(ElimData {
-                    ind: elim.ind.clone(),
-                    params: elim.params.clone(),
-                    motive: elim.motive.clone(),
-                    cases: elim.cases.clone(),
-                    scrutinee: v.clone(),
-                }));
-            }
-        }
-        Ok(crate::subst::beta_apply(&elim.cases[j], &actual))
-    }
-
     /// Checks strict positivity (in our restricted form): any occurrence of
     /// the family in a constructor argument type must be a plain recursive
     /// argument; occurrences anywhere else (nested, to the left of an arrow,
@@ -520,38 +479,6 @@ mod tests {
             ),
         );
         assert_eq!(list.case_type(1, &[t0], &motive).unwrap(), expected);
-    }
-
-    #[test]
-    fn iota_reduce_successor() {
-        let nat = nat_decl();
-        // Elim(S x, P){pO, fun n IH => f n IH}
-        let case_s = Term::lambda(
-            "n",
-            Term::ind("nat"),
-            Term::lambda(
-                "IH",
-                Term::app(Term::const_("P"), [Term::rel(0)]),
-                Term::app(Term::const_("f"), [Term::rel(1), Term::rel(0)]),
-            ),
-        );
-        let elim = ElimData {
-            ind: "nat".into(),
-            params: vec![],
-            motive: Term::const_("P"),
-            cases: vec![Term::const_("pO"), case_s],
-            scrutinee: Term::app(Term::construct("nat", 1), [Term::const_("x")]),
-        };
-        let reduced = nat.iota_reduce(&elim, 1, &[Term::const_("x")]).unwrap();
-        // f x (Elim(x, P){…})
-        let inner = Term::elim(ElimData {
-            scrutinee: Term::const_("x"),
-            ..elim.clone()
-        });
-        assert_eq!(
-            reduced,
-            Term::app(Term::const_("f"), [Term::const_("x"), inner])
-        );
     }
 
     #[test]

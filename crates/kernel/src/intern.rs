@@ -13,7 +13,7 @@
 //!   *alpha-canonical skeleton* (the same structure with every binder name
 //!   erased), exposed as [`Term::id`]. Two terms are alpha-equivalent — the
 //!   kernel's structural equality — iff their [`TermId`]s are equal, which
-//!   is what lets the conv/whnf memo tables key on plain integers.
+//!   is what lets the kernel's memo tables key on plain integers.
 //!
 //! Binder names participate in the intern key on purpose: interning *modulo*
 //! names would make the canonical name of a binder "whichever thread

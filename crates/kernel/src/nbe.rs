@@ -1,15 +1,16 @@
-//! Normalization by evaluation: the kernel's conversion checker and its
-//! only normaliser ([`crate::reduce::normalize`] is evaluate + quote).
+//! Normalization by evaluation: the kernel's only reduction engine. It
+//! decides conversion ([`crate::conv`]), and it answers
+//! [`crate::reduce::whnf`] and [`crate::reduce::normalize`] (evaluate, then
+//! read back).
 //!
-//! The whnf-rewriting checker and normaliser this replaces re-built a term
-//! at every β/ι step (each one an O(size) substitution), so deciding
-//! `t ≡ u` on large literal-heavy proofs re-walked the same structurally
-//! shared trees over and over. NbE evaluates both sides *once* into a value
-//! domain where binders are closures over an environment — substitution
-//! disappears entirely — and then compares values, introducing fresh
-//! variables (de Bruijn *levels*) to go under binders. The rewriting
-//! engine survives only as the differential oracle in the workspace's
-//! `tests/oracle`.
+//! The whnf-rewriting engine this replaces re-built a term at every β/ι
+//! step (each one an O(size) substitution), so deciding `t ≡ u` on large
+//! literal-heavy proofs re-walked the same structurally shared trees over
+//! and over. NbE evaluates both sides *once* into a value domain where
+//! binders are closures over an environment — substitution disappears
+//! entirely — and then compares values, introducing fresh variables (de
+//! Bruijn *levels*) to go under binders. The rewriting engine survives only
+//! as the differential oracle in the workspace's `tests/oracle`.
 //!
 //! The domain (strict: arguments are evaluated when applications are):
 //!
@@ -38,14 +39,14 @@
 //!
 //! **Lazy δ (glued values).** The two sides of a comparison, and the
 //! closures built from them, evaluate in `Delta::Glue` mode: a transparent
-//! constant becomes a `Value::Glued` that keeps the constant and its
-//! evaluated spine next to a `OnceLock` for its unfolding. Two glued values
-//! with the same head are compared by their spines first —
-//! `c a₁ … aₙ ≡ c b₁ … bₙ` whenever every `aᵢ ≡ bᵢ`, which is how a
-//! repaired type that repeats most of its expected type verbatim converts
-//! without unfolding anything. Only a spine mismatch or a head clash forces
-//! the unfoldings, and eliminators, record-η and readback always force.
-//! Coq's kernel converts lazily for the same reason.
+//! constant becomes a `Value::Glued` that keeps the constant (its interned
+//! `Const` term, for readback), its body and its evaluated spine next to a
+//! `OnceLock` for its unfolding. Two glued values with the same body are
+//! compared by their spines first — `c a₁ … aₙ ≡ c b₁ … bₙ` whenever every
+//! `aᵢ ≡ bᵢ`, which is how a repaired type that repeats most of its
+//! expected type verbatim converts without unfolding anything. Only a spine
+//! mismatch or a head clash forces the unfoldings, and eliminators and
+//! record-η always force. Coq's kernel converts lazily for the same reason.
 //!
 //! A failed spine attempt is never retried: the comparison's failure memo
 //! (on the query state, `Conv`) keeps the pair's verdict, keyed on the two
@@ -61,6 +62,32 @@
 //! debug test suite then needs a 4 MiB stack); CI pins the depth by running
 //! the kernel property tests on a 1 MiB stack.
 //!
+//! **Weak head normal forms.** `whnf` evaluates in `Delta::Whnf` mode:
+//! constants are glued, a glued value is forced in that same mode (so its
+//! unfolding's own constants stay glued), and the value memo is neither
+//! read nor written. It forces only the head, then reads the value back
+//! with every other glued constant *folded*: `Connection`'s field types
+//! come back as `Handshake`, not as `Handshake`'s body. The memo is off
+//! because it serves glued and unfolded values interchangeably: a glued
+//! `mul (sub …) …` reads back as `S (S (S (add 3 …)))`, while a memo entry
+//! an earlier `normalize` left for one of its subterms would read back as
+//! `S^n O`. Keeping whnf off the memo makes its answer a function of the
+//! term and the environment alone.
+//!
+//! **One readback.** `Readback::quote` serves all three: `normalize` forces
+//! glued values, `whnf` folds them, and `normalize_within` also gives up
+//! past a node depth, so an over-deep normal form is refused before it is
+//! built (or overflows the native stack while being built).
+//!
+//! **Bounded drop.** A value can be far deeper than any term the kernel
+//! was given (the numeral `mul 100 100` is a 10⁴-deep spine). A value's
+//! drop recurses natively only while it runs less than
+//! `NATIVE_DROP_STACK` below the shallowest drop its thread has run;
+//! deeper, it moves the children it alone owns onto a heap stack and frees
+//! them in a loop. The common drop pays one comparison: variants that
+//! counted nested drops, or detached children on every drop, measured
+//! 5–12% more CPU per `paper_corpus` pass.
+//!
 //! **Same-body closures.** Two `Pi`s or two lambdas whose closures share a
 //! body `TermId` are decided without applying either when every captured
 //! value the body can reference is shallowly identical: the same
@@ -75,21 +102,21 @@
 //!
 //! **Stuck-name invalidation is preserved**: evaluation calls
 //! `Env::note_stuck_const` when δ finds no unfoldable body and
-//! `Env::note_stuck_ind` when an eliminator meets an undeclared family —
-//! the same observations the whnf path records — so the environment's
-//! generation/invalidation story (see `env.rs`) is unchanged. A glued
-//! value is never forced after its generation: the value memo that could
-//! keep one alive is flushed when the generation retires. A same-body
-//! shortcut skips evaluation, and so may skip such an observation; its
-//! verdict (true) holds in any extension of the environment, so no cached
-//! answer depends on the name it did not observe.
+//! `Env::note_stuck_ind` when an eliminator meets an undeclared family, so
+//! the environment's generation/invalidation story (see `env.rs`) covers
+//! the memo tables. A glued value is never forced after its generation:
+//! the value memo that could keep one alive is flushed when the generation
+//! retires. A same-body shortcut skips evaluation, and so may skip such an
+//! observation; its verdict (true) holds in any extension of the
+//! environment, so no cached answer depends on the name it did not observe.
 //!
 //! Termination: evaluation is strongly normalizing on well-typed terms (the
 //! calculus has no general recursion; δ cannot be cyclic because a body is
 //! checked against an environment that does not yet contain its name). The
-//! kernel only converts and normalises terms it has checked; the rewriting
-//! oracle loops on the same ill-typed diverging redexes.
+//! kernel only reduces terms it has checked; the rewriting oracle loops on
+//! the same ill-typed diverging redexes.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -141,23 +168,131 @@ pub(crate) enum NHead {
 }
 
 /// A transparent constant applied to a spine, glued to its δ-unfolding.
-/// The constant is represented by its body: forcing needs no environment
-/// lookup, and two constants with the same body are the same head.
+/// Conversion compares heads by body (forcing needs no environment lookup,
+/// and two constants with the same body are the same head); a folded
+/// readback writes the interned `Const` term back. The spine is a boxed
+/// slice, so the extra head pointer keeps `Value` at 56 bytes.
 #[derive(Debug)]
 pub(crate) struct Glue {
+    head: Term,
     body: Term,
-    spine: Vec<VRc>,
+    spine: Box<[VRc]>,
     /// `body spine`, evaluated by the first [`force`].
     unfolded: OnceLock<VRc>,
 }
 
-/// How evaluation treats a transparent constant.
+/// How evaluation treats a transparent constant, and whether it may use
+/// the value memo.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Delta {
     /// Glue it: the compared terms and the closures built from them.
     Glue,
     /// Unfold it on the spot: forced bodies and [`normalize`].
     Unfold,
+    /// Glue it, force it in this same mode, and neither read nor write the
+    /// value memo: [`whnf`].
+    Whnf,
+}
+
+impl Delta {
+    /// The mode a glued value built in this mode is forced in.
+    fn forced(self) -> Delta {
+        match self {
+            Delta::Whnf => Delta::Whnf,
+            Delta::Glue | Delta::Unfold => Delta::Unfold,
+        }
+    }
+}
+
+std::thread_local! {
+    /// The stack address of the shallowest value drop this thread has run
+    /// (the highest: stacks grow down on every supported target).
+    static STACK_TOP: Cell<usize> = const { Cell::new(0) };
+}
+
+/// How far below [`STACK_TOP`] value drops may recurse natively.
+const NATIVE_DROP_STACK: usize = 64 * 1024;
+
+impl Drop for Value {
+    /// Frees the subtree with bounded native recursion. Drops recurse
+    /// natively, which costs this check, until they run
+    /// [`NATIVE_DROP_STACK`] bytes below the shallowest drop the thread has
+    /// run; a drop that deep moves every child it alone owns onto a heap
+    /// stack, leaving a leaf in its place, and frees them in a loop.
+    fn drop(&mut self) {
+        let marker = 0u8;
+        let here = std::hint::black_box(&marker) as *const u8 as usize;
+        let top = STACK_TOP.get().max(here);
+        STACK_TOP.set(top);
+        if top - here < NATIVE_DROP_STACK {
+            return;
+        }
+        let mut orphans = Vec::new();
+        self.detach(&mut orphans);
+        while let Some(mut v) = orphans.pop() {
+            v.detach(&mut orphans);
+        }
+    }
+}
+
+impl Value {
+    /// Moves every child that only `self` holds, and that holds values
+    /// itself, onto `orphans`; a sort stays behind in its allocation.
+    fn detach(&mut self, orphans: &mut Vec<Value>) {
+        let mut take = |child: &mut VRc| {
+            // `get_mut`'s atomic read-modify-write only where it can succeed.
+            if TermRc::strong_count(child) == 1 && !child.is_leaf() {
+                if let Some(v) = TermRc::get_mut(child) {
+                    orphans.push(std::mem::replace(v, Value::Sort(Sort::Prop)));
+                }
+            }
+        };
+        match self {
+            Value::Sort(_) => {}
+            Value::Lambda(_, ty, clo) | Value::Pi(_, ty, clo) => {
+                take(ty);
+                let mut node = clo.env.0.as_mut();
+                while let Some(n) = node.and_then(TermRc::get_mut) {
+                    take(&mut n.head);
+                    node = n.tail.0.as_mut();
+                }
+            }
+            Value::Construct(_, _, spine) | Value::IndApp(_, spine) => {
+                spine.iter_mut().for_each(take)
+            }
+            Value::Glued(g) => {
+                g.spine.iter_mut().for_each(&mut take);
+                if let Some(unfolded) = g.unfolded.get_mut() {
+                    take(unfolded);
+                }
+            }
+            Value::Neutral(head, spine) => {
+                match head {
+                    NHead::Elim(e) => {
+                        if let Some(e) = TermRc::get_mut(e) {
+                            e.params.iter_mut().for_each(&mut take);
+                            take(&mut e.motive);
+                            e.cases.iter_mut().for_each(&mut take);
+                            take(&mut e.scrutinee);
+                        }
+                    }
+                    NHead::Stuck(v) => take(v),
+                    _ => {}
+                }
+                spine.iter_mut().for_each(take)
+            }
+        }
+    }
+
+    /// Does this value hold no other value?
+    fn is_leaf(&self) -> bool {
+        match self {
+            Value::Sort(_) => true,
+            Value::Construct(_, _, s) | Value::IndApp(_, s) => s.is_empty(),
+            Value::Neutral(NHead::Local(_) | NHead::Free(_) | NHead::Const(_), s) => s.is_empty(),
+            _ => false,
+        }
+    }
 }
 
 /// A stuck eliminator with all components evaluated.
@@ -306,11 +441,12 @@ const CLOSED_MEMO_MIN_SIZE: usize = 16;
 /// per-generation value memo ([`Env::nbe_cached`]): their value cannot
 /// mention `venv`, so one entry serves every occurrence in every context —
 /// and hash-consing means every repeat of a shared subterm is a single
-/// `TermId` probe instead of a re-evaluation. Both modes share the memo:
-/// a glued value and its unfolding are the same value, so whichever mode
-/// evaluated a term first serves the other.
+/// `TermId` probe instead of a re-evaluation. The `Glue` and `Unfold` modes
+/// share the memo: a glued value and its unfolding are the same value, so
+/// whichever mode evaluated a term first serves the other. `Whnf` mode
+/// bypasses it, because a folded readback would show which one it got.
 fn eval(env: &Env, venv: &VEnv, t: &Term, delta: Delta) -> VRc {
-    if t.is_closed() && t.size() >= CLOSED_MEMO_MIN_SIZE {
+    if delta != Delta::Whnf && t.is_closed() && t.size() >= CLOSED_MEMO_MIN_SIZE {
         if let Some(v) = env.nbe_cached(t) {
             return v;
         }
@@ -330,9 +466,10 @@ fn eval_node(env: &Env, venv: &VEnv, t: &Term, delta: Delta) -> VRc {
         },
         TermData::Sort(s) => TermRc::new(Value::Sort(*s)),
         TermData::Const(n) => match env.unfold(n) {
-            Some(body) if delta == Delta::Glue => TermRc::new(Value::Glued(Glue {
+            Some(body) if delta != Delta::Unfold => TermRc::new(Value::Glued(Glue {
+                head: t.clone(),
                 body: body.clone(),
-                spine: Vec::new(),
+                spine: Box::default(),
                 unfolded: OnceLock::new(),
             })),
             Some(body) => {
@@ -380,7 +517,7 @@ fn eval_node(env: &Env, venv: &VEnv, t: &Term, delta: Delta) -> VRc {
             let motive = eval(venv, &e.motive);
             let cases: Vec<VRc> = e.cases.iter().map(|c| eval(venv, c)).collect();
             let scrut = eval(venv, &e.scrutinee);
-            velim(env, &e.ind, params, motive, cases, scrut)
+            velim(env, &e.ind, params, motive, cases, scrut, delta)
         }
     }
 }
@@ -415,8 +552,9 @@ fn vapp_many(env: &Env, mut f: VRc, args: Vec<VRc>) -> VRc {
         Value::Construct(n, j, spine) => Value::Construct(n.clone(), *j, extend(spine)),
         Value::IndApp(n, spine) => Value::IndApp(n.clone(), extend(spine)),
         Value::Glued(g) => Value::Glued(Glue {
+            head: g.head.clone(),
             body: g.body.clone(),
-            spine: extend(&g.spine),
+            spine: extend(&g.spine).into_boxed_slice(),
             unfolded: OnceLock::new(),
         }),
         Value::Neutral(head, spine) => Value::Neutral(clone_head(head), extend(spine)),
@@ -426,16 +564,17 @@ fn vapp_many(env: &Env, mut f: VRc, args: Vec<VRc>) -> VRc {
 }
 
 /// Unfolds glued values until the head is not a transparent constant; any
-/// other value is returned as is. Each glued value's unfolding is computed
-/// once (one δ-step) and shared by every later force; forced bodies
-/// evaluate eagerly.
-fn force(env: &Env, v: &VRc) -> VRc {
+/// other value is returned as is. `delta` is the mode the value was built
+/// in, and its bodies evaluate in `delta.forced()`: eagerly, or glued again
+/// for whnf. Each glued value's unfolding is computed once (one δ-step) and
+/// shared by every later force.
+fn force(env: &Env, v: &VRc, delta: Delta) -> VRc {
     let mut v = v.clone();
     while let Value::Glued(g) = &*v {
         let unfolded = g.unfolded.get_or_init(|| {
             env.tally(|s| s.delta_steps += 1);
-            let head = eval(env, &VEnv::nil(), &g.body, Delta::Unfold);
-            vapp_many(env, head, g.spine.clone())
+            let head = eval(env, &VEnv::nil(), &g.body, delta.forced());
+            vapp_many(env, head, g.spine.to_vec())
         });
         v = unfolded.clone();
     }
@@ -452,11 +591,12 @@ fn clone_head(h: &NHead) -> NHead {
     }
 }
 
-/// Eliminator application at the value level: ι-reduces when the (forced)
-/// scrutinee is a fully applied constructor of the right family (mirroring
-/// `InductiveDecl::iota_reduce`, with value-level induction hypotheses);
-/// otherwise builds a stuck neutral. Failed family lookups are recorded via
-/// [`Env::note_stuck_ind`], exactly like the whnf path.
+/// Eliminator application at the value level: ι-reduces when the scrutinee,
+/// forced in `delta`, is a fully applied constructor of the right family:
+/// the case for constructor `j` is applied to the constructor's fields,
+/// each recursive field followed by its induction hypothesis. Otherwise it
+/// builds a stuck neutral. Failed family lookups are recorded via
+/// [`Env::note_stuck_ind`].
 fn velim(
     env: &Env,
     ind: &GlobalName,
@@ -464,8 +604,9 @@ fn velim(
     motive: VRc,
     cases: Vec<VRc>,
     scrut: VRc,
+    delta: Delta,
 ) -> VRc {
-    if let Value::Construct(cn, j, cargs) = &*force(env, &scrut) {
+    if let Value::Construct(cn, j, cargs) = &*force(env, &scrut, delta) {
         let decl = match env.inductive(cn) {
             Ok(d) => Some(d),
             Err(_) => {
@@ -492,6 +633,7 @@ fn velim(
                                     motive.clone(),
                                     cases.clone(),
                                     v.clone(),
+                                    delta,
                                 ));
                             }
                         }
@@ -513,7 +655,7 @@ fn velim(
 /// Decides `t ≡ u` (or `t ≤ u` with `leq`) by evaluating both sides with
 /// glued constants and comparing the values. The crate-facing entry points
 /// are [`crate::conv::conv`] / [`crate::conv::conv_leq`], which add the
-/// syntactic fast path and the `(TermId, TermId)` memo table.
+/// syntactic fast path and the statistics.
 pub(crate) fn conv_terms(env: &Env, t: &Term, u: &Term, leq: bool) -> bool {
     let venv = VEnv::nil();
     let a = eval(env, &venv, t, Delta::Glue);
@@ -552,8 +694,8 @@ impl Conv<'_> {
                 return self.same_head(lvl, (a, &g1.spine), (b, &g2.spine), leq);
             }
             // A head clash, or a constant against anything else: unfold.
-            (Value::Glued(_), _) => return self.val(lvl, &force(env, a), b, leq),
-            (_, Value::Glued(_)) => return self.val(lvl, a, &force(env, b), leq),
+            (Value::Glued(_), _) => return self.val(lvl, &force(env, a, Delta::Glue), b, leq),
+            (_, Value::Glued(_)) => return self.val(lvl, a, &force(env, b, Delta::Glue), leq),
             (Value::Sort(s1), Value::Sort(s2)) => {
                 if leq {
                     s1.leq(*s2)
@@ -631,7 +773,11 @@ impl Conv<'_> {
         if self.spines(lvl, s1, s2) {
             return true;
         }
-        let verdict = self.val(lvl, &force(self.env, a), &force(self.env, b), leq);
+        let (fa, fb) = (
+            force(self.env, a, Delta::Glue),
+            force(self.env, b, Delta::Glue),
+        );
+        let verdict = self.val(lvl, &fa, &fb, leq);
         self.retried.insert(key, (a.clone(), b.clone(), verdict));
         verdict
     }
@@ -688,7 +834,7 @@ impl Conv<'_> {
         }
         let mut scrutinee: Option<VRc> = None;
         for i in 0..nfields {
-            let field = force(env, &args[p + i]);
+            let field = force(env, &args[p + i], Delta::Glue);
             let Value::Neutral(NHead::Elim(e), spine) = &*field else {
                 return false;
             };
@@ -700,7 +846,7 @@ impl Conv<'_> {
             let fresh: Vec<VRc> = (0..nfields)
                 .map(|k| neutral(NHead::Local(lvl + k)))
                 .collect();
-            let selected = force(env, &vapp_many(env, e.cases[0].clone(), fresh));
+            let selected = force(env, &vapp_many(env, e.cases[0].clone(), fresh), Delta::Glue);
             match &*selected {
                 Value::Neutral(NHead::Local(l), sp) if *l == lvl + i && sp.is_empty() => {}
                 _ => return false,
@@ -731,69 +877,117 @@ impl Conv<'_> {
     }
 }
 
-/// Reads a value back into a term at fresh-variable depth `lvl` (readback /
-/// quotation). Glued values are forced, so the result is a δ-normal form.
-/// Fresh levels become de Bruijn indices; ambient free variables keep their
-/// indices, shifted under the quoted binders.
-fn quote(env: &Env, lvl: usize, v: &VRc) -> Term {
-    match &**v {
-        Value::Sort(s) => Term::sort(*s),
-        Value::Lambda(name, ty, clo) => {
-            let fresh = neutral(NHead::Local(lvl));
-            let body = clo.apply(env, fresh);
-            Term::new(TermData::Lambda(
-                Binder {
+/// Reads values back into terms (quotation). Fresh levels become de Bruijn
+/// indices; ambient free variables keep their indices, shifted under the
+/// quoted binders.
+struct Readback<'e> {
+    env: &'e Env,
+    /// Mode of the values being read back: `Whnf` keeps glued constants
+    /// folded (the constant applied to its read-back spine); any other mode
+    /// forces them, so the result is δ-normal.
+    delta: Delta,
+    /// The deepest node the result may have, counting the root as 0 and
+    /// each node one deeper than its parent (the wire decoder's measure).
+    max_depth: usize,
+}
+
+impl Readback<'_> {
+    /// `v` at fresh-variable depth `lvl`, as a node `depth` below the root;
+    /// `None` as soon as a node would lie past `max_depth`. Checking on
+    /// entry bounds the recursion by `max_depth` too.
+    fn quote(&self, lvl: usize, depth: usize, v: &VRc) -> Option<Term> {
+        if depth > self.max_depth {
+            return None;
+        }
+        let below = depth + 1;
+        Some(match &**v {
+            Value::Sort(s) => Term::sort(*s),
+            Value::Lambda(name, ty, clo) | Value::Pi(name, ty, clo) => {
+                let binder = Binder {
                     name: name.clone(),
-                    ty: quote(env, lvl, ty),
-                },
-                quote(env, lvl + 1, &body),
-            ))
-        }
-        Value::Pi(name, ty, clo) => {
-            let fresh = neutral(NHead::Local(lvl));
-            let body = clo.apply(env, fresh);
-            Term::new(TermData::Pi(
-                Binder {
-                    name: name.clone(),
-                    ty: quote(env, lvl, ty),
-                },
-                quote(env, lvl + 1, &body),
-            ))
-        }
-        Value::Construct(n, j, args) => Term::app(
-            Term::construct(n.clone(), *j),
-            args.iter().map(|a| quote(env, lvl, a)),
-        ),
-        Value::IndApp(n, args) => Term::app(
-            Term::ind(n.clone()),
-            args.iter().map(|a| quote(env, lvl, a)),
-        ),
-        Value::Glued(_) => quote(env, lvl, &force(env, v)),
-        Value::Neutral(head, spine) => {
-            let h = match head {
-                NHead::Local(l) => Term::rel(lvl - 1 - l),
-                NHead::Free(i) => Term::rel(i + lvl),
-                NHead::Const(n) => Term::const_(n.clone()),
-                NHead::Elim(e) => Term::elim(ElimData {
-                    ind: e.ind.clone(),
-                    params: e.params.iter().map(|p| quote(env, lvl, p)).collect(),
-                    motive: quote(env, lvl, &e.motive),
-                    cases: e.cases.iter().map(|c| quote(env, lvl, c)).collect(),
-                    scrutinee: quote(env, lvl, &e.scrutinee),
-                }),
-                NHead::Stuck(v) => quote(env, lvl, v),
-            };
-            Term::app(h, spine.iter().map(|a| quote(env, lvl, a)))
-        }
+                    ty: self.quote(lvl, below, ty)?,
+                };
+                let body = clo.apply(self.env, neutral(NHead::Local(lvl)));
+                let body = self.quote(lvl + 1, below, &body)?;
+                Term::new(match &**v {
+                    Value::Lambda(..) => TermData::Lambda(binder, body),
+                    _ => TermData::Pi(binder, body),
+                })
+            }
+            Value::Construct(n, j, args) => {
+                self.app(Term::construct(n.clone(), *j), args, lvl, depth)?
+            }
+            Value::IndApp(n, args) => self.app(Term::ind(n.clone()), args, lvl, depth)?,
+            Value::Glued(g) if self.delta == Delta::Whnf => {
+                self.app(g.head.clone(), &g.spine, lvl, depth)?
+            }
+            Value::Glued(_) => return self.quote(lvl, depth, &force(self.env, v, self.delta)),
+            Value::Neutral(head, spine) => {
+                // The head is the node itself when nothing is applied to it.
+                let at = if spine.is_empty() { depth } else { below };
+                let h = match head {
+                    NHead::Local(l) => Term::rel(lvl - 1 - l),
+                    NHead::Free(i) => Term::rel(i + lvl),
+                    NHead::Const(n) => Term::const_(n.clone()),
+                    NHead::Elim(e) => {
+                        let all = |vs: &[VRc]| {
+                            vs.iter()
+                                .map(|x| self.quote(lvl, at + 1, x))
+                                .collect::<Option<Vec<_>>>()
+                        };
+                        Term::elim(ElimData {
+                            ind: e.ind.clone(),
+                            params: all(&e.params)?,
+                            motive: self.quote(lvl, at + 1, &e.motive)?,
+                            cases: all(&e.cases)?,
+                            scrutinee: self.quote(lvl, at + 1, &e.scrutinee)?,
+                        })
+                    }
+                    NHead::Stuck(v) => self.quote(lvl, at, v)?,
+                };
+                self.app(h, spine, lvl, depth)?
+            }
+        })
+    }
+
+    /// `head` applied to the read-back `spine`, as a node at `depth`.
+    fn app(&self, head: Term, spine: &[VRc], lvl: usize, depth: usize) -> Option<Term> {
+        let args = spine
+            .iter()
+            .map(|a| self.quote(lvl, depth + 1, a))
+            .collect::<Option<Vec<_>>>()?;
+        Some(Term::app(head, args))
     }
 }
 
-/// Full βδιζ normal form via evaluate-then-read-back, the body of
-/// [`crate::reduce::normalize`]. `tests/kernel_properties.rs` pins its
-/// agreement with the rewriting oracle on well-typed terms.
-pub(crate) fn normalize(env: &Env, t: &Term) -> Term {
+/// Full βδιζ normal form via evaluate-then-read-back, or `None` when it
+/// would nest deeper than `max_depth`: the body of
+/// [`crate::reduce::normalize`] and [`crate::reduce::normalize_within`].
+/// `tests/kernel_properties.rs` pins its agreement with the rewriting
+/// oracle on well-typed terms.
+pub(crate) fn normalize(env: &Env, t: &Term, max_depth: usize) -> Option<Term> {
     let v = eval(env, &VEnv::nil(), t, Delta::Unfold);
-    quote(env, 0, &v)
+    let readback = Readback {
+        env,
+        delta: Delta::Unfold,
+        max_depth,
+    };
+    readback.quote(0, 0, &v)
+}
+
+/// Weak head normal form, the body of [`crate::reduce::whnf`]: evaluates
+/// `t` in `Whnf` mode (memo-free, constants glued), forces the head, and
+/// reads the value back with every other constant folded.
+pub(crate) fn whnf(env: &Env, t: &Term) -> Term {
+    let v = force(env, &eval(env, &VEnv::nil(), t, Delta::Whnf), Delta::Whnf);
+    let readback = Readback {
+        env,
+        delta: Delta::Whnf,
+        max_depth: usize::MAX,
+    };
+    readback
+        .quote(0, 0, &v)
+        .expect("an unbounded readback always answers")
 }
 
 #[cfg(test)]
@@ -876,7 +1070,7 @@ mod tests {
         )
         .unwrap();
         let call = Term::app(Term::const_("add"), [nat_lit(2), nat_lit(3)]);
-        assert_eq!(normalize(&env, &call), nat_lit(5));
+        assert_eq!(normalize(&env, &call, usize::MAX), Some(nat_lit(5)));
         assert!(conv(&env, &call, &nat_lit(5)));
         assert!(!conv(&env, &call, &nat_lit(4)));
     }
@@ -997,6 +1191,56 @@ mod tests {
         assert_eq!(env.kernel_stats().delta_steps, 0, "equal spines unfolded");
         assert!(conv(&env, &k(Term::rel(0)), &k(Term::rel(1))));
         assert_eq!(env.kernel_stats().delta_steps, 2);
+    }
+
+    #[test]
+    fn deep_values_free_on_a_small_stack() {
+        // Chains 100 000 values deep through a spine, a Pi domain and a
+        // stuck eliminator's scrutinee: a recursive drop of any of them
+        // would overflow this thread's 256 KiB stack.
+        let freed = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let leaf = || TermRc::new(Value::Sort(Sort::Set));
+                let chains: [&dyn Fn(VRc) -> Value; 3] = [
+                    &|v| Value::Construct("nat".into(), 1, vec![v]),
+                    &|v| {
+                        let body = Closure {
+                            env: VEnv::nil(),
+                            body: Term::set(),
+                            delta: Delta::Glue,
+                        };
+                        Value::Pi(Name::Anonymous, v, body)
+                    },
+                    &|v| {
+                        let elim = ElimVal {
+                            ind: "nat".into(),
+                            params: Vec::new(),
+                            motive: leaf(),
+                            cases: Vec::new(),
+                            scrutinee: v,
+                        };
+                        Value::Neutral(NHead::Elim(TermRc::new(elim)), Vec::new())
+                    },
+                ];
+                for link in chains {
+                    let mut v = leaf();
+                    for _ in 0..100_000 {
+                        v = TermRc::new(link(v));
+                    }
+                    drop(v);
+                }
+            })
+            .unwrap()
+            .join();
+        assert!(freed.is_ok());
+    }
+
+    #[test]
+    fn the_glued_head_does_not_grow_values() {
+        // Glue carries the constant's interned term next to its body; its
+        // spine is a boxed slice, so every variant still fits in 56 bytes.
+        assert_eq!(std::mem::size_of::<Value>(), 56);
     }
 
     #[test]

@@ -5,114 +5,57 @@
 //! (let). Opaque constants (see [`crate::env::ConstDecl::opaque`]) block δ,
 //! reproducing the paper's δ-blocklist (§4.4).
 //!
-//! [`whnf`] rewrites only the head and leaves every argument as written:
-//! the type checker, the tactic interpreter and the tuple/record search
-//! build terms from those unreduced arguments. [`normalize`] runs on the
-//! evaluator that also decides conversion ([`crate::nbe`]), so the kernel
-//! has one normaliser. The rewriting normaliser it replaced lives on as a
-//! test oracle in the workspace's `tests/oracle`.
+//! Both entry points run on the evaluator that also decides conversion
+//! ([`crate::nbe`]), so the kernel has one reduction engine. [`whnf`]
+//! reduces only the head: the type checker, the tactic interpreter and the
+//! tuple/record search build terms from what it leaves, so every other
+//! constant comes back folded. [`normalize`] unfolds everything. The
+//! rewriting engine they replaced lives on as a test oracle in the
+//! workspace's `tests/oracle`.
 
 use crate::env::Env;
-use crate::subst::{beta_apply, subst1};
-use crate::term::{ElimData, Term, TermData};
+use crate::term::{Term, TermData};
 
 /// Weak head normal form.
 ///
+/// A term whose head cannot reduce — a sort, product, unapplied λ, a
+/// variable, inductive family or constructor, or a δ-blocked constant, each
+/// possibly applied — is returned as written. Any other term is evaluated
+/// with constants glued, its head is forced, and the value is read back with
+/// every other constant folded, so a type's field types keep their names.
+/// The answer never depends on the environment's memo tables: this path
+/// neither reads nor writes them, and repeating a query repeats the work.
+///
 /// Infallible: ill-formed redexes (unknown globals, arity mismatches) are
 /// simply left stuck; the type checker reports them properly.
-///
-/// Results are memoized on the [`Env`] (keyed by the term's precomputed
-/// structural hash) until the next environment mutation; see
-/// [`Env::kernel_stats`] for the hit/miss instrumentation and
-/// [`Env::set_kernel_cache`] for the ablation switch.
 pub fn whnf(env: &Env, t: &Term) -> Term {
-    // Terms that are already weak-head-normal never enter the memo table;
-    // answering them is cheaper than hashing them.
-    match t.data() {
+    let (head, args) = t.unfold_app();
+    let rigid = match head.data() {
         TermData::Rel(_)
         | TermData::Sort(_)
         | TermData::Ind(_)
         | TermData::Construct(_, _)
-        | TermData::Lambda(_, _)
-        | TermData::Pi(_, _) => return t.clone(),
-        TermData::Const(n) if env.unfold(n).is_none() => {
-            env.note_stuck_const(n);
-            return t.clone();
+        | TermData::Pi(_, _) => true,
+        TermData::Lambda(_, _) => args.is_empty(),
+        TermData::Const(n) => {
+            let blocked = env.unfold(n).is_none();
+            if blocked {
+                env.note_stuck_const(n);
+            }
+            blocked
         }
-        _ => {}
+        TermData::App(_, _) | TermData::Let(_, _, _) | TermData::Elim(_) => false,
+    };
+    // Bare rigid heads are not counted: answering them is the fast path.
+    if rigid && args.is_empty() {
+        return t.clone();
     }
     env.tally(|s| s.whnf_calls += 1);
     env.tracer().emit(pumpkin_trace::EventKind::Whnf);
-    if let Some(r) = env.whnf_cached(t) {
-        return r;
+    if rigid {
+        return t.clone();
     }
-    let r = whnf_uncached(env, t);
-    env.whnf_insert(t.clone(), r.clone());
-    r
-}
-
-fn whnf_uncached(env: &Env, t: &Term) -> Term {
-    let mut t = t.clone();
-    loop {
-        let (head, args) = t.unfold_app();
-        match head.data() {
-            TermData::Const(n) => match env.unfold(n) {
-                Some(body) => {
-                    env.tally(|s| s.delta_steps += 1);
-                    t = Term::app(body.clone(), args.iter().cloned());
-                }
-                None => {
-                    env.note_stuck_const(n);
-                    return t.clone();
-                }
-            },
-            TermData::Let(_, v, body) => {
-                env.tally(|s| s.zeta_steps += 1);
-                t = Term::app(subst1(body, v), args.iter().cloned());
-            }
-            TermData::Lambda(_, _) if !args.is_empty() => {
-                env.tally(|s| s.beta_steps += 1);
-                t = beta_apply(head, args);
-            }
-            TermData::Elim(e) => {
-                let scrut = whnf(env, &e.scrutinee);
-                let reduced = (|| {
-                    let (cind, j, cargs) = scrut.as_construct_app()?;
-                    let decl = match env.inductive(cind) {
-                        Ok(d) => d,
-                        Err(_) => {
-                            env.note_stuck_ind(cind);
-                            return None;
-                        }
-                    };
-                    if cind != &e.ind {
-                        return None;
-                    }
-                    let p = decl.nparams();
-                    let ctor = decl.ctors.get(j)?;
-                    if cargs.len() != p + ctor.args.len() {
-                        return None;
-                    }
-                    decl.iota_reduce(e, j, &cargs[p..]).ok()
-                })();
-                match reduced {
-                    Some(r) => {
-                        env.tally(|s| s.iota_steps += 1);
-                        t = Term::app(r, args.iter().cloned());
-                    }
-                    None => {
-                        // Stuck: expose the weak-head-normal scrutinee.
-                        let stuck = Term::elim(ElimData {
-                            scrutinee: scrut,
-                            ..e.clone()
-                        });
-                        return Term::app(stuck, args.iter().cloned());
-                    }
-                }
-            }
-            _ => return t,
-        }
-    }
+    crate::nbe::whnf(env, t)
 }
 
 /// Full βδιζ-normal form: evaluates `t` with every transparent constant
@@ -120,14 +63,22 @@ fn whnf_uncached(env: &Env, t: &Term) -> Term {
 /// go through the environment's value memo, so repeating a query does no
 /// reduction work until the environment changes.
 pub fn normalize(env: &Env, t: &Term) -> Term {
-    crate::nbe::normalize(env, t)
+    crate::nbe::normalize(env, t, usize::MAX).expect("an unbounded readback always answers")
+}
+
+/// [`normalize`], or `None` when the normal form would nest deeper than
+/// `max_depth` (the root is depth 0, each node one deeper than its parent).
+/// Readback stops at the bound, so an over-deep normal form is never built,
+/// and the native stack it would need is never used.
+pub fn normalize_within(env: &Env, t: &Term, max_depth: usize) -> Option<Term> {
+    crate::nbe::normalize(env, t, max_depth)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::inductive::{CtorDecl, InductiveDecl};
-    use crate::term::Binder;
+    use crate::term::{Binder, ElimData};
     use crate::universe::Sort;
 
     fn env_with_nat() -> Env {
@@ -220,43 +171,13 @@ mod tests {
     }
 
     #[test]
-    fn whnf_memo_hits_and_step_counters() {
-        let mut env = env_with_nat();
-        env.define(
-            "add",
-            Term::arrow(
-                Term::ind("nat"),
-                Term::arrow(Term::ind("nat"), Term::ind("nat")),
-            ),
-            add(),
-        )
-        .unwrap();
-        let call = Term::app(Term::const_("add"), [nat_lit(2), nat_lit(3)]);
-        env.reset_kernel_stats();
-        let r1 = whnf(&env, &call);
-        let first = env.kernel_stats();
-        assert!(first.delta_steps >= 1, "δ fired: {first}");
-        assert!(first.beta_steps >= 1, "β fired: {first}");
-        assert!(first.iota_steps >= 1, "ι fired: {first}");
-        assert_eq!(first.whnf_cache_hits, 0);
-        // A structurally equal (but freshly allocated) term hits the memo.
-        let call2 = Term::app(Term::const_("add"), [nat_lit(2), nat_lit(3)]);
-        let r2 = whnf(&env, &call2);
-        assert_eq!(r1, r2);
-        let second = env.kernel_stats();
-        assert_eq!(second.whnf_cache_hits, 1);
-        // No further reduction work was done for the hit.
-        assert_eq!(second.reduction_steps(), first.reduction_steps());
-    }
-
-    #[test]
-    fn whnf_memo_respects_transparency_flips() {
+    fn whnf_respects_transparency_flips() {
         let mut env = env_with_nat();
         env.define("two", Term::ind("nat"), nat_lit(2)).unwrap();
         let two = Term::const_("two");
         assert_eq!(whnf(&env, &two), nat_lit(2));
         env.set_opaque(&"two".into(), true).unwrap();
-        // Stale memo entry must not resurface the unfolded body.
+        // Nothing computed before the flip may resurface the unfolded body.
         assert_eq!(whnf(&env, &two), two);
         env.set_opaque(&"two".into(), false).unwrap();
         assert_eq!(whnf(&env, &two), nat_lit(2));
@@ -275,15 +196,60 @@ mod tests {
         )
         .unwrap();
         let call = Term::app(Term::const_("add"), [nat_lit(2), nat_lit(3)]);
+        // Warm the value memo first: whnf must not read what it holds.
+        assert_eq!(normalize(&env, &call), nat_lit(5));
         let cached = whnf(&env, &call);
         env.set_kernel_cache(false);
         let uncached = whnf(&env, &call);
         assert_eq!(cached, uncached);
-        let stats = env.kernel_stats();
         env.set_kernel_cache(true);
-        // With the cache off, probes are not counted as hits.
-        let _ = whnf(&env, &call);
-        assert!(env.kernel_stats().whnf_cache_misses >= stats.whnf_cache_misses);
+    }
+
+    #[test]
+    fn whnf_reduces_the_head_and_keeps_other_constants_folded() {
+        let mut env = env_with_nat();
+        let nat_to_nat = Term::arrow(Term::ind("nat"), Term::ind("nat"));
+        env.define("N", Term::set(), Term::ind("nat")).unwrap();
+        env.define(
+            "add",
+            Term::arrow(Term::ind("nat"), nat_to_nat.clone()),
+            add(),
+        )
+        .unwrap();
+        // `F := fun (A : Set) => A → N`: the head unfolds, `N` stays.
+        let arrow_n = Term::arrow(Term::rel(0), Term::const_("N"));
+        env.define(
+            "F",
+            Term::arrow(Term::set(), Term::set()),
+            Term::lambda("A", Term::set(), arrow_n),
+        )
+        .unwrap();
+        let f_nat = Term::app(Term::const_("F"), [Term::ind("nat")]);
+        env.reset_kernel_stats();
+        assert_eq!(
+            whnf(&env, &f_nat),
+            Term::arrow(Term::ind("nat"), Term::const_("N"))
+        );
+        let stats = env.kernel_stats();
+        assert_eq!(stats.whnf_calls, 1);
+        assert_eq!((stats.delta_steps, stats.beta_steps), (1, 1), "{stats}");
+        // δ, β and ι fire until a constructor heads the result; the
+        // constructor's argument keeps `add` folded.
+        let call = Term::app(
+            Term::const_("add"),
+            [
+                nat_lit(1),
+                Term::app(Term::const_("add"), [nat_lit(0), nat_lit(0)]),
+            ],
+        );
+        let r = whnf(&env, &call);
+        assert!(env.kernel_stats().iota_steps >= 1, "ι fired");
+        assert_eq!(r.as_construct_app().map(|(_, j, _)| j), Some(1), "{r}");
+        assert_eq!(normalize(&env, &r), nat_lit(1));
+        assert!(r.mentions_global(&"add".into()), "{r}");
+        // A rigid head is answered as written, applied or not.
+        let stuck = Term::app(Term::construct("nat", 1), [call.clone()]);
+        assert!(whnf(&env, &stuck).same_allocation(&stuck));
     }
 
     #[test]

@@ -24,9 +24,7 @@ use std::time::Duration;
 use pumpkin_core::trace::json::MAX_DEPTH;
 use pumpkin_core::trace::serve_stats::{self, ServeStats, STATS_SCHEMA};
 use pumpkin_core::trace::Histogram;
-use pumpkin_core::wire::{
-    term_depth, term_from_envelope, term_to_envelope, LiftSpec, TermDigest, WireError,
-};
+use pumpkin_core::wire::{term_from_envelope, term_to_envelope, LiftSpec, TermDigest, WireError};
 use pumpkin_core::{
     AutoPolicy, CancelToken, DigestMap, LiftState, Lifting, NameMap, RepairError, RepairReport,
     Repairer,
@@ -595,7 +593,8 @@ impl Session {
     /// normalize it against the session's eval environment, and return
     /// both the pretty form and the normal form's envelope. A normal form
     /// nested deeper than [`MAX_DEPTH`] is a `budget_exceeded` error
-    /// instead, since the client's wire decoder would refuse it.
+    /// instead, since the client's wire decoder would refuse it: readback
+    /// stops at that depth, so the over-deep term is never built.
     fn eval(&mut self, params: &Value) -> MethodResult {
         let envelope = params
             .get("term")
@@ -607,13 +606,12 @@ impl Session {
         let env = &self.eval_env;
         pumpkin_kernel::typecheck::infer_closed(env, &term)
             .map_err(|e| (code::BAD_PARAMS, format!("term does not typecheck: {e}")))?;
-        let normal = pumpkin_kernel::reduce::normalize(env, &term);
-        let depth = term_depth(&normal);
-        if depth > MAX_DEPTH {
-            let message =
-                format!("the normal form nests {depth} levels deep, past the wire's {MAX_DEPTH}");
-            return Err((code::BUDGET_EXCEEDED, message).into());
-        }
+        let normal =
+            pumpkin_kernel::reduce::normalize_within(env, &term, MAX_DEPTH).ok_or_else(|| {
+                let message =
+                    format!("the normal form nests deeper than the wire's {MAX_DEPTH} levels");
+                (code::BUDGET_EXCEEDED, message)
+            })?;
         Ok((
             Value::Obj(vec![
                 (

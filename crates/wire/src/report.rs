@@ -455,8 +455,10 @@ mod tests {
 
     #[test]
     fn future_auto_versions_are_rejected_not_guessed() {
-        let mut a = AutoWire::default();
-        a.complete = true;
+        let a = AutoWire {
+            complete: true,
+            ..AutoWire::default()
+        };
         let text = a
             .to_value()
             .to_string()

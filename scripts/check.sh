@@ -37,8 +37,8 @@ CARGO_TARGET_DIR=.bench_build cargo test --release --locked -q --manifest-path p
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --all-targets --locked -- -D warnings"
-cargo clippy --all-targets --locked -- -D warnings
+echo "==> cargo clippy --workspace --all-targets --locked -- -D warnings"
+cargo clippy --workspace --all-targets --locked -- -D warnings
 
 # Rustdoc gate: every intra-doc link must resolve, and public docs must
 # not link private items (the module docs describe private machinery in

@@ -7,8 +7,8 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::process::{Child, ChildStdout, Command, ExitStatus, Stdio};
+use std::time::{Duration, Instant};
 
 use pumpkin_kernel::term::Term;
 use pumpkin_serve::proto::MAX_FRAME;
@@ -18,6 +18,8 @@ use pumpkin_wire::{term_from_envelope, term_to_envelope, LiftSpec, Value};
 struct Daemon {
     child: Child,
     addr: String,
+    /// Held open so the daemon's farewell line on shutdown has a reader.
+    _stdout: BufReader<ChildStdout>,
 }
 
 impl Daemon {
@@ -30,7 +32,8 @@ impl Daemon {
             .spawn()
             .expect("spawn pumpkin serve");
         let mut line = String::new();
-        BufReader::new(child.stdout.take().expect("piped stdout"))
+        let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+        stdout
             .read_line(&mut line)
             .expect("read the listening line");
         let addr = line
@@ -38,7 +41,11 @@ impl Daemon {
             .strip_prefix("pumpkind listening on ")
             .unwrap_or_else(|| panic!("unexpected first line: {line:?}"))
             .to_string();
-        Daemon { child, addr }
+        Daemon {
+            child,
+            addr,
+            _stdout: stdout,
+        }
     }
 
     /// Sends one frame on a fresh connection and reads one reply line.
@@ -59,6 +66,22 @@ impl Daemon {
             panic!("no reply ({read:?}); daemon exit status: {status:?}");
         }
         Value::parse(&reply).unwrap_or_else(|e| panic!("unparseable reply ({e}): {reply}"))
+    }
+
+    /// Waits for the child to exit on its own, failing the test after
+    /// `timeout`.
+    fn exit_status(&mut self, timeout: Duration) -> ExitStatus {
+        let started = Instant::now();
+        loop {
+            if let Some(status) = self.child.try_wait().expect("poll the daemon") {
+                return status;
+            }
+            assert!(
+                started.elapsed() < timeout,
+                "the daemon did not exit within {timeout:?}"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
     }
 }
 
@@ -187,4 +210,42 @@ fn eval_at_the_depth_cap_answers() {
         let normal = reply.get("result").and_then(|r| r.get("term")).unwrap();
         assert_eq!(term_from_envelope(normal), Ok(term));
     }
+}
+
+#[test]
+fn eval_of_a_ten_thousand_deep_normal_form_is_refused_and_the_daemon_exits_cleanly() {
+    // `mul (mul 10 10) (mul 10 10)` is a few hundred bytes on the wire, but
+    // its normal form is the numeral 10 000, a spine 10 000 levels deep.
+    // Readback stops at the wire's depth cap, and the session's value memo,
+    // which keeps the 10⁴-deep value, is freed without native recursion
+    // when the daemon shuts down.
+    let numeral = |n: usize| {
+        (0..n).fold(Term::construct("nat", 0), |t, _| {
+            Term::app(Term::construct("nat", 1), [t])
+        })
+    };
+    let mul = |a: Term, b: Term| Term::app(Term::const_("mul"), [a, b]);
+    let hundred = mul(numeral(10), numeral(10));
+    let frame = eval_frame(1, term_to_envelope(&mul(hundred.clone(), hundred)));
+    assert!(frame.len() < 512, "{} bytes", frame.len());
+
+    let mut daemon = Daemon::spawn();
+    let reply = daemon.call(&frame);
+    assert_eq!(reply.get("ok"), Some(&Value::Bool(false)), "{reply:?}");
+    let error = reply.get("error").expect("structured error");
+    assert_eq!(
+        error.get("code").and_then(Value::as_str),
+        Some("budget_exceeded"),
+        "{reply:?}"
+    );
+    let pong = daemon.call(r#"{"id":2,"method":"ping"}"#);
+    assert_eq!(
+        pong.get("result").and_then(|r| r.get("pong")),
+        Some(&Value::Bool(true)),
+        "{pong:?}"
+    );
+    let bye = daemon.call(r#"{"id":3,"method":"shutdown"}"#);
+    assert_eq!(bye.get("ok"), Some(&Value::Bool(true)), "{bye:?}");
+    let status = daemon.exit_status(Duration::from_secs(120));
+    assert!(status.success(), "the daemon exited with {status}");
 }

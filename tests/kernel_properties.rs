@@ -1,9 +1,9 @@
 //! Property-based tests of the kernel substrate: substitution laws,
 //! normalization idempotence, conversion congruence, parser ↔
-//! pretty-printer round trips, coherence of the kernel's conv/whnf
-//! memo layer, and agreement of NbE with the rewriting [`oracle`] — all
-//! on randomly generated terms from the deterministic [`pumpkin_testkit`]
-//! generator.
+//! pretty-printer round trips, coherence of the kernel's memo layer, whnf's
+//! independence from it, and agreement of NbE with the rewriting
+//! [`oracle`] — all on randomly generated terms from the deterministic
+//! [`pumpkin_testkit`] generator.
 
 mod oracle;
 
@@ -167,6 +167,34 @@ fn arithmetic_agrees_with_model_and_normalize_is_idempotent() {
 }
 
 #[test]
+fn normalize_within_bounds_the_depth_the_wire_measures() {
+    // The daemon's `eval` refuses normal forms deeper than the wire
+    // decoder accepts by bounding readback, so the bound must count depth
+    // exactly as `term_depth` does: the normal form comes back at its own
+    // depth and is refused one level below it.
+    use pumpkin_pi::pumpkin_kernel::reduce::normalize_within;
+    use pumpkin_pi::pumpkin_wire::term_depth;
+    let env = stdlib::std_env();
+    let bounded = |t: &Term| {
+        let normal = normalize(&env, t);
+        let depth = term_depth(&normal);
+        assert_eq!(normalize_within(&env, t, depth).as_ref(), Some(&normal));
+        if depth > 0 {
+            assert_eq!(normalize_within(&env, t, depth - 1), None, "{t}");
+        }
+    };
+    let add = |a: Term, b: Term| Term::app(Term::const_("add"), [a, b]);
+    check(64, |rng| {
+        let e = arb_arith(rng, 3).term();
+        bounded(&e);
+        // Under a binder: `S^n k`, and an eliminator stuck on `k`.
+        for body in [add(e.clone(), Term::rel(0)), add(Term::rel(0), e)] {
+            bounded(&Term::lambda("k", Term::ind("nat"), body));
+        }
+    });
+}
+
+#[test]
 fn conversion_is_congruent_for_arithmetic() {
     let env = stdlib::std_env();
     check(64, |rng| {
@@ -183,7 +211,7 @@ fn cached_conv_and_whnf_agree_with_uncached() {
     // The kernel memo layer must be semantically invisible: every verdict
     // and every weak head normal form computed with the cache on equals
     // the one computed with the cache off, on the same queries in the
-    // same order (so the cached run actually exercises hits).
+    // same order (so the cached run actually reuses memoised values).
     let cached_env = stdlib::std_env();
     let mut uncached_env = stdlib::std_env();
     uncached_env.set_kernel_cache(false);
@@ -205,12 +233,112 @@ fn cached_conv_and_whnf_agree_with_uncached() {
         );
         assert_eq!(whnf(&cached_env, &ta), whnf(&uncached_env, &ta));
     });
-    // The cached run must actually have used the cache.
-    let stats = cached_env.kernel_stats();
+    // The cached run must actually have used the cache: it reduced less.
+    let (cached, uncached) = (cached_env.kernel_stats(), uncached_env.kernel_stats());
     assert!(
-        stats.conv_cache_hits > 0 || stats.whnf_cache_hits > 0,
-        "differential test never hit the cache: {stats}"
+        cached.reduction_steps() < uncached.reduction_steps(),
+        "the memo saved no reduction: cached {cached}, uncached {uncached}"
     );
+}
+
+/// `pred (mul 3 3)`: its eliminator ι-reduces through the glued scrutinee
+/// `mul 3 3`, a closed term large enough for the value memo.
+fn pred_of_glued_product() -> Term {
+    let mul = Term::app(Term::const_("mul"), [nat_lit(3), nat_lit(3)]);
+    Term::app(Term::const_("pred"), [mul])
+}
+
+#[test]
+fn whnf_does_not_depend_on_the_value_memo() {
+    // The memo serves glued and unfolded values interchangeably, and a
+    // folded readback would show which one it got. So whnf on an env whose
+    // memo `conv` and `normalize` just filled from the same terms answers
+    // exactly as whnf on a fresh clone.
+    let base = stdlib::std_env();
+    let warm = base.clone();
+    let agree = |t: &Term| {
+        let normal = normalize(&warm, t);
+        assert!(conv(&warm, t, &normal));
+        assert_eq!(normalize(&warm, t), normal);
+        assert_eq!(
+            whnf(&warm, t),
+            whnf(&base.clone(), t),
+            "whnf of {t} depends on the memo"
+        );
+    };
+    let glued = pred_of_glued_product();
+    agree(&glued);
+    // The answer keeps its inner `add`s folded, memo or not.
+    let w = whnf(&warm, &glued);
+    assert!(w.mentions_global(&"add".into()), "{w}");
+    assert_eq!(nat_value(&normalize(&warm, &w)), Some(8));
+    check(48, |rng| agree(&arb_arith(rng, 3).term()));
+}
+
+/// What a weak head normal form is headed by.
+#[derive(Debug, PartialEq)]
+enum Head {
+    Sort,
+    Pi,
+    Lambda,
+    Var(usize),
+    Construct(String, usize),
+    Ind(String),
+    Const(String),
+    Elim(String),
+    Other,
+}
+
+fn head_of(t: &Term) -> Head {
+    use pumpkin_pi::pumpkin_kernel::term::TermData;
+    match t.head().data() {
+        TermData::Sort(_) => Head::Sort,
+        TermData::Pi(_, _) => Head::Pi,
+        TermData::Lambda(_, _) => Head::Lambda,
+        TermData::Rel(i) => Head::Var(*i),
+        TermData::Construct(n, j) => Head::Construct(n.to_string(), *j),
+        TermData::Ind(n) => Head::Ind(n.to_string()),
+        TermData::Const(n) => Head::Const(n.to_string()),
+        TermData::Elim(e) => Head::Elim(e.ind.to_string()),
+        TermData::App(_, _) | TermData::Let(_, _, _) => Head::Other,
+    }
+}
+
+#[test]
+fn nbe_whnf_agrees_with_rewriting_whnf() {
+    // NbE's whnf against the oracle's: the same head, convertible
+    // results, and the input itself whenever the oracle returns it
+    // unchanged. Inputs: random arithmetic, and every stdlib constant's
+    // type, body and name (the bare name unfolds to the body).
+    let env = stdlib::std_env();
+    let agree = |t: &Term| {
+        let (nbe, rewritten) = (whnf(&env, t), oracle::whnf(&env, t));
+        assert_eq!(
+            head_of(&nbe),
+            head_of(&rewritten),
+            "{t}: {nbe} vs {rewritten}"
+        );
+        assert!(
+            conv(&env.clone(), &nbe, &rewritten),
+            "{t}: {nbe} ≢ {rewritten}"
+        );
+        if &rewritten == t {
+            assert_eq!(&nbe, t, "{t} is weak-head normal, but NbE rewrote it");
+        }
+    };
+    let mut inputs = vec![pred_of_glued_product()];
+    for d in env.constants() {
+        inputs.push(d.ty.clone());
+        inputs.extend(d.body.clone());
+        inputs.push(Term::const_(d.name.clone()));
+    }
+    assert!(
+        inputs.len() > 100,
+        "corpus unexpectedly small: {}",
+        inputs.len()
+    );
+    inputs.iter().for_each(agree);
+    check(64, |rng| agree(&arb_arith(rng, 3).term()));
 }
 
 #[test]

@@ -4,12 +4,14 @@
 //! kernel.
 //!
 //! It is written against the kernel's public API only and keeps no memo:
-//! it reduces with its own rewriting [`whnf`], never reads or writes the
-//! `Env` memo tables, and tallies no statistics. So every verdict it gives
-//! was computed here, and cannot be one the checker under test just cached
-//! in the same environment.
+//! it reduces with its own rewriting [`whnf`] and syntactic ι
+//! ([`iota_reduce`]), never reads or writes the `Env` memo tables, and
+//! tallies no statistics. So every verdict it gives was computed here, and
+//! cannot be one the checker under test just cached in the same
+//! environment.
 
 use pumpkin_pi::pumpkin_kernel::env::Env;
+use pumpkin_pi::pumpkin_kernel::inductive::InductiveDecl;
 use pumpkin_pi::pumpkin_kernel::subst::{beta_apply, lift, subst1};
 use pumpkin_pi::pumpkin_kernel::term::{Binder, ElimData, Term, TermData};
 
@@ -55,7 +57,25 @@ fn iota(env: &Env, e: &ElimData, scrutinee: &Term) -> Option<Term> {
     if ind != &e.ind || cargs.len() != p + decl.ctors.get(j)?.args.len() {
         return None;
     }
-    decl.iota_reduce(e, j, &cargs[p..]).ok()
+    Some(iota_reduce(decl, e, j, &cargs[p..]))
+}
+
+/// ι-reduction: `elim`'s case for constructor `j` of `decl` applied to the
+/// constructor's arguments (parameters already stripped), each recursive
+/// argument followed by its recursive elimination.
+pub fn iota_reduce(decl: &InductiveDecl, elim: &ElimData, j: usize, ctor_args: &[Term]) -> Term {
+    let flags = decl.recursive_flags(j);
+    let mut actual: Vec<Term> = Vec::with_capacity(ctor_args.len() * 2);
+    for (k, v) in ctor_args.iter().enumerate() {
+        actual.push(v.clone());
+        if flags[k] {
+            actual.push(Term::elim(ElimData {
+                scrutinee: v.clone(),
+                ..elim.clone()
+            }));
+        }
+    }
+    beta_apply(&elim.cases[j], &actual)
 }
 
 /// Full βδιζ-normal form by rewriting: the weak head normal form, then
@@ -200,5 +220,43 @@ fn conv_whnf_structural(env: &Env, t: &Term, u: &Term) -> bool {
                 && conv(env, &e1.scrutinee, &e2.scrutinee)
         }
         _ => false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn iota_reduce_successor() {
+        let env = pumpkin_pi::pumpkin_stdlib::std_env();
+        let nat = env.inductive(&"nat".into()).unwrap();
+        // Elim(S x, P){pO, fun n IH => f n IH}
+        let case_s = Term::lambda(
+            "n",
+            Term::ind("nat"),
+            Term::lambda(
+                "IH",
+                Term::app(Term::const_("P"), [Term::rel(0)]),
+                Term::app(Term::const_("f"), [Term::rel(1), Term::rel(0)]),
+            ),
+        );
+        let elim = ElimData {
+            ind: "nat".into(),
+            params: vec![],
+            motive: Term::const_("P"),
+            cases: vec![Term::const_("pO"), case_s],
+            scrutinee: Term::app(Term::construct("nat", 1), [Term::const_("x")]),
+        };
+        let reduced = iota_reduce(nat, &elim, 1, &[Term::const_("x")]);
+        // f x (Elim(x, P){…})
+        let inner = Term::elim(ElimData {
+            scrutinee: Term::const_("x"),
+            ..elim.clone()
+        });
+        assert_eq!(
+            reduced,
+            Term::app(Term::const_("f"), [Term::const_("x"), inner])
+        );
     }
 }
