@@ -18,7 +18,8 @@
 //!   + unevaluated body term);
 //! * `Value::Construct` / `Value::IndApp` are constructor/family spines;
 //! * `Value::Glued` is a transparent constant applied to a spine, glued to
-//!   its δ-unfolding, which is computed on first demand (`force`);
+//!   its δ-unfolding, which is computed on first demand (`force`); in
+//!   `whnf` it is also a deferred induction hypothesis;
 //! * `Value::Neutral` is a blocked computation: a head — a comparison
 //!   variable (`NHead::Local`), a free variable of an open input term
 //!   (`NHead::Free`), a δ-blocked constant (`NHead::Const`), or a stuck
@@ -62,31 +63,25 @@
 //! debug test suite then needs a 4 MiB stack); CI pins the depth by running
 //! the kernel property tests on a 1 MiB stack.
 //!
-//! **Weak head normal forms.** `whnf` evaluates in `Delta::Whnf` mode:
-//! constants are glued, a glued value is forced in that same mode (so its
-//! unfolding's own constants stay glued), and the value memo is neither
-//! read nor written. It forces only the head, then reads the value back
-//! with every other glued constant *folded*: `Connection`'s field types
-//! come back as `Handshake`, not as `Handshake`'s body. The memo is off
-//! because it serves glued and unfolded values interchangeably: a glued
-//! `mul (sub …) …` reads back as `S (S (S (add 3 …)))`, while a memo entry
-//! an earlier `normalize` left for one of its subterms would read back as
-//! `S^n O`. Keeping whnf off the memo makes its answer a function of the
-//! term and the environment alone.
+//! **Weak head normal forms** (`whnf`, DESIGN.md §15) evaluate in
+//! `Delta::Whnf`: constants are glued and forced in that same mode, ι's
+//! induction hypotheses are deferred as glued values (`Unfolds::Iota`),
+//! and the value memo is neither read nor written, so the answer is a
+//! function of the term and the environment alone. Only the head is
+//! forced, and readback folds every other glued head back into its
+//! constant or eliminator. Deferred hypotheses hold whnf's work, and its
+//! native stack, to the head's reduction: a chain of them unfolds in
+//! `force`'s loop, not one nested call per constructor layer.
 //!
-//! **One readback.** `Readback::quote` serves all three: `normalize` forces
-//! glued values, `whnf` folds them, and `normalize_within` also gives up
-//! past a node depth, so an over-deep normal form is refused before it is
-//! built (or overflows the native stack while being built).
+//! **One readback.** `Readback::quote` serves `normalize` (glued values
+//! forced), `whnf` (folded) and `normalize_within`, which refuses a normal
+//! form past a node depth before building it. A value that several spines
+//! or captures share is read back once per level (and, when bounded, depth).
 //!
-//! **Bounded drop.** A value can be far deeper than any term the kernel
-//! was given (the numeral `mul 100 100` is a 10⁴-deep spine). A value's
-//! drop recurses natively only while it runs less than
-//! `NATIVE_DROP_STACK` below the shallowest drop its thread has run;
-//! deeper, it moves the children it alone owns onto a heap stack and frees
-//! them in a loop. The common drop pays one comparison: variants that
-//! counted nested drops, or detached children on every drop, measured
-//! 5–12% more CPU per `paper_corpus` pass.
+//! **Bounded drop.** A value can be far deeper than any input term (the
+//! numeral `mul 100 100` is a 10⁴-deep spine), so a drop more than
+//! `NATIVE_DROP_STACK` below the shallowest drop its thread has run moves
+//! the children it alone owns onto a heap stack and frees them in a loop.
 //!
 //! **Same-body closures.** Two `Pi`s or two lambdas whose closures share a
 //! body `TermId` are decided without applying either when every captured
@@ -167,18 +162,36 @@ pub(crate) enum NHead {
     Stuck(VRc),
 }
 
-/// A transparent constant applied to a spine, glued to its δ-unfolding.
-/// Conversion compares heads by body (forcing needs no environment lookup,
-/// and two constants with the same body are the same head); a folded
-/// readback writes the interned `Const` term back. The spine is a boxed
-/// slice, so the extra head pointer keeps `Value` at 56 bytes.
+/// A deferred head applied to a spine, glued to its unfolding. The spine is
+/// a boxed slice, so the two-pointer head keeps `Value` at 56 bytes.
 #[derive(Debug)]
 pub(crate) struct Glue {
-    head: Term,
-    body: Term,
+    unfolds: Unfolds,
     spine: Box<[VRc]>,
-    /// `body spine`, evaluated by the first [`force`].
+    /// The head's unfolding applied to `spine`, computed by the first
+    /// [`force`].
     unfolded: OnceLock<VRc>,
+}
+
+/// What a glued value's head unfolds to.
+#[derive(Debug, Clone)]
+enum Unfolds {
+    /// A transparent constant: its interned `Const` term (a folded readback
+    /// writes it back) and its body (conversion compares heads by it).
+    Delta { head: Term, body: Term },
+    /// An induction hypothesis `whnf` has not needed yet (and a folded
+    /// readback writes back): the eliminator applied to a recursive field.
+    Iota(TermRc<ElimVal>),
+}
+
+impl Glue {
+    /// Do both values unfold the same constant?
+    fn same_head(&self, other: &Glue) -> bool {
+        match (&self.unfolds, &other.unfolds) {
+            (Unfolds::Delta { body: b1, .. }, Unfolds::Delta { body: b2, .. }) => b1 == b2,
+            _ => false,
+        }
+    }
 }
 
 /// How evaluation treats a transparent constant, and whether it may use
@@ -189,8 +202,8 @@ enum Delta {
     Glue,
     /// Unfold it on the spot: forced bodies and [`normalize`].
     Unfold,
-    /// Glue it, force it in this same mode, and neither read nor write the
-    /// value memo: [`whnf`].
+    /// Glue it, force it in this same mode, defer induction hypotheses,
+    /// and neither read nor write the value memo: [`whnf`].
     Whnf,
 }
 
@@ -214,11 +227,8 @@ std::thread_local! {
 const NATIVE_DROP_STACK: usize = 64 * 1024;
 
 impl Drop for Value {
-    /// Frees the subtree with bounded native recursion. Drops recurse
-    /// natively, which costs this check, until they run
-    /// [`NATIVE_DROP_STACK`] bytes below the shallowest drop the thread has
-    /// run; a drop that deep moves every child it alone owns onto a heap
-    /// stack, leaving a leaf in its place, and frees them in a loop.
+    /// Frees the subtree with bounded native recursion (module docs,
+    /// "Bounded drop"): a leaf stays in each detached child's allocation.
     fn drop(&mut self) {
         let marker = 0u8;
         let here = std::hint::black_box(&marker) as *const u8 as usize;
@@ -261,6 +271,9 @@ impl Value {
                 spine.iter_mut().for_each(take)
             }
             Value::Glued(g) => {
+                if let Unfolds::Iota(e) = &mut g.unfolds {
+                    ElimVal::detach(e, &mut take);
+                }
                 g.spine.iter_mut().for_each(&mut take);
                 if let Some(unfolded) = g.unfolded.get_mut() {
                     take(unfolded);
@@ -268,14 +281,7 @@ impl Value {
             }
             Value::Neutral(head, spine) => {
                 match head {
-                    NHead::Elim(e) => {
-                        if let Some(e) = TermRc::get_mut(e) {
-                            e.params.iter_mut().for_each(&mut take);
-                            take(&mut e.motive);
-                            e.cases.iter_mut().for_each(&mut take);
-                            take(&mut e.scrutinee);
-                        }
-                    }
+                    NHead::Elim(e) => ElimVal::detach(e, &mut take),
                     NHead::Stuck(v) => take(v),
                     _ => {}
                 }
@@ -295,14 +301,26 @@ impl Value {
     }
 }
 
-/// A stuck eliminator with all components evaluated.
-#[derive(Debug)]
+/// An eliminator with all components evaluated.
+#[derive(Debug, Clone)]
 pub(crate) struct ElimVal {
     ind: GlobalName,
     params: Vec<VRc>,
     motive: VRc,
     cases: Vec<VRc>,
     scrutinee: VRc,
+}
+
+impl ElimVal {
+    /// Hands each component to `take` when `elim` alone holds them.
+    fn detach(elim: &mut TermRc<ElimVal>, take: &mut impl FnMut(&mut VRc)) {
+        if let Some(e) = TermRc::get_mut(elim) {
+            e.params.iter_mut().for_each(&mut *take);
+            take(&mut e.motive);
+            e.cases.iter_mut().for_each(&mut *take);
+            take(&mut e.scrutinee);
+        }
+    }
 }
 
 /// A binder body awaiting its argument: the captured environment plus the
@@ -370,7 +388,7 @@ fn identical(a: &VRc, b: &VRc, atom: bool) -> bool {
             }
             (Value::IndApp(n1, s1), Value::IndApp(n2, s2)) => n1 == n2 && spines(s1, s2),
             (Value::Glued(g1), Value::Glued(g2)) => {
-                g1.body == g2.body && spines(&g1.spine, &g2.spine)
+                g1.same_head(g2) && spines(&g1.spine, &g2.spine)
             }
             (Value::Neutral(h1, s1), Value::Neutral(h2, s2)) => {
                 let same_head = match (h1, h2) {
@@ -428,6 +446,14 @@ fn neutral(head: NHead) -> VRc {
     TermRc::new(Value::Neutral(head, Vec::new()))
 }
 
+fn glued(unfolds: Unfolds) -> VRc {
+    TermRc::new(Value::Glued(Glue {
+        unfolds,
+        spine: Box::default(),
+        unfolded: OnceLock::new(),
+    }))
+}
+
 /// Minimum interned size for a closed term to consult the value memo:
 /// below this, the table probe costs about as much as re-evaluating.
 const CLOSED_MEMO_MIN_SIZE: usize = 16;
@@ -466,12 +492,10 @@ fn eval_node(env: &Env, venv: &VEnv, t: &Term, delta: Delta) -> VRc {
         },
         TermData::Sort(s) => TermRc::new(Value::Sort(*s)),
         TermData::Const(n) => match env.unfold(n) {
-            Some(body) if delta != Delta::Unfold => TermRc::new(Value::Glued(Glue {
+            Some(body) if delta != Delta::Unfold => glued(Unfolds::Delta {
                 head: t.clone(),
                 body: body.clone(),
-                spine: Box::default(),
-                unfolded: OnceLock::new(),
-            })),
+            }),
             Some(body) => {
                 env.tally(|s| s.delta_steps += 1);
                 eval(&VEnv::nil(), body)
@@ -513,11 +537,14 @@ fn eval_node(env: &Env, venv: &VEnv, t: &Term, delta: Delta) -> VRc {
             eval(&venv.push(vv), body)
         }
         TermData::Elim(e) => {
-            let params: Vec<VRc> = e.params.iter().map(|p| eval(venv, p)).collect();
-            let motive = eval(venv, &e.motive);
-            let cases: Vec<VRc> = e.cases.iter().map(|c| eval(venv, c)).collect();
-            let scrut = eval(venv, &e.scrutinee);
-            velim(env, &e.ind, params, motive, cases, scrut, delta)
+            let elim = ElimVal {
+                ind: e.ind.clone(),
+                params: e.params.iter().map(|p| eval(venv, p)).collect(),
+                motive: eval(venv, &e.motive),
+                cases: e.cases.iter().map(|c| eval(venv, c)).collect(),
+                scrutinee: eval(venv, &e.scrutinee),
+            };
+            velim(env, elim, delta)
         }
     }
 }
@@ -552,8 +579,7 @@ fn vapp_many(env: &Env, mut f: VRc, args: Vec<VRc>) -> VRc {
         Value::Construct(n, j, spine) => Value::Construct(n.clone(), *j, extend(spine)),
         Value::IndApp(n, spine) => Value::IndApp(n.clone(), extend(spine)),
         Value::Glued(g) => Value::Glued(Glue {
-            head: g.head.clone(),
-            body: g.body.clone(),
+            unfolds: g.unfolds.clone(),
             spine: extend(&g.spine).into_boxed_slice(),
             unfolded: OnceLock::new(),
         }),
@@ -572,8 +598,13 @@ fn force(env: &Env, v: &VRc, delta: Delta) -> VRc {
     let mut v = v.clone();
     while let Value::Glued(g) = &*v {
         let unfolded = g.unfolded.get_or_init(|| {
-            env.tally(|s| s.delta_steps += 1);
-            let head = eval(env, &VEnv::nil(), &g.body, delta.forced());
+            let head = match &g.unfolds {
+                Unfolds::Delta { body, .. } => {
+                    env.tally(|s| s.delta_steps += 1);
+                    eval(env, &VEnv::nil(), body, delta.forced())
+                }
+                Unfolds::Iota(e) => velim(env, ElimVal::clone(e), delta),
+            };
             vapp_many(env, head, g.spine.to_vec())
         });
         v = unfolded.clone();
@@ -596,60 +627,38 @@ fn clone_head(h: &NHead) -> NHead {
 /// the case for constructor `j` is applied to the constructor's fields,
 /// each recursive field followed by its induction hypothesis. Otherwise it
 /// builds a stuck neutral. Failed family lookups are recorded via
-/// [`Env::note_stuck_ind`].
-fn velim(
-    env: &Env,
-    ind: &GlobalName,
-    params: Vec<VRc>,
-    motive: VRc,
-    cases: Vec<VRc>,
-    scrut: VRc,
-    delta: Delta,
-) -> VRc {
-    if let Value::Construct(cn, j, cargs) = &*force(env, &scrut, delta) {
-        let decl = match env.inductive(cn) {
-            Ok(d) => Some(d),
-            Err(_) => {
-                env.note_stuck_ind(cn);
-                None
-            }
-        };
-        if let Some(decl) = decl {
-            if cn == ind {
-                let p = decl.nparams();
-                if let Some(ctor) = decl.ctors.get(*j) {
-                    if cargs.len() == p + ctor.args.len() && cases.len() > *j {
-                        env.tally(|s| s.iota_steps += 1);
-                        let flags = decl.recursive_flags(*j);
-                        let fields = &cargs[p..];
-                        let mut actual: Vec<VRc> = Vec::with_capacity(fields.len() * 2);
-                        for (k, v) in fields.iter().enumerate() {
-                            actual.push(v.clone());
-                            if flags[k] {
-                                actual.push(velim(
-                                    env,
-                                    ind,
-                                    params.clone(),
-                                    motive.clone(),
-                                    cases.clone(),
-                                    v.clone(),
-                                    delta,
-                                ));
-                            }
+/// [`Env::note_stuck_ind`]. In `Whnf` mode each induction hypothesis is
+/// deferred, so a case that ignores its hypothesis never computes it.
+fn velim(env: &Env, e: ElimVal, delta: Delta) -> VRc {
+    if let Value::Construct(cn, j, cargs) = &*force(env, &e.scrutinee, delta) {
+        let decl = env.inductive(cn).inspect_err(|_| env.note_stuck_ind(cn));
+        if let Some(decl) = decl.ok().filter(|_| cn == &e.ind) {
+            let p = decl.nparams();
+            if let Some(ctor) = decl.ctors.get(*j) {
+                if cargs.len() == p + ctor.args.len() && e.cases.len() > *j {
+                    env.tally(|s| s.iota_steps += 1);
+                    let flags = decl.recursive_flags(*j);
+                    let fields = &cargs[p..];
+                    let mut actual: Vec<VRc> = Vec::with_capacity(fields.len() * 2);
+                    for (k, v) in fields.iter().enumerate() {
+                        actual.push(v.clone());
+                        if flags[k] {
+                            let ih = ElimVal {
+                                scrutinee: v.clone(),
+                                ..e.clone()
+                            };
+                            actual.push(match delta {
+                                Delta::Whnf => glued(Unfolds::Iota(TermRc::new(ih))),
+                                Delta::Glue | Delta::Unfold => velim(env, ih, delta),
+                            });
                         }
-                        return vapp_many(env, cases[*j].clone(), actual);
                     }
+                    return vapp_many(env, e.cases[*j].clone(), actual);
                 }
             }
         }
     }
-    neutral(NHead::Elim(TermRc::new(ElimVal {
-        ind: ind.clone(),
-        params,
-        motive,
-        cases,
-        scrutinee: scrut,
-    })))
+    neutral(NHead::Elim(TermRc::new(e)))
 }
 
 /// Decides `t ≡ u` (or `t ≤ u` with `leq`) by evaluating both sides with
@@ -689,7 +698,7 @@ impl Conv<'_> {
         let env = self.env;
         let ok = match (&**a, &**b) {
             (Value::Glued(g1), Value::Glued(g2))
-                if g1.body == g2.body && g1.spine.len() == g2.spine.len() =>
+                if g1.same_head(g2) && g1.spine.len() == g2.spine.len() =>
             {
                 return self.same_head(lvl, (a, &g1.spine), (b, &g2.spine), leq);
             }
@@ -882,23 +891,56 @@ impl Conv<'_> {
 /// quoted binders.
 struct Readback<'e> {
     env: &'e Env,
-    /// Mode of the values being read back: `Whnf` keeps glued constants
-    /// folded (the constant applied to its read-back spine); any other mode
-    /// forces them, so the result is δ-normal.
+    /// Mode of the values being read back: `Whnf` keeps glued heads folded
+    /// (the constant, or the deferred eliminator, applied to its read-back
+    /// spine); any other mode forces them, so the result is δ-normal.
     delta: Delta,
     /// The deepest node the result may have, counting the root as 0 and
     /// each node one deeper than its parent (the wire decoder's measure).
     max_depth: usize,
+    /// Shared values already read back, keyed on address, level and (when
+    /// `max_depth` is finite) depth. Each entry keeps its value alive, so
+    /// no key's address is reused while the readback runs.
+    shared: HashMap<(usize, usize, usize), (VRc, Term)>,
 }
 
 impl Readback<'_> {
+    fn new(env: &Env, delta: Delta, max_depth: usize) -> Readback<'_> {
+        Readback {
+            env,
+            delta,
+            max_depth,
+            shared: HashMap::new(),
+        }
+    }
+
     /// `v` at fresh-variable depth `lvl`, as a node `depth` below the root;
     /// `None` as soon as a node would lie past `max_depth`. Checking on
     /// entry bounds the recursion by `max_depth` too.
-    fn quote(&self, lvl: usize, depth: usize, v: &VRc) -> Option<Term> {
+    fn quote(&mut self, lvl: usize, depth: usize, v: &VRc) -> Option<Term> {
         if depth > self.max_depth {
             return None;
         }
+        // A value with one holder is met once per reading of that holder,
+        // which the memo already covers.
+        if TermRc::strong_count(v) == 1 || v.is_leaf() {
+            return self.quote_node(lvl, depth, v);
+        }
+        let at = if self.max_depth == usize::MAX {
+            0
+        } else {
+            depth
+        };
+        let key = (TermRc::as_ptr(v) as usize, lvl, at);
+        if let Some((_, t)) = self.shared.get(&key) {
+            return Some(t.clone());
+        }
+        let t = self.quote_node(lvl, depth, v)?;
+        self.shared.insert(key, (v.clone(), t.clone()));
+        Some(t)
+    }
+
+    fn quote_node(&mut self, lvl: usize, depth: usize, v: &VRc) -> Option<Term> {
         let below = depth + 1;
         Some(match &**v {
             Value::Sort(s) => Term::sort(*s),
@@ -919,7 +961,12 @@ impl Readback<'_> {
             }
             Value::IndApp(n, args) => self.app(Term::ind(n.clone()), args, lvl, depth)?,
             Value::Glued(g) if self.delta == Delta::Whnf => {
-                self.app(g.head.clone(), &g.spine, lvl, depth)?
+                let at = if g.spine.is_empty() { depth } else { below };
+                let head = match &g.unfolds {
+                    Unfolds::Delta { head, .. } => head.clone(),
+                    Unfolds::Iota(e) => self.elim(e, lvl, at)?,
+                };
+                self.app(head, &g.spine, lvl, depth)?
             }
             Value::Glued(_) => return self.quote(lvl, depth, &force(self.env, v, self.delta)),
             Value::Neutral(head, spine) => {
@@ -929,20 +976,7 @@ impl Readback<'_> {
                     NHead::Local(l) => Term::rel(lvl - 1 - l),
                     NHead::Free(i) => Term::rel(i + lvl),
                     NHead::Const(n) => Term::const_(n.clone()),
-                    NHead::Elim(e) => {
-                        let all = |vs: &[VRc]| {
-                            vs.iter()
-                                .map(|x| self.quote(lvl, at + 1, x))
-                                .collect::<Option<Vec<_>>>()
-                        };
-                        Term::elim(ElimData {
-                            ind: e.ind.clone(),
-                            params: all(&e.params)?,
-                            motive: self.quote(lvl, at + 1, &e.motive)?,
-                            cases: all(&e.cases)?,
-                            scrutinee: self.quote(lvl, at + 1, &e.scrutinee)?,
-                        })
-                    }
+                    NHead::Elim(e) => self.elim(e, lvl, at)?,
                     NHead::Stuck(v) => self.quote(lvl, at, v)?,
                 };
                 self.app(h, spine, lvl, depth)?
@@ -950,8 +984,24 @@ impl Readback<'_> {
         })
     }
 
+    /// The eliminator `e`, as a node at `depth`.
+    fn elim(&mut self, e: &ElimVal, lvl: usize, depth: usize) -> Option<Term> {
+        let below = depth + 1;
+        let mut all = |vs: &[VRc]| -> Option<Vec<Term>> {
+            vs.iter().map(|x| self.quote(lvl, below, x)).collect()
+        };
+        let (params, cases) = (all(&e.params)?, all(&e.cases)?);
+        Some(Term::elim(ElimData {
+            ind: e.ind.clone(),
+            params,
+            motive: self.quote(lvl, below, &e.motive)?,
+            cases,
+            scrutinee: self.quote(lvl, below, &e.scrutinee)?,
+        }))
+    }
+
     /// `head` applied to the read-back `spine`, as a node at `depth`.
-    fn app(&self, head: Term, spine: &[VRc], lvl: usize, depth: usize) -> Option<Term> {
+    fn app(&mut self, head: Term, spine: &[VRc], lvl: usize, depth: usize) -> Option<Term> {
         let args = spine
             .iter()
             .map(|a| self.quote(lvl, depth + 1, a))
@@ -967,25 +1017,16 @@ impl Readback<'_> {
 /// oracle on well-typed terms.
 pub(crate) fn normalize(env: &Env, t: &Term, max_depth: usize) -> Option<Term> {
     let v = eval(env, &VEnv::nil(), t, Delta::Unfold);
-    let readback = Readback {
-        env,
-        delta: Delta::Unfold,
-        max_depth,
-    };
-    readback.quote(0, 0, &v)
+    Readback::new(env, Delta::Unfold, max_depth).quote(0, 0, &v)
 }
 
 /// Weak head normal form, the body of [`crate::reduce::whnf`]: evaluates
-/// `t` in `Whnf` mode (memo-free, constants glued), forces the head, and
-/// reads the value back with every other constant folded.
+/// `t` in `Whnf` mode (memo-free, constants glued, induction hypotheses
+/// deferred), forces the head, and reads the value back with every other
+/// glued head folded.
 pub(crate) fn whnf(env: &Env, t: &Term) -> Term {
     let v = force(env, &eval(env, &VEnv::nil(), t, Delta::Whnf), Delta::Whnf);
-    let readback = Readback {
-        env,
-        delta: Delta::Whnf,
-        max_depth: usize::MAX,
-    };
-    readback
+    Readback::new(env, Delta::Whnf, usize::MAX)
         .quote(0, 0, &v)
         .expect("an unbounded readback always answers")
 }

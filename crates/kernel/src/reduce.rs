@@ -23,6 +23,9 @@ use crate::term::{Term, TermData};
 /// possibly applied — is returned as written. Any other term is evaluated
 /// with constants glued, its head is forced, and the value is read back with
 /// every other constant folded, so a type's field types keep their names.
+/// ι leaves each induction hypothesis unevaluated until the head needs it
+/// and reads it back as its eliminator, so the work, and the native stack,
+/// follow the head's reduction rather than the size of the value.
 /// The answer never depends on the environment's memo tables: this path
 /// neither reads nor writes them, and repeating a query repeats the work.
 ///

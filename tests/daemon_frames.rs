@@ -249,3 +249,44 @@ fn eval_of_a_ten_thousand_deep_normal_form_is_refused_and_the_daemon_exits_clean
     let status = daemon.exit_status(Duration::from_secs(120));
     assert!(status.success(), "the daemon exited with {status}");
 }
+
+#[test]
+fn a_type_that_computes_through_a_large_elimination_is_checked_on_a_worker_stack() {
+    // Checking `Old.g` asks for `Old.T`'s weak head normal form, which
+    // ι-reduces once per unit of `Old.big` (90 000) before a product heads
+    // it. The case ignores its induction hypothesis, so whnf must leave
+    // each one unevaluated: computing them nests one call per unit and
+    // overflows the worker's stack, aborting the daemon.
+    let source = "Definition Old.ten : nat := S (S (S (S (S (S (S (S (S (S O))))))))).
+Definition Old.big : nat := mul (mul Old.ten (mul Old.ten (S (S (S O))))) (mul Old.ten (mul Old.ten (S (S (S O))))).
+Definition Old.T : Type 0 := elim Old.big : nat return (fun (_ : nat) => Type 0) with | nat -> nat | fun (n : nat) (A : Type 0) => A end.
+Definition Old.g : Old.T -> nat := fun (f : Old.T) => f O.";
+    let spec = LiftSpec::swap("Old.list", "New.list", "Old.", "New.").to_value();
+    let frame = Value::Obj(vec![
+        ("id".into(), Value::UInt(1)),
+        ("method".into(), Value::str("repair_auto")),
+        (
+            "params".into(),
+            Value::Obj(vec![
+                ("lifting".into(), spec),
+                ("source".into(), Value::str(source)),
+                ("names".into(), Value::Arr(vec![Value::str("Old.g")])),
+            ]),
+        ),
+    ])
+    .to_string();
+
+    let mut daemon = Daemon::spawn();
+    let reply = daemon.call(&frame);
+    assert_eq!(reply.get("ok"), Some(&Value::Bool(true)), "{reply:?}");
+    let pong = daemon.call(r#"{"id":2,"method":"ping"}"#);
+    assert_eq!(
+        pong.get("result").and_then(|r| r.get("pong")),
+        Some(&Value::Bool(true)),
+        "{pong:?}"
+    );
+    let bye = daemon.call(r#"{"id":3,"method":"shutdown"}"#);
+    assert_eq!(bye.get("ok"), Some(&Value::Bool(true)), "{bye:?}");
+    let status = daemon.exit_status(Duration::from_secs(120));
+    assert!(status.success(), "the daemon exited with {status}");
+}

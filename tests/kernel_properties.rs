@@ -319,7 +319,7 @@ fn nbe_whnf_agrees_with_rewriting_whnf() {
             "{t}: {nbe} vs {rewritten}"
         );
         assert!(
-            conv(&env.clone(), &nbe, &rewritten),
+            oracle::conv(&env, &nbe, &rewritten),
             "{t}: {nbe} ≢ {rewritten}"
         );
         if &rewritten == t {
@@ -339,6 +339,89 @@ fn nbe_whnf_agrees_with_rewriting_whnf() {
     );
     inputs.iter().for_each(agree);
     check(64, |rng| agree(&arb_arith(rng, 3).term()));
+}
+
+/// Runs `f` on a thread with the 2 MiB stack a `pumpkin serve` worker
+/// gets, and returns its answer.
+fn on_a_worker_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(f)
+        .unwrap()
+        .join()
+        .expect("the 2 MiB thread died")
+}
+
+#[test]
+fn whnf_needs_only_the_head_on_a_worker_stack() {
+    // A case that ignores its induction hypothesis must not compute it,
+    // and a chain of hypotheses must unfold in a loop: `T` ι-reduces once
+    // per unit of `mul 300 300` before its head is a product, and `pred`
+    // discards the hypothesis over a 10⁴-deep numeral. Nested calls, one
+    // per constructor layer, overflow this stack long before either ends.
+    use pumpkin_pi::pumpkin_kernel::term::ElimData;
+    let mut env = stdlib::std_env();
+    let (nat, ty0) = (Term::ind("nat"), Term::type_(0));
+    let mul = |n: u64| Term::app(Term::const_("mul"), [nat_lit(n), nat_lit(n)]);
+    // elim (mul 300 300) return (fun _ => Type 0) with
+    // | nat -> nat | fun n A => A
+    let large = Term::elim(ElimData {
+        ind: "nat".into(),
+        params: vec![],
+        motive: Term::lambda("_", nat.clone(), ty0.clone()),
+        cases: vec![
+            Term::arrow(nat.clone(), nat.clone()),
+            Term::lambda(
+                "n",
+                nat.clone(),
+                Term::lambda("A", ty0.clone(), Term::rel(0)),
+            ),
+        ],
+        scrutinee: mul(300),
+    });
+    env.define("T", ty0, large).unwrap();
+    let pred = Term::app(Term::const_("pred"), [mul(100)]);
+    let inputs = [Term::const_("T"), pred];
+    let (worker_env, worker_inputs) = (env.clone(), inputs.clone());
+    let answers = on_a_worker_stack(move || {
+        // The type checker's App rule asks for `T`'s weak head normal form.
+        let mut env = worker_env;
+        pumpkin_lang::load_source(&mut env, "Definition g : T -> nat := fun (f : T) => f O.")
+            .unwrap();
+        worker_inputs.map(|t| whnf(&env, &t))
+    });
+    assert_eq!(answers[0], Term::arrow(nat.clone(), nat));
+    for (t, nbe) in inputs.iter().zip(&answers) {
+        let rewritten = oracle::whnf(&env, t);
+        assert_eq!(head_of(nbe), head_of(&rewritten), "{t}");
+        assert!(
+            oracle::conv(&env, nbe, &rewritten),
+            "{t}: {nbe} ≢ {rewritten}"
+        );
+    }
+}
+
+#[test]
+fn whnf_reads_shared_values_back_once() {
+    // `(fun A => prod A A) ((fun A => prod A A) (… nat))`, 30 deep: the
+    // answer `prod X X` shares X, and so must the work that reads it back
+    // (2^30 nodes otherwise). Checked against the oracle level by level,
+    // since each level's two arguments are one term on both sides.
+    let env = stdlib::std_env();
+    let dup = pumpkin_lang::term(&env, "fun (A : Type 1) => prod A A").unwrap();
+    let t = (0..30).fold(Term::ind("nat"), |a, _| Term::app(dup.clone(), [a]));
+    let (mut nbe, mut rewritten) = (whnf(&env, &t), oracle::whnf(&env, &t));
+    let tower = (0..30).fold(Term::ind("nat"), |a, _| {
+        Term::app(Term::ind("prod"), [a.clone(), a])
+    });
+    assert_eq!(nbe, tower);
+    for _ in 0..30 {
+        assert_eq!(head_of(&nbe), head_of(&rewritten), "{nbe} vs {rewritten}");
+        let (n, r) = (nbe.args(), rewritten.args());
+        assert!(n.len() == 2 && n[0] == n[1] && r.len() == 2 && r[0] == r[1]);
+        (nbe, rewritten) = (n[0].clone(), oracle::whnf(&env, &r[0]));
+    }
+    assert_eq!((&nbe, &rewritten), (&Term::ind("nat"), &Term::ind("nat")));
 }
 
 #[test]
