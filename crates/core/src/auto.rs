@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use pumpkin_kernel::env::Env;
 use pumpkin_kernel::name::GlobalName;
-use pumpkin_kernel::term::{Term, TermData};
+use pumpkin_kernel::term::Term;
 use pumpkin_trace::{Event, EventKind};
 use pumpkin_wire::{decl_digest, AutoWire, DigestBuilder, ReproWire};
 
@@ -332,42 +332,8 @@ fn module_digest(env: &Env, source: Option<&str>, names: &[&str]) -> u64 {
         if !reachable.insert(n) {
             continue;
         }
-        let mut terms: Vec<&Term> = vec![&decl.ty];
-        if let Some(b) = &decl.body {
-            terms.push(b);
-        }
-        while let Some(t) = terms.pop() {
-            match t.data() {
-                TermData::Const(c) => {
-                    if !reachable.contains(c) {
-                        stack.push(c.clone());
-                    }
-                }
-                TermData::Rel(_)
-                | TermData::Sort(_)
-                | TermData::Ind(_)
-                | TermData::Construct(_, _) => {}
-                TermData::App(h, args) => {
-                    terms.push(h);
-                    terms.extend(args);
-                }
-                TermData::Lambda(b, body) | TermData::Pi(b, body) => {
-                    terms.push(&b.ty);
-                    terms.push(body);
-                }
-                TermData::Let(b, v, body) => {
-                    terms.push(&b.ty);
-                    terms.push(v);
-                    terms.push(body);
-                }
-                TermData::Elim(e) => {
-                    terms.extend(&e.params);
-                    terms.push(&e.motive);
-                    terms.extend(&e.cases);
-                    terms.push(&e.scrutinee);
-                }
-            }
-        }
+        stack.extend(decl.ty.constants());
+        stack.extend(decl.body.iter().flat_map(Term::constants));
     }
     for n in &reachable {
         d.write_str(n.as_str());

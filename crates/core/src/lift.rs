@@ -19,7 +19,7 @@ use pumpkin_kernel::env::Env;
 use pumpkin_kernel::error::KernelError;
 use pumpkin_kernel::intern::TermId;
 use pumpkin_kernel::name::GlobalName;
-use pumpkin_kernel::term::{Binder, ElimData, Term, TermData};
+use pumpkin_kernel::term::{Term, TermData};
 
 use crate::config::{Lifting, MatchedElim, MatchedProj};
 use crate::error::{RepairError, Result};
@@ -445,7 +445,6 @@ fn lift_uncached(env: &mut Env, l: &Lifting, st: &mut LiftState, t: &Term) -> Re
     // index (`lift_child`) so recorded sites line up with the `explain`
     // diff walk.
     match t.data() {
-        TermData::Rel(_) | TermData::Sort(_) => Ok(t.clone()),
         TermData::Const(name) => {
             if let Some(mapped) = st.const_map.get(name) {
                 let out = Term::const_(mapped.clone());
@@ -461,58 +460,7 @@ fn lift_uncached(env: &mut Env, l: &Lifting, st: &mut LiftState, t: &Term) -> Re
                 Ok(t.clone())
             }
         }
-        TermData::Ind(_) | TermData::Construct(_, _) => Ok(t.clone()),
-        TermData::App(h, args) => {
-            let h = lift_child(env, l, st, h, 0)?;
-            let mut out_args = Vec::with_capacity(args.len());
-            for (i, a) in args.iter().enumerate() {
-                out_args.push(lift_child(env, l, st, a, 1 + i as u32)?);
-            }
-            Ok(Term::app(h, out_args))
-        }
-        TermData::Lambda(b, body) => Ok(Term::new(TermData::Lambda(
-            Binder {
-                name: b.name.clone(),
-                ty: lift_child(env, l, st, &b.ty, 0)?,
-            },
-            lift_child(env, l, st, body, 1)?,
-        ))),
-        TermData::Pi(b, body) => Ok(Term::new(TermData::Pi(
-            Binder {
-                name: b.name.clone(),
-                ty: lift_child(env, l, st, &b.ty, 0)?,
-            },
-            lift_child(env, l, st, body, 1)?,
-        ))),
-        TermData::Let(b, v, body) => Ok(Term::new(TermData::Let(
-            Binder {
-                name: b.name.clone(),
-                ty: lift_child(env, l, st, &b.ty, 0)?,
-            },
-            lift_child(env, l, st, v, 1)?,
-            lift_child(env, l, st, body, 2)?,
-        ))),
-        TermData::Elim(e) => {
-            // An eliminator over some *other* inductive: structural.
-            let n = e.params.len() as u32;
-            let mut params = Vec::with_capacity(e.params.len());
-            for (i, p) in e.params.iter().enumerate() {
-                params.push(lift_child(env, l, st, p, i as u32)?);
-            }
-            let motive = lift_child(env, l, st, &e.motive, n)?;
-            let mut cases = Vec::with_capacity(e.cases.len());
-            for (i, c) in e.cases.iter().enumerate() {
-                cases.push(lift_child(env, l, st, c, n + 1 + i as u32)?);
-            }
-            let scrutinee = lift_child(env, l, st, &e.scrutinee, n + 1 + e.cases.len() as u32)?;
-            Ok(Term::elim(ElimData {
-                ind: e.ind.clone(),
-                params,
-                motive,
-                cases,
-                scrutinee,
-            }))
-        }
+        _ => t.try_map_children(|c, index, _| lift_child(env, l, st, c, index)),
     }
 }
 

@@ -230,36 +230,22 @@ const RESIDUAL_MAX_CHARS: usize = 120;
 /// bare global so the mention keeps its application context (`Old.list
 /// nat`, not just `Old.list`).
 fn residual_subterm<'t>(t: &'t Term, a: &GlobalName) -> &'t Term {
-    fn children(t: &Term) -> Vec<&Term> {
-        match t.data() {
-            TermData::Rel(_)
-            | TermData::Sort(_)
-            | TermData::Const(_)
-            | TermData::Ind(_)
-            | TermData::Construct(_, _) => Vec::new(),
-            TermData::App(h, args) => std::iter::once(h).chain(args.iter()).collect(),
-            TermData::Lambda(b, body) | TermData::Pi(b, body) => vec![&b.ty, body],
-            TermData::Let(b, v, body) => vec![&b.ty, v, body],
-            TermData::Elim(e) => e
-                .params
-                .iter()
-                .chain(std::iter::once(&e.motive))
-                .chain(e.cases.iter())
-                .chain(std::iter::once(&e.scrutinee))
-                .collect(),
-        }
-    }
     let is_atomic = |t: &Term| {
         matches!(
             t.data(),
             TermData::Const(_) | TermData::Ind(_) | TermData::Construct(_, _)
         )
     };
-    let mut mentioning = children(t).into_iter().filter(|c| c.mentions_global(a));
-    match (mentioning.next(), mentioning.next()) {
+    let mut mentioning = Vec::new();
+    t.for_each_child(|c, _| {
+        if c.mentions_global(a) {
+            mentioning.push(c);
+        }
+    });
+    match mentioning[..] {
         // Exactly one child carries the mention and is itself compound:
         // the residual is in there.
-        (Some(c), None) if !is_atomic(c) => residual_subterm(c, a),
+        [c] if !is_atomic(c) => residual_subterm(c, a),
         // The unique carrier is a bare global (or several children carry
         // it): `t` is the smallest informative context.
         _ => t,

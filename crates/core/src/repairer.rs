@@ -449,45 +449,6 @@ fn clip(s: String) -> String {
     }
 }
 
-/// Node-count check with early exit, so huge terms cost O(budget) here
-/// rather than a full traversal.
-fn small_enough(t: &Term, mut budget: usize) -> bool {
-    let mut stack = vec![t];
-    while let Some(t) = stack.pop() {
-        if budget == 0 {
-            return false;
-        }
-        budget -= 1;
-        match t.data() {
-            TermData::Rel(_)
-            | TermData::Sort(_)
-            | TermData::Const(_)
-            | TermData::Ind(_)
-            | TermData::Construct(_, _) => {}
-            TermData::App(h, args) => {
-                stack.push(h);
-                stack.extend(args);
-            }
-            TermData::Lambda(b, body) | TermData::Pi(b, body) => {
-                stack.push(&b.ty);
-                stack.push(body);
-            }
-            TermData::Let(b, v, body) => {
-                stack.push(&b.ty);
-                stack.push(v);
-                stack.push(body);
-            }
-            TermData::Elim(e) => {
-                stack.extend(&e.params);
-                stack.push(&e.motive);
-                stack.extend(&e.cases);
-                stack.push(&e.scrutinee);
-            }
-        }
-    }
-    true
-}
-
 /// A cheap head-symbol summary for terms too large to pretty-print.
 fn summarize(t: &Term) -> String {
     match t.data() {
@@ -504,7 +465,7 @@ fn summarize(t: &Term) -> String {
 }
 
 fn render_term(env: &Env, t: &Term) -> String {
-    if small_enough(t, SITE_MAX_NODES) {
+    if t.size() <= SITE_MAX_NODES {
         clip(pumpkin_lang::pretty(env, t))
     } else {
         summarize(t)

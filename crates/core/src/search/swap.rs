@@ -97,42 +97,17 @@ fn same_shape(a_name: &GlobalName, b_name: &GlobalName, a: &[Binder], b: &[Binde
     fn rename(t: &Term, from: &GlobalName, to: &GlobalName) -> Term {
         match t.data() {
             TermData::Ind(n) if n == from => Term::ind(to.clone()),
-            TermData::Rel(_) | TermData::Sort(_) | TermData::Const(_) | TermData::Ind(_) => {
-                t.clone()
-            }
             TermData::Construct(n, j) if n == from => Term::construct(to.clone(), *j),
-            TermData::Construct(_, _) => t.clone(),
-            TermData::App(h, args) => Term::app(
-                rename(h, from, to),
-                args.iter().map(|x| rename(x, from, to)),
-            ),
-            TermData::Lambda(bi, body) => Term::lambda(
-                bi.name.clone(),
-                rename(&bi.ty, from, to),
-                rename(body, from, to),
-            ),
-            TermData::Pi(bi, body) => Term::pi(
-                bi.name.clone(),
-                rename(&bi.ty, from, to),
-                rename(body, from, to),
-            ),
-            TermData::Let(bi, v, body) => Term::let_(
-                bi.name.clone(),
-                rename(&bi.ty, from, to),
-                rename(v, from, to),
-                rename(body, from, to),
-            ),
-            TermData::Elim(e) => Term::elim(ElimData {
-                ind: if e.ind == *from {
-                    to.clone()
-                } else {
-                    e.ind.clone()
-                },
-                params: e.params.iter().map(|x| rename(x, from, to)).collect(),
-                motive: rename(&e.motive, from, to),
-                cases: e.cases.iter().map(|x| rename(x, from, to)).collect(),
-                scrutinee: rename(&e.scrutinee, from, to),
-            }),
+            _ => {
+                let t = t.map_children(|c, _| rename(c, from, to));
+                match t.data() {
+                    TermData::Elim(e) if e.ind == *from => Term::elim(ElimData {
+                        ind: to.clone(),
+                        ..e.clone()
+                    }),
+                    _ => t,
+                }
+            }
         }
     }
     a.len() == b.len()

@@ -12,7 +12,7 @@
 use crate::error::{KernelError, Result};
 use crate::name::{GlobalName, Name};
 use crate::subst::lift;
-use crate::term::{Binder, ElimData, Term, TermData};
+use crate::term::{Binder, Term, TermData};
 
 /// A constructor declaration.
 ///
@@ -192,51 +192,7 @@ impl InductiveDecl {
                             }
                         }
                     }
-                    TermData::Sort(_)
-                    | TermData::Const(_)
-                    | TermData::Ind(_)
-                    | TermData::Construct(_, _) => t.clone(),
-                    TermData::App(h, args) => Term::app(
-                        go(h, depth, k, arg_levels, d),
-                        args.iter().map(|a| go(a, depth, k, arg_levels, d)),
-                    ),
-                    TermData::Lambda(b, body) => Term::new(TermData::Lambda(
-                        Binder {
-                            name: b.name.clone(),
-                            ty: go(&b.ty, depth, k, arg_levels, d),
-                        },
-                        go(body, depth + 1, k, arg_levels, d),
-                    )),
-                    TermData::Pi(b, body) => Term::new(TermData::Pi(
-                        Binder {
-                            name: b.name.clone(),
-                            ty: go(&b.ty, depth, k, arg_levels, d),
-                        },
-                        go(body, depth + 1, k, arg_levels, d),
-                    )),
-                    TermData::Let(b, v, body) => Term::new(TermData::Let(
-                        Binder {
-                            name: b.name.clone(),
-                            ty: go(&b.ty, depth, k, arg_levels, d),
-                        },
-                        go(v, depth, k, arg_levels, d),
-                        go(body, depth + 1, k, arg_levels, d),
-                    )),
-                    TermData::Elim(e) => Term::elim(ElimData {
-                        ind: e.ind.clone(),
-                        params: e
-                            .params
-                            .iter()
-                            .map(|p| go(p, depth, k, arg_levels, d))
-                            .collect(),
-                        motive: go(&e.motive, depth, k, arg_levels, d),
-                        cases: e
-                            .cases
-                            .iter()
-                            .map(|c| go(c, depth, k, arg_levels, d))
-                            .collect(),
-                        scrutinee: go(&e.scrutinee, depth, k, arg_levels, d),
-                    }),
+                    _ => t.map_children(|c, shift| go(c, depth + shift, k, arg_levels, d)),
                 }
             }
             go(t, 0, k, arg_levels, d)

@@ -1,6 +1,6 @@
 //! De Bruijn lifting and capture-avoiding substitution.
 
-use crate::term::{Binder, ElimData, Term, TermData};
+use crate::term::{Term, TermData};
 
 /// Shifts all de Bruijn indices `≥ cutoff` by `amount`.
 pub fn lift_from(t: &Term, cutoff: usize, amount: usize) -> Term {
@@ -17,50 +17,7 @@ pub fn lift_from(t: &Term, cutoff: usize, amount: usize) -> Term {
                 t.clone()
             }
         }
-        TermData::Sort(_) | TermData::Const(_) | TermData::Ind(_) | TermData::Construct(_, _) => {
-            t.clone()
-        }
-        TermData::App(h, args) => Term::app(
-            lift_from(h, cutoff, amount),
-            args.iter().map(|a| lift_from(a, cutoff, amount)),
-        ),
-        TermData::Lambda(b, body) => Term::new(TermData::Lambda(
-            Binder {
-                name: b.name.clone(),
-                ty: lift_from(&b.ty, cutoff, amount),
-            },
-            lift_from(body, cutoff + 1, amount),
-        )),
-        TermData::Pi(b, body) => Term::new(TermData::Pi(
-            Binder {
-                name: b.name.clone(),
-                ty: lift_from(&b.ty, cutoff, amount),
-            },
-            lift_from(body, cutoff + 1, amount),
-        )),
-        TermData::Let(b, v, body) => Term::new(TermData::Let(
-            Binder {
-                name: b.name.clone(),
-                ty: lift_from(&b.ty, cutoff, amount),
-            },
-            lift_from(v, cutoff, amount),
-            lift_from(body, cutoff + 1, amount),
-        )),
-        TermData::Elim(e) => Term::elim(ElimData {
-            ind: e.ind.clone(),
-            params: e
-                .params
-                .iter()
-                .map(|p| lift_from(p, cutoff, amount))
-                .collect(),
-            motive: lift_from(&e.motive, cutoff, amount),
-            cases: e
-                .cases
-                .iter()
-                .map(|c| lift_from(c, cutoff, amount))
-                .collect(),
-            scrutinee: lift_from(&e.scrutinee, cutoff, amount),
-        }),
+        _ => t.map_children(|c, shift| lift_from(c, cutoff + shift, amount)),
     }
 }
 
@@ -89,42 +46,7 @@ pub fn subst_at(t: &Term, k: usize, value: &Term) -> Term {
                 t.clone()
             }
         }
-        TermData::Sort(_) | TermData::Const(_) | TermData::Ind(_) | TermData::Construct(_, _) => {
-            t.clone()
-        }
-        TermData::App(h, args) => Term::app(
-            subst_at(h, k, value),
-            args.iter().map(|a| subst_at(a, k, value)),
-        ),
-        TermData::Lambda(b, body) => Term::new(TermData::Lambda(
-            Binder {
-                name: b.name.clone(),
-                ty: subst_at(&b.ty, k, value),
-            },
-            subst_at(body, k + 1, value),
-        )),
-        TermData::Pi(b, body) => Term::new(TermData::Pi(
-            Binder {
-                name: b.name.clone(),
-                ty: subst_at(&b.ty, k, value),
-            },
-            subst_at(body, k + 1, value),
-        )),
-        TermData::Let(b, v, body) => Term::new(TermData::Let(
-            Binder {
-                name: b.name.clone(),
-                ty: subst_at(&b.ty, k, value),
-            },
-            subst_at(v, k, value),
-            subst_at(body, k + 1, value),
-        )),
-        TermData::Elim(e) => Term::elim(ElimData {
-            ind: e.ind.clone(),
-            params: e.params.iter().map(|p| subst_at(p, k, value)).collect(),
-            motive: subst_at(&e.motive, k, value),
-            cases: e.cases.iter().map(|c| subst_at(c, k, value)).collect(),
-            scrutinee: subst_at(&e.scrutinee, k, value),
-        }),
+        _ => t.map_children(|c, shift| subst_at(c, k + shift, value)),
     }
 }
 
@@ -174,47 +96,7 @@ pub fn subst_group(t: &Term, base: usize, values: &[Term]) -> Term {
                     Term::rel(m - p)
                 }
             }
-            TermData::Sort(_)
-            | TermData::Const(_)
-            | TermData::Ind(_)
-            | TermData::Construct(_, _) => t.clone(),
-            TermData::App(h, args) => Term::app(
-                go(h, depth, base, values),
-                args.iter().map(|a| go(a, depth, base, values)),
-            ),
-            TermData::Lambda(b, body) => Term::new(TermData::Lambda(
-                Binder {
-                    name: b.name.clone(),
-                    ty: go(&b.ty, depth, base, values),
-                },
-                go(body, depth + 1, base, values),
-            )),
-            TermData::Pi(b, body) => Term::new(TermData::Pi(
-                Binder {
-                    name: b.name.clone(),
-                    ty: go(&b.ty, depth, base, values),
-                },
-                go(body, depth + 1, base, values),
-            )),
-            TermData::Let(b, v, body) => Term::new(TermData::Let(
-                Binder {
-                    name: b.name.clone(),
-                    ty: go(&b.ty, depth, base, values),
-                },
-                go(v, depth, base, values),
-                go(body, depth + 1, base, values),
-            )),
-            TermData::Elim(e) => Term::elim(ElimData {
-                ind: e.ind.clone(),
-                params: e
-                    .params
-                    .iter()
-                    .map(|x| go(x, depth, base, values))
-                    .collect(),
-                motive: go(&e.motive, depth, base, values),
-                cases: e.cases.iter().map(|c| go(c, depth, base, values)).collect(),
-                scrutinee: go(&e.scrutinee, depth, base, values),
-            }),
+            _ => t.map_children(|c, shift| go(c, depth + shift, base, values)),
         }
     }
     go(t, 0, base, values)

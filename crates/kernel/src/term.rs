@@ -21,6 +21,7 @@
 //! * Binder names are hints: equality and hashing ignore them, so structural
 //!   equality is alpha-equivalence.
 
+use std::convert::Infallible;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -418,34 +419,132 @@ impl Term {
             .fold(body, |acc, b| Term::new(TermData::Pi(b, acc)))
     }
 
+    // ------------------------------------------------------------------
+    // Traversal
+    // ------------------------------------------------------------------
+
+    /// Calls `f(child, shift)` on each direct child in **canonical order**:
+    /// `App` head, then arguments; `Lambda`/`Pi` binder type, then body;
+    /// `Let` type, value, body; `Elim` parameters, motive, cases,
+    /// scrutinee. A child's position in this order is its index in a
+    /// provenance path, an `explain` citation and a wire node table, so
+    /// this function *defines* those formats. `shift` counts the binders
+    /// the child sits under relative to `self`: 1 for a `Lambda`, `Pi` or
+    /// `Let` body, 0 otherwise.
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Term, usize)) {
+        match self.data() {
+            TermData::Rel(_)
+            | TermData::Sort(_)
+            | TermData::Const(_)
+            | TermData::Ind(_)
+            | TermData::Construct(_, _) => {}
+            TermData::App(h, args) => {
+                f(h, 0);
+                args.iter().for_each(|a| f(a, 0));
+            }
+            TermData::Lambda(b, body) | TermData::Pi(b, body) => {
+                f(&b.ty, 0);
+                f(body, 1);
+            }
+            TermData::Let(b, v, body) => {
+                f(&b.ty, 0);
+                f(v, 0);
+                f(body, 1);
+            }
+            TermData::Elim(e) => {
+                e.params.iter().for_each(|p| f(p, 0));
+                f(&e.motive, 0);
+                e.cases.iter().for_each(|c| f(c, 0));
+                f(&e.scrutinee, 0);
+            }
+        }
+    }
+
+    /// Rebuilds the node with each direct child replaced by
+    /// `f(child, index, shift)`, stopping at the first error. Children are
+    /// visited in the canonical order of [`Term::for_each_child`], and
+    /// `index` is the child's position in it. Binder names, the
+    /// eliminated family and leaves are kept; applications re-flatten
+    /// through [`Term::app`].
+    pub fn try_map_children<E>(
+        &self,
+        mut f: impl FnMut(&Term, u32, usize) -> Result<Term, E>,
+    ) -> Result<Term, E> {
+        let mut index = 0;
+        let mut child = |c: &Term, shift: usize| {
+            index += 1;
+            f(c, index - 1, shift)
+        };
+        // A loop, not an iterator chain: every child's recursion runs
+        // below this frame, and in debug builds a `map`/`collect` chain
+        // stacks a dozen more frames per level.
+        fn all<E>(
+            cs: &[Term],
+            child: &mut impl FnMut(&Term, usize) -> Result<Term, E>,
+        ) -> Result<Vec<Term>, E> {
+            let mut out = Vec::with_capacity(cs.len());
+            for c in cs {
+                out.push(child(c, 0)?);
+            }
+            Ok(out)
+        }
+        let binder = |b: &Binder, ty: Term| Binder {
+            name: b.name.clone(),
+            ty,
+        };
+        Ok(match self.data() {
+            TermData::Rel(_)
+            | TermData::Sort(_)
+            | TermData::Const(_)
+            | TermData::Ind(_)
+            | TermData::Construct(_, _) => self.clone(),
+            TermData::App(h, args) => {
+                let h = child(h, 0)?;
+                Term::app(h, all(args, &mut child)?)
+            }
+            TermData::Lambda(b, body) => Term::new(TermData::Lambda(
+                binder(b, child(&b.ty, 0)?),
+                child(body, 1)?,
+            )),
+            TermData::Pi(b, body) => {
+                Term::new(TermData::Pi(binder(b, child(&b.ty, 0)?), child(body, 1)?))
+            }
+            TermData::Let(b, v, body) => Term::new(TermData::Let(
+                binder(b, child(&b.ty, 0)?),
+                child(v, 0)?,
+                child(body, 1)?,
+            )),
+            // Field initialisers run in the order written: canonical.
+            TermData::Elim(e) => Term::elim(ElimData {
+                ind: e.ind.clone(),
+                params: all(&e.params, &mut child)?,
+                motive: child(&e.motive, 0)?,
+                cases: all(&e.cases, &mut child)?,
+                scrutinee: child(&e.scrutinee, 0)?,
+            }),
+        })
+    }
+
+    /// [`Term::try_map_children`] for a map that cannot fail:
+    /// `f(child, shift)`.
+    pub fn map_children(&self, mut f: impl FnMut(&Term, usize) -> Term) -> Term {
+        let Ok(t) = self.try_map_children(|c, _, shift| Ok::<_, Infallible>(f(c, shift)));
+        t
+    }
+
     /// Does `Rel(k)` occur free in this term (where `k` counts from the
     /// term's own root)?
     pub fn has_rel(&self, k: usize) -> bool {
-        fn go(t: &Term, k: usize) -> bool {
-            // Cached free-variable ceiling: no Rel ≥ k occurs at all.
-            if k >= t.free_rel_bound() {
-                return false;
-            }
-            match t.data() {
-                TermData::Rel(i) => *i == k,
-                TermData::Sort(_)
-                | TermData::Const(_)
-                | TermData::Ind(_)
-                | TermData::Construct(_, _) => false,
-                TermData::App(h, args) => go(h, k) || args.iter().any(|a| go(a, k)),
-                TermData::Lambda(b, body) | TermData::Pi(b, body) => {
-                    go(&b.ty, k) || go(body, k + 1)
-                }
-                TermData::Let(b, v, body) => go(&b.ty, k) || go(v, k) || go(body, k + 1),
-                TermData::Elim(e) => {
-                    e.params.iter().any(|p| go(p, k))
-                        || go(&e.motive, k)
-                        || e.cases.iter().any(|c| go(c, k))
-                        || go(&e.scrutinee, k)
-                }
-            }
+        // Cached free-variable ceiling: no Rel ≥ k occurs at all.
+        if k >= self.free_rel_bound() {
+            return false;
         }
-        go(self, k)
+        if let TermData::Rel(i) = self.data() {
+            return *i == k;
+        }
+        let mut found = false;
+        self.for_each_child(|c, shift| found = found || c.has_rel(k + shift));
+        found
     }
 
     /// Is the term closed (no free de Bruijn variables)? O(1): answered
@@ -481,7 +580,11 @@ impl Term {
         found
     }
 
-    /// Visits every subterm (including the term itself), pre-order.
+    /// Visits every subterm (including the term itself), pre-order, with
+    /// children in [`Term::for_each_child`]'s order. The recursion is
+    /// written out rather than routed through that callback: `constants`
+    /// and `mentions_global` run on every constant the lift and replay
+    /// touch, and the callback measured a few percent slower here.
     pub fn visit(&self, f: &mut impl FnMut(&Term)) {
         f(self);
         match self.data() {
@@ -685,5 +788,143 @@ mod tests {
     fn size_counts_nodes() {
         let t = Term::app(Term::const_("f"), [Term::rel(0), Term::rel(1)]);
         assert_eq!(t.size(), 4);
+    }
+
+    /// `for_each_child`'s report: each child with its shift.
+    fn children(t: &Term) -> Vec<(Term, usize)> {
+        let mut out = Vec::new();
+        t.for_each_child(|c, shift| out.push((c.clone(), shift)));
+        out
+    }
+
+    /// What `try_map_children` hands its callback, in call order.
+    fn mapped(t: &Term) -> Vec<(Term, u32, usize)> {
+        let mut out = Vec::new();
+        let _ = t.try_map_children(|c, index, shift| {
+            out.push((c.clone(), index, shift));
+            Ok::<_, ()>(c.clone())
+        });
+        out
+    }
+
+    /// Pre-order through `for_each_child`: the order `visit` must keep.
+    fn preorder(t: &Term, out: &mut Vec<Term>) {
+        out.push(t.clone());
+        t.for_each_child(|c, _| preorder(c, out));
+    }
+
+    /// Checks that the walks agree on one node: `try_map_children` sees
+    /// `for_each_child`'s children with their positions and shifts, writes
+    /// each result back into the same position, and rebuilds an unchanged
+    /// node as the same allocation.
+    fn walks_agree(t: &Term) {
+        let kids = children(t);
+        let indexed: Vec<(Term, u32, usize)> = (0..)
+            .zip(&kids)
+            .map(|(i, (c, shift))| (c.clone(), i, *shift))
+            .collect();
+        assert_eq!(mapped(t), indexed, "try_map_children on {t}");
+        let marked = t
+            .try_map_children(|_, i, _| Ok::<_, ()>(Term::rel(i as usize)))
+            .unwrap();
+        let marks: Vec<(Term, usize)> = (0..)
+            .zip(&kids)
+            .map(|(i, (_, shift))| (Term::rel(i), *shift))
+            .collect();
+        assert_eq!(children(&marked), marks, "results out of place in {t}");
+        assert!(t.map_children(|c, _| c.clone()).same_allocation(t));
+    }
+
+    #[test]
+    fn canonical_child_order_per_variant() {
+        let c: Vec<Term> = (0..6).map(|i| Term::const_(format!("c{i}"))).collect();
+        let elim = Term::elim(ElimData {
+            ind: "i".into(),
+            params: vec![c[0].clone(), c[1].clone()],
+            motive: c[2].clone(),
+            cases: vec![c[3].clone(), c[4].clone()],
+            scrutinee: c[5].clone(),
+        });
+        // One row per `TermData` variant: the node and its children with
+        // their shifts, in canonical order (a child's position is its path
+        // index).
+        let table: Vec<(Term, Vec<(usize, usize)>)> = vec![
+            (Term::rel(0), vec![]),
+            (Term::set(), vec![]),
+            (Term::const_("k"), vec![]),
+            (Term::ind("i"), vec![]),
+            (Term::construct("i", 1), vec![]),
+            (
+                Term::app(c[0].clone(), [c[1].clone(), c[2].clone()]),
+                vec![(0, 0), (1, 0), (2, 0)],
+            ),
+            (
+                Term::lambda("x", c[0].clone(), c[1].clone()),
+                vec![(0, 0), (1, 1)],
+            ),
+            (
+                Term::pi("x", c[0].clone(), c[1].clone()),
+                vec![(0, 0), (1, 1)],
+            ),
+            (
+                Term::let_("x", c[0].clone(), c[1].clone(), c[2].clone()),
+                vec![(0, 0), (1, 0), (2, 1)],
+            ),
+            (elim, vec![(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0)]),
+        ];
+        for (t, want) in &table {
+            let want: Vec<(Term, usize)> = want.iter().map(|&(i, s)| (c[i].clone(), s)).collect();
+            assert_eq!(children(t), want, "for_each_child on {t}");
+            walks_agree(t);
+            let mut visited = Vec::new();
+            t.visit(&mut |s| visited.push(s.clone()));
+            let mut expect = Vec::new();
+            preorder(t, &mut expect);
+            assert_eq!(visited, expect, "visit on {t}");
+        }
+    }
+
+    /// Random terms over every variant, lets and eliminators included.
+    fn arb(rng: &mut pumpkin_testkit::Rng, depth: u32) -> Term {
+        if depth == 0 || rng.chance(1, 4) {
+            return match rng.index(5) {
+                0 => Term::rel(rng.index(3)),
+                1 => Term::set(),
+                2 => Term::const_("k"),
+                3 => Term::ind("i"),
+                _ => Term::construct("i", rng.index(2)),
+            };
+        }
+        let sub = |rng: &mut pumpkin_testkit::Rng| arb(rng, depth - 1);
+        let some = |rng: &mut pumpkin_testkit::Rng, min: usize| {
+            let n = min + rng.index(3);
+            (0..n).map(|_| sub(rng)).collect::<Vec<_>>()
+        };
+        match rng.index(5) {
+            0 => Term::app(sub(rng), some(rng, 1)),
+            1 => Term::lambda("x", sub(rng), sub(rng)),
+            2 => Term::pi("y", sub(rng), sub(rng)),
+            3 => Term::let_("z", sub(rng), sub(rng), sub(rng)),
+            _ => Term::elim(ElimData {
+                ind: "i".into(),
+                params: some(rng, 0),
+                motive: sub(rng),
+                cases: some(rng, 0),
+                scrutinee: sub(rng),
+            }),
+        }
+    }
+
+    #[test]
+    fn the_walks_agree_on_random_terms() {
+        pumpkin_testkit::check(256, |rng| {
+            let t = arb(rng, 4);
+            let mut visited = Vec::new();
+            t.visit(&mut |s| visited.push(s.clone()));
+            let mut expect = Vec::new();
+            preorder(&t, &mut expect);
+            assert_eq!(visited, expect, "visit on {t}");
+            visited.iter().for_each(walks_agree);
+        });
     }
 }

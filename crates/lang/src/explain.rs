@@ -9,11 +9,9 @@
 //! [`DiffSite`]s) are then matched against those paths to cite the
 //! configuration rule that produced each divergence.
 //!
-//! Paths use the same canonical child indexing as the lift walk (see the
-//! provenance module in `pumpkin-trace`): declaration type under `0`,
-//! body under `1`; `App` head `0`, arguments `1..`; `Lambda`/`Pi` binder
-//! type `0`, body `1`; `Let` type `0`, value `1`, body `2`; `Elim`
-//! parameters, then motive, then cases, then scrutinee. A divergence is
+//! Paths use the canonical child order of [`Term::for_each_child`], the
+//! one the lift walk records sites under; a declaration puts its type
+//! under `0` and its body under `1`. A divergence is
 //! *attributed* when a site's path is a prefix of the divergence path
 //! (the rule rewrote an enclosing region) or vice versa (the rewrite
 //! happened below and its shape change surfaced here, e.g. through
@@ -224,8 +222,32 @@ fn clip(s: String) -> String {
     }
 }
 
-fn binder_name(b: &pumpkin_kernel::term::Binder) -> String {
-    b.name.as_str().unwrap_or("_").to_string()
+/// The name a node's binder gives the children under it (`_` if the node
+/// binds nothing or the binder is anonymous).
+fn binder_name(t: &Term) -> String {
+    match t.data() {
+        TermData::Lambda(b, _) | TermData::Pi(b, _) | TermData::Let(b, _, _) => {
+            b.name.as_str().unwrap_or("_").to_string()
+        }
+        _ => "_".to_string(),
+    }
+}
+
+/// Do the two nodes have the same constructor and child count, so their
+/// children pair up by canonical position?
+fn same_shape(old: &Term, new: &Term) -> bool {
+    match (old.data(), new.data()) {
+        (TermData::App(_, a1), TermData::App(_, a2)) => a1.len() == a2.len(),
+        (TermData::Lambda(..), TermData::Lambda(..))
+        | (TermData::Pi(..), TermData::Pi(..))
+        | (TermData::Let(..), TermData::Let(..)) => true,
+        (TermData::Elim(e1), TermData::Elim(e2)) => {
+            e1.ind == e2.ind
+                && e1.params.len() == e2.params.len()
+                && e1.cases.len() == e2.cases.len()
+        }
+        _ => false,
+    }
 }
 
 /// Records the current node as a topmost divergence.
@@ -261,63 +283,25 @@ fn diff(
         return;
     }
     let before = out.len();
-    let child = |ctx: &mut Vec<String>,
-                 o: &Term,
-                 n: &Term,
-                 i: u32,
-                 path: &mut Vec<u32>,
-                 out: &mut Vec<Divergence>| {
-        path.push(i);
-        diff(env, ctx, o, n, path, out);
-        path.pop();
-    };
-    match (old.data(), new.data()) {
-        (TermData::App(h1, a1), TermData::App(h2, a2)) if a1.len() == a2.len() => {
-            child(ctx, h1, h2, 0, path, out);
-            for (i, (o, n)) in a1.iter().zip(a2.iter()).enumerate() {
-                child(ctx, o, n, 1 + i as u32, path, out);
+    if same_shape(old, new) {
+        let mut olds = Vec::new();
+        old.for_each_child(|o, shift| olds.push((o, shift)));
+        let mut news = Vec::new();
+        new.for_each_child(|n, _| news.push(n));
+        for (i, ((o, shift), n)) in olds.into_iter().zip(news).enumerate() {
+            let scope = ctx.len();
+            if shift > 0 {
+                ctx.push(binder_name(old));
             }
+            path.push(i as u32);
+            diff(env, ctx, o, n, path, out);
+            path.pop();
+            ctx.truncate(scope);
         }
-        (TermData::Lambda(b1, t1), TermData::Lambda(b2, t2))
-        | (TermData::Pi(b1, t1), TermData::Pi(b2, t2)) => {
-            child(ctx, &b1.ty, &b2.ty, 0, path, out);
-            ctx.push(binder_name(b1));
-            child(ctx, t1, t2, 1, path, out);
-            ctx.pop();
-        }
-        (TermData::Let(b1, v1, t1), TermData::Let(b2, v2, t2)) => {
-            child(ctx, &b1.ty, &b2.ty, 0, path, out);
-            child(ctx, v1, v2, 1, path, out);
-            ctx.push(binder_name(b1));
-            child(ctx, t1, t2, 2, path, out);
-            ctx.pop();
-        }
-        (TermData::Elim(e1), TermData::Elim(e2))
-            if e1.ind == e2.ind
-                && e1.params.len() == e2.params.len()
-                && e1.cases.len() == e2.cases.len() =>
-        {
-            let n = e1.params.len() as u32;
-            for (i, (o, nw)) in e1.params.iter().zip(e2.params.iter()).enumerate() {
-                child(ctx, o, nw, i as u32, path, out);
-            }
-            child(ctx, &e1.motive, &e2.motive, n, path, out);
-            for (i, (o, nw)) in e1.cases.iter().zip(e2.cases.iter()).enumerate() {
-                child(ctx, o, nw, n + 1 + i as u32, path, out);
-            }
-            child(
-                ctx,
-                &e1.scrutinee,
-                &e2.scrutinee,
-                n + 1 + e1.cases.len() as u32,
-                path,
-                out,
-            );
-        }
-        _ => record(env, ctx, old, new, path, out),
     }
-    // Same-shaped but unequal with no child divergence (binder hints):
-    // surface it here rather than dropping the difference.
+    // A shape mismatch, or same-shaped nodes whose children surfaced no
+    // divergence (binder hints): record this node rather than dropping
+    // the difference.
     if out.len() == before {
         record(env, ctx, old, new, path, out);
     }

@@ -237,39 +237,7 @@ pub fn pretty_open(env: &Env, ctx: &[String], t: &Term) -> String {
                 }
                 t.clone()
             }
-            TermData::Rel(_) | TermData::Sort(_) | TermData::Const(_) | TermData::Ind(_) => {
-                t.clone()
-            }
-            TermData::App(h, args) => Term::app(named(env, h), args.iter().map(|a| named(env, a))),
-            TermData::Lambda(b, body) => Term::new(TermData::Lambda(
-                pumpkin_kernel::term::Binder {
-                    name: b.name.clone(),
-                    ty: named(env, &b.ty),
-                },
-                named(env, body),
-            )),
-            TermData::Pi(b, body) => Term::new(TermData::Pi(
-                pumpkin_kernel::term::Binder {
-                    name: b.name.clone(),
-                    ty: named(env, &b.ty),
-                },
-                named(env, body),
-            )),
-            TermData::Let(b, v, body) => Term::new(TermData::Let(
-                pumpkin_kernel::term::Binder {
-                    name: b.name.clone(),
-                    ty: named(env, &b.ty),
-                },
-                named(env, v),
-                named(env, body),
-            )),
-            TermData::Elim(e) => Term::elim(pumpkin_kernel::term::ElimData {
-                ind: e.ind.clone(),
-                params: e.params.iter().map(|p| named(env, p)).collect(),
-                motive: named(env, &e.motive),
-                cases: e.cases.iter().map(|c| named(env, c)).collect(),
-                scrutinee: named(env, &e.scrutinee),
-            }),
+            _ => t.map_children(|c, _| named(env, c)),
         }
     }
 

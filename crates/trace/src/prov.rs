@@ -9,11 +9,11 @@
 //! versioned `prov` event family ([`PROV_SCHEMA_VERSION`],
 //! [`crate::EventKind::ProvConst`] / [`crate::EventKind::ProvSite`]).
 //!
-//! Paths use a canonical child indexing shared with the lift walk and the
-//! `explain` diff: `App` is head `0` then arguments `1..`; `Lambda`/`Pi`
-//! are binder type `0`, body `1`; `Let` is type `0`, value `1`, body `2`;
-//! `Elim` is parameters `0..p`, motive `p`, cases `p+1..`, scrutinee last.
-//! A declaration root prefixes the type with `0` and the body with `1`.
+//! A path step is a child's position in the kernel's canonical child
+//! order, defined by `Term::for_each_child` in `pumpkin-kernel` (the lift
+//! records sites through `Term::try_map_children`, which numbers children
+//! the same way). A declaration root prefixes the type with `0` and the
+//! body with `1`.
 
 use std::collections::BTreeMap;
 use std::fmt;

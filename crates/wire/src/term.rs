@@ -103,35 +103,6 @@ impl Sink for Vec<Value> {
     }
 }
 
-fn for_each_child(t: &Term, mut f: impl FnMut(&Term)) {
-    match t.data() {
-        TermData::Rel(_)
-        | TermData::Sort(_)
-        | TermData::Const(_)
-        | TermData::Ind(_)
-        | TermData::Construct(_, _) => {}
-        TermData::App(h, args) => {
-            f(h);
-            args.iter().for_each(f);
-        }
-        TermData::Lambda(b, body) | TermData::Pi(b, body) => {
-            f(&b.ty);
-            f(body);
-        }
-        TermData::Let(b, val, body) => {
-            f(&b.ty);
-            f(val);
-            f(body);
-        }
-        TermData::Elim(e) => {
-            e.params.iter().for_each(&mut f);
-            f(&e.motive);
-            e.cases.iter().for_each(&mut f);
-            f(&e.scrutinee);
-        }
-    }
-}
-
 /// A term's node table: each distinct node once, children before parents,
 /// the root last.
 struct Table {
@@ -158,9 +129,9 @@ impl Table {
             } else {
                 stack.push((node.clone(), true));
                 let mut kids = Vec::new();
-                for_each_child(&node, |c| kids.push(c.clone()));
-                // Reversed so the leftmost child is visited (and numbered)
-                // first — cosmetic, but keeps the table order intuitive.
+                node.for_each_child(|c, _| kids.push(c.clone()));
+                // Reversed so the children are numbered in the kernel's
+                // canonical order, leftmost first.
                 stack.extend(kids.into_iter().rev().map(|c| (c, false)));
             }
         }
@@ -238,7 +209,7 @@ pub fn term_depth(t: &Term) -> usize {
     let mut depths: Vec<usize> = Vec::with_capacity(table.order.len());
     for node in &table.order {
         let mut depth = 0;
-        for_each_child(node, |c| {
+        node.for_each_child(|c, _| {
             depth = depth.max(depths[table.index[&c.alloc_id()] as usize] + 1);
         });
         depths.push(depth);

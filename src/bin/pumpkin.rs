@@ -29,7 +29,8 @@ const USAGE: &str = "usage: pumpkin [--trace out.jsonl] [--metrics] <script.pi |
                      \x20                    [--workers N] [--queue-depth N] [--cache-dir DIR]\n\
                      \x20                    [--cache-max-bytes N] [--slow-ms N] [--log PATH]\n\
                      \x20      pumpkin client --connect ADDR <hello|ping|shutdown|stats|repair-module|explain|call> [args]\n\
-                     \x20                     (stats takes [--json|--prometheus])\n\
+                     \x20                     (stats takes [--json|--prometheus]; repair-module and explain take\n\
+                     \x20                     --swap A B [--rename From.=To.] --names n1,n2,... [--deterministic])\n\
                      \x20      pumpkin top --connect ADDR [--interval-ms N] [--count N]\n\
                      \x20      pumpkin watch [--poll-ms MS] [--max-runs N] [--cache-dir DIR]\n\
                      \x20                    [--cache-max-bytes N] [--swap A B] [--rename From.=To.]\n\
@@ -43,6 +44,8 @@ const USAGE: &str = "usage: pumpkin [--trace out.jsonl] [--metrics] <script.pi |
                      \x20                      [--fail-rate R] [--json PATH] [--server-stats]";
 
 fn serve(argv: &[String]) -> ExitCode {
+    use std::io::Write as _;
+
     let mut cfg = ServerConfig {
         listen: "127.0.0.1:7717".into(),
         ..ServerConfig::default()
@@ -119,13 +122,15 @@ fn serve(argv: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // Status lines ignore write errors: a supervisor that has closed our
+    // stdout still gets a clean drain and exit status 0.
+    let mut stdout = std::io::stdout();
     match server.local_addr() {
         Ok(addr) => {
             // Scripts (check.sh, tests) parse this exact line to learn
             // the port when listening on :0.
-            println!("pumpkind listening on {addr}");
-            use std::io::Write as _;
-            let _ = std::io::stdout().flush();
+            let _ = writeln!(stdout, "pumpkind listening on {addr}");
+            let _ = stdout.flush();
         }
         Err(e) => {
             eprintln!("cannot read bound address: {e}");
@@ -134,7 +139,7 @@ fn serve(argv: &[String]) -> ExitCode {
     }
     match server.run() {
         Ok(()) => {
-            println!("pumpkind drained; bye");
+            let _ = writeln!(stdout, "pumpkind drained; bye");
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -142,6 +147,24 @@ fn serve(argv: &[String]) -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// Parses a `--rename From.=To.` value into its two name prefixes.
+fn parse_rename(value: Option<&String>) -> Result<(String, String), String> {
+    value
+        .and_then(|v| v.split_once('='))
+        .map(|(from, to)| (from.to_string(), to.to_string()))
+        .ok_or_else(|| "--rename needs From.=To.".to_string())
+}
+
+/// The rename used without `--rename`: the modules the swapped types live
+/// in, so swapping Old.list for New.list renames Old.* to New.*.
+fn default_rename(a: &str, b: &str) -> (String, String) {
+    let module_of = |n: &str| {
+        n.rsplit_once('.')
+            .map_or(String::new(), |(m, _)| format!("{m}."))
+    };
+    (module_of(a), module_of(b))
 }
 
 /// Builds the `lifting`/`names` request params shared by the client's
@@ -162,12 +185,7 @@ fn client_lift_params(
                 };
                 swap = Some((a.clone(), b.clone()));
             }
-            "--rename" => {
-                let (Some(f), Some(t)) = (args.next(), args.next()) else {
-                    return Err("--rename needs two prefixes".into());
-                };
-                rename = Some((f.clone(), t.clone()));
-            }
+            "--rename" => rename = Some(parse_rename(args.next())?),
             "--name" | "--names" => {
                 let Some(list) = args.next() else {
                     return Err(format!("{arg} needs a value"));
@@ -181,13 +199,7 @@ fn client_lift_params(
     let Some((a, b)) = swap else {
         return Err("--swap A B is required".into());
     };
-    // Default the rename to the modules the swapped types live in:
-    // swapping Old.list for New.list renames Old.* to New.*.
-    let module_of = |n: &str| {
-        n.rsplit_once('.')
-            .map_or(String::new(), |(m, _)| format!("{m}."))
-    };
-    let (from, to) = rename.unwrap_or_else(|| (module_of(&a), module_of(&b)));
+    let (from, to) = rename.unwrap_or_else(|| default_rename(&a, &b));
     if names.is_empty() {
         return Err("--names n1,n2,... is required".into());
     }
@@ -736,10 +748,10 @@ fn watch(argv: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--rename" => match args.next().and_then(|v| v.split_once('=')) {
-                Some((f, t)) => rename = Some((f.to_string(), t.to_string())),
-                None => {
-                    eprintln!("--rename needs From.=To.\n{USAGE}");
+            "--rename" => match parse_rename(args.next()) {
+                Ok(r) => rename = Some(r),
+                Err(e) => {
+                    eprintln!("{e}\n{USAGE}");
                     return ExitCode::FAILURE;
                 }
             },
@@ -766,11 +778,7 @@ fn watch(argv: &[String]) -> ExitCode {
     let cache_dir = cache_dir.unwrap_or_else(|| {
         std::env::temp_dir().join(format!("pumpkin-watch-{}", std::process::id()))
     });
-    let module_of = |n: &str| {
-        n.rsplit_once('.')
-            .map_or(String::new(), |(m, _)| format!("{m}."))
-    };
-    let (from, to) = rename.unwrap_or_else(|| (module_of(&swap.0), module_of(&swap.1)));
+    let (from, to) = rename.unwrap_or_else(|| default_rename(&swap.0, &swap.1));
 
     println!(
         "watching {path} (poll every {poll_ms} ms; cache {})",
@@ -914,10 +922,10 @@ fn auto(argv: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--rename" => match args.next().and_then(|v| v.split_once('=')) {
-                Some((f, t)) => rename = Some((f.to_string(), t.to_string())),
-                None => {
-                    eprintln!("--rename needs From.=To.\n{USAGE}");
+            "--rename" => match parse_rename(args.next()) {
+                Ok(r) => rename = Some(r),
+                Err(e) => {
+                    eprintln!("{e}\n{USAGE}");
                     return ExitCode::FAILURE;
                 }
             },
@@ -946,11 +954,7 @@ fn auto(argv: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let module_of = |n: &str| {
-        n.rsplit_once('.')
-            .map_or(String::new(), |(m, _)| format!("{m}."))
-    };
-    let (from, to) = rename.unwrap_or_else(|| (module_of(&swap.0), module_of(&swap.1)));
+    let (from, to) = rename.unwrap_or_else(|| default_rename(&swap.0, &swap.1));
     // Work list: the swap module (or --names); constants the file defines
     // under the source prefix join automatically inside the driver.
     let names: Vec<String> = names_arg.unwrap_or_else(|| {
@@ -1280,6 +1284,25 @@ mod tests {
             );
         }
         assert_eq!(exit_status_for("some_future_code"), 19);
+    }
+
+    #[test]
+    fn client_rename_takes_from_eq_to_and_defaults_to_the_swapped_modules() {
+        let lifting = |argv: &[&str]| {
+            let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+            let params = client_lift_params(&mut argv.iter(), false)?;
+            Ok::<_, String>(params.into_iter().find(|(k, _)| k == "lifting").unwrap().1)
+        };
+        let swap = ["--swap", "Old.list", "New.list", "--names", "Old.rev"];
+        assert_eq!(
+            lifting(&[&swap[..], &["--rename", "A.=B."]].concat()),
+            Ok(LiftSpec::swap("Old.list", "New.list", "A.", "B.").to_value())
+        );
+        assert_eq!(
+            lifting(&swap),
+            Ok(LiftSpec::swap("Old.list", "New.list", "Old.", "New.").to_value())
+        );
+        assert!(lifting(&[&swap[..], &["--rename", "A."]].concat()).is_err());
     }
 
     #[test]

@@ -5,6 +5,7 @@
 
 use std::path::PathBuf;
 
+use pumpkin_core::trace::json::MAX_DEPTH;
 use pumpkin_core::{LiftState, Lifting, NameMap, RepairReport, Repairer};
 use pumpkin_kernel::env::Env;
 use pumpkin_kernel::name::GlobalName;
@@ -97,6 +98,17 @@ impl Session {
             .split_once('=')
             .ok_or_else(|| format!("bad rename spec `{spec}` (expected From.=To.)"))?;
         Ok(NameMap::prefix(from, to))
+    }
+
+    /// Normalises a term and pretty-prints the result. Readback is bounded
+    /// like the daemon's `eval`: a normal form nested deeper than
+    /// [`MAX_DEPTH`] is an error and is never built, so neither readback
+    /// nor the printer can overflow the stack.
+    fn eval(&self, src: &str) -> Result<String, String> {
+        let t = pumpkin_lang::term(&self.env, src).map_err(|e| e.to_string())?;
+        let n = pumpkin_kernel::reduce::normalize_within(&self.env, &t, MAX_DEPTH)
+            .ok_or_else(|| format!("the normal form nests deeper than {MAX_DEPTH} levels"))?;
+        Ok(pumpkin_lang::pretty(&self.env, &n))
     }
 
     fn run(&mut self, cmd: &str, args: &[&str], body: Option<&str>) -> Result<(), String> {
@@ -352,10 +364,7 @@ impl Session {
                 if args.is_empty() {
                     return Err("usage: eval TERM".into());
                 }
-                let src = args.join(" ");
-                let t = pumpkin_lang::term(&self.env, &src).map_err(|e| fail(&e))?;
-                let n = pumpkin_kernel::reduce::normalize(&self.env, &t);
-                println!("= {}", pumpkin_lang::pretty(&self.env, &n));
+                println!("= {}", self.eval(&args.join(" "))?);
                 Ok(())
             }
             other => Err(format!("unknown command `{other}`")),
@@ -431,6 +440,19 @@ mod tests {
         // `repair` fails twice over: no configuration; counted once.
         assert_eq!(failures, 1);
         assert!(s.env.contains("two"));
+    }
+
+    #[test]
+    fn eval_past_the_depth_bound_fails_the_command() {
+        // 300 · 300: the normal form is a numeral 9·10⁴ levels deep. The
+        // command fails, the process lives, and a shallow eval still works.
+        let ten = format!("({}O{})", "S (".repeat(10), ")".repeat(10));
+        let t300 = format!("(mul {ten} (mul {ten} (S (S (S O)))))");
+        let mut s = Session::new();
+        let script = format!("load-std\neval mul {t300} {t300}\n");
+        assert_eq!(run_script(&mut s, &script), 1);
+        assert_eq!(s.eval("add (S O) O").as_deref(), Ok("S O"));
+        assert_eq!(run_script(&mut s, "eval add (S O) O\n"), 0);
     }
 
     #[test]

@@ -7,19 +7,19 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::process::{Child, ChildStdout, Command, ExitStatus, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
 use pumpkin_kernel::term::Term;
 use pumpkin_serve::proto::MAX_FRAME;
 use pumpkin_wire::{term_from_envelope, term_to_envelope, LiftSpec, Value};
 
-/// A `pumpkin serve` child on a free loopback port, killed on drop.
+/// A `pumpkin serve` child on a free loopback port, killed on drop. Its
+/// stdout is closed once the listening line is read, as a supervisor
+/// that stops reading would leave it.
 struct Daemon {
     child: Child,
     addr: String,
-    /// Held open so the daemon's farewell line on shutdown has a reader.
-    _stdout: BufReader<ChildStdout>,
 }
 
 impl Daemon {
@@ -41,11 +41,7 @@ impl Daemon {
             .strip_prefix("pumpkind listening on ")
             .unwrap_or_else(|| panic!("unexpected first line: {line:?}"))
             .to_string();
-        Daemon {
-            child,
-            addr,
-            _stdout: stdout,
-        }
+        Daemon { child, addr }
     }
 
     /// Sends one frame on a fresh connection and reads one reply line.
@@ -90,6 +86,17 @@ impl Drop for Daemon {
         let _ = self.child.kill();
         let _ = self.child.wait();
     }
+}
+
+#[test]
+fn a_daemon_whose_stdout_is_closed_drains_and_exits_zero() {
+    // The farewell line after a drain has no reader: the daemon must
+    // still exit 0 rather than panic on the failed write.
+    let mut daemon = Daemon::spawn();
+    let bye = daemon.call(r#"{"id":1,"method":"shutdown"}"#);
+    assert_eq!(bye.get("ok"), Some(&Value::Bool(true)), "{bye:?}");
+    let status = daemon.exit_status(Duration::from_secs(120));
+    assert!(status.success(), "the daemon exited with {status}");
 }
 
 #[test]

@@ -309,6 +309,67 @@ fn explain_attributes_swap_module_rewrites() {
 }
 
 #[test]
+fn lift_and_explain_give_let_and_eliminator_children_the_same_path() {
+    // The lift records sites through `Term::try_map_children` and `explain`
+    // pairs children through `Term::for_each_child`; both must number a
+    // let's value and a structural eliminator's parameter alike. The let
+    // value `Old.l0` and the `prod` parameter `Old.L` are repaired as
+    // constants, so each site and its divergence sit at one path.
+    let mut env = stdlib::std_env();
+    let lifting = pumpkin_core::search::swap::configure(
+        &mut env,
+        &"Old.list".into(),
+        &"New.list".into(),
+        NameMap::prefix("Old.", "New."),
+    )
+    .unwrap();
+    pumpkin_pi::pumpkin_lang::load_source(
+        &mut env,
+        "Definition Old.l0 : Old.list nat := Old.nil nat.
+         Definition Old.L : Type 1 := Old.list nat.
+         Definition Old.probe : nat :=
+           let l : Old.L := Old.l0 in
+           elim pair Old.L nat l O : prod Old.L nat
+           return fun (p : prod Old.L nat) => nat
+           with | fun (a : Old.L) (b : nat) => b end.",
+    )
+    .unwrap();
+    let report = Repairer::new(&lifting)
+        .provenance(true)
+        .run(&mut env, &["Old.probe"])
+        .unwrap();
+    let p = report
+        .provenance_for("Old.probe")
+        .expect("Old.probe provenance");
+    let sites: Vec<pumpkin_pi::pumpkin_lang::DiffSite> = p
+        .sites
+        .iter()
+        .map(|s| pumpkin_pi::pumpkin_lang::DiffSite {
+            path: &s.path,
+            rule: s.rule.as_str(),
+        })
+        .collect();
+    let e = pumpkin_pi::pumpkin_lang::explain_decl(&env, &p.from, &p.to, &sites).unwrap();
+    // Body `1`; the let's value is its child `1`, and the eliminator (the
+    // let body, child `2`) has the parameter `Old.L` as its child `0`.
+    for (path, old, new) in [
+        (&[1, 1][..], "Old.l0", "New.l0"),
+        (&[1, 2, 0][..], "Old.L", "New.L"),
+    ] {
+        let site = p.sites.iter().find(|s| s.path == path);
+        assert!(
+            site.is_some_and(|s| s.src == old && s.dst == new),
+            "lift site at {path:?}: {site:?}"
+        );
+        let divergence = e.divergences.iter().find(|d| d.path == path);
+        assert!(
+            divergence.is_some_and(|d| d.old == old && d.new == new && d.rule.is_some()),
+            "explain divergence at {path:?}: {divergence:?}"
+        );
+    }
+}
+
+#[test]
 fn source_not_free_error_rendering_golden() {
     // Pins the exact rendered form of the SourceNotFree diagnostic — both
     // the direct-mention shape and the through-a-dependency shape with its
