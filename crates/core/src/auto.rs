@@ -27,8 +27,9 @@ use std::time::{Duration, Instant};
 use pumpkin_kernel::env::Env;
 use pumpkin_kernel::name::GlobalName;
 use pumpkin_kernel::term::Term;
+use pumpkin_trace::json::Value;
 use pumpkin_trace::{Event, EventKind};
-use pumpkin_wire::{decl_digest, AutoWire, DigestBuilder, ReproWire};
+use pumpkin_wire::{decl_digest, DigestBuilder};
 
 use crate::config::{Lifting, MatchedElim, MatchedProj, NameMap, SideMatch};
 use crate::error::{ErrorClass, RepairError, Result};
@@ -38,6 +39,10 @@ use crate::repair::RepairReport;
 use crate::repairer::Repairer;
 use crate::schedule::{CancelToken, ModuleDag};
 use crate::search::swap;
+
+/// Version stamp of [`AutoReport::to_value`]'s object, its `v` key.
+/// Readers that see a different version must not guess at field meanings.
+pub const AUTO_WIRE_VERSION: u64 = 1;
 
 /// Cap on enumerated constructor mappings per candidate search; ranking
 /// still applies to the mappings found (see
@@ -233,34 +238,51 @@ impl AutoReport {
         out
     }
 
-    /// The versioned wire projection.
-    pub fn to_wire(&self) -> AutoWire {
-        AutoWire {
-            winner: self.winner.clone(),
-            tried: self.tried as u64,
-            skipped_cache: self.skipped_cache as u64,
-            rejected: self.rejected as u64,
-            complete: self.complete,
-            candidates: self
-                .candidates
-                .iter()
-                .map(|c| {
-                    (
-                        c.config.clone(),
-                        c.verdict.as_str().to_string(),
-                        c.class.map_or(String::new(), |k| k.as_str().to_string()),
-                        c.cost_ns,
-                    )
-                })
-                .collect(),
-            reproducer: self.reproducer.as_ref().map(|r| ReproWire {
-                names: r.names.clone(),
-                class: r.class.as_str().to_string(),
-                seed: r.seed,
-                original: r.original as u64,
-                steps: r.steps,
-            }),
+    /// The versioned reply object: `v` ([`AUTO_WIRE_VERSION`]), the
+    /// winner when one checked, the counts, one `[config, verdict,
+    /// class, cost_ns]` row per candidate (the class empty for accepted
+    /// candidates), then the reproducer when the minimizer ran.
+    pub fn to_value(&self) -> Value {
+        let n = |v: usize| Value::UInt(v as u64);
+        let mut fields = vec![("v".into(), Value::UInt(AUTO_WIRE_VERSION))];
+        if let Some(w) = &self.winner {
+            fields.push(("winner".into(), Value::str(w)));
         }
+        let rows = self
+            .candidates
+            .iter()
+            .map(|c| {
+                Value::Arr(vec![
+                    Value::str(&c.config),
+                    Value::str(c.verdict.as_str()),
+                    Value::str(c.class.map_or("", ErrorClass::as_str)),
+                    Value::UInt(c.cost_ns),
+                ])
+            })
+            .collect();
+        fields.extend([
+            ("tried".into(), n(self.tried)),
+            ("skipped_cache".into(), n(self.skipped_cache)),
+            ("rejected".into(), n(self.rejected)),
+            ("complete".into(), Value::Bool(self.complete)),
+            ("candidates".into(), Value::Arr(rows)),
+        ]);
+        if let Some(r) = &self.reproducer {
+            fields.push((
+                "reproducer".into(),
+                Value::Obj(vec![
+                    (
+                        "names".into(),
+                        Value::Arr(r.names.iter().map(Value::str).collect()),
+                    ),
+                    ("class".into(), Value::str(r.class.as_str())),
+                    ("seed".into(), Value::UInt(r.seed)),
+                    ("original".into(), n(r.original)),
+                    ("steps".into(), Value::UInt(r.steps)),
+                ]),
+            ));
+        }
+        Value::Obj(fields)
     }
 }
 

@@ -127,6 +127,14 @@ impl NameMap {
         }
     }
 
+    /// A map with `rules`, tried in order (a [`pumpkin_wire::LiftSpec`]'s
+    /// `rename`).
+    pub fn from_rules(rules: &[(String, String)]) -> Self {
+        NameMap {
+            rules: rules.to_vec(),
+        }
+    }
+
     /// Adds another prefix-rewrite rule (tried after earlier ones).
     pub fn with_rule(mut self, from: impl Into<String>, to: impl Into<String>) -> Self {
         self.rules.push((from.into(), to.into()));

@@ -33,7 +33,11 @@
 //! * Reads are corruption-tolerant: an entry that fails to decode is
 //!   *evicted* (deleted) and reads as a miss, so the fresh lift that
 //!   follows re-publishes a good frame — a damaged cache can slow a run
-//!   down but never fail or poison it.
+//!   down but never fail it.
+//! * The digests detect damage, not forgery. A frame whose digests were
+//!   recomputed over a different declaration verifies, and release
+//!   builds install it without a kernel check (debug builds re-check),
+//!   so a release build trusts whoever can write the cache directory.
 //! * The store can be size-bounded ([`PersistCache::open_bounded`],
 //!   `--cache-max-bytes`): when the root directory's entries exceed the
 //!   budget, the least-recently-used entries (by modification time;

@@ -13,6 +13,7 @@ use pumpkin_kernel::env::Env;
 use pumpkin_kernel::name::GlobalName;
 use pumpkin_kernel::stats::KernelStats;
 use pumpkin_kernel::term::{Term, TermData};
+use pumpkin_trace::json::Value;
 use pumpkin_trace::{Event, Metrics};
 
 use crate::config::Lifting;
@@ -145,35 +146,49 @@ impl RepairReport {
             .find(|p| p.from == name || p.to == name)
     }
 
-    /// The serializable projection served to repair-service clients
-    /// ([`pumpkin_wire::ReportWire`]): repaired pairs, DAG shape,
-    /// lift-layer counters, and the end-to-end latency. Raw
-    /// [`KernelStats`] are deliberately omitted — debug builds re-typecheck
-    /// merged declarations, so those counters differ across build
-    /// profiles.
-    pub fn to_wire(&self) -> pumpkin_wire::ReportWire {
-        pumpkin_wire::ReportWire {
-            repaired: self
-                .repaired
-                .iter()
-                .map(|(f, t)| (f.as_str().to_string(), t.as_str().to_string()))
-                .collect(),
-            waves: self.schedule.waves as u64,
-            max_width: self.schedule.max_width as u64,
-            cache_hits: self.lift.cache_hits,
-            cache_misses: self.lift.cache_misses,
-            constants_lifted: self.lift.constants_lifted,
-            visits: self.lift.visits,
-            persist_hits: self.lift.persist_hits,
-            persist_misses: self.lift.persist_misses,
-            wall_ns: self.wall_ns,
-            incr: self.incr.map(|i| pumpkin_wire::IncrWire {
-                changed: i.changed,
-                replayed: i.replayed,
-                skipped: i.skipped,
-            }),
-            auto: self.auto.as_ref().map(crate::auto::AutoReport::to_wire),
+    /// The reply object served to repair-service clients: repaired
+    /// pairs, DAG shape, lift-layer counters, the end-to-end latency
+    /// (`wall_ns`, zeroed when `deterministic`), then the `incr` and
+    /// `auto` blocks when present. Raw [`KernelStats`] are deliberately
+    /// omitted: debug builds re-typecheck merged declarations, so those
+    /// counters differ across build profiles, and the golden transcript
+    /// holds in both.
+    pub fn to_value(&self, deterministic: bool) -> Value {
+        let n = Value::UInt;
+        let repaired = self
+            .repaired
+            .iter()
+            .map(|(f, t)| Value::Arr(vec![Value::str(f.as_str()), Value::str(t.as_str())]))
+            .collect();
+        let mut fields = vec![
+            ("repaired".into(), Value::Arr(repaired)),
+            ("waves".into(), n(self.schedule.waves as u64)),
+            ("max_width".into(), n(self.schedule.max_width as u64)),
+            ("cache_hits".into(), n(self.lift.cache_hits)),
+            ("cache_misses".into(), n(self.lift.cache_misses)),
+            ("constants_lifted".into(), n(self.lift.constants_lifted)),
+            ("visits".into(), n(self.lift.visits)),
+            ("persist_hits".into(), n(self.lift.persist_hits)),
+            ("persist_misses".into(), n(self.lift.persist_misses)),
+            (
+                "wall_ns".into(),
+                n(if deterministic { 0 } else { self.wall_ns }),
+            ),
+        ];
+        if let Some(i) = &self.incr {
+            fields.push((
+                "incr".into(),
+                Value::Obj(vec![
+                    ("changed".into(), n(i.changed)),
+                    ("replayed".into(), n(i.replayed)),
+                    ("skipped".into(), n(i.skipped)),
+                ]),
+            ));
         }
+        if let Some(a) = &self.auto {
+            fields.push(("auto".into(), a.to_value()));
+        }
+        Value::Obj(fields)
     }
 }
 

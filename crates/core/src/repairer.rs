@@ -34,6 +34,7 @@
 //! [`crate::RepairReport::schedule`] (and with it
 //! [`crate::RepairReport::dag_dot`]) is uniformly available.
 
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -41,8 +42,7 @@ use std::time::{Duration, Instant};
 use pumpkin_kernel::env::Env;
 use pumpkin_kernel::name::GlobalName;
 use pumpkin_kernel::term::{Term, TermData};
-use pumpkin_trace::sink::{drain_into, EventSink};
-use pumpkin_trace::{Event, EventKind, Metrics, Tracer};
+use pumpkin_trace::{Event, EventKind, JsonLinesSink, Metrics, Tracer};
 
 use crate::config::Lifting;
 use crate::error::{RepairError, Result};
@@ -60,7 +60,7 @@ pub struct Repairer<'a> {
     state: Option<&'a mut LiftState>,
     capture: bool,
     prov: Option<bool>,
-    sink: Option<Box<dyn EventSink + 'a>>,
+    sink: Option<JsonLinesSink<Box<dyn Write + 'a>>>,
     persist_dir: Option<PathBuf>,
     cache_max_bytes: Option<u64>,
     incr_prev: Option<&'a DigestMap>,
@@ -129,12 +129,12 @@ impl<'a> Repairer<'a> {
         self
     }
 
-    /// Streams the run's events into `sink` after the repair finishes
-    /// (events are buffered thread-confined during the run). Implies
-    /// tracing; combine with [`Repairer::trace`] to also keep the events
-    /// on the report.
-    pub fn sink(mut self, sink: Box<dyn EventSink + 'a>) -> Self {
-        self.sink = Some(sink);
+    /// Writes the run's events to `out` as JSON lines (the
+    /// `--trace out.jsonl` schema) after the repair finishes (events are
+    /// buffered thread-confined during the run). Implies tracing; combine
+    /// with [`Repairer::trace`] to also keep the events on the report.
+    pub fn sink(mut self, out: impl Write + 'a) -> Self {
+        self.sink = Some(JsonLinesSink::new(Box::new(out)));
         self
     }
 
@@ -412,8 +412,7 @@ impl<'a> Repairer<'a> {
             Vec::new()
         };
         if let Some(sink) = &mut self.sink {
-            sink.request_wall(wall_start.elapsed().as_nanos() as u64);
-            drain_into(&events, sink.as_mut());
+            sink.drain(&events);
         }
 
         let mut report = result?;
@@ -499,6 +498,7 @@ mod tests {
     use crate::config::NameMap;
     use crate::search::swap;
     use pumpkin_stdlib as stdlib;
+    use pumpkin_trace::json::Value;
 
     fn configured() -> (Env, Lifting) {
         let mut env = stdlib::std_env();
@@ -556,13 +556,10 @@ mod tests {
     fn sink_receives_the_full_stream() {
         let (mut env, lifting) = configured();
         let mut lines = Vec::new();
-        {
-            let sink = pumpkin_trace::JsonLinesSink::new(&mut lines);
-            Repairer::new(&lifting)
-                .sink(Box::new(sink))
-                .run(&mut env, &["Old.length"])
-                .unwrap();
-        }
+        Repairer::new(&lifting)
+            .sink(&mut lines)
+            .run(&mut env, &["Old.length"])
+            .unwrap();
         let text = String::from_utf8(lines).unwrap();
         assert!(!text.is_empty());
         for line in text.lines() {
@@ -687,12 +684,18 @@ mod tests {
         let (mut env, lifting) = configured();
         let report = Repairer::new(&lifting).run(&mut env, &["Old.rev"]).unwrap();
         assert!(report.wall_ns > 0);
-        let wire = report.to_wire();
-        assert_eq!(wire.wall_ns, report.wall_ns);
+        let reply = report.to_value(false);
+        assert_eq!(reply.get("wall_ns"), Some(&Value::UInt(report.wall_ns)));
         assert_eq!(
-            wire.repaired,
-            vec![("Old.rev".to_string(), "New.rev".to_string())]
+            reply.get("repaired").map(Value::to_string).as_deref(),
+            Some(r#"[["Old.rev","New.rev"]]"#)
         );
+        // Deterministic replies zero the latency and nothing else.
+        let zeroed = reply.to_string().replace(
+            &format!(r#""wall_ns":{}"#, report.wall_ns),
+            r#""wall_ns":0"#,
+        );
+        assert_eq!(report.to_value(true).to_string(), zeroed);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! in parallel, descending only while the two terms have the same shape,
 //! and reports each *topmost* differing subterm as a [`Divergence`] —
 //! pretty-printed old and new forms plus the canonical path where they
-//! part ways. Provenance sites (recorded by the lift, passed in as
-//! [`DiffSite`]s) are then matched against those paths to cite the
+//! part ways. The constant's provenance sites (recorded by the lift, a
+//! [`ConstProvenance`]) are then matched against those paths to cite the
 //! configuration rule that produced each divergence.
 //!
 //! Paths use the canonical child order of [`Term::for_each_child`], the
@@ -24,22 +24,12 @@
 
 use pumpkin_kernel::env::Env;
 use pumpkin_kernel::term::{Term, TermData};
+use pumpkin_kernel::trace::prov::{ConstProvenance, ProvSite};
 
 use crate::pretty::pretty_open;
 
 /// Maximum rendered length of each side of a divergence.
 const SIDE_MAX_CHARS: usize = 120;
-
-/// One provenance site's location and rule label, as recorded by the lift
-/// (rule names are opaque strings here; `pumpkin-lang` knows syntax, not
-/// configurations).
-#[derive(Clone, Copy, Debug)]
-pub struct DiffSite<'a> {
-    /// Canonical path of the rewrite.
-    pub path: &'a [u32],
-    /// Wire name of the rule that fired (`dep_constr`, `cached`, …).
-    pub rule: &'a str,
-}
 
 /// A topmost point where the old and new declarations differ.
 #[derive(Clone, Debug)]
@@ -158,17 +148,12 @@ fn path_label(path: &[u32]) -> String {
     }
 }
 
-/// Explains a repaired constant: diffs `from`'s declaration against `to`'s
-/// and cites `sites` at the divergence points. Returns `None` when either
-/// constant is not in the environment.
-pub fn explain_decl(
-    env: &Env,
-    from: &str,
-    to: &str,
-    sites: &[DiffSite<'_>],
-) -> Option<Explanation> {
-    let old = env.const_decl(&from.into()).ok()?.clone();
-    let new = env.const_decl(&to.into()).ok()?.clone();
+/// Explains a repaired constant: diffs `prov.from`'s declaration against
+/// `prov.to`'s and cites `prov.sites` at the divergence points. Returns
+/// `None` when either constant is not in the environment.
+pub fn explain_decl(env: &Env, prov: &ConstProvenance) -> Option<Explanation> {
+    let old = env.const_decl(&prov.from.as_str().into()).ok()?.clone();
+    let new = env.const_decl(&prov.to.as_str().into()).ok()?.clone();
     let mut divergences = Vec::new();
     let mut ctx: Vec<String> = Vec::new();
     let mut path = vec![0u32];
@@ -178,11 +163,11 @@ pub fn explain_decl(
         diff(env, &mut ctx, ob, nb, &mut path, &mut divergences);
     }
     for d in &mut divergences {
-        d.rule = cite(&d.path, sites);
+        d.rule = cite(&d.path, &prov.sites);
     }
     Some(Explanation {
-        from: from.to_string(),
-        to: to.to_string(),
+        from: prov.from.clone(),
+        to: prov.to.clone(),
         divergences,
     })
 }
@@ -199,10 +184,10 @@ pub fn explain_term(env: &Env, old: &Term, new: &Term, base: &[u32]) -> Vec<Dive
 
 /// The best citation for a divergence at `path`: the deepest site at or
 /// above it, else the shallowest site below it.
-fn cite(path: &[u32], sites: &[DiffSite<'_>]) -> Option<String> {
+fn cite(path: &[u32], sites: &[ProvSite]) -> Option<String> {
     let above = sites
         .iter()
-        .filter(|s| path.starts_with(s.path))
+        .filter(|s| path.starts_with(&s.path))
         .max_by_key(|s| s.path.len());
     if let Some(s) = above {
         return Some(s.rule.to_string());
@@ -312,6 +297,24 @@ mod tests {
     use super::*;
     use crate::load_source;
     use pumpkin_kernel::env::Env;
+    use pumpkin_kernel::trace::prov::Rule;
+
+    /// The provenance of `from` ↦ `to` with a site per `(path, rule)`.
+    fn prov(from: &str, to: &str, sites: &[(&[u32], Rule)]) -> ConstProvenance {
+        ConstProvenance {
+            from: from.into(),
+            to: to.into(),
+            sites: sites
+                .iter()
+                .map(|&(path, rule)| ProvSite {
+                    path: path.to_vec(),
+                    rule,
+                    src: String::new(),
+                    dst: String::new(),
+                })
+                .collect(),
+        }
+    }
 
     fn env_with(src: &str) -> Env {
         let mut env = Env::new();
@@ -332,7 +335,7 @@ mod tests {
     #[test]
     fn identical_definitions_have_no_divergences() {
         let env = env_with(BASE);
-        let e = explain_decl(&env, "same1", "same2", &[]).unwrap();
+        let e = explain_decl(&env, &prov("same1", "same2", &[])).unwrap();
         assert!(e.divergences.is_empty());
         assert_eq!(e.coverage(), 1.0);
         assert!(e.render().contains("identical"));
@@ -343,7 +346,7 @@ mod tests {
         let env = env_with(BASE);
         // Bodies: S a vs S b → single divergence at the argument, not at
         // the App node and not below.
-        let e = explain_decl(&env, "twice_a", "twice_b", &[]).unwrap();
+        let e = explain_decl(&env, &prov("twice_a", "twice_b", &[])).unwrap();
         assert_eq!(e.divergences.len(), 1);
         assert_eq!(e.divergences[0].path, vec![1, 1]);
         assert_eq!(e.divergences[0].old, "a");
@@ -355,11 +358,8 @@ mod tests {
     #[test]
     fn sites_cite_rules_by_path_prefix() {
         let env = env_with(BASE);
-        let sites = [DiffSite {
-            path: &[1],
-            rule: "constant",
-        }];
-        let e = explain_decl(&env, "twice_a", "twice_b", &sites).unwrap();
+        let p = prov("twice_a", "twice_b", &[(&[1], Rule::Constant)]);
+        let e = explain_decl(&env, &p).unwrap();
         // Site above the divergence attributes it.
         assert_eq!(e.divergences[0].rule.as_deref(), Some("constant"));
         assert_eq!(e.attributed(), 1);
@@ -373,18 +373,15 @@ mod tests {
         let env = env_with(BASE);
         // Divergence at body.1; a site recorded deeper (e.g. surfaced
         // through app flattening) still explains it.
-        let sites = [DiffSite {
-            path: &[1, 1, 0],
-            rule: "dep_constr",
-        }];
-        let e = explain_decl(&env, "twice_a", "twice_b", &sites).unwrap();
+        let p = prov("twice_a", "twice_b", &[(&[1, 1, 0], Rule::DepConstr)]);
+        let e = explain_decl(&env, &p).unwrap();
         assert_eq!(e.divergences[0].rule.as_deref(), Some("dep_constr"));
     }
 
     #[test]
     fn unknown_constants_yield_none() {
         let env = env_with(BASE);
-        assert!(explain_decl(&env, "missing", "also_missing", &[]).is_none());
+        assert!(explain_decl(&env, &prov("missing", "also_missing", &[])).is_none());
     }
 
     #[test]

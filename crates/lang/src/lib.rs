@@ -35,7 +35,7 @@ pub mod pretty;
 pub mod resolve;
 
 pub use error::{LangError, Pos};
-pub use explain::{explain_decl, explain_term, DiffSite, Divergence, Explanation};
+pub use explain::{explain_decl, explain_term, Divergence, Explanation};
 pub use parse::{parse_items, parse_term};
 pub use pretty::{pretty, pretty_open};
 pub use resolve::{load_item, load_source, term, Resolver};

@@ -48,10 +48,9 @@ pub mod code {
     /// The repair itself failed (configuration, unification, kernel).
     pub const REPAIR_FAILED: &str = "repair_failed";
     /// Every candidate configuration of a `repair_auto` search failed;
-    /// `data` carries the structured [`AutoWire`] accounting (including
-    /// the minimized reproducer, when one was computed).
-    ///
-    /// [`AutoWire`]: pumpkin_wire::AutoWire
+    /// `data` carries the structured accounting,
+    /// [`AutoReport::to_value`](pumpkin_core::AutoReport::to_value)
+    /// (including the minimized reproducer, when one was computed).
     pub const AUTO_EXHAUSTED: &str = "auto_exhausted";
     /// The server is draining after a `shutdown`.
     pub const SHUTTING_DOWN: &str = "shutting_down";
@@ -158,7 +157,7 @@ pub fn err_reply_value_detail(id: &Value, code: &str, message: &str, data: &str)
 
 /// Builds an error reply whose `data` is a structured JSON value — used
 /// where the error carries machine-readable accounting (a `repair_auto`
-/// exhaustion reply embeds the full `AutoWire` object, reproducer
+/// exhaustion reply embeds the full `AutoReport` object, reproducer
 /// included).
 pub fn err_reply_value_data(id: &Value, code: &str, message: &str, data: Value) -> Value {
     Value::Obj(vec![

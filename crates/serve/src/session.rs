@@ -30,7 +30,6 @@ use pumpkin_core::{
     Repairer,
 };
 use pumpkin_kernel::env::Env;
-use pumpkin_kernel::name::GlobalName;
 use pumpkin_wire::Value;
 
 use crate::proto::{self, code, Request, PROTO_VERSION};
@@ -328,8 +327,8 @@ impl Session {
 
     fn dispatch(&mut self, req: &Request, cancel: Option<&CancelToken>) -> MethodResult {
         match req.method.as_str() {
-            "repair" => self.repair(&req.params, true, cancel),
-            "repair_module" => self.repair(&req.params, false, cancel),
+            "repair" => self.repair(&req.params, Work::One, cancel),
+            "repair_module" => self.repair(&req.params, Work::Module, cancel),
             "repair_batch" => self.repair_batch(&req.params, cancel),
             "repair_auto" => self.repair_auto(&req.params, cancel),
             "explain" => self.explain(&req.params, cancel),
@@ -344,24 +343,18 @@ impl Session {
     fn repair(
         &mut self,
         params: &Value,
-        single: bool,
-        cancel: Option<&CancelToken>,
+        work: Work,
+        external: Option<&CancelToken>,
     ) -> MethodResult {
-        let names = request_names(params, single)?;
-        let deterministic = flag(params, "deterministic");
-        let (report, _env) = self.run_repairer(params, &names, false, cancel)?;
-        let mut wire = report.to_wire();
-        if deterministic {
-            wire.wall_ns = 0;
-        }
-        let mut fields = vec![("report".into(), wire.to_value())];
-        if single {
+        let opts = RunOptions::read(params, work, external)?;
+        let (report, _env) = self.run_repairer(params, &opts, false)?;
+        let mut fields = vec![("report".into(), report.to_value(opts.deterministic))];
+        if work == Work::One {
+            let name = opts.names[0].as_str();
             let to = report
-                .renamed(&names[0])
-                .map(|n| Value::str(n.as_str()))
-                .unwrap_or(Value::Null);
-            fields.insert(0, ("to".into(), to));
-            fields.insert(0, ("from".into(), Value::str(&names[0])));
+                .renamed(name)
+                .map_or(Value::Null, |n| Value::str(n.as_str()));
+            fields.splice(0..0, [("from".into(), Value::str(name)), ("to".into(), to)]);
         }
         Ok((Value::Obj(fields), Control::Continue))
     }
@@ -390,14 +383,7 @@ impl Session {
             return Err((code::BAD_PARAMS, "`batch` must not be empty".to_string()).into());
         }
         let lifting = params.get("lifting").cloned();
-        let deadline_token = match external {
-            Some(_) => None,
-            None => params
-                .get("deadline_ms")
-                .and_then(Value::as_u64)
-                .map(|ms| CancelToken::with_deadline(Duration::from_millis(ms))),
-        };
-        let token: Option<&CancelToken> = external.or(deadline_token.as_ref());
+        let token = cancel_token(params, external);
         let mut results = Vec::with_capacity(items.len());
         for item in items {
             let Some(fields) = item.as_obj() else {
@@ -417,8 +403,12 @@ impl Session {
                 }
             }
             let item_params = Value::Obj(merged);
-            let single = item.get("name").is_some();
-            results.push(match self.repair(&item_params, single, token) {
+            let work = if item.get("name").is_some() {
+                Work::One
+            } else {
+                Work::Module
+            };
+            results.push(match self.repair(&item_params, work, token.as_ref()) {
                 Ok((v, _)) => proto::ok_reply_value(&Value::Null, v),
                 Err(e) => e.reply(&Value::Null),
             });
@@ -441,14 +431,7 @@ impl Session {
     /// is a [`code::DEADLINE`] error whose `data` holds the partial
     /// accounting gathered so far.
     fn repair_auto(&mut self, params: &Value, external: Option<&CancelToken>) -> MethodResult {
-        let spec_value = params.get("lifting").ok_or_else(|| {
-            (
-                code::BAD_PARAMS,
-                "request needs a `lifting` spec".to_string(),
-            )
-        })?;
-        let spec =
-            LiftSpec::from_value(spec_value).map_err(|e| (code::BAD_PARAMS, e.to_string()))?;
+        let spec = lift_spec(params)?;
         if spec.kind != "swap" {
             return Err((
                 code::BAD_PARAMS,
@@ -459,31 +442,15 @@ impl Session {
             )
                 .into());
         }
-        let names: Vec<String> = match params.get("names") {
-            None => Vec::new(),
-            Some(v) => v
-                .as_arr()
-                .and_then(|arr| {
-                    arr.iter()
-                        .map(|v| v.as_str().map(str::to_string))
-                        .collect::<Option<_>>()
-                })
-                .ok_or_else(|| {
-                    (
-                        code::BAD_PARAMS,
-                        "`names` must be a string array".to_string(),
-                    )
-                })?,
-        };
+        let opts = RunOptions::read(params, Work::Auto, external)?;
         let source = params.get("source").and_then(Value::as_str);
-        if names.is_empty() && source.is_none() {
+        if opts.names.is_empty() && source.is_none() {
             return Err((
                 code::BAD_PARAMS,
                 "repair_auto needs `names` and/or `source`".to_string(),
             )
                 .into());
         }
-        let deterministic = flag(params, "deterministic");
         let policy = AutoPolicy {
             budget: params
                 .get("budget")
@@ -498,20 +465,15 @@ impl Session {
                 .and_then(Value::as_bool)
                 .unwrap_or(true),
             seed: params.get("seed").and_then(Value::as_u64).unwrap_or(0),
-            deterministic,
+            deterministic: opts.deterministic,
         };
-        let mut rename = NameMap::default();
-        for (f, t) in &spec.rename {
-            rename = rename.with_rule(f.as_str(), t.as_str());
-        }
+        let rename = NameMap::from_rules(&spec.rename);
         let mut driver = Repairer::auto(policy).types(spec.a.as_str(), spec.b.as_str(), rename);
         if let Some(src) = source {
             driver = driver.source(src);
         }
-        if let Some(tok) = external {
+        if let Some(tok) = &opts.cancel {
             driver = driver.cancel(tok.clone());
-        } else if let Some(ms) = params.get("deadline_ms").and_then(Value::as_u64) {
-            driver = driver.deadline(Duration::from_millis(ms));
         }
         if let Some(dir) = &self.cache_dir {
             driver = driver
@@ -519,22 +481,15 @@ impl Session {
                 .cache_max_bytes(self.cache_max_bytes);
         }
         let mut env = self.base.clone();
-        let borrowed: Vec<&str> = names.iter().map(String::as_str).collect();
-        let (auto, result) = driver.run(&mut env, &borrowed);
+        let (auto, result) = driver.run(&mut env, &opts.names());
         let g = &self.stats.gauges;
         serve_stats::add(&g.auto_candidates_tried, auto.tried as u64);
         serve_stats::add(&g.auto_failure_cache_hits, auto.skipped_cache as u64);
         match result {
-            Ok(report) => {
-                let mut wire = report.to_wire();
-                if deterministic {
-                    wire.wall_ns = 0;
-                }
-                Ok((
-                    Value::Obj(vec![("report".into(), wire.to_value())]),
-                    Control::Continue,
-                ))
-            }
+            Ok(report) => Ok((
+                Value::Obj(vec![("report".into(), report.to_value(opts.deterministic))]),
+                Control::Continue,
+            )),
             Err(e) => {
                 let code = if !auto.complete {
                     code::DEADLINE
@@ -546,7 +501,7 @@ impl Session {
                 Err(MethodError {
                     code,
                     message: e.to_string(),
-                    data: Some(auto.to_wire().to_value()),
+                    data: Some(auto.to_value()),
                 })
             }
         }
@@ -554,31 +509,22 @@ impl Session {
 
     /// `explain`: repair with provenance, then render the paper-style
     /// explanation of where and why the named constant changed.
-    fn explain(&mut self, params: &Value, cancel: Option<&CancelToken>) -> MethodResult {
-        let names = request_names(params, true)?;
-        let (report, env) = self.run_repairer(params, &names, true, cancel)?;
-        let name = names[0].as_str();
+    fn explain(&mut self, params: &Value, external: Option<&CancelToken>) -> MethodResult {
+        let opts = RunOptions::read(params, Work::One, external)?;
+        let (report, env) = self.run_repairer(params, &opts, true)?;
+        let name = opts.names[0].as_str();
         let p = report.provenance_for(name).ok_or_else(|| {
             (
                 code::BAD_PARAMS,
                 format!("no provenance recorded for `{name}`"),
             )
         })?;
-        let sites: Vec<pumpkin_lang::DiffSite> = p
-            .sites
-            .iter()
-            .map(|s| pumpkin_lang::DiffSite {
-                path: &s.path,
-                rule: s.rule.as_str(),
-            })
-            .collect();
-        let explanation =
-            pumpkin_lang::explain_decl(&env, &p.from, &p.to, &sites).ok_or_else(|| {
-                (
-                    code::REPAIR_FAILED,
-                    format!("`{}` or `{}` vanished from the environment", p.from, p.to),
-                )
-            })?;
+        let explanation = pumpkin_lang::explain_decl(&env, p).ok_or_else(|| {
+            (
+                code::REPAIR_FAILED,
+                format!("`{}` or `{}` vanished from the environment", p.from, p.to),
+            )
+        })?;
         Ok((
             Value::Obj(vec![
                 ("from".into(), Value::str(&p.from)),
@@ -630,16 +576,10 @@ impl Session {
     fn run_repairer(
         &mut self,
         params: &Value,
-        names: &[String],
+        opts: &RunOptions,
         provenance: bool,
-        cancel: Option<&CancelToken>,
     ) -> Result<(RepairReport, Env), (&'static str, String)> {
-        let spec_value = params
-            .get("lifting")
-            .ok_or_else(|| (code::BAD_PARAMS, "request needs a `lifting` spec".into()))?;
-        let spec =
-            LiftSpec::from_value(spec_value).map_err(|e| (code::BAD_PARAMS, e.to_string()))?;
-        self.ensure_configured(&spec)?;
+        self.ensure_configured(&lift_spec(params)?)?;
         // An `"incremental": true` request diffs the sources against the
         // configuration's snapshot from the last repair (an empty snapshot
         // on the first request — everything diffs as changed, a cold run)
@@ -657,10 +597,8 @@ impl Session {
         let mut repairer = Repairer::new(&cfg.lifting)
             .state(&mut st)
             .provenance(provenance);
-        if let Some(tok) = cancel {
+        if let Some(tok) = &opts.cancel {
             repairer = repairer.cancel(tok.clone());
-        } else if let Some(ms) = params.get("deadline_ms").and_then(Value::as_u64) {
-            repairer = repairer.deadline(Duration::from_millis(ms));
         }
         if let Some(dir) = &self.cache_dir {
             repairer = repairer
@@ -670,13 +608,13 @@ impl Session {
         if let Some(snap) = &prev {
             repairer = repairer.incremental(snap);
         }
-        let borrowed: Vec<&str> = names.iter().map(String::as_str).collect();
-        let report = repairer.run(&mut env, &borrowed).map_err(|e| match e {
+        let names = opts.names();
+        let report = repairer.run(&mut env, &names).map_err(|e| match e {
             RepairError::Cancelled { .. } => (code::DEADLINE, e.to_string()),
             other => (code::REPAIR_FAILED, other.to_string()),
         })?;
         if incremental {
-            self.configured[0].snapshot = Some(DigestMap::capture(&env, &borrowed));
+            self.configured[0].snapshot = Some(DigestMap::capture(&env, &names));
         }
         let g = &self.stats.gauges;
         serve_stats::add(&g.lift_constants, report.lift.constants_lifted);
@@ -704,7 +642,8 @@ impl Session {
         }
         serve_stats::inc(&self.stats.gauges.config_cache_misses);
         let mut env = self.base.clone();
-        let lifting = build_lifting(&mut env, spec).map_err(|msg| (code::REPAIR_FAILED, msg))?;
+        let lifting = pumpkin_core::search::configure(&mut env, spec)
+            .map_err(|msg| (code::REPAIR_FAILED, msg))?;
         self.configured.insert(
             0,
             Configured {
@@ -719,53 +658,109 @@ impl Session {
     }
 }
 
-/// Runs the search procedure a [`LiftSpec`] names against `env`.
-fn build_lifting(env: &mut Env, spec: &LiftSpec) -> Result<Lifting, String> {
-    let mut names = NameMap::default();
-    for (f, t) in &spec.rename {
-        names = names.with_rule(f.as_str(), t.as_str());
+/// Which work list a method reads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Work {
+    /// A string `name`: one constant (`repair`, `explain`).
+    One,
+    /// A non-empty `names` array (`repair_module`).
+    Module,
+    /// An optional `names` array: `repair_auto` can take its work list
+    /// from `source` instead.
+    Auto,
+}
+
+/// A repair request's run options, read once, before any configuration
+/// or candidate runs.
+struct RunOptions {
+    /// The work list; no entry is empty.
+    names: Vec<String>,
+    /// `"deterministic": true` zeroes every timing in the reply.
+    deterministic: bool,
+    /// The run's cancel token (see [`cancel_token`]).
+    cancel: Option<CancelToken>,
+}
+
+impl RunOptions {
+    fn read(
+        params: &Value,
+        work: Work,
+        external: Option<&CancelToken>,
+    ) -> Result<RunOptions, (&'static str, String)> {
+        Ok(RunOptions {
+            names: request_names(params, work)?,
+            deterministic: flag(params, "deterministic"),
+            cancel: cancel_token(params, external),
+        })
     }
-    let a = GlobalName::new(spec.a.as_str());
-    let b = GlobalName::new(spec.b.as_str());
-    let fail = |e: &dyn std::fmt::Display| e.to_string();
-    match spec.kind.as_str() {
-        "swap" => pumpkin_core::search::swap::configure(env, &a, &b, names).map_err(|e| fail(&e)),
-        "factor" => pumpkin_core::search::factor::configure_with(env, &a, &b, [0, 1], names)
-            .map_err(|e| fail(&e)),
-        "ornament" => pumpkin_core::search::ornament::configure(env, names).map_err(|e| fail(&e)),
-        "bin" => pumpkin_core::manual::configure_nat_to_bin(env, names).map_err(|e| fail(&e)),
-        "records" => {
-            let projs = pumpkin_core::search::tuple_record::connection_projs();
-            pumpkin_core::search::tuple_record::configure_to_record(env, &a, &b, &projs, names)
-                .map_err(|e| fail(&e))
-        }
-        other => Err(format!("unknown lifting kind `{other}`")),
+
+    fn names(&self) -> Vec<&str> {
+        self.names.iter().map(String::as_str).collect()
     }
 }
 
-/// Extracts the work list: `name` (string) for single-constant methods,
-/// `names` (non-empty string array) otherwise.
-fn request_names(params: &Value, single: bool) -> Result<Vec<String>, (&'static str, String)> {
-    if single {
-        let name = params
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| (code::BAD_PARAMS, "request needs a string `name`".into()))?;
-        return Ok(vec![name.to_string()]);
+/// The work list `work` names. An empty name is malformed input: no
+/// constant has it, so a run could only fail after configuring (or, for
+/// `repair_auto`, after trying every candidate).
+fn request_names(params: &Value, work: Work) -> Result<Vec<String>, (&'static str, String)> {
+    let bad = |msg: &str| (code::BAD_PARAMS, msg.to_string());
+    let names: Vec<String> = match (work, params.get("name"), params.get("names")) {
+        (Work::One, name, _) => {
+            let name = name
+                .and_then(Value::as_str)
+                .ok_or_else(|| bad("request needs a string `name`"))?;
+            vec![name.to_string()]
+        }
+        (Work::Auto, _, None) => Vec::new(),
+        (_, _, names) => {
+            let (not_array, not_strings) = if work == Work::Auto {
+                (
+                    "`names` must be a string array",
+                    "`names` must be a string array",
+                )
+            } else {
+                ("request needs a `names` array", "`names` must hold strings")
+            };
+            names
+                .and_then(Value::as_arr)
+                .ok_or_else(|| bad(not_array))?
+                .iter()
+                .map(|v| v.as_str().map(str::to_string))
+                .collect::<Option<_>>()
+                .ok_or_else(|| bad(not_strings))?
+        }
+    };
+    if work == Work::Module && names.is_empty() {
+        return Err(bad("`names` must not be empty"));
     }
-    let arr = params
-        .get("names")
-        .and_then(Value::as_arr)
-        .ok_or_else(|| (code::BAD_PARAMS, "request needs a `names` array".into()))?;
-    let names: Vec<String> = arr
-        .iter()
-        .map(|v| v.as_str().map(str::to_string))
-        .collect::<Option<_>>()
-        .ok_or_else(|| (code::BAD_PARAMS, "`names` must hold strings".into()))?;
-    if names.is_empty() {
-        return Err((code::BAD_PARAMS, "`names` must not be empty".into()));
+    if names.iter().any(String::is_empty) {
+        return Err(bad(if work == Work::One {
+            "`name` must not be empty"
+        } else {
+            "`names` must not hold an empty name"
+        }));
     }
     Ok(names)
+}
+
+/// A run's cancel token: the pool's, which it creates at enqueue so the
+/// budget covers queue time, else one from the request's `deadline_ms`.
+fn cancel_token(params: &Value, external: Option<&CancelToken>) -> Option<CancelToken> {
+    external.cloned().or_else(|| {
+        let ms = params.get("deadline_ms").and_then(Value::as_u64)?;
+        Some(CancelToken::with_deadline(Duration::from_millis(ms)))
+    })
+}
+
+/// The request's `lifting` spec.
+fn lift_spec(params: &Value) -> Result<LiftSpec, (&'static str, String)> {
+    let spec = params.get("lifting").ok_or_else(|| {
+        (
+            code::BAD_PARAMS,
+            "request needs a `lifting` spec".to_string(),
+        )
+    })?;
+    LiftSpec::from_value(spec).map_err(|e| (code::BAD_PARAMS, e.to_string()))
 }
 
 fn flag(params: &Value, key: &str) -> bool {
@@ -944,6 +939,87 @@ mod tests {
         let (reply, _) = s.handle_line(&cold);
         assert!(!reply.contains("\"incr\""), "{reply}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The error code of `line`'s reply.
+    fn error_code(s: &mut Session, line: &str) -> Option<String> {
+        let (reply, _) = s.handle_line(line);
+        let v = Value::parse(&reply).unwrap();
+        let code = v.get("error")?.get("code")?.as_str()?;
+        Some(code.to_string())
+    }
+
+    #[test]
+    fn repair_auto_refuses_an_empty_name_before_any_candidate_runs() {
+        let mut s = session();
+        let line = format!(
+            r#"{{"id":1,"method":"repair_auto","params":{{"lifting":{},"names":[""]}}}}"#,
+            swap_spec()
+        );
+        assert_eq!(error_code(&mut s, &line).as_deref(), Some(code::BAD_PARAMS));
+        let (stats, _) = s.handle_line(r#"{"id":2,"method":"stats"}"#);
+        assert!(stats.contains(r#""auto_candidates_tried":0,"#), "{stats}");
+    }
+
+    #[test]
+    fn repairs_refuse_an_empty_name_before_configuring() {
+        let mut s = session();
+        let spec = swap_spec();
+        for line in [
+            format!(
+                r#"{{"id":1,"method":"repair_module","params":{{"lifting":{spec},"names":["Old.rev",""]}}}}"#
+            ),
+            format!(r#"{{"id":2,"method":"repair","params":{{"lifting":{spec},"name":""}}}}"#),
+            format!(r#"{{"id":3,"method":"explain","params":{{"lifting":{spec},"name":""}}}}"#),
+        ] {
+            assert_eq!(
+                error_code(&mut s, &line).as_deref(),
+                Some(code::BAD_PARAMS),
+                "{line}"
+            );
+        }
+        let (stats, _) = s.handle_line(r#"{"id":4,"method":"stats"}"#);
+        assert!(stats.contains(r#""config_cache_misses":0,"#), "{stats}");
+    }
+
+    #[test]
+    fn deterministic_replies_pin_the_incr_block_and_an_exhausted_search() {
+        // An incremental repair's `incr` block, and an exhausted search's
+        // `data` with its minimized reproducer, byte for byte; neither is
+        // in the golden transcript.
+        let dir = std::env::temp_dir().join(format!("pumpkin-serve-pinned-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut s = Session::new(pumpkin_stdlib::std_env(), Some(dir.clone()));
+        let incremental = format!(
+            r#"{{"id":1,"method":"repair_module","params":{{"lifting":{},"names":["Old.rev","Old.app"],"deterministic":true,"incremental":true}}}}"#,
+            swap_spec()
+        );
+        let (cold, _) = s.handle_line(&incremental);
+        let (warm, _) = s.handle_line(&incremental);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            cold,
+            r##"{"id":1,"req_id":1,"ok":true,"result":{"report":{"repaired":[["Old.rev","New.rev"],["Old.app","New.app"]],"waves":2,"max_width":1,"cache_hits":3,"cache_misses":6,"constants_lifted":2,"visits":78,"persist_hits":0,"persist_misses":0,"wall_ns":0,"incr":{"changed":2,"replayed":2,"skipped":0}}}}"##
+        );
+        // The second request finds every source unchanged: both constants
+        // replay from the persist cache.
+        assert_eq!(
+            warm,
+            r##"{"id":1,"req_id":2,"ok":true,"result":{"report":{"repaired":[["Old.rev","New.rev"],["Old.app","New.app"]],"waves":2,"max_width":1,"cache_hits":0,"cache_misses":0,"constants_lifted":2,"visits":0,"persist_hits":2,"persist_misses":0,"wall_ns":0,"incr":{"changed":0,"replayed":0,"skipped":2}}}}"##
+        );
+        // The auto smoke's clash module: no candidate can repair it. The
+        // failure cache is off, so other tests' searches cannot change
+        // the counts.
+        let source = "Definition New.check_clash : nat := O.\\nDefinition Old.check_clash : forall (T : Type 1), Old.list T -> Old.list T := fun (T : Type 1) (l : Old.list T) => l.";
+        let auto = format!(
+            r#"{{"id":2,"method":"repair_auto","params":{{"lifting":{},"names":["Old.rev","Old.app","Old.length"],"source":"{source}","failure_cache":false,"deterministic":true}}}}"#,
+            swap_spec()
+        );
+        let (reply, _) = session().handle_line(&auto);
+        assert_eq!(
+            reply,
+            r##"{"id":2,"req_id":1,"ok":false,"error":{"code":"auto_exhausted","message":"automatic repair search exhausted 8 candidate(s); default configuration failed with class `kernel`; minimized reproducer: 1 of 4 constant(s) [Old.check_clash]","data":{"v":1,"tried":8,"skipped_cache":0,"rejected":8,"complete":true,"candidates":[["mapping#0 eta=on smart_elim=off cache=on","rejected","kernel",0],["mapping#0 eta=on smart_elim=on cache=on","rejected","kernel",0],["mapping#0 eta=off smart_elim=off cache=on","rejected","kernel",0],["mapping#0 eta=off smart_elim=on cache=on","rejected","kernel",0],["mapping#0 eta=on smart_elim=off cache=off","rejected","kernel",0],["mapping#0 eta=on smart_elim=on cache=off","rejected","kernel",0],["mapping#0 eta=off smart_elim=off cache=off","rejected","kernel",0],["mapping#0 eta=off smart_elim=on cache=off","rejected","kernel",0]],"reproducer":{"names":["Old.check_clash"],"class":"kernel","seed":0,"original":4,"steps":5}}}}"##
+        );
     }
 
     #[test]

@@ -17,10 +17,9 @@
 //!   single `Option` discriminant check per probe (no allocation, no
 //!   timestamp read), so instrumented code pays effectively nothing when
 //!   observability is off. No locks anywhere.
-//! * [`sink`] — the [`sink::EventSink`] output trait with two built-ins: a
-//!   hand-rolled JSON-lines writer ([`sink::JsonLinesSink`], schema in
-//!   DESIGN.md §11) and a flamegraph-style text summariser
-//!   ([`sink::SummarySink`] / [`summary::render`]).
+//! * [`sink`] — the hand-rolled JSON-lines writer
+//!   ([`sink::JsonLinesSink`], schema in DESIGN.md §11); [`summary`]
+//!   renders the flamegraph-style text summary.
 //! * [`metrics`] — a counter/histogram registry ([`metrics::Metrics`]),
 //!   derivable from an event stream and mergeable across runs.
 //! * [`json`] — the workspace's one JSON codec, [`json::Value`]: events are
@@ -45,7 +44,7 @@ use std::time::Instant;
 
 use json::Value;
 pub use metrics::{Histogram, Metrics};
-pub use sink::{EventSink, JsonLinesSink, SummarySink};
+pub use sink::JsonLinesSink;
 
 /// Version stamp carried by the `auto_candidate`/`auto_verdict` event
 /// family (like [`prov::PROV_SCHEMA_VERSION`] for the `prov` family);

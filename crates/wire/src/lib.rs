@@ -1,7 +1,9 @@
 //! # pumpkin-wire
 //!
 //! Canonical serialization for the repair pipeline: kernel terms,
-//! declarations, lifting configurations, and repair reports.
+//! declarations, their content digests, and lifting configurations
+//! ([`LiftSpec`]). Repair reports render their own reply objects
+//! (`pumpkin_core::RepairReport::to_value`).
 //!
 //! A term has one encoding, a shared-subterm **node table** (each
 //! hash-consed node once, children before parents, child slots as
@@ -32,12 +34,10 @@ use std::fmt;
 
 use pumpkin_kernel::term::Term;
 
-pub mod report;
 pub mod spec;
 pub mod term;
 
 pub use pumpkin_trace::json::Value;
-pub use report::{AutoWire, IncrWire, ReportWire, ReproWire, AUTO_WIRE_VERSION};
 pub use spec::LiftSpec;
 pub use term::{
     decl_digest, decode_decl, decode_term, encode_decl, encode_term, term_depth,

@@ -89,6 +89,14 @@ timeout 30 ./target/release/pumpkin client --connect "$addr" call frobnicate
 rc=$?
 set -e
 [ "$rc" -eq 14 ] || { echo "client exit code for unknown_method: got $rc, want 14" >&2; exit 1; }
+# An empty name is malformed input: the daemon refuses it with bad_params
+# (13) before any candidate runs, not with auto_exhausted (23).
+set +e
+timeout 30 ./target/release/pumpkin client --connect "$addr" call repair_auto \
+    '{"lifting":{"kind":"swap","a":"Old.list","b":"New.list","rename":[["Old.","New."]]},"names":[""]}'
+rc=$?
+set -e
+[ "$rc" -eq 13 ] || { echo "client exit code for an empty repair_auto name: got $rc, want 13" >&2; exit 1; }
 
 # Observability smoke: a loadgen burst through this daemon, then the
 # stats RPC must report non-zero per-method counts with percentiles, the
@@ -200,6 +208,13 @@ case "$good_out" in
     *'auto: accepted'*) ;;
     *) echo "auto smoke: known-good module was not accepted: $good_out" >&2; exit 1 ;;
 esac
+# An empty --names entry is a usage error (exit 1), caught before any
+# candidate runs.
+set +e
+timeout 30 ./target/release/pumpkin auto --names '' "$auto_dir/good.pi" 2>/dev/null
+rc=$?
+set -e
+[ "$rc" -eq 1 ] || { echo "auto smoke: --names '' exit code: got $rc, want 1" >&2; exit 1; }
 {
     echo 'Definition New.check_clash : nat := O.'
     echo 'Definition Old.check_clash : forall (T : Type 1), Old.list T -> Old.list T := fun (T : Type 1) (l : Old.list T) => l.'

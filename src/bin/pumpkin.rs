@@ -18,6 +18,7 @@
 
 use std::io::Read;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use pumpkin_pi::cli::{run_script, Session};
 use pumpkin_serve::{Client, ServerConfig};
@@ -43,6 +44,79 @@ const USAGE: &str = "usage: pumpkin [--trace out.jsonl] [--metrics] <script.pi |
                      \x20                      [--queue-depth N] [--trials N] [--touch-rate R]\n\
                      \x20                      [--fail-rate R] [--json PATH] [--server-stats]";
 
+/// One verb's arguments, read front to back.
+struct Args<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Args<'a> {
+    fn new(argv: &'a [String]) -> Self {
+        Args(argv.iter())
+    }
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+
+    /// The value after `flag`; `what` ends the message `FLAG needs …`.
+    fn value(&mut self, flag: &str, what: &str) -> Result<&'a str, String> {
+        self.next().ok_or_else(|| format!("{flag} needs {what}"))
+    }
+
+    /// The number after `flag`.
+    fn number<T: FromStr>(&mut self, flag: &str) -> Result<T, String> {
+        self.parsed(flag, "a number", |_| true)
+    }
+
+    /// The value after `flag`, parsed and accepted by `ok`.
+    fn parsed<T: FromStr>(
+        &mut self,
+        flag: &str,
+        what: &str,
+        ok: impl Fn(&T) -> bool,
+    ) -> Result<T, String> {
+        self.next()
+            .and_then(|v| v.parse().ok())
+            .filter(|v| ok(v))
+            .ok_or_else(|| format!("{flag} needs {what}"))
+    }
+
+    /// Fails on the first argument left over.
+    fn done(&mut self) -> Result<(), String> {
+        self.next().map_or(Ok(()), |arg| Err(unexpected(arg)))
+    }
+}
+
+/// Feeds each argument, with the reader for its values, to `read`.
+fn read_args<'a>(
+    argv: &'a [String],
+    mut read: impl FnMut(&'a str, &mut Args<'a>) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut args = Args::new(argv);
+    while let Some(arg) = args.next() {
+        read(arg, &mut args)?;
+    }
+    Ok(())
+}
+
+fn unexpected(arg: &str) -> String {
+    format!("unexpected argument `{arg}`")
+}
+
+/// Takes `arg` as the one positional argument `slot` holds; a second one,
+/// or a flag no arm read, is unexpected.
+fn positional(slot: &mut Option<String>, arg: &str) -> Result<(), String> {
+    if slot.is_some() || arg.starts_with('-') {
+        return Err(unexpected(arg));
+    }
+    *slot = Some(arg.to_string());
+    Ok(())
+}
+
+/// Reports a malformed command line: the message, the usage, status 1.
+fn usage_error(msg: &str) -> ExitCode {
+    eprintln!("{msg}\n{USAGE}");
+    ExitCode::FAILURE
+}
+
 fn serve(argv: &[String]) -> ExitCode {
     use std::io::Write as _;
 
@@ -50,70 +124,23 @@ fn serve(argv: &[String]) -> ExitCode {
         listen: "127.0.0.1:7717".into(),
         ..ServerConfig::default()
     };
-    let mut args = argv.iter();
-    while let Some(arg) = args.next() {
-        let mut take = |what: &str| {
-            args.next().map(String::to_owned).ok_or_else(|| {
-                eprintln!("{what} needs a value\n{USAGE}");
-            })
-        };
-        match arg.as_str() {
-            "--listen" => match take("--listen") {
-                Ok(v) => cfg.listen = v,
-                Err(()) => return ExitCode::FAILURE,
-            },
-            "--unix" => match take("--unix") {
-                Ok(v) => cfg.unix = Some(v.into()),
-                Err(()) => return ExitCode::FAILURE,
-            },
-            "--cache-dir" => match take("--cache-dir") {
-                Ok(v) => cfg.cache_dir = Some(v.into()),
-                Err(()) => return ExitCode::FAILURE,
-            },
-            "--cache-max-bytes" => match take("--cache-max-bytes").map(|v| v.parse::<u64>()) {
-                Ok(Ok(n)) => cfg.cache_max_bytes = Some(n),
-                _ => {
-                    eprintln!("--cache-max-bytes needs a number\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--max-sessions" => match take("--max-sessions").map(|v| v.parse::<usize>()) {
-                Ok(Ok(n)) => cfg.max_sessions = n.max(1),
-                _ => {
-                    eprintln!("--max-sessions needs a number\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--workers" => match take("--workers").map(|v| v.parse::<usize>()) {
-                Ok(Ok(n)) => cfg.workers = n.max(1),
-                _ => {
-                    eprintln!("--workers needs a number\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--queue-depth" => match take("--queue-depth").map(|v| v.parse::<usize>()) {
-                Ok(Ok(n)) => cfg.queue_depth = n.max(1),
-                _ => {
-                    eprintln!("--queue-depth needs a number\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--slow-ms" => match take("--slow-ms").map(|v| v.parse::<u64>()) {
-                Ok(Ok(n)) => cfg.slow_ms = Some(n),
-                _ => {
-                    eprintln!("--slow-ms needs a number\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--log" => match take("--log") {
-                Ok(v) => cfg.log = Some(v.into()),
-                Err(()) => return ExitCode::FAILURE,
-            },
-            other => {
-                eprintln!("unexpected argument `{other}`\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
+    let parsed = read_args(argv, |arg, args| {
+        match arg {
+            "--listen" => cfg.listen = args.value(arg, "a value")?.into(),
+            "--unix" => cfg.unix = Some(args.value(arg, "a value")?.into()),
+            "--cache-dir" => cfg.cache_dir = Some(args.value(arg, "a value")?.into()),
+            "--cache-max-bytes" => cfg.cache_max_bytes = Some(args.number(arg)?),
+            "--max-sessions" => cfg.max_sessions = args.number::<usize>(arg)?.max(1),
+            "--workers" => cfg.workers = args.number::<usize>(arg)?.max(1),
+            "--queue-depth" => cfg.queue_depth = args.number::<usize>(arg)?.max(1),
+            "--slow-ms" => cfg.slow_ms = Some(args.number(arg)?),
+            "--log" => cfg.log = Some(args.value(arg, "a value")?.into()),
+            other => return Err(unexpected(other)),
         }
+        Ok(())
+    });
+    if let Err(e) = parsed {
+        return usage_error(&e);
     }
     let server = match pumpkin_serve::Server::bind(cfg) {
         Ok(s) => s,
@@ -149,69 +176,111 @@ fn serve(argv: &[String]) -> ExitCode {
     }
 }
 
-/// Parses a `--rename From.=To.` value into its two name prefixes.
-fn parse_rename(value: Option<&String>) -> Result<(String, String), String> {
-    value
-        .and_then(|v| v.split_once('='))
-        .map(|(from, to)| (from.to_string(), to.to_string()))
-        .ok_or_else(|| "--rename needs From.=To.".to_string())
+/// The lifting flags `client`, `watch` and `auto` share.
+#[derive(Default)]
+struct LiftFlags {
+    /// `--swap A B`.
+    swap: Option<(String, String)>,
+    /// `--rename From.=To.`.
+    rename: Option<(String, String)>,
+    /// `--names n1,n2,...`, accumulated over repeats.
+    names: Option<Vec<String>>,
 }
 
-/// The rename used without `--rename`: the modules the swapped types live
-/// in, so swapping Old.list for New.list renames Old.* to New.*.
-fn default_rename(a: &str, b: &str) -> (String, String) {
-    let module_of = |n: &str| {
-        n.rsplit_once('.')
-            .map_or(String::new(), |(m, _)| format!("{m}."))
-    };
-    (module_of(a), module_of(b))
+impl LiftFlags {
+    /// Reads `arg` and its values if it is a lifting flag; false if not.
+    fn read(&mut self, arg: &str, args: &mut Args) -> Result<bool, String> {
+        match arg {
+            "--swap" => match (args.next(), args.next()) {
+                (Some(a), Some(b)) => self.swap = Some((a.into(), b.into())),
+                _ => return Err("--swap needs two type names".into()),
+            },
+            "--rename" => {
+                let (from, to) = args
+                    .next()
+                    .and_then(|v| v.split_once('='))
+                    .ok_or("--rename needs From.=To.")?;
+                self.rename = Some((from.into(), to.into()));
+            }
+            "--names" => self.add_names(arg, args)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Appends the comma-separated list after `flag`. An empty entry
+    /// (`""`, `a,` or `a,,b`) names no constant, so it is refused here
+    /// rather than failing a repair later.
+    fn add_names(&mut self, flag: &str, args: &mut Args) -> Result<(), String> {
+        let list = args.value(flag, "a comma-separated list")?;
+        if list.split(',').any(str::is_empty) {
+            return Err(format!("{flag} has an empty name in `{list}`"));
+        }
+        let names = self.names.get_or_insert_with(Vec::new);
+        names.extend(list.split(',').map(str::to_string));
+        Ok(())
+    }
+
+    /// The swap these flags name (`Old.list` for `New.list` without
+    /// `--swap`), renamed by `--rename`, else from the module of the one
+    /// type to the module of the other, so swapping Old.list for New.list
+    /// renames Old.* to New.*.
+    fn swap_spec(&self) -> LiftSpec {
+        let (a, b) = self
+            .swap
+            .clone()
+            .unwrap_or_else(|| ("Old.list".into(), "New.list".into()));
+        let module_of = |n: &str| {
+            n.rsplit_once('.')
+                .map_or(String::new(), |(m, _)| format!("{m}."))
+        };
+        let (from, to) = self
+            .rename
+            .clone()
+            .unwrap_or_else(|| (module_of(&a), module_of(&b)));
+        LiftSpec::swap(&a, &b, &from, &to)
+    }
+
+    /// `--names`, else the swap module's constants.
+    fn work_list(&self) -> Vec<String> {
+        self.names.clone().unwrap_or_else(|| {
+            pumpkin_stdlib::swap::OLD_MODULE_CONSTANTS
+                .iter()
+                .map(|s| s.to_string())
+                .collect()
+        })
+    }
 }
 
 /// Builds the `lifting`/`names` request params shared by the client's
 /// repair-module and explain verbs.
-fn client_lift_params(
-    args: &mut std::slice::Iter<'_, String>,
-    single: bool,
-) -> Result<Vec<(String, Value)>, String> {
-    let mut swap: Option<(String, String)> = None;
-    let mut rename: Option<(String, String)> = None;
-    let mut names: Vec<Value> = Vec::new();
+fn client_lift_params(args: &mut Args, single: bool) -> Result<Vec<(String, Value)>, String> {
+    let mut lift = LiftFlags::default();
     let mut deterministic = false;
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--swap" => {
-                let (Some(a), Some(b)) = (args.next(), args.next()) else {
-                    return Err("--swap needs two type names".into());
-                };
-                swap = Some((a.clone(), b.clone()));
-            }
-            "--rename" => rename = Some(parse_rename(args.next())?),
-            "--name" | "--names" => {
-                let Some(list) = args.next() else {
-                    return Err(format!("{arg} needs a value"));
-                };
-                names.extend(list.split(',').map(Value::str));
-            }
+        match arg {
             "--deterministic" => deterministic = true,
-            other => return Err(format!("unexpected argument `{other}`")),
+            "--name" => lift.add_names(arg, args)?,
+            _ if lift.read(arg, args)? => {}
+            other => return Err(unexpected(other)),
         }
     }
-    let Some((a, b)) = swap else {
+    if lift.swap.is_none() {
         return Err("--swap A B is required".into());
-    };
-    let (from, to) = rename.unwrap_or_else(|| default_rename(&a, &b));
-    if names.is_empty() {
-        return Err("--names n1,n2,... is required".into());
     }
-    let spec = LiftSpec::swap(&a, &b, &from, &to);
+    let spec = lift.swap_spec();
+    let names = lift.names.ok_or("--names n1,n2,... is required")?;
     let mut params = vec![("lifting".to_string(), spec.to_value())];
     if single {
-        let Some(Value::Str(name)) = names.first().filter(|_| names.len() == 1) else {
+        let [name] = names.as_slice() else {
             return Err("explain takes exactly one --name".into());
         };
         params.push(("name".into(), Value::str(name)));
     } else {
-        params.push(("names".into(), Value::Arr(names)));
+        params.push((
+            "names".into(),
+            Value::Arr(names.iter().map(Value::str).collect()),
+        ));
     }
     if deterministic {
         params.push(("deterministic".into(), Value::Bool(true)));
@@ -450,81 +519,79 @@ fn client_negotiate(client: &mut Client) -> Result<Vec<String>, (String, ExitCod
         .unwrap_or_default())
 }
 
-fn client(argv: &[String]) -> ExitCode {
-    let mut args = argv.iter();
-    let mut connect: Option<String> = None;
-    let mut verb: Option<String> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--connect" => {
-                let Some(addr) = args.next() else {
-                    eprintln!("--connect needs an address\n{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                connect = Some(addr.clone());
-            }
-            other => {
-                verb = Some(other.to_string());
-                break;
-            }
+/// A `pumpkin client` command line: where to connect and what to call.
+struct ClientCall<'a> {
+    addr: &'a str,
+    verb: &'a str,
+    method: &'a str,
+    params: Value,
+    /// `call`'s params, still JSON text.
+    raw_params: Option<&'a str>,
+    /// `stats`' rendering: `table`, `json` or `prometheus`.
+    stats_format: &'a str,
+}
+
+/// Reads `--connect ADDR <verb> [args]`.
+fn client_call(argv: &[String]) -> Result<ClientCall<'_>, String> {
+    let mut args = Args::new(argv);
+    let mut addr = None;
+    let verb = loop {
+        match args.next() {
+            Some("--connect") => addr = Some(args.value("--connect", "an address")?),
+            Some(arg) if !arg.starts_with('-') => break Some(arg),
+            Some(arg) => return Err(unexpected(arg)),
+            None => break None,
         }
-    }
-    let (Some(addr), Some(verb)) = (connect, verb) else {
-        eprintln!("client needs --connect ADDR and a verb\n{USAGE}");
-        return ExitCode::FAILURE;
     };
-    let mut stats_format = "table";
-    let (method, params) = match verb.as_str() {
-        "ping" | "shutdown" | "hello" => (verb.clone(), Value::Obj(vec![])),
-        "stats" => {
-            match args.next().map(String::as_str) {
-                Some("--json") => stats_format = "json",
-                Some("--prometheus") => stats_format = "prometheus",
-                None => {}
-                Some(other) => {
-                    eprintln!("unexpected stats argument `{other}`\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            (verb.clone(), Value::Obj(vec![]))
+    let (Some(addr), Some(verb)) = (addr, verb) else {
+        return Err("client needs --connect ADDR and a verb".into());
+    };
+    let mut call = ClientCall {
+        addr,
+        verb,
+        method: verb,
+        params: Value::Obj(vec![]),
+        raw_params: None,
+        stats_format: "table",
+    };
+    match verb {
+        "ping" | "shutdown" | "hello" => {}
+        "stats" => match args.next() {
+            Some("--json") => call.stats_format = "json",
+            Some("--prometheus") => call.stats_format = "prometheus",
+            None => {}
+            Some(other) => return Err(format!("unexpected stats argument `{other}`")),
+        },
+        "repair-module" => {
+            call.method = "repair_module";
+            call.params = Value::Obj(client_lift_params(&mut args, false)?);
         }
-        "repair-module" => match client_lift_params(&mut args, false) {
-            Ok(fields) => ("repair_module".to_string(), Value::Obj(fields)),
-            Err(e) => {
-                eprintln!("{e}\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        },
-        "explain" => match client_lift_params(&mut args, true) {
-            Ok(fields) => ("explain".to_string(), Value::Obj(fields)),
-            Err(e) => {
-                eprintln!("{e}\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        },
+        "explain" => call.params = Value::Obj(client_lift_params(&mut args, true)?),
         "call" => {
-            let Some(method) = args.next() else {
-                eprintln!("call needs a method name\n{USAGE}");
-                return ExitCode::FAILURE;
-            };
-            let params = match args.next() {
-                Some(raw) => match Value::parse(raw) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("bad params JSON: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None => Value::Obj(vec![]),
-            };
-            (method.clone(), params)
+            call.method = args.value("call", "a method name")?;
+            call.raw_params = args.next();
         }
-        other => {
-            eprintln!("unknown client verb `{other}`\n{USAGE}");
+        other => return Err(format!("unknown client verb `{other}`")),
+    }
+    args.done()?;
+    Ok(call)
+}
+
+fn client(argv: &[String]) -> ExitCode {
+    let call = match client_call(argv) {
+        Ok(call) => call,
+        Err(e) => return usage_error(&e),
+    };
+    let (addr, verb, method) = (call.addr, call.verb, call.method);
+    let params = match call.raw_params.map(Value::parse) {
+        None => call.params,
+        Some(Ok(v)) => v,
+        Some(Err(e)) => {
+            eprintln!("bad params JSON: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let mut client = match Client::connect(&addr) {
+    let mut client = match Client::connect(addr) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("cannot connect to {addr}: {e}");
@@ -536,10 +603,10 @@ fn client(argv: &[String]) -> ExitCode {
     // verbs skip the extra round trip — `hello` *is* the negotiation, and
     // `ping`/`shutdown`/`stats`/`call` must keep working against any
     // server for diagnostics.
-    if matches!(verb.as_str(), "repair-module" | "explain") {
+    if matches!(verb, "repair-module" | "explain") {
         match client_negotiate(&mut client) {
             Ok(methods) => {
-                if !methods.is_empty() && !methods.iter().any(|m| m == &method) {
+                if !methods.is_empty() && !methods.iter().any(|m| m == method) {
                     eprintln!("pumpkin client: server does not serve `{method}`");
                     return ExitCode::from(EXIT_VERSION_SKEW);
                 }
@@ -550,16 +617,16 @@ fn client(argv: &[String]) -> ExitCode {
             }
         }
     }
-    match client.call(&method, params) {
+    match client.call(method, params) {
         Ok(result) => {
             if method == "stats" {
-                match stats_format {
+                match call.stats_format {
                     "json" => println!("{result}"),
                     "prometheus" => print!("{}", render_stats_prometheus(&result)),
                     _ => render_stats_table(&result),
                 }
             } else {
-                render_client_result(&method, &result);
+                render_client_result(method, &result);
             }
             ExitCode::SUCCESS
         }
@@ -578,44 +645,25 @@ fn top(argv: &[String]) -> ExitCode {
     use std::io::Write as _;
     use std::time::Instant;
 
-    let mut connect: Option<String> = None;
+    let mut connect = None;
     let mut interval_ms = 1000u64;
     let mut count = 0u64;
-    let mut args = argv.iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--connect" => match args.next() {
-                Some(addr) => connect = Some(addr.clone()),
-                None => {
-                    eprintln!("--connect needs an address\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--interval-ms" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) => interval_ms = n.max(1),
-                None => {
-                    eprintln!("--interval-ms needs a number\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--count" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) => count = n,
-                None => {
-                    eprintln!("--count needs a number\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unexpected argument `{other}`\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
+    let parsed = read_args(argv, |arg, args| {
+        match arg {
+            "--connect" => connect = Some(args.value(arg, "an address")?),
+            "--interval-ms" => interval_ms = args.number::<u64>(arg)?.max(1),
+            "--count" => count = args.number(arg)?,
+            other => return Err(unexpected(other)),
         }
+        Ok(())
+    });
+    if let Err(e) = parsed {
+        return usage_error(&e);
     }
     let Some(addr) = connect else {
-        eprintln!("top needs --connect ADDR\n{USAGE}");
-        return ExitCode::FAILURE;
+        return usage_error("top needs --connect ADDR");
     };
-    let mut client = match Client::connect(&addr) {
+    let mut client = match Client::connect(addr) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("cannot connect to {addr}: {e}");
@@ -701,7 +749,7 @@ fn top(argv: &[String]) -> ExitCode {
 /// repair alone and C the whole cycle from the library clone to the new
 /// digest snapshot, then `incremental: changed=X replayed=Y skipped=Z`.
 fn watch(argv: &[String]) -> ExitCode {
-    use pumpkin_core::{DigestMap, LiftState, NameMap, Repairer};
+    use pumpkin_core::{DigestMap, LiftState, Repairer};
     use std::collections::HashSet;
     use std::io::Write as _;
     use std::time::{Instant, SystemTime};
@@ -710,75 +758,32 @@ fn watch(argv: &[String]) -> ExitCode {
     let mut max_runs = 0u64;
     let mut cache_dir: Option<std::path::PathBuf> = None;
     let mut cache_max_bytes: Option<u64> = None;
-    let mut swap = ("Old.list".to_string(), "New.list".to_string());
-    let mut rename: Option<(String, String)> = None;
-    let mut names_arg: Option<Vec<String>> = None;
+    let mut lift = LiftFlags::default();
     let mut path: Option<String> = None;
-    let mut args = argv.iter();
-    while let Some(arg) = args.next() {
-        let number = |args: &mut std::slice::Iter<'_, String>| {
-            args.next()
-                .and_then(|v| v.parse::<u64>().ok())
-                .ok_or_else(|| eprintln!("{arg} needs a number\n{USAGE}"))
-        };
-        match arg.as_str() {
-            "--poll-ms" => match number(&mut args) {
-                Ok(n) => poll_ms = n.max(1),
-                Err(()) => return ExitCode::FAILURE,
-            },
-            "--max-runs" => match number(&mut args) {
-                Ok(n) => max_runs = n,
-                Err(()) => return ExitCode::FAILURE,
-            },
-            "--cache-max-bytes" => match number(&mut args) {
-                Ok(n) => cache_max_bytes = Some(n),
-                Err(()) => return ExitCode::FAILURE,
-            },
-            "--cache-dir" => match args.next() {
-                Some(v) => cache_dir = Some(v.into()),
-                None => {
-                    eprintln!("--cache-dir needs a path\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--swap" => match (args.next(), args.next()) {
-                (Some(a), Some(b)) => swap = (a.clone(), b.clone()),
-                _ => {
-                    eprintln!("--swap needs two type names\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--rename" => match parse_rename(args.next()) {
-                Ok(r) => rename = Some(r),
-                Err(e) => {
-                    eprintln!("{e}\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--names" => match args.next() {
-                Some(list) => names_arg = Some(list.split(',').map(str::to_string).collect()),
-                None => {
-                    eprintln!("--names needs a comma-separated list\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other if path.is_none() && !other.starts_with('-') => path = Some(other.to_string()),
-            other => {
-                eprintln!("unexpected argument `{other}`\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
+    let parsed = read_args(argv, |arg, args| {
+        match arg {
+            "--poll-ms" => poll_ms = args.number::<u64>(arg)?.max(1),
+            "--max-runs" => max_runs = args.number(arg)?,
+            "--cache-max-bytes" => cache_max_bytes = Some(args.number(arg)?),
+            "--cache-dir" => cache_dir = Some(args.value(arg, "a path")?.into()),
+            _ if lift.read(arg, args)? => {}
+            other => positional(&mut path, other)?,
         }
+        Ok(())
+    });
+    if let Err(e) = parsed {
+        return usage_error(&e);
     }
     let Some(path) = path else {
-        eprintln!("watch needs a .pi file to watch\n{USAGE}");
-        return ExitCode::FAILURE;
+        return usage_error("watch needs a .pi file to watch");
     };
     // Replays need a persist cache that survives across runs; without an
     // explicit dir, use a per-process scratch one.
     let cache_dir = cache_dir.unwrap_or_else(|| {
         std::env::temp_dir().join(format!("pumpkin-watch-{}", std::process::id()))
     });
-    let (from, to) = rename.unwrap_or_else(|| default_rename(&swap.0, &swap.1));
+    let spec = lift.swap_spec();
+    let from = spec.rename[0].0.as_str();
 
     println!(
         "watching {path} (poll every {poll_ms} ms; cache {})",
@@ -817,24 +822,14 @@ fn watch(argv: &[String]) -> ExitCode {
             }
             // Work list: the swap module (or --names), plus whatever the
             // file defines under the source prefix.
-            let mut names: Vec<String> = names_arg.clone().unwrap_or_else(|| {
-                pumpkin_stdlib::swap::OLD_MODULE_CONSTANTS
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect()
-            });
+            let mut names = lift.work_list();
             for d in env.constants() {
                 let n = d.name.as_str();
-                if n.starts_with(&from) && !baked.contains(n) && !names.iter().any(|x| x == n) {
+                if n.starts_with(from) && !baked.contains(n) && !names.iter().any(|x| x == n) {
                     names.push(n.to_string());
                 }
             }
-            let lifting = match pumpkin_core::search::swap::configure(
-                &mut env,
-                &swap.0.as_str().into(),
-                &swap.1.as_str().into(),
-                NameMap::prefix(&from, &to),
-            ) {
+            let lifting = match pumpkin_core::search::configure(&mut env, &spec) {
                 Ok(l) => l,
                 Err(e) => {
                     eprintln!("watch: configure failed: {e}");
@@ -886,66 +881,25 @@ fn auto(argv: &[String]) -> ExitCode {
     use pumpkin_core::{AutoPolicy, NameMap, RepairError, Repairer};
 
     let mut policy = AutoPolicy::default();
-    let mut emit_repro: Option<String> = None;
-    let mut swap = ("Old.list".to_string(), "New.list".to_string());
-    let mut rename: Option<(String, String)> = None;
-    let mut names_arg: Option<Vec<String>> = None;
+    let mut emit_repro: Option<&str> = None;
+    let mut lift = LiftFlags::default();
     let mut path: Option<String> = None;
-    let mut args = argv.iter();
-    while let Some(arg) = args.next() {
-        let number = |args: &mut std::slice::Iter<'_, String>| {
-            args.next()
-                .and_then(|v| v.parse::<u64>().ok())
-                .ok_or_else(|| eprintln!("{arg} needs a number\n{USAGE}"))
-        };
-        match arg.as_str() {
-            "--budget" => match number(&mut args) {
-                Ok(n) => policy.budget = Some((n as usize).max(1)),
-                Err(()) => return ExitCode::FAILURE,
-            },
-            "--seed" => match number(&mut args) {
-                Ok(n) => policy.seed = n,
-                Err(()) => return ExitCode::FAILURE,
-            },
+    let parsed = read_args(argv, |arg, args| {
+        match arg {
+            "--budget" => policy.budget = Some(args.number::<usize>(arg)?.max(1)),
+            "--seed" => policy.seed = args.number(arg)?,
             "--no-failure-cache" => policy.use_failure_cache = false,
-            "--emit-repro" => match args.next() {
-                Some(v) => emit_repro = Some(v.clone()),
-                None => {
-                    eprintln!("--emit-repro needs a path\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--swap" => match (args.next(), args.next()) {
-                (Some(a), Some(b)) => swap = (a.clone(), b.clone()),
-                _ => {
-                    eprintln!("--swap needs two type names\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--rename" => match parse_rename(args.next()) {
-                Ok(r) => rename = Some(r),
-                Err(e) => {
-                    eprintln!("{e}\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--names" => match args.next() {
-                Some(list) => names_arg = Some(list.split(',').map(str::to_string).collect()),
-                None => {
-                    eprintln!("--names needs a comma-separated list\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other if path.is_none() && !other.starts_with('-') => path = Some(other.to_string()),
-            other => {
-                eprintln!("unexpected argument `{other}`\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
+            "--emit-repro" => emit_repro = Some(args.value(arg, "a path")?),
+            _ if lift.read(arg, args)? => {}
+            other => positional(&mut path, other)?,
         }
+        Ok(())
+    });
+    if let Err(e) = parsed {
+        return usage_error(&e);
     }
     let Some(path) = path else {
-        eprintln!("auto needs a .pi module to repair\n{USAGE}");
-        return ExitCode::FAILURE;
+        return usage_error("auto needs a .pi module to repair");
     };
     let src = match std::fs::read_to_string(&path) {
         Ok(s) => s,
@@ -954,23 +908,15 @@ fn auto(argv: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (from, to) = rename.unwrap_or_else(|| default_rename(&swap.0, &swap.1));
+    let spec = lift.swap_spec();
     // Work list: the swap module (or --names); constants the file defines
     // under the source prefix join automatically inside the driver.
-    let names: Vec<String> = names_arg.unwrap_or_else(|| {
-        pumpkin_stdlib::swap::OLD_MODULE_CONSTANTS
-            .iter()
-            .map(|s| s.to_string())
-            .collect()
-    });
+    let names = lift.work_list();
     let mut env = pumpkin_stdlib::std_env();
     let borrowed: Vec<&str> = names.iter().map(String::as_str).collect();
+    let rename = NameMap::from_rules(&spec.rename);
     let (search, result) = Repairer::auto(policy)
-        .types(
-            swap.0.as_str(),
-            swap.1.as_str(),
-            NameMap::prefix(&from, &to),
-        )
+        .types(spec.a.as_str(), spec.b.as_str(), rename)
         .source(src.as_str())
         .run(&mut env, &borrowed);
     println!("{}", search.summary());
@@ -991,7 +937,7 @@ fn auto(argv: &[String]) -> ExitCode {
                     let mut scratch = pumpkin_stdlib::std_env();
                     let _ = pumpkin_core::smartelim::packed_list(&mut scratch);
                     let _ = pumpkin_lang::load_source(&mut scratch, &src);
-                    if let Err(io) = std::fs::write(&out, r.to_pi(&scratch)) {
+                    if let Err(io) = std::fs::write(out, r.to_pi(&scratch)) {
                         eprintln!("cannot write {out}: {io}");
                         return ExitCode::FAILURE;
                     }
@@ -1014,94 +960,42 @@ fn auto(argv: &[String]) -> ExitCode {
 fn loadgen(argv: &[String]) -> ExitCode {
     use pumpkin_pi::loadgen::{LoadgenConfig, Mode};
     let mut cfg = LoadgenConfig::default();
-    let mut json_out: Option<String> = None;
-    let mut args = argv.iter();
-    while let Some(arg) = args.next() {
-        let value = |args: &mut std::slice::Iter<'_, String>| {
-            args.next().cloned().ok_or_else(|| {
-                eprintln!("{arg} needs a value\n{USAGE}");
-            })
-        };
-        let number = |args: &mut std::slice::Iter<'_, String>| {
-            args.next()
-                .and_then(|v| v.parse::<u64>().ok())
-                .ok_or_else(|| {
-                    eprintln!("{arg} needs a number\n{USAGE}");
-                })
-        };
-        let result = match arg.as_str() {
-            "--connect" => value(&mut args).map(|v| cfg.connect = Some(v)),
-            "--json" => value(&mut args).map(|v| json_out = Some(v)),
-            "--mode" => match value(&mut args).as_deref() {
-                Ok("closed") => {
-                    cfg.mode = Mode::Closed;
-                    Ok(())
+    let mut json_out: Option<&str> = None;
+    let in_unit = |r: &f64| (0.0..=1.0).contains(r);
+    let parsed = read_args(argv, |arg, args| {
+        match arg {
+            "--connect" => cfg.connect = Some(args.value(arg, "a value")?.into()),
+            "--json" => json_out = Some(args.value(arg, "a value")?),
+            "--mode" => {
+                cfg.mode = match args.value(arg, "a value")? {
+                    "closed" => Mode::Closed,
+                    "open" => Mode::Open,
+                    other => return Err(format!("--mode must be closed or open, not `{other}`")),
                 }
-                Ok("open") => {
-                    cfg.mode = Mode::Open;
-                    Ok(())
-                }
-                Ok(other) => {
-                    eprintln!("--mode must be closed or open, not `{other}`\n{USAGE}");
-                    Err(())
-                }
-                Err(()) => Err(()),
-            },
-            "--clients" => number(&mut args).map(|n| cfg.clients = (n as usize).max(1)),
-            "--requests" => number(&mut args).map(|n| cfg.requests = (n as usize).max(1)),
-            "--duration-ms" => number(&mut args).map(|n| cfg.duration_ms = n.max(1)),
-            "--seed" => number(&mut args).map(|n| cfg.seed = n),
-            "--workers" => number(&mut args).map(|n| cfg.workers = (n as usize).max(1)),
-            "--queue-depth" => number(&mut args).map(|n| cfg.queue_depth = (n as usize).max(1)),
-            "--trials" => number(&mut args).map(|n| cfg.trials = (n as usize).max(1)),
-            "--server-stats" => {
-                cfg.server_stats = true;
-                Ok(())
             }
-            "--touch-rate" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(r) if (0.0..=1.0).contains(&r) => {
-                    cfg.touch_rate = r;
-                    Ok(())
-                }
-                _ => {
-                    eprintln!("--touch-rate needs a number in [0, 1]\n{USAGE}");
-                    Err(())
-                }
-            },
-            "--fail-rate" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(r) if (0.0..=1.0).contains(&r) => {
-                    cfg.fail_rate = r;
-                    Ok(())
-                }
-                _ => {
-                    eprintln!("--fail-rate needs a number in [0, 1]\n{USAGE}");
-                    Err(())
-                }
-            },
-            "--rate" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(r) if r > 0.0 => {
-                    cfg.rate = r;
-                    Ok(())
-                }
-                _ => {
-                    eprintln!("--rate needs a positive number\n{USAGE}");
-                    Err(())
-                }
-            },
-            other => {
-                eprintln!("unexpected argument `{other}`\n{USAGE}");
-                Err(())
-            }
-        };
-        if result.is_err() {
-            return ExitCode::FAILURE;
+            "--clients" => cfg.clients = args.number::<usize>(arg)?.max(1),
+            "--requests" => cfg.requests = args.number::<usize>(arg)?.max(1),
+            "--duration-ms" => cfg.duration_ms = args.number::<u64>(arg)?.max(1),
+            "--seed" => cfg.seed = args.number(arg)?,
+            "--workers" => cfg.workers = args.number::<usize>(arg)?.max(1),
+            "--queue-depth" => cfg.queue_depth = args.number::<usize>(arg)?.max(1),
+            "--trials" => cfg.trials = args.number::<usize>(arg)?.max(1),
+            "--server-stats" => cfg.server_stats = true,
+            "--touch-rate" => cfg.touch_rate = args.parsed(arg, "a number in [0, 1]", in_unit)?,
+            "--fail-rate" => cfg.fail_rate = args.parsed(arg, "a number in [0, 1]", in_unit)?,
+            "--rate" => cfg.rate = args.parsed(arg, "a positive number", |r: &f64| *r > 0.0)?,
+            other => return Err(unexpected(other)),
         }
+        Ok(())
+    });
+    if let Err(e) = parsed {
+        return usage_error(&e);
     }
     match pumpkin_pi::loadgen::run(&cfg) {
         Ok(report) => {
             println!("{}", report.summary());
             if let Some(path) = json_out {
-                if let Err(e) = std::fs::write(&path, report.to_json_lines()) {
+                if let Err(e) = std::fs::write(path, report.to_json_lines()) {
                     eprintln!("cannot write {path}: {e}");
                     return ExitCode::FAILURE;
                 }
@@ -1124,24 +1018,21 @@ fn trace_report(argv: &[String]) -> ExitCode {
     use pumpkin_core::trace::report;
     let mut lint = false;
     let mut top_k = 5usize;
-    let mut files: Vec<&String> = Vec::new();
-    let mut args = argv.iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
+    let mut files: Vec<&str> = Vec::new();
+    let parsed = read_args(argv, |arg, args| {
+        match arg {
             "--lint" => lint = true,
-            "--top" => {
-                let Some(k) = args.next().and_then(|v| v.parse::<usize>().ok()) else {
-                    eprintln!("--top needs a number\n{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                top_k = k;
-            }
-            _ => files.push(arg),
+            "--top" => top_k = args.number(arg)?,
+            other if other.starts_with('-') => return Err(unexpected(other)),
+            file => files.push(file),
         }
+        Ok(())
+    });
+    if let Err(e) = parsed {
+        return usage_error(&e);
     }
     if files.is_empty() || files.len() > 2 {
-        eprintln!("trace-report takes one or two trace files\n{USAGE}");
-        return ExitCode::FAILURE;
+        return usage_error("trace-report takes one or two trace files");
     }
     let mut texts = Vec::new();
     for f in &files {
@@ -1184,46 +1075,34 @@ fn trace_report(argv: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("trace-report") {
-        return trace_report(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("serve") {
-        return serve(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("client") {
-        return client(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("top") {
-        return top(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("watch") {
-        return watch(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("auto") {
-        return auto(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("loadgen") {
-        return loadgen(&argv[1..]);
-    }
+    let verb: fn(&[String]) -> ExitCode = match argv.first().map(String::as_str) {
+        Some("trace-report") => trace_report,
+        Some("serve") => serve,
+        Some("client") => client,
+        Some("top") => top,
+        Some("watch") => watch,
+        Some("auto") => auto,
+        Some("loadgen") => loadgen,
+        _ => return run(&argv),
+    };
+    verb(&argv[1..])
+}
+
+/// The bare script runner: `pumpkin [--trace out.jsonl] [--metrics] <script.pi | ->`.
+fn run(argv: &[String]) -> ExitCode {
     let mut session = Session::new();
     let mut path: Option<String> = None;
-    let mut args = argv.iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--trace" => {
-                let Some(file) = args.next() else {
-                    eprintln!("--trace needs a file path\n{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                session.set_trace_path(file);
-            }
+    let parsed = read_args(argv, |arg, args| {
+        match arg {
+            "--trace" => session.set_trace_path(args.value(arg, "a file path")?),
             "--metrics" => session.set_show_metrics(true),
-            other if path.is_none() => path = Some(other.to_string()),
-            other => {
-                eprintln!("unexpected argument `{other}`\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
+            "-" if path.is_none() => path = Some(arg.into()),
+            other => positional(&mut path, other)?,
         }
+        Ok(())
+    });
+    if let Err(e) = parsed {
+        return usage_error(&e);
     }
     let Some(path) = path else {
         eprintln!("{USAGE}");
@@ -1290,7 +1169,7 @@ mod tests {
     fn client_rename_takes_from_eq_to_and_defaults_to_the_swapped_modules() {
         let lifting = |argv: &[&str]| {
             let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-            let params = client_lift_params(&mut argv.iter(), false)?;
+            let params = client_lift_params(&mut Args::new(&argv), false)?;
             Ok::<_, String>(params.into_iter().find(|(k, _)| k == "lifting").unwrap().1)
         };
         let swap = ["--swap", "Old.list", "New.list", "--names", "Old.rev"];
@@ -1303,6 +1182,25 @@ mod tests {
             Ok(LiftSpec::swap("Old.list", "New.list", "Old.", "New.").to_value())
         );
         assert!(lifting(&[&swap[..], &["--rename", "A."]].concat()).is_err());
+    }
+
+    #[test]
+    fn names_lists_refuse_empty_entries() {
+        let names = |list: &str| {
+            let argv = ["--names".to_string(), list.to_string()];
+            let mut args = Args::new(&argv);
+            let mut lift = LiftFlags::default();
+            let flag = args.next().unwrap();
+            lift.read(flag, &mut args).map(|_| lift.names.unwrap())
+        };
+        for bad in ["", "a,", "a,,b", ",a"] {
+            assert_eq!(
+                names(bad),
+                Err(format!("--names has an empty name in `{bad}`")),
+                "{bad:?}"
+            );
+        }
+        assert_eq!(names("a,b"), Ok(vec!["a".to_string(), "b".to_string()]));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 use std::path::PathBuf;
 
 use pumpkin_core::trace::json::MAX_DEPTH;
-use pumpkin_core::{LiftState, Lifting, NameMap, RepairReport, Repairer};
+use pumpkin_core::wire::LiftSpec;
+use pumpkin_core::{LiftState, Lifting, RepairReport, Repairer};
 use pumpkin_kernel::env::Env;
 use pumpkin_kernel::name::GlobalName;
 
@@ -63,8 +64,7 @@ impl Session {
         if let Some(path) = &self.trace_path {
             let file = std::fs::File::create(path)
                 .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
-            let sink = pumpkin_core::trace::JsonLinesSink::new(std::io::BufWriter::new(file));
-            repairer = repairer.sink(Box::new(sink));
+            repairer = repairer.sink(std::io::BufWriter::new(file));
         }
         let report = match names {
             Some(names) => repairer.run(&mut self.env, names),
@@ -92,14 +92,6 @@ impl Session {
             .ok_or_else(|| "no configuration active; run a configure-* command first".into())
     }
 
-    /// Parses `From.=To.` into a NameMap.
-    fn name_map(spec: &str) -> Result<NameMap, String> {
-        let (from, to) = spec
-            .split_once('=')
-            .ok_or_else(|| format!("bad rename spec `{spec}` (expected From.=To.)"))?;
-        Ok(NameMap::prefix(from, to))
-    }
-
     /// Normalises a term and pretty-prints the result. Readback is bounded
     /// like the daemon's `eval`: a normal form nested deeper than
     /// [`MAX_DEPTH`] is an error and is never built, so neither readback
@@ -125,85 +117,43 @@ impl Session {
                 println!("loaded {} bytes of vernacular", src.len());
                 Ok(())
             }
-            "configure-swap" => {
-                let [a, b, spec] = args else {
-                    return Err("usage: configure-swap A B From.=To.".into());
+            "configure-swap" | "configure-factor" | "configure-records" | "configure-ornament"
+            | "configure-bin" => {
+                // `ornament` and `bin` fix both types; the others name them.
+                let kind = &cmd["configure-".len()..];
+                let (a, b, rename) = match (kind, args) {
+                    ("ornament" | "bin", [rename]) => ("", "", rename),
+                    ("swap" | "factor" | "records", [a, b, rename]) => (*a, *b, rename),
+                    _ => {
+                        let shape = match kind {
+                            "ornament" | "bin" => "",
+                            "records" => "Tuple Record ",
+                            _ => "A B ",
+                        };
+                        return Err(format!("usage: {cmd} {shape}From.=To."));
+                    }
                 };
-                let names = Self::name_map(spec)?;
-                let l = pumpkin_core::search::swap::configure(
-                    &mut self.env,
-                    &GlobalName::new(*a),
-                    &GlobalName::new(*b),
-                    names,
-                )
-                .map_err(|e| fail(&e))?;
-                let eqv = l.equivalence.as_ref().unwrap();
-                println!(
-                    "configured {a} ≃ {b}; equivalence {} / {} checked",
-                    eqv.f, eqv.g
-                );
-                self.lifting = Some(l);
-                self.state = LiftState::new();
-                Ok(())
-            }
-            "configure-factor" => {
-                let [a, b, spec] = args else {
-                    return Err("usage: configure-factor A B From.=To.".into());
+                let (from, to) = rename
+                    .split_once('=')
+                    .ok_or_else(|| format!("bad rename spec `{rename}` (expected From.=To.)"))?;
+                let spec = LiftSpec {
+                    kind: kind.into(),
+                    a: a.into(),
+                    b: b.into(),
+                    rename: vec![(from.into(), to.into())],
                 };
-                let names = Self::name_map(spec)?;
-                let l = pumpkin_core::search::factor::configure_with(
-                    &mut self.env,
-                    &GlobalName::new(*a),
-                    &GlobalName::new(*b),
-                    [0, 1],
-                    names,
-                )
-                .map_err(|e| fail(&e))?;
-                println!("configured {a} ≃ {b} (factoring)");
-                self.lifting = Some(l);
-                self.state = LiftState::new();
-                Ok(())
-            }
-            "configure-ornament" => {
-                let [spec] = args else {
-                    return Err("usage: configure-ornament From.=To.".into());
-                };
-                let names = Self::name_map(spec)?;
-                let l = pumpkin_core::search::ornament::configure(&mut self.env, names)
-                    .map_err(|e| fail(&e))?;
-                println!("configured list ≃ Σ(n). vector n");
-                self.lifting = Some(l);
-                self.state = LiftState::new();
-                Ok(())
-            }
-            "configure-bin" => {
-                let [spec] = args else {
-                    return Err("usage: configure-bin From.=To.".into());
-                };
-                let names = Self::name_map(spec)?;
-                let l = pumpkin_core::manual::configure_nat_to_bin(&mut self.env, names)
-                    .map_err(|e| fail(&e))?;
-                println!("configured nat ≃ N (manual, propositional Iota)");
-                self.lifting = Some(l);
-                self.state = LiftState::new();
-                Ok(())
-            }
-            "configure-records" => {
-                let [tuple, record, spec] = args else {
-                    return Err("usage: configure-records Tuple Record From.=To.".into());
-                };
-                let names = Self::name_map(spec)?;
-                let projs = pumpkin_core::search::tuple_record::connection_projs();
-                let l = pumpkin_core::search::tuple_record::configure_to_record(
-                    &mut self.env,
-                    &GlobalName::new(*tuple),
-                    &GlobalName::new(*record),
-                    &projs,
-                    names,
-                )
-                .map_err(|e| fail(&e))?;
-                println!("configured {tuple} ≃ {record}");
-                self.lifting = Some(l);
+                let lifting = pumpkin_core::search::configure(&mut self.env, &spec)?;
+                match (kind, &lifting.equivalence) {
+                    ("swap", Some(eqv)) => println!(
+                        "configured {a} ≃ {b}; equivalence {} / {} checked",
+                        eqv.f, eqv.g
+                    ),
+                    ("factor", _) => println!("configured {a} ≃ {b} (factoring)"),
+                    ("ornament", _) => println!("configured list ≃ Σ(n). vector n"),
+                    ("bin", _) => println!("configured nat ≃ N (manual, propositional Iota)"),
+                    _ => println!("configured {a} ≃ {b}"),
+                }
+                self.lifting = Some(lifting);
                 self.state = LiftState::new();
                 Ok(())
             }
@@ -292,18 +242,9 @@ impl Session {
                     .ok_or_else(|| {
                         format!("no provenance recorded for `{name}` (run a repair command first)")
                     })?;
-                let sites: Vec<pumpkin_lang::DiffSite> = p
-                    .sites
-                    .iter()
-                    .map(|s| pumpkin_lang::DiffSite {
-                        path: &s.path,
-                        rule: s.rule.as_str(),
-                    })
-                    .collect();
-                let explanation = pumpkin_lang::explain_decl(&self.env, &p.from, &p.to, &sites)
-                    .ok_or_else(|| {
-                        format!("`{}` or `{}` is not in the environment", p.from, p.to)
-                    })?;
+                let explanation = pumpkin_lang::explain_decl(&self.env, p).ok_or_else(|| {
+                    format!("`{}` or `{}` is not in the environment", p.from, p.to)
+                })?;
                 print!("{}", explanation.render());
                 Ok(())
             }

@@ -281,15 +281,7 @@ fn explain_attributes_swap_module_rewrites() {
     assert!(!report.provenance.is_empty());
     let (mut total, mut attributed) = (0usize, 0usize);
     for p in &report.provenance {
-        let sites: Vec<pumpkin_pi::pumpkin_lang::DiffSite> = p
-            .sites
-            .iter()
-            .map(|s| pumpkin_pi::pumpkin_lang::DiffSite {
-                path: &s.path,
-                rule: s.rule.as_str(),
-            })
-            .collect();
-        let e = pumpkin_pi::pumpkin_lang::explain_decl(&env, &p.from, &p.to, &sites)
+        let e = pumpkin_pi::pumpkin_lang::explain_decl(&env, p)
             .unwrap_or_else(|| panic!("{} / {} not in env", p.from, p.to));
         assert!(
             !e.divergences.is_empty(),
@@ -341,15 +333,7 @@ fn lift_and_explain_give_let_and_eliminator_children_the_same_path() {
     let p = report
         .provenance_for("Old.probe")
         .expect("Old.probe provenance");
-    let sites: Vec<pumpkin_pi::pumpkin_lang::DiffSite> = p
-        .sites
-        .iter()
-        .map(|s| pumpkin_pi::pumpkin_lang::DiffSite {
-            path: &s.path,
-            rule: s.rule.as_str(),
-        })
-        .collect();
-    let e = pumpkin_pi::pumpkin_lang::explain_decl(&env, &p.from, &p.to, &sites).unwrap();
+    let e = pumpkin_pi::pumpkin_lang::explain_decl(&env, p).unwrap();
     // Body `1`; the let's value is its child `1`, and the eliminator (the
     // let body, child `2`) has the parameter `Old.L` as its child `0`.
     for (path, old, new) in [
