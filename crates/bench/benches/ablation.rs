@@ -388,9 +388,12 @@ fn bench_persist_cache(b: &mut Bench) {
         || (session_env.clone(), snapshot()),
         |(mut env, snap)| {
             let report = run_incr(&mut env, &snap);
-            // The session's environment and snapshot survive across edits
-            // in the watch/serve loop; their teardown is not part of an
-            // incremental request, so hand them back out of the timing.
+            // The row models a caller that keeps its repaired `Env` and
+            // snapshot across edits (neither `watch`, which builds a
+            // fresh world per run, nor the daemon, which clones its
+            // configured environment per request, does); their teardown
+            // is not part of an incremental request, so hand them back
+            // out of the timing.
             (report, env, snap)
         },
     );

@@ -1,9 +1,9 @@
 //! Automatic repair search: a Houdini-style evaluate-fix-retry driver
 //! ([`AutoDriver`], behind [`crate::Repairer::auto`]) that enumerates
-//! ranked candidate configurations — constructor-mapping permutations in
-//! [`crate::search::swap`]'s ranked order, eta/iota matching toggles,
-//! smart eliminators on/off, cached-mapping reuse on/off — and runs each
-//! through the kernel as the oracle until one repair fully checks.
+//! ranked candidate configurations — every constructor-mapping
+//! permutation in [`crate::search::swap`]'s ranked order, each with smart
+//! eliminators off and then on — and runs each through the kernel as the
+//! oracle until one repair fully checks.
 //!
 //! Known-dead candidates are remembered **process-wide** in a failure
 //! cache keyed by `(configuration digest, module digest)`: both keys are
@@ -24,16 +24,15 @@ use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-use pumpkin_kernel::env::Env;
+use pumpkin_kernel::env::{Env, GlobalRef};
 use pumpkin_kernel::name::GlobalName;
 use pumpkin_kernel::term::Term;
 use pumpkin_trace::json::Value;
 use pumpkin_trace::{Event, EventKind};
 use pumpkin_wire::{decl_digest, DigestBuilder};
 
-use crate::config::{Lifting, MatchedElim, MatchedProj, NameMap, SideMatch};
+use crate::config::NameMap;
 use crate::error::{ErrorClass, RepairError, Result};
-use crate::lift::LiftState;
 use crate::minimize::{minimize, Reproducer};
 use crate::repair::RepairReport;
 use crate::repairer::Repairer;
@@ -80,30 +79,20 @@ impl Default for AutoPolicy {
 }
 
 /// One candidate configuration: a constructor mapping index into the
-/// ranked enumeration, plus the three engine toggles.
+/// ranked enumeration, plus whether the smart eliminators are defined.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CandidateSpec {
     /// Index into [`swap::discover_mappings_bounded`]'s ranked order.
     pub mapping: usize,
-    /// Eta/iota matching on (`false` disables `match_iota`/`match_proj`).
-    pub eta: bool,
     /// Define the smart-eliminator combinators before loading the module.
     pub smart_elim: bool,
-    /// Reuse the closed-subterm lift cache within the run.
-    pub reuse_cache: bool,
 }
 
 impl CandidateSpec {
     /// Human-readable description, used in reports, traces, and summaries.
     pub fn describe(&self) -> String {
-        let onoff = |b: bool| if b { "on" } else { "off" };
-        format!(
-            "mapping#{} eta={} smart_elim={} cache={}",
-            self.mapping,
-            onoff(self.eta),
-            onoff(self.smart_elim),
-            onoff(self.reuse_cache)
-        )
+        let onoff = if self.smart_elim { "on" } else { "off" };
+        format!("mapping#{} smart_elim={onoff}", self.mapping)
     }
 
     /// Content-addressed digest of the full candidate configuration.
@@ -120,9 +109,7 @@ impl CandidateSpec {
         for &k in perm {
             d.write_u64(k as u64);
         }
-        d.write_u64(u64::from(self.eta));
         d.write_u64(u64::from(self.smart_elim));
-        d.write_u64(u64::from(self.reuse_cache));
         d.finish()
     }
 }
@@ -297,7 +284,8 @@ static FAILURES: OnceLock<Mutex<std::collections::HashMap<(u64, u64), ErrorClass
 
 /// Entry cap for [`FAILURES`]: 4 096 entries of 24 bytes, which bounds the
 /// table at about 200 KiB (8 192 buckets at hashbrown's 7/8 load factor).
-/// That is the failures of 512 eight-candidate modules.
+/// That is the failures of 2 048 modules over a type with one constructor
+/// mapping, whose searches run two candidates each.
 const FAILURES_CAP: usize = 4096;
 
 fn failures() -> &'static Mutex<std::collections::HashMap<(u64, u64), ErrorClass>> {
@@ -366,69 +354,17 @@ fn module_digest(env: &Env, source: Option<&str>, names: &[&str]) -> u64 {
     d.finish()
 }
 
-/// Wraps a side-matcher with eta/iota matching disabled: type,
-/// constructor, and eliminator recognition pass through, while
-/// `match_proj`/`match_iota` always decline (the paper's optional
-/// unification rules; a no-op for plain swap configurations, load-bearing
-/// for record/factoring ones).
-struct EtaOff(Box<dyn SideMatch>);
-
-impl SideMatch for EtaOff {
-    fn match_type(&self, env: &Env, t: &Term) -> Option<Vec<Term>> {
-        self.0.match_type(env, t)
-    }
-
-    fn match_constr(&self, env: &Env, t: &Term) -> Option<(usize, Vec<Term>)> {
-        self.0.match_constr(env, t)
-    }
-
-    fn match_elim(&self, env: &Env, t: &Term) -> Option<MatchedElim> {
-        self.0.match_elim(env, t)
-    }
-
-    fn match_proj(&self, _env: &Env, _t: &Term) -> Option<MatchedProj> {
-        None
-    }
-
-    fn match_iota(&self, _env: &Env, _t: &Term) -> Option<(usize, Vec<Term>)> {
-        None
-    }
-}
-
-/// The ranked candidate enumeration: all eight toggle combinations on the
-/// best-ranked mapping (defaults first), then the two most useful toggle
-/// combinations on every lower-ranked mapping.
+/// The ranked candidate enumeration: every mapping in rank order, each
+/// with smart eliminators off (the default configuration) and then on.
 fn candidate_specs(mappings: usize, budget: Option<usize>) -> Vec<CandidateSpec> {
-    const TOGGLES: [(bool, bool, bool); 8] = [
-        // (eta, smart_elim, reuse_cache) — the default configuration first.
-        (true, false, true),
-        (true, true, true),
-        (false, false, true),
-        (false, true, true),
-        (true, false, false),
-        (true, true, false),
-        (false, false, false),
-        (false, true, false),
-    ];
-    let mut specs = Vec::new();
-    for &(eta, smart_elim, reuse_cache) in &TOGGLES {
-        specs.push(CandidateSpec {
-            mapping: 0,
-            eta,
-            smart_elim,
-            reuse_cache,
-        });
-    }
-    for mapping in 1..mappings {
-        for &(eta, smart_elim, reuse_cache) in &TOGGLES[..2] {
-            specs.push(CandidateSpec {
+    let mut specs: Vec<CandidateSpec> = (0..mappings)
+        .flat_map(|mapping| {
+            [false, true].map(|smart_elim| CandidateSpec {
                 mapping,
-                eta,
                 smart_elim,
-                reuse_cache,
-            });
-        }
-    }
+            })
+        })
+        .collect();
     if let Some(b) = budget {
         specs.truncate(b.max(1));
     }
@@ -662,8 +598,8 @@ impl AutoDriver {
     }
 
     /// Runs one candidate against a throwaway clone of `env`: smart
-    /// eliminators (if toggled), module source, configuration, lift state,
-    /// then a full [`Repairer`] run with the kernel as oracle. Returns the
+    /// eliminators (if toggled), module source, configuration, then a full
+    /// [`Repairer`] run with the kernel as oracle. Returns the
     /// trial environment (to install on success) and the run's report.
     /// With `extend` set, source constants under a renaming rule's source
     /// prefix join the work list; the minimizer's oracle passes exact
@@ -683,16 +619,20 @@ impl AutoDriver {
         }
         let mut work: Vec<String> = names.iter().map(|s| (*s).to_string()).collect();
         if let Some(src) = &self.source {
+            let mark = trial.order().len();
             pumpkin_lang::load_source(&mut trial, src)?;
             if extend {
-                for n in source_constants(src) {
+                for entry in &trial.order()[mark..] {
+                    let GlobalRef::Const(n) = entry else {
+                        continue;
+                    };
                     let from_prefixed = self
                         .names
                         .rules()
                         .iter()
-                        .any(|(from, _)| n.starts_with(from.as_str()));
-                    if from_prefixed && !work.iter().any(|w| w == &n) {
-                        work.push(n);
+                        .any(|(from, _)| n.as_str().starts_with(from.as_str()));
+                    if from_prefixed && !work.iter().any(|w| w == n.as_str()) {
+                        work.push(n.as_str().to_string());
                     }
                 }
             }
@@ -712,34 +652,7 @@ impl AutoDriver {
             &mappings[spec.mapping],
             self.names.clone(),
         )?;
-        let lifting = if spec.eta {
-            lifting
-        } else {
-            let Lifting {
-                a_name,
-                b_name,
-                matcher,
-                builder,
-                names,
-                equivalence,
-            } = lifting;
-            Lifting {
-                a_name,
-                b_name,
-                matcher: Box::new(EtaOff(matcher)),
-                builder,
-                names,
-                equivalence,
-            }
-        };
-        let mut state = if spec.reuse_cache {
-            LiftState::new()
-        } else {
-            LiftState::without_cache()
-        };
-        let mut repairer = Repairer::new(&lifting)
-            .trace(self.capture)
-            .state(&mut state);
+        let mut repairer = Repairer::new(&lifting).trace(self.capture);
         if let Some(dir) = &self.persist_dir {
             repairer = repairer
                 .persist_cache(dir)
@@ -754,23 +667,6 @@ impl AutoDriver {
     }
 }
 
-/// Constant names (`Definition`/`Axiom`) declared by a vernacular source
-/// snippet, in declaration order. Unparsable sources contribute nothing —
-/// the per-candidate `load_source` reports the real error.
-fn source_constants(src: &str) -> Vec<String> {
-    let Ok(items) = pumpkin_lang::parse_items(src) else {
-        return Vec::new();
-    };
-    items
-        .into_iter()
-        .filter_map(|i| match i {
-            pumpkin_lang::ast::Item::Definition { name, .. }
-            | pumpkin_lang::ast::Item::Axiom { name, .. } => Some(name),
-            pumpkin_lang::ast::Item::Inductive { .. } => None,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -782,10 +678,7 @@ mod tests {
         let (auto, result) =
             Repairer::auto(AutoPolicy::default()).run(&mut env, &["Old.rev", "Old.app"]);
         let report = result.unwrap();
-        assert_eq!(
-            auto.winner.as_deref(),
-            Some("mapping#0 eta=on smart_elim=off cache=on")
-        );
+        assert_eq!(auto.winner.as_deref(), Some("mapping#0 smart_elim=off"));
         assert_eq!(auto.tried, 1);
         assert_eq!(auto.rejected, 0);
         assert!(auto.complete);
@@ -812,7 +705,7 @@ mod tests {
         let report = result.unwrap();
         assert_eq!(
             auto.winner.as_deref(),
-            Some("mapping#0 eta=on smart_elim=on cache=on"),
+            Some("mapping#0 smart_elim=on"),
             "{}",
             auto.summary()
         );
@@ -840,7 +733,7 @@ mod tests {
             .source(src)
             .run(&mut env, &[]);
         assert!(err.is_err());
-        assert_eq!(cold.tried, 8, "{}", cold.summary());
+        assert_eq!(cold.tried, 2, "{}", cold.summary());
         assert_eq!(cold.skipped_cache, 0);
         // Same module again, same process: every candidate skips.
         let mut env2 = stdlib::std_env();
@@ -853,7 +746,7 @@ mod tests {
             other => panic!("expected AutoExhausted, got {other:?}"),
         }
         assert_eq!(warm.tried, 0);
-        assert_eq!(warm.skipped_cache, 8);
+        assert_eq!(warm.skipped_cache, 2);
         assert!(!env2.contains("New.auto_cache_probe_repaired"));
     }
 
@@ -943,19 +836,25 @@ mod tests {
     #[test]
     fn budget_truncates_the_enumeration() {
         let specs = candidate_specs(3, None);
-        assert_eq!(specs.len(), 8 + 2 * 2);
+        let order: Vec<(usize, bool)> = specs.iter().map(|s| (s.mapping, s.smart_elim)).collect();
         assert_eq!(
-            specs[0],
-            CandidateSpec {
-                mapping: 0,
-                eta: true,
-                smart_elim: false,
-                reuse_cache: true
-            },
-            "the default configuration must come first"
+            order,
+            [
+                (0, false),
+                (0, true),
+                (1, false),
+                (1, true),
+                (2, false),
+                (2, true)
+            ],
+            "mapping by mapping, the default configuration first"
         );
-        assert_eq!(candidate_specs(3, Some(5)).len(), 5);
-        assert_eq!(candidate_specs(3, Some(0)).len(), 1, "budget clamps to 1");
+        assert_eq!(candidate_specs(3, Some(5)), specs[..5]);
+        assert_eq!(
+            candidate_specs(3, Some(0)),
+            specs[..1],
+            "budget clamps to 1"
+        );
     }
 
     #[test]

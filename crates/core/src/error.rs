@@ -42,6 +42,10 @@ pub enum RepairError {
     Cancelled { completed: usize },
     /// The persistent lift cache directory could not be opened or written.
     PersistCache(String),
+    /// The run's events could not be written to its sink
+    /// ([`crate::Repairer::sink`]). The repair itself completed and stays
+    /// installed.
+    Trace(String),
     /// A repaired constant (or one of its reachable dependencies) still
     /// mentions the source type — the repair is not source-free
     /// (paper §3.2: "the old version of the specification may be removed").
@@ -92,6 +96,8 @@ pub enum ErrorClass {
     Cancelled,
     /// The persistent cache layer failed.
     Cache,
+    /// The trace sink could not be written.
+    Trace,
     /// The repaired output still mentions the source type.
     SourceNotFree,
     /// The auto search itself was exhausted (nested exhaustion).
@@ -111,6 +117,7 @@ impl ErrorClass {
             ErrorClass::MissingDependency => "missing_dependency",
             ErrorClass::Cancelled => "cancelled",
             ErrorClass::Cache => "cache",
+            ErrorClass::Trace => "trace",
             ErrorClass::SourceNotFree => "source_not_free",
             ErrorClass::Auto => "auto",
         }
@@ -128,6 +135,7 @@ impl ErrorClass {
             "missing_dependency" => ErrorClass::MissingDependency,
             "cancelled" => ErrorClass::Cancelled,
             "cache" => ErrorClass::Cache,
+            "trace" => ErrorClass::Trace,
             "source_not_free" => ErrorClass::SourceNotFree,
             "auto" => ErrorClass::Auto,
             _ => return None,
@@ -154,6 +162,7 @@ impl RepairError {
             RepairError::MissingDependency(_) => ErrorClass::MissingDependency,
             RepairError::Cancelled { .. } => ErrorClass::Cancelled,
             RepairError::PersistCache(_) => ErrorClass::Cache,
+            RepairError::Trace(_) => ErrorClass::Trace,
             RepairError::SourceNotFree { .. } => ErrorClass::SourceNotFree,
             RepairError::AutoExhausted { .. } => ErrorClass::Auto,
         }
@@ -191,6 +200,7 @@ impl fmt::Display for RepairError {
                 write!(f, "repair cancelled ({completed} constant(s) completed)")
             }
             RepairError::PersistCache(m) => write!(f, "persistent lift cache: {m}"),
+            RepairError::Trace(m) => write!(f, "cannot write the trace: {m}"),
             RepairError::SourceNotFree {
                 root,
                 constant,

@@ -14,9 +14,11 @@
 //!   again), and entries that fail to decode — including any whose
 //!   embedded digest no longer verifies — read as absent.
 //! * `<config-digest>` identifies the lifting recipe: the equivalence's
-//!   endpoint names, the rename rules in order, and the generated
-//!   equivalence constants (see [`config_digest`]). Two different
-//!   configurations can never observe each other's entries.
+//!   endpoint names, the rename rules in order, and the names and
+//!   declaration digests of the generated equivalence constants (see
+//!   [`config_digest`]). The declarations encode the constructor mapping,
+//!   so two mappings of one pair of types never observe each other's
+//!   entries.
 //! * `<decl-digest>` is [`pumpkin_wire::decl_digest`] of the *old*
 //!   declaration — name, type and body digests, opacity — so a source
 //!   edit re-keys the entry automatically.
@@ -51,7 +53,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, SystemTime};
 
-use pumpkin_kernel::env::ConstDecl;
+use pumpkin_kernel::env::{ConstDecl, Env};
 use pumpkin_wire::{
     decl_digest, decode_decl, encode_decl, DigestBuilder, TermDigest, WIRE_VERSION,
 };
@@ -60,11 +62,12 @@ use crate::config::Lifting;
 
 /// The digest identifying a lifting configuration for cache-keying
 /// purposes: wire version, endpoint type names, rename rules in order,
-/// and the equivalence constants (when generated). A `Lifting` holds
-/// trait objects, so this digests the *recipe's observable identity*, not
-/// the code; all in-tree search procedures derive their behavior from
-/// exactly these names.
-pub fn config_digest(l: &Lifting) -> TermDigest {
+/// and the equivalence constants (when generated) with their declaration
+/// digests in `env`. A `Lifting` holds trait objects, so this digests the
+/// *recipe's observable identity*, not the code. The equivalence's names
+/// are the same for every constructor mapping of a pair of types
+/// (`{A}_to_{B}`, …); its declarations are what tell the mappings apart.
+pub fn config_digest(env: &Env, l: &Lifting) -> TermDigest {
     let mut h = DigestBuilder::new();
     h.write_u64(WIRE_VERSION as u64);
     h.write_str(l.a_name.as_str());
@@ -78,10 +81,10 @@ pub fn config_digest(l: &Lifting) -> TermDigest {
     match &l.equivalence {
         Some(eqv) => {
             h.write_u64(1);
-            h.write_str(eqv.f.as_str());
-            h.write_str(eqv.g.as_str());
-            h.write_str(eqv.section.as_str());
-            h.write_str(eqv.retraction.as_str());
+            for name in [&eqv.f, &eqv.g, &eqv.section, &eqv.retraction] {
+                h.write_str(name.as_str());
+                h.write_u64(env.const_decl(name).map_or(0, |d| decl_digest(d).0));
+            }
         }
         None => h.write_u64(0),
     }
@@ -136,9 +139,13 @@ fn decode_decl_cached(bytes: &[u8]) -> Option<ConstDecl> {
 
 impl PersistCache {
     /// Opens (creating as needed) the shard of `root` belonging to this
-    /// lifting configuration, unbounded.
-    pub fn open(root: impl AsRef<Path>, lifting: &Lifting) -> std::io::Result<PersistCache> {
-        PersistCache::open_bounded(root, lifting, None)
+    /// lifting configuration over `env`, unbounded.
+    pub fn open(
+        root: impl AsRef<Path>,
+        env: &Env,
+        lifting: &Lifting,
+    ) -> std::io::Result<PersistCache> {
+        PersistCache::open_bounded(root, env, lifting, None)
     }
 
     /// Opens the shard with a size budget over the whole cache root:
@@ -146,13 +153,14 @@ impl PersistCache {
     /// least-recently-used entries are evicted back under budget.
     pub fn open_bounded(
         root: impl AsRef<Path>,
+        env: &Env,
         lifting: &Lifting,
         max_bytes: Option<u64>,
     ) -> std::io::Result<PersistCache> {
         let root = root.as_ref().to_path_buf();
         let dir = root
             .join(format!("v{WIRE_VERSION}"))
-            .join(config_digest(lifting).to_string());
+            .join(config_digest(env, lifting).to_string());
         fs::create_dir_all(&dir)?;
         Ok(PersistCache {
             root,
@@ -340,7 +348,7 @@ mod tests {
         let lifting = sample_lifting(&mut env);
         let root =
             std::env::temp_dir().join(format!("pumpkin-persist-test-{}", std::process::id()));
-        let cache = PersistCache::open(&root, &lifting).unwrap();
+        let cache = PersistCache::open(&root, &env, &lifting).unwrap();
         let old = env.const_decl(&"Old.rev".into()).unwrap().clone();
         let new = ConstDecl {
             name: "New.rev".into(),
@@ -376,7 +384,7 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = fs::remove_dir_all(&root);
-        let cache = PersistCache::open(&root, &lifting).unwrap();
+        let cache = PersistCache::open(&root, &env, &lifting).unwrap();
         let entries: Vec<(ConstDecl, ConstDecl)> = (0..64usize)
             .map(|i| {
                 let old = ConstDecl {
@@ -424,7 +432,7 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = fs::remove_dir_all(&root);
-        let cache = PersistCache::open(&root, &lifting).unwrap();
+        let cache = PersistCache::open(&root, &env, &lifting).unwrap();
         let old = env.const_decl(&"Old.rev".into()).unwrap().clone();
         let new = ConstDecl {
             name: "New.rev".into(),
@@ -454,7 +462,7 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = fs::remove_dir_all(&root);
-        let cache = PersistCache::open(&root, &lifting).unwrap();
+        let cache = PersistCache::open(&root, &env, &lifting).unwrap();
         let old = env.const_decl(&"Old.rev".into()).unwrap().clone();
         let v1 = ConstDecl {
             name: "New.rev".into(),
@@ -497,14 +505,14 @@ mod tests {
             opaque: false,
         };
         // Measure one entry's on-disk size, then budget for exactly two.
-        let probe = PersistCache::open(&root, &lifting).unwrap();
+        let probe = PersistCache::open(&root, &env, &lifting).unwrap();
         probe.store(&decl(0, "Old"), &decl(0, "New"));
         let entry_len = fs::metadata(probe.entry_path(&decl(0, "Old")))
             .unwrap()
             .len();
         let _ = fs::remove_dir_all(&root);
         let cache =
-            PersistCache::open_bounded(&root, &lifting, Some(2 * entry_len + entry_len / 2))
+            PersistCache::open_bounded(&root, &env, &lifting, Some(2 * entry_len + entry_len / 2))
                 .unwrap();
         for i in 0..4 {
             cache.store(&decl(i, "Old"), &decl(i, "New"));
@@ -534,14 +542,114 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
+    /// Three nullary constructors, so every permutation is a mapping, and
+    /// a constant whose repair is the constructor its mapping picks.
+    const PICK_TYPES: &str = "\
+        Inductive Old.c : Set := | Old.ra : Old.c | Old.rb : Old.c | Old.rc : Old.c.\n\
+        Inductive New.c : Set := | New.ra : New.c | New.rb : New.c | New.rc : New.c.";
+
+    /// `New.pick`'s body after repairing `Old.pick := Old.ra` under `perm`
+    /// in a fresh world, through the cache rooted at `root` if given.
+    fn repaired_pick(perm: &[usize], root: Option<&Path>) -> Option<Term> {
+        let mut env = pumpkin_stdlib::std_env();
+        pumpkin_lang::load_source(&mut env, PICK_TYPES).unwrap();
+        pumpkin_lang::load_source(&mut env, "Definition Old.pick : Old.c := Old.ra.").unwrap();
+        let lifting = crate::search::swap::configure_with(
+            &mut env,
+            &"Old.c".into(),
+            &"New.c".into(),
+            perm,
+            crate::config::NameMap::prefix("Old.", "New."),
+        )
+        .unwrap();
+        let mut repairer = crate::Repairer::new(&lifting);
+        if let Some(root) = root {
+            repairer = repairer.persist_cache(root);
+        }
+        repairer.run(&mut env, &["Old.pick"]).unwrap();
+        env.const_decl(&"New.pick".into()).unwrap().body.clone()
+    }
+
+    #[test]
+    fn each_constructor_mapping_replays_only_its_own_repairs() {
+        let root = std::env::temp_dir().join(format!(
+            "pumpkin-persist-mappings-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = fs::remove_dir_all(&root);
+        for perm in [[0, 1, 2], [1, 2, 0]] {
+            assert_eq!(
+                repaired_pick(&perm, Some(&root)),
+                repaired_pick(&perm, None),
+                "mapping {perm:?} through a shared cache directory"
+            );
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_cache_dir_never_changes_what_the_auto_search_installs() {
+        // Warm the cache with the repair of the module's one constant
+        // under a mapping that sends `Old.ra` elsewhere than the
+        // top-ranked one does; the search's winner must still install its
+        // own mapping's repair, as it does without a cache.
+        let root = std::env::temp_dir().join(format!(
+            "pumpkin-persist-auto-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = fs::remove_dir_all(&root);
+        let src = "Definition Old.pick : Old.c := Old.ra.";
+        let world = || {
+            let mut env = pumpkin_stdlib::std_env();
+            pumpkin_lang::load_source(&mut env, PICK_TYPES).unwrap();
+            env
+        };
+        let (a, b) = ("Old.c".into(), "New.c".into());
+        let names = crate::config::NameMap::prefix("Old.", "New.");
+        let mut warm = world();
+        pumpkin_lang::load_source(&mut warm, src).unwrap();
+        let mappings = crate::search::swap::discover_mappings(
+            warm.inductive(&a).unwrap(),
+            warm.inductive(&b).unwrap(),
+        );
+        let other = mappings.iter().find(|m| m[0] != mappings[0][0]).unwrap();
+        let lifting =
+            crate::search::swap::configure_with(&mut warm, &a, &b, other, names.clone()).unwrap();
+        crate::Repairer::new(&lifting)
+            .persist_cache(&root)
+            .run(&mut warm, &["Old.pick"])
+            .unwrap();
+        let search = |cache: Option<&Path>| {
+            let mut env = world();
+            let mut driver = crate::Repairer::auto(crate::AutoPolicy {
+                use_failure_cache: false,
+                minimize: false,
+                ..Default::default()
+            })
+            .types(a.clone(), b.clone(), names.clone())
+            .source(src);
+            if let Some(dir) = cache {
+                driver = driver.persist_cache(dir);
+            }
+            let (auto, result) = driver.run(&mut env, &[]);
+            result.unwrap();
+            let pick = env.const_decl(&"New.pick".into()).unwrap().body.clone();
+            (auto.winner, pick)
+        };
+        assert_eq!(search(Some(&root)), search(None));
+        let _ = fs::remove_dir_all(&root);
+    }
+
     #[test]
     fn config_digest_separates_recipes() {
         let mut env = pumpkin_stdlib::std_env();
         let a = sample_lifting(&mut env);
-        let d1 = config_digest(&a);
+        let d1 = config_digest(&env, &a);
         let mut b = sample_lifting(&mut env);
         b.names = crate::config::NameMap::prefix("Old.", "Other.");
-        assert_ne!(d1, config_digest(&b));
-        assert_eq!(d1, config_digest(&a));
+        assert_ne!(d1, config_digest(&env, &b));
+        assert_eq!(d1, config_digest(&env, &a));
     }
 }

@@ -133,6 +133,8 @@ impl<'a> Repairer<'a> {
     /// `--trace out.jsonl` schema) after the repair finishes (events are
     /// buffered thread-confined during the run). Implies tracing; combine
     /// with [`Repairer::trace`] to also keep the events on the report.
+    /// A run whose repair succeeds but whose events cannot be written
+    /// fails with [`RepairError::Trace`].
     pub fn sink(mut self, out: impl Write + 'a) -> Self {
         self.sink = Some(JsonLinesSink::new(Box::new(out)));
         self
@@ -259,7 +261,7 @@ impl<'a> Repairer<'a> {
             state.record_provenance();
         }
         if let Some(dir) = &self.persist_dir {
-            let cache = PersistCache::open_bounded(dir, self.lifting, self.cache_max_bytes)
+            let cache = PersistCache::open_bounded(dir, env, self.lifting, self.cache_max_bytes)
                 .map_err(|e| {
                     RepairError::PersistCache(format!("cannot open `{}`: {e}", dir.display()))
                 })?;
@@ -416,6 +418,9 @@ impl<'a> Repairer<'a> {
         }
 
         let mut report = result?;
+        if let Some(e) = self.sink.as_ref().and_then(JsonLinesSink::error) {
+            return Err(RepairError::Trace(e.to_string()));
+        }
         report.incr = incr;
         report.lift = state.stats.since(&lift_before);
         report.metrics = Metrics::from_events(&events);

@@ -1018,7 +1018,7 @@ mod tests {
         let (reply, _) = session().handle_line(&auto);
         assert_eq!(
             reply,
-            r##"{"id":2,"req_id":1,"ok":false,"error":{"code":"auto_exhausted","message":"automatic repair search exhausted 8 candidate(s); default configuration failed with class `kernel`; minimized reproducer: 1 of 4 constant(s) [Old.check_clash]","data":{"v":1,"tried":8,"skipped_cache":0,"rejected":8,"complete":true,"candidates":[["mapping#0 eta=on smart_elim=off cache=on","rejected","kernel",0],["mapping#0 eta=on smart_elim=on cache=on","rejected","kernel",0],["mapping#0 eta=off smart_elim=off cache=on","rejected","kernel",0],["mapping#0 eta=off smart_elim=on cache=on","rejected","kernel",0],["mapping#0 eta=on smart_elim=off cache=off","rejected","kernel",0],["mapping#0 eta=on smart_elim=on cache=off","rejected","kernel",0],["mapping#0 eta=off smart_elim=off cache=off","rejected","kernel",0],["mapping#0 eta=off smart_elim=on cache=off","rejected","kernel",0]],"reproducer":{"names":["Old.check_clash"],"class":"kernel","seed":0,"original":4,"steps":5}}}}"##
+            r##"{"id":2,"req_id":1,"ok":false,"error":{"code":"auto_exhausted","message":"automatic repair search exhausted 2 candidate(s); default configuration failed with class `kernel`; minimized reproducer: 1 of 4 constant(s) [Old.check_clash]","data":{"v":1,"tried":2,"skipped_cache":0,"rejected":2,"complete":true,"candidates":[["mapping#0 smart_elim=off","rejected","kernel",0],["mapping#0 smart_elim=on","rejected","kernel",0]],"reproducer":{"names":["Old.check_clash"],"class":"kernel","seed":0,"original":4,"steps":5}}}}"##
         );
     }
 

@@ -182,7 +182,8 @@ pub enum EventKind {
     AutoCandidate {
         /// Candidate index in enumeration (ranked) order, starting at 0.
         index: u32,
-        /// Human-readable candidate description (mapping + toggles).
+        /// Human-readable candidate description (mapping + smart
+        /// eliminators on or off).
         config: Box<str>,
     },
     /// Instant (`auto` family, versioned): the oracle's verdict on one
@@ -687,7 +688,7 @@ mod tests {
             },
             EventKind::AutoCandidate {
                 index: 3,
-                config: "mapping#1 eta=off smart_elim=on cache=on".into(),
+                config: "mapping#1 smart_elim=on".into(),
             },
             EventKind::AutoVerdict {
                 index: 3,

@@ -194,6 +194,13 @@ skipped=$(sed -n 's/.*skipped=\([0-9]*\)$/\1/p' "$watch_log" | tail -1)
     exit 1
 }
 rm -rf "$watch_dir"
+# A file that is missing when watch starts is an error, not a file to
+# wait for.
+set +e
+timeout 10 ./target/release/pumpkin watch --poll-ms 100 /nonexistent/m.pi 2>/dev/null
+rc=$?
+set -e
+[ "$rc" -eq 1 ] || { echo "watch smoke: missing file exit code: got $rc, want 1" >&2; exit 1; }
 
 # Automatic-search smoke: a known-good module must be accepted by the
 # first checked candidate (exit 0, a winner named in the summary); a
@@ -225,6 +232,10 @@ timeout 120 ./target/release/pumpkin auto --names Old.rev,Old.app,Old.length \
 rc=$?
 set -e
 [ "$rc" -eq 23 ] || { echo "auto smoke: known-bad exit code: got $rc, want 23" >&2; cat "$auto_dir/bad.log"; exit 1; }
+# One constructor mapping: the search runs it with smart eliminators off
+# and then on.
+grep -q 'auto: exhausted (2 tried' "$auto_dir/bad.log" || {
+    echo "auto smoke: known-bad search did not run exactly 2 candidates" >&2; cat "$auto_dir/bad.log"; exit 1; }
 grep -q 'auto: wrote reproducer (1 of 4 constants)' "$auto_dir/bad.log" || {
     echo "auto smoke: no minimized reproducer reported" >&2; cat "$auto_dir/bad.log"; exit 1; }
 grep -q 'Definition Old.check_clash' "$auto_dir/repro.pi" || {

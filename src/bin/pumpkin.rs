@@ -750,7 +750,7 @@ fn top(argv: &[String]) -> ExitCode {
 /// digest snapshot, then `incremental: changed=X replayed=Y skipped=Z`.
 fn watch(argv: &[String]) -> ExitCode {
     use pumpkin_core::{DigestMap, LiftState, Repairer};
-    use std::collections::HashSet;
+    use pumpkin_kernel::env::GlobalRef;
     use std::io::Write as _;
     use std::time::{Instant, SystemTime};
 
@@ -777,6 +777,12 @@ fn watch(argv: &[String]) -> ExitCode {
     let Some(path) = path else {
         return usage_error("watch needs a .pi file to watch");
     };
+    // A file missing at the start is a mistake; one missing later is
+    // mid-save (an editor's rename) and is polled until it returns.
+    if let Err(e) = std::fs::read_to_string(&path) {
+        eprintln!("cannot read {path}: {e}");
+        return ExitCode::FAILURE;
+    }
     // Replays need a persist cache that survives across runs; without an
     // explicit dir, use a per-process scratch one.
     let cache_dir = cache_dir.unwrap_or_else(|| {
@@ -811,21 +817,21 @@ fn watch(argv: &[String]) -> ExitCode {
             // persist cache, not in kept state.
             let cycle = Instant::now();
             let mut env = pumpkin_stdlib::std_env();
-            let baked: HashSet<String> = env
-                .constants()
-                .map(|d| d.name.as_str().to_string())
-                .collect();
+            let mark = env.order().len();
             if let Err(e) = pumpkin_lang::load_source(&mut env, &src) {
                 eprintln!("watch: {path}: {e}");
                 std::thread::sleep(std::time::Duration::from_millis(poll_ms));
                 continue;
             }
             // Work list: the swap module (or --names), plus whatever the
-            // file defines under the source prefix.
+            // file defines under the source prefix, in declaration order.
             let mut names = lift.work_list();
-            for d in env.constants() {
-                let n = d.name.as_str();
-                if n.starts_with(from) && !baked.contains(n) && !names.iter().any(|x| x == n) {
+            for entry in &env.order()[mark..] {
+                let GlobalRef::Const(n) = entry else {
+                    continue;
+                };
+                let n = n.as_str();
+                if n.starts_with(from) && !names.iter().any(|x| x == n) {
                     names.push(n.to_string());
                 }
             }
@@ -872,8 +878,8 @@ fn watch(argv: &[String]) -> ExitCode {
 
 /// `pumpkin auto`: the automatic repair search as a verb (DESIGN.md §18).
 /// Loads a vernacular module and searches candidate configurations —
-/// constructor-mapping permutations, eta/iota toggles, smart eliminators,
-/// cache reuse — running each through the kernel until one repair checks.
+/// every constructor-mapping permutation, each with smart eliminators off
+/// and then on — running each through the kernel until one repair checks.
 /// When every candidate fails, the module is shrunk to a minimal failing
 /// reproducer (`--emit-repro FILE.pi` writes it as standalone vernacular)
 /// and the exit status is [`EXIT_AUTO_EXHAUSTED`].

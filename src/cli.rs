@@ -39,7 +39,8 @@ impl Session {
 
     /// Writes every repair command's event stream to `path` as JSON lines
     /// (`--trace out.jsonl`). Each repair command truncates and rewrites
-    /// the file, so it holds the last run's trace.
+    /// the file, so it holds the last run's trace; a command whose trace
+    /// cannot be written fails.
     pub fn set_trace_path(&mut self, path: impl Into<PathBuf>) {
         self.trace_path = Some(path.into());
     }
