@@ -461,32 +461,40 @@ fn generate_equivalence(
     let section_name = GlobalName::new(format!("{f_name}_section"));
     let retraction_name = GlobalName::new(format!("{f_name}_retraction"));
 
-    if !env.contains(f_name.as_str()) {
-        let f = gen.map_fn(a, b, perm)?;
-        env.define(f_name.clone(), fn_ty(a, b), f)?;
-    }
-    if !env.contains(g_name.as_str()) {
-        let g = gen.map_fn(b, a, &inv)?;
-        env.define(g_name.clone(), fn_ty(b, a), g)?;
-    }
-    if !env.contains(section_name.as_str()) {
-        let section = gen.roundtrip_proof(a, &f_name, &g_name)?;
-        env.define(section_name.clone(), round_ty(a, &f_name, &g_name), section)?;
-    }
-    if !env.contains(retraction_name.as_str()) {
-        let retraction = gen.roundtrip_proof(b, &g_name, &f_name)?;
-        env.define(
-            retraction_name.clone(),
-            round_ty(b, &g_name, &f_name),
-            retraction,
-        )?;
-    }
+    define_or_reuse(env, &f_name, fn_ty(a, b), gen.map_fn(a, b, perm)?)?;
+    define_or_reuse(env, &g_name, fn_ty(b, a), gen.map_fn(b, a, &inv)?)?;
+    let section = gen.roundtrip_proof(a, &f_name, &g_name)?;
+    define_or_reuse(env, &section_name, round_ty(a, &f_name, &g_name), section)?;
+    let retraction = gen.roundtrip_proof(b, &g_name, &f_name)?;
+    define_or_reuse(
+        env,
+        &retraction_name,
+        round_ty(b, &g_name, &f_name),
+        retraction,
+    )?;
     Ok(EquivalenceNames {
         f: f_name,
         g: g_name,
         section: section_name,
         retraction: retraction_name,
     })
+}
+
+/// Declares `name : ty := body`, or keeps an existing declaration of
+/// `name` that is exactly this one. Any other declaration under the name
+/// belongs to another mapping (or to something else entirely), and reusing
+/// it would pair this mapping's builder with that equivalence.
+fn define_or_reuse(env: &mut Env, name: &GlobalName, ty: Term, body: Term) -> Result<()> {
+    if !env.contains(name.as_str()) {
+        env.define(name.clone(), ty, body)?;
+        return Ok(());
+    }
+    match env.const_decl(name) {
+        Ok(d) if d.ty == ty && d.body.as_ref() == Some(&body) => Ok(()),
+        _ => Err(RepairError::BadMapping(format!(
+            "`{name}` is already declared, and not as this mapping's equivalence"
+        ))),
+    }
 }
 
 /// Renders a candidate mapping for the interactive selection prompt
@@ -648,6 +656,63 @@ mod tests {
         assert!(l.equivalence.is_some());
         assert!(env.contains("Old.Term_to_New.Term_section"));
         assert!(env.contains("Old.Term_to_New.Term_retraction"));
+    }
+
+    #[test]
+    fn a_second_mapping_on_one_env_refuses_the_first_ones_equivalence() {
+        use pumpkin_kernel::inductive::{CtorDecl, InductiveDecl};
+        use pumpkin_kernel::universe::Sort;
+        let mut env = stdlib::std_env();
+        for (family, ctors) in [
+            ("Old.c", ["Old.ra", "Old.rb", "Old.rc"]),
+            ("New.c", ["New.ra", "New.rb", "New.rc"]),
+        ] {
+            let ctors = ctors
+                .iter()
+                .map(|c| CtorDecl {
+                    name: (*c).into(),
+                    args: vec![],
+                    result_indices: vec![],
+                })
+                .collect();
+            env.declare_inductive(InductiveDecl {
+                name: family.into(),
+                params: vec![],
+                indices: vec![],
+                sort: Sort::Set,
+                ctors,
+            })
+            .unwrap();
+        }
+        let (a, b) = (GlobalName::new("Old.c"), GlobalName::new("New.c"));
+        let first = configure_with(&mut env, &a, &b, &[0, 1, 2], NameMap::default()).unwrap();
+        let f = first.equivalence.unwrap().f;
+        let f_ra = Term::app(Term::const_(f.clone()), [Term::construct("Old.c", 0)]);
+        assert_eq!(normalize(&env, &f_ra), Term::construct("New.c", 0));
+        // The same mapping again reuses its own declarations.
+        assert!(configure_with(&mut env, &a, &b, &[0, 1, 2], NameMap::default()).is_ok());
+        // Another mapping must not inherit them: under [1, 2, 0] the
+        // first mapping's `f` would still send `Old.ra` to `New.c!0`.
+        match configure_with(&mut env, &a, &b, &[1, 2, 0], NameMap::default()) {
+            Err(RepairError::BadMapping(msg)) => assert!(msg.contains("`Old.c_to_New.c`"), "{msg}"),
+            other => panic!(
+                "expected BadMapping, got {:?}",
+                other.map(|l| l.equivalence)
+            ),
+        }
+        // In an env of its own, the second mapping computes as it says.
+        let mut fresh = env.clone();
+        for n in [
+            "Old.c_to_New.c_retraction",
+            "Old.c_to_New.c_section",
+            "New.c_to_Old.c",
+            "Old.c_to_New.c",
+        ] {
+            fresh.remove(&n.into()).unwrap();
+        }
+        let second = configure_with(&mut fresh, &a, &b, &[1, 2, 0], NameMap::default()).unwrap();
+        assert_eq!(second.equivalence.unwrap().f, f);
+        assert_eq!(normalize(&fresh, &f_ra), Term::construct("New.c", 1));
     }
 
     #[test]

@@ -228,3 +228,29 @@ fn lift_stats_are_populated() {
     assert!(st.stats.constants_lifted >= 5);
     assert!(st.stats.cache_misses > 0);
 }
+
+#[test]
+fn environments_without_an_admission_memo_check_every_declaration() {
+    // Two roots from `std_env()`, which carry no admission memo: the same
+    // repair does the same kernel work in each, and nothing is admitted
+    // unchecked.
+    let kernel = || {
+        let mut env = stdlib::std_env();
+        assert!(env.admission_memo().is_none());
+        let lifting = swap::configure(
+            &mut env,
+            &"Old.list".into(),
+            &"New.list".into(),
+            NameMap::prefix("Old.", "New."),
+        )
+        .unwrap();
+        let report = Repairer::new(&lifting)
+            .run(&mut env, &["Old.rev", "Old.app"])
+            .unwrap();
+        report.kernel
+    };
+    let (first, second) = (kernel(), kernel());
+    assert_eq!(first, second);
+    assert_eq!(first.admission_hits, 0);
+    assert!(first.infer_calls > 0);
+}

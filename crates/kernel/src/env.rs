@@ -1,11 +1,13 @@
 //! The global environment: constants and inductive families — plus the
-//! kernel's two memo tables, for the values and the types of closed terms.
+//! kernel's two memo tables, for the values and the types of closed terms,
+//! and an optional handle on a shared admission memo ([`crate::admission`]).
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 
 use pumpkin_trace::{EventKind, Tracer};
 
+use crate::admission::{Admission, AdmissionMemo};
 use crate::error::{KernelError, Result};
 use crate::inductive::InductiveDecl;
 use crate::intern::TermId;
@@ -117,7 +119,9 @@ impl Default for KernelCache {
 /// with it its caches — belongs to exactly one thread at a time. The
 /// serve worker pool honours this by *cloning* the base `Env` once per
 /// worker (terms are `Arc`-shared, so a clone is shallow) and moving each
-/// clone onto its thread; caches are never shared mutable.
+/// clone onto its thread; the memo tables are never shared mutable. The
+/// one shared structure is the optional admission memo
+/// ([`Env::set_admission_memo`]), which sits behind its own lock.
 #[derive(Debug, Default)]
 pub struct Env {
     consts: HashMap<GlobalName, ConstDecl>,
@@ -133,6 +137,9 @@ pub struct Env {
     /// cloning an `Env` clones the tracer's *configuration* but not its
     /// buffered events.
     tracer: Tracer,
+    /// The admission memo this environment shares, if any (see
+    /// [`Env::set_admission_memo`]).
+    admission: Option<Admission>,
 }
 
 // Serve worker threads receive cloned environments by move; `RefCell`/
@@ -169,6 +176,7 @@ impl Clone for Env {
             generation: self.generation,
             cache,
             tracer: self.tracer.clone(),
+            admission: self.admission.clone(),
         }
     }
 }
@@ -216,6 +224,26 @@ impl Env {
     /// Resets the kernel counters to zero.
     pub fn reset_kernel_stats(&self) {
         *self.cache.stats.borrow_mut() = KernelStats::default();
+    }
+
+    /// Entries held by the value and type memo tables together.
+    pub fn memo_len(&self) -> usize {
+        self.cache.nf.borrow().len() + self.cache.ty.borrow().len()
+    }
+
+    /// Installs an admission memo (DESIGN.md §19), or with `None` removes
+    /// this environment's. From then on [`Env::define`] admits a
+    /// declaration the memo has accepted before without checking it
+    /// again, and every clone of this environment shares the memo.
+    /// Installing computes the identity of every global declared so far,
+    /// which the clones inherit.
+    pub fn set_admission_memo(&mut self, memo: Option<AdmissionMemo>) {
+        self.admission = memo.map(|m| Admission::new(m, self));
+    }
+
+    /// The admission memo this environment shares, if any.
+    pub fn admission_memo(&self) -> Option<&AdmissionMemo> {
+        self.admission.as_ref().map(Admission::memo)
     }
 
     // ------------------------------------------------------------------
@@ -379,6 +407,10 @@ impl Env {
 
     /// Defines a constant with a type-checked body.
     ///
+    /// With an admission memo installed, a declaration whose identity the
+    /// memo has accepted before is admitted without the check (counted in
+    /// [`KernelStats::admission_hits`]), and a checked one is recorded.
+    ///
     /// # Errors
     ///
     /// Fails if the name is taken, the type is not a type, or the body does
@@ -388,8 +420,20 @@ impl Env {
         if self.contains(name.as_str()) {
             return Err(KernelError::Redeclaration(name));
         }
-        typecheck::check_is_type(self, &ty)?;
-        typecheck::check_closed(self, &body, &ty)?;
+        let admission = self.admission.as_ref();
+        let identity = admission.and_then(|a| a.lookup(self, &name, &ty, &body));
+        if let Some((_, true)) = identity {
+            self.tally(|s| s.admission_hits += 1);
+        } else {
+            typecheck::check_is_type(self, &ty)?;
+            typecheck::check_closed(self, &body, &ty)?;
+        }
+        if let (Some(a), Some((id, accepted))) = (admission, identity) {
+            if !accepted {
+                a.accept(id);
+            }
+            a.record(name.clone(), id);
+        }
         self.retire_if_observed_stuck(&name);
         self.order.push(GlobalRef::Const(name.clone()));
         self.consts.insert(
@@ -501,6 +545,10 @@ impl Env {
             dropped: (self.order.len() - mark) as u32,
         });
         for r in self.order.drain(mark..) {
+            let (GlobalRef::Const(n) | GlobalRef::Ind(n)) = &r;
+            if let Some(a) = &self.admission {
+                a.forget(n);
+            }
             match r {
                 GlobalRef::Const(n) => {
                     self.consts.remove(&n);
@@ -617,6 +665,9 @@ impl Env {
         }
         // Safe: remove.
         self.bump_generation();
+        if let Some(a) = &self.admission {
+            a.forget(name);
+        }
         self.consts.remove(name);
         if let Some(ind) = self.inductives.remove(name) {
             for c in &ind.ctors {
@@ -642,8 +693,12 @@ impl Env {
         if decl.opaque != opaque {
             decl.opaque = opaque;
             // Transparency changes which δ-steps fire: memoised values
-            // and types are stale.
+            // and types are stale, and so is the identity of `name` and of
+            // every global that mentions it.
             self.bump_generation();
+            if let Some(a) = &self.admission {
+                a.forget_all();
+            }
         }
         Ok(())
     }

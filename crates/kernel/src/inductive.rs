@@ -20,7 +20,7 @@ use crate::term::{Binder, Term, TermData};
 /// `args[k]`, the parameters are `Rel(k + nparams - 1 - i)` for parameter
 /// `i`, and earlier arguments are the nearer indices). `result_indices` are
 /// interpreted under parameters + all arguments.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CtorDecl {
     /// Globally unique constructor name, e.g. `"Old.cons"`.
     pub name: GlobalName,
@@ -31,7 +31,7 @@ pub struct CtorDecl {
 }
 
 /// An inductive family declaration.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct InductiveDecl {
     /// The family's name, e.g. `"Old.list"`.
     pub name: GlobalName,

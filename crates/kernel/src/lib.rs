@@ -47,6 +47,7 @@
 //! # }
 //! ```
 
+pub mod admission;
 pub mod conv;
 pub mod env;
 pub mod error;
@@ -68,6 +69,7 @@ pub use pumpkin_trace as trace;
 
 /// Convenient glob-import surface.
 pub mod prelude {
+    pub use crate::admission::AdmissionMemo;
     pub use crate::conv::{conv, conv_leq};
     pub use crate::env::{ConstDecl, Env, GlobalRef};
     pub use crate::error::{KernelError, Result};

@@ -34,6 +34,10 @@ pub struct KernelStats {
     pub invalidations: u64,
     /// Type-checker `infer` entries (one per term node visited).
     pub infer_calls: u64,
+    /// Constants `define` admitted without a check because the
+    /// environment's admission memo had accepted the same declaration
+    /// ([`crate::admission`]).
+    pub admission_hits: u64,
 }
 
 impl KernelStats {
@@ -48,6 +52,7 @@ impl KernelStats {
             zeta_steps: self.zeta_steps - earlier.zeta_steps,
             invalidations: self.invalidations - earlier.invalidations,
             infer_calls: self.infer_calls - earlier.infer_calls,
+            admission_hits: self.admission_hits - earlier.admission_hits,
         }
     }
 
@@ -62,6 +67,7 @@ impl KernelStats {
         self.zeta_steps += other.zeta_steps;
         self.invalidations += other.invalidations;
         self.infer_calls += other.infer_calls;
+        self.admission_hits += other.admission_hits;
     }
 
     /// Always 0: `whnf` keeps no memo table since it answers from NbE.

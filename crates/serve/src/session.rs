@@ -9,13 +9,17 @@
 //! lets concurrent workers proceed without sharing mutable kernel
 //! state.
 //!
-//! The one piece of cross-request state inside a session is the
-//! *configuration cache*: running a search procedure (`configure`) is
-//! expensive, so the session keeps up to `MAX_CONFIGS` recent `(spec
-//! digest, configured environment, lifting)` entries and reuses them
-//! while clients keep asking for the same recipes. Under the worker-pool
-//! server each worker owns one long-lived session, so this warm state
-//! survives across connections instead of dying with each one.
+//! The cross-request state inside a session is the *configuration
+//! cache*: running a search procedure (`configure`) is expensive, so the
+//! session keeps up to `MAX_CONFIGS` recent `(spec digest, configured
+//! environment, lifting)` entries and reuses them while clients keep
+//! asking for the same recipes. Under the worker-pool server each worker
+//! owns one long-lived session, so this warm state survives across
+//! connections instead of dying with each one. Beside it sit the `eval`
+//! environment, whose memo tables are bounded, and the kernel's admission
+//! memo (DESIGN.md §19), which the session's environments share through
+//! their clones: a repaired declaration the kernel has accepted once is
+//! admitted again without a second check. Neither changes a reply.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -29,7 +33,9 @@ use pumpkin_core::{
     AutoPolicy, CancelToken, DigestMap, LiftState, Lifting, NameMap, RepairError, RepairReport,
     Repairer,
 };
+use pumpkin_kernel::admission::AdmissionMemo;
 use pumpkin_kernel::env::Env;
+use pumpkin_kernel::term::Term;
 use pumpkin_wire::Value;
 
 use crate::proto::{self, code, Request, PROTO_VERSION};
@@ -47,6 +53,12 @@ pub enum Control {
 /// every lifting kind in the tree with room to spare; beyond that the
 /// least recently used entry (and its configured environment) is dropped.
 const MAX_CONFIGS: usize = 8;
+
+/// Entries the `eval` environment's value and type memos may hold
+/// together before the session replaces it with a fresh clone of its base.
+/// Every distinct closed subterm an `eval` meets stays in those memos, so
+/// without a bound a long-lived daemon grows with the terms it is sent.
+const EVAL_MEMO_CAP: usize = 4096;
 
 /// Every method the daemon serves, announced by `hello` so clients can
 /// negotiate before committing to a workload.
@@ -80,11 +92,13 @@ struct Configured {
 pub struct Session {
     /// The pristine warm environment every repair clones. Nothing runs
     /// against it directly, so its memo tables (copied by every clone)
-    /// stay the size they were when the session started.
+    /// stay the size they were when the session started. It carries the
+    /// admission memo that the configured, per-request and `repair_auto`
+    /// candidate environments share through their clones.
     base: Env,
-    /// The environment `eval` type-checks and normalizes in: cloned from
-    /// `base` once, it keeps its own warm tables across evals without
-    /// growing `base`'s.
+    /// The environment `eval` type-checks and normalizes in: a clone of
+    /// `base` that keeps its own warm tables across evals without growing
+    /// `base`'s, replaced by a fresh clone past [`EVAL_MEMO_CAP`].
     eval_env: Env,
     cache_dir: Option<PathBuf>,
     /// Size budget for the persist cache (None = unbounded).
@@ -247,8 +261,13 @@ fn stats_result(stats: &ServeStats) -> Value {
 
 impl Session {
     /// A session over a (cloned, warm) base environment. `cache_dir`
-    /// enables the persistent lift cache.
-    pub fn new(base: Env, cache_dir: Option<PathBuf>) -> Session {
+    /// enables the persistent lift cache. A base without an admission memo
+    /// gets a fresh one; the daemon installs one memo on its base before
+    /// cloning it for each worker, so its workers share verdicts.
+    pub fn new(mut base: Env, cache_dir: Option<PathBuf>) -> Session {
+        if base.admission_memo().is_none() {
+            base.set_admission_memo(Some(AdmissionMemo::new()));
+        }
         Session {
             eval_env: base.clone(),
             base,
@@ -321,6 +340,12 @@ impl Session {
             Ok((result, ctl)) => (proto::ok_reply_value(&req.id, result), ctl),
             Err(e) => (e.reply(&req.id), Control::Continue),
         };
+        if let Some(memo) = self.base.admission_memo() {
+            // Running totals of a memo the daemon's workers may share.
+            let g = &self.stats.gauges;
+            serve_stats::raise(&g.kernel_admission_hits, memo.hits());
+            serve_stats::raise(&g.kernel_admission_resets, memo.resets());
+        }
         proto::stamp_req_id(&mut reply, req_id);
         (reply.to_string(), ctl)
     }
@@ -549,15 +574,13 @@ impl Session {
             WireError::BadDigest { .. } => (code::BAD_DIGEST, e.to_string()),
             other => (code::BAD_PARAMS, other.to_string()),
         })?;
+        let normal = self.normalize_checked(&term);
+        if self.eval_env.memo_len() > EVAL_MEMO_CAP {
+            self.eval_env = self.base.clone();
+            serve_stats::inc(&self.stats.gauges.eval_memo_resets);
+        }
+        let normal = normal?;
         let env = &self.eval_env;
-        pumpkin_kernel::typecheck::infer_closed(env, &term)
-            .map_err(|e| (code::BAD_PARAMS, format!("term does not typecheck: {e}")))?;
-        let normal =
-            pumpkin_kernel::reduce::normalize_within(env, &term, MAX_DEPTH).ok_or_else(|| {
-                let message =
-                    format!("the normal form nests deeper than the wire's {MAX_DEPTH} levels");
-                (code::BUDGET_EXCEEDED, message)
-            })?;
         Ok((
             Value::Obj(vec![
                 (
@@ -568,6 +591,19 @@ impl Session {
             ]),
             Control::Continue,
         ))
+    }
+
+    /// Type-checks the closed `term` and reads back its normal form, both
+    /// in the `eval` environment.
+    fn normalize_checked(&self, term: &Term) -> Result<Term, (&'static str, String)> {
+        let env = &self.eval_env;
+        pumpkin_kernel::typecheck::infer_closed(env, term)
+            .map_err(|e| (code::BAD_PARAMS, format!("term does not typecheck: {e}")))?;
+        pumpkin_kernel::reduce::normalize_within(env, term, MAX_DEPTH).ok_or_else(|| {
+            let message =
+                format!("the normal form nests deeper than the wire's {MAX_DEPTH} levels");
+            (code::BUDGET_EXCEEDED, message)
+        })
     }
 
     /// The shared run path for repair/explain: resolve the lifting spec
@@ -1206,6 +1242,91 @@ mod tests {
         let repeat = s.eval_env.kernel_stats().since(&warm);
         assert_eq!(repeat.reduction_steps(), 0, "{repeat:?}");
         assert_eq!(s.base.kernel_stats(), base);
+    }
+
+    #[test]
+    fn a_stream_of_distinct_eval_terms_keeps_the_eval_memo_under_its_cap() {
+        use pumpkin_kernel::term::Term;
+        use std::sync::atomic::Ordering;
+        let numeral = |n: usize| {
+            (0..n).fold(Term::construct("nat", 0), |t, _| {
+                Term::app(Term::construct("nat", 1), [t])
+            })
+        };
+        let mut s = session();
+        let resets = |s: &Session| s.stats.gauges.eval_memo_resets.load(Ordering::Relaxed);
+        for (a, b) in (0..100).flat_map(|a| (0..100).map(move |b| (a, b))) {
+            let t = Term::app(Term::const_("add"), [numeral(a), numeral(b)]);
+            let line = format!(
+                r#"{{"id":1,"method":"eval","params":{{"term":{}}}}}"#,
+                term_to_envelope(&t)
+            );
+            let (reply, _) = s.handle_line(&line);
+            assert!(reply.contains("\"ok\":true"), "{reply}");
+            assert!(s.eval_env.memo_len() <= EVAL_MEMO_CAP);
+            if resets(&s) > 0 {
+                break;
+            }
+        }
+        assert_eq!(resets(&s), 1, "the stream never reached the cap");
+        // The replacement starts with the base's tables, as at startup.
+        assert_eq!(s.eval_env.memo_len(), s.base.memo_len());
+    }
+
+    /// The `kernel_admission_hits` gauge, read through a `stats` frame.
+    fn admission_hits(s: &mut Session) -> u64 {
+        let (reply, _) = s.handle_line(r#"{"id":0,"method":"stats"}"#);
+        let v = Value::parse(&reply).unwrap();
+        let gauges = v.get("result").and_then(|r| r.get("gauges")).unwrap();
+        gauges
+            .get("kernel_admission_hits")
+            .and_then(Value::as_u64)
+            .unwrap()
+    }
+
+    /// `reply` without its lifecycle id, which counts a session's frames.
+    fn without_req_id(reply: &str) -> String {
+        let v = Value::parse(reply).unwrap();
+        let fields = v.as_obj().unwrap().iter();
+        Value::Obj(fields.filter(|(k, _)| k != "req_id").cloned().collect()).to_string()
+    }
+
+    #[test]
+    fn a_warm_admission_memo_changes_no_reply() {
+        let spec = swap_spec();
+        let frames = [
+            format!(
+                r#"{{"id":1,"method":"repair","params":{{"lifting":{spec},"name":"Old.rev","deterministic":true}}}}"#
+            ),
+            format!(
+                r#"{{"id":2,"method":"repair_module","params":{{"lifting":{spec},"names":["Old.rev","Old.app"],"deterministic":true}}}}"#
+            ),
+            format!(
+                r#"{{"id":3,"method":"repair_batch","params":{{"lifting":{spec},"batch":[{{"name":"Old.app","deterministic":true}},{{"names":["Old.length"],"deterministic":true}}]}}}}"#
+            ),
+            format!(
+                r#"{{"id":4,"method":"explain","params":{{"lifting":{spec},"name":"Old.rev"}}}}"#
+            ),
+            format!(
+                r#"{{"id":5,"method":"repair_auto","params":{{"lifting":{spec},"names":["Old.rev"],"failure_cache":false,"deterministic":true}}}}"#
+            ),
+        ];
+        let mut warm = session();
+        for frame in &frames {
+            warm.handle_line(frame);
+        }
+        for frame in &frames {
+            // A fresh session checks every declaration it meets...
+            let mut fresh = session();
+            let (cold, _) = fresh.handle_line(frame);
+            assert!(cold.contains("\"ok\":true"), "{cold}");
+            assert_eq!(admission_hits(&mut fresh), 0, "{frame}");
+            // ...and the warm one admits them unchecked, with the same reply.
+            let before = admission_hits(&mut warm);
+            let (hot, _) = warm.handle_line(frame);
+            assert!(admission_hits(&mut warm) > before, "{frame}");
+            assert_eq!(without_req_id(&cold), without_req_id(&hot), "{frame}");
+        }
     }
 
     #[test]

@@ -97,6 +97,14 @@ pub struct Gauges {
     pub incr_skipped: AtomicU64,
     /// Requests that crossed the `--slow-ms` threshold and were logged.
     pub slow_logged: AtomicU64,
+    /// Repaired declarations the kernel admitted without a check because
+    /// the daemon's admission memo had accepted them before.
+    pub kernel_admission_hits: AtomicU64,
+    /// Times the admission memo cleared its tables at its cap.
+    pub kernel_admission_resets: AtomicU64,
+    /// Times a session replaced its `eval` environment, whose value and
+    /// type memos had outgrown their cap, with a fresh clone of its base.
+    pub eval_memo_resets: AtomicU64,
 }
 
 impl Gauges {
@@ -110,9 +118,12 @@ impl Gauges {
             ("busy_session_cap", g(&self.busy_session_cap)),
             ("config_cache_hits", g(&self.config_cache_hits)),
             ("config_cache_misses", g(&self.config_cache_misses)),
+            ("eval_memo_resets", g(&self.eval_memo_resets)),
             ("incr_changed", g(&self.incr_changed)),
             ("incr_replayed", g(&self.incr_replayed)),
             ("incr_skipped", g(&self.incr_skipped)),
+            ("kernel_admission_hits", g(&self.kernel_admission_hits)),
+            ("kernel_admission_resets", g(&self.kernel_admission_resets)),
             ("lift_cache_hits", g(&self.lift_cache_hits)),
             ("lift_cache_misses", g(&self.lift_cache_misses)),
             ("lift_constants", g(&self.lift_constants)),
@@ -183,9 +194,7 @@ impl ServeStats {
 
     /// Raises the queue-depth high-water mark to `depth` if higher.
     pub fn raise_queue_depth(&self, depth: u64) {
-        self.gauges
-            .queue_depth_hwm
-            .fetch_max(depth, Ordering::Relaxed);
+        raise(&self.gauges.queue_depth_hwm, depth);
     }
 
     /// Merges every shard and reads every gauge. This is the read-side
@@ -216,6 +225,12 @@ pub fn add(counter: &AtomicU64, by: u64) {
     if by > 0 {
         counter.fetch_add(by, Ordering::Relaxed);
     }
+}
+
+/// Raises a relaxed gauge to `to` if that is higher: a high-water mark,
+/// or a running total kept elsewhere and read by several workers.
+pub fn raise(gauge: &AtomicU64, to: u64) {
+    gauge.fetch_max(to, Ordering::Relaxed);
 }
 
 /// Decrements a relaxed level gauge, saturating at zero.

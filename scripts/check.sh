@@ -80,8 +80,16 @@ done
 [ -n "$addr" ] || { echo "pumpkind never reported its address" >&2; cat "$serve_log"; exit 1; }
 timeout 30 ./target/release/pumpkin client --connect "$addr" ping
 timeout 30 ./target/release/pumpkin client --connect "$addr" hello
-timeout 120 ./target/release/pumpkin client --connect "$addr" repair-module \
-    --swap Old.list New.list --names Old.rev,Old.app,Old.rev_involutive
+# The same repair twice: the second run's declarations are ones the
+# daemon's kernel already accepted, so its admission memo admits them
+# without a second check (DESIGN.md §19).
+for _ in 1 2; do
+    timeout 120 ./target/release/pumpkin client --connect "$addr" repair-module \
+        --swap Old.list New.list --names Old.rev,Old.app,Old.rev_involutive
+done
+timeout 30 ./target/release/pumpkin client --connect "$addr" stats --json \
+    | grep -Eq '"kernel_admission_hits":[1-9]' || {
+    echo "stats: kernel_admission_hits did not move after a repeated repair" >&2; exit 1; }
 # Error-code mapping: an unknown method must exit with the dedicated
 # unknown_method status (14), not a generic failure.
 set +e
