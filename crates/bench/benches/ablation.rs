@@ -17,6 +17,7 @@
 //!   with a cold vs failure-cache-warmed enumeration, plus the greedy
 //!   reproducer minimization (DESIGN.md §18).
 
+use pumpkin_bench::kernel_cold_std_env;
 use pumpkin_pi::case_studies;
 use pumpkin_pi::pumpkin_core::{self, LiftState, NameMap, Repairer};
 use pumpkin_pi::pumpkin_kernel::env::Env;
@@ -26,7 +27,7 @@ use pumpkin_testkit::Bench;
 use stdlib::nat::nat_lit;
 
 fn bench_lift_cache_ablation(b: &mut Bench) {
-    let base = stdlib::std_env();
+    let base = kernel_cold_std_env();
     for (label, cached) in [("on", true), ("off", false)] {
         b.bench(
             &format!("lift_cache/{label}"),
@@ -78,7 +79,7 @@ fn bench_kernel_cache_ablation(b: &mut Bench) {
     // the kernel conv/whnf memo tables enabled vs disabled. One
     // instrumented run per arm prints the `kernel::stats` counters so the
     // hit rate backing the speedup is visible next to the timing.
-    let base = stdlib::std_env();
+    let base = kernel_cold_std_env();
     for (label, enabled) in [("on", true), ("off", false)] {
         b.bench(
             &format!("kernel_cache/{label}"),
@@ -104,7 +105,7 @@ fn bench_repair_parallel(b: &mut Bench) {
     // The id keeps its `jobs=1` suffix: bench_guard matches ids against the
     // committed BENCH_*.json, `trace_overhead/off` is gated against this
     // row in-run, and ROADMAP.md tracks this row's drift across releases.
-    let base = stdlib::std_env();
+    let base = kernel_cold_std_env();
     b.bench(
         "repair_parallel/jobs=1",
         || base.clone(),
@@ -125,32 +126,32 @@ fn bench_trace_overhead(b: &mut Bench) {
     // arm measures event capture alone (provenance explicitly off, keeping
     // the row comparable across baselines); `prov` is the provenance
     // recorder alone; `full` is both.
-    b.bench("trace_overhead/off", stdlib::std_env, |mut env| {
+    b.bench("trace_overhead/off", kernel_cold_std_env, |mut env| {
         case_studies::swap_list_module(&mut env).unwrap();
         env
     });
-    b.bench("trace_overhead/on", stdlib::std_env, |mut env| {
+    b.bench("trace_overhead/on", kernel_cold_std_env, |mut env| {
         swap_module_repairer(&mut env, |r| r.trace(true).provenance(false));
         env
     });
     // Provenance recorder on, sink off: the per-subterm attribution cost
     // in isolation.
-    b.bench("trace_overhead/prov", stdlib::std_env, |mut env| {
+    b.bench("trace_overhead/prov", kernel_cold_std_env, |mut env| {
         case_studies::swap_list_module_provenance(&mut env).unwrap();
         env
     });
-    b.bench("trace_overhead/full", stdlib::std_env, |mut env| {
+    b.bench("trace_overhead/full", kernel_cold_std_env, |mut env| {
         case_studies::swap_list_module_traced(&mut env).unwrap();
         env
     });
-    let mut env = stdlib::std_env();
+    let mut env = kernel_cold_std_env();
     let report = case_studies::swap_list_module_traced(&mut env).unwrap();
     println!(
         "  trace_overhead/full: {} events, {} lift spans",
         report.trace_events().len(),
         report.metrics().counter("lift.constants"),
     );
-    let mut env = stdlib::std_env();
+    let mut env = kernel_cold_std_env();
     let report = case_studies::swap_list_module_provenance(&mut env).unwrap();
     println!(
         "  trace_overhead/prov: {} constants, {} sites",
@@ -185,7 +186,7 @@ fn swap_module_repairer(
 /// Builds an environment with two n-constructor enums and a function
 /// `enumf : EnumA → nat` to repair across a rotation.
 fn enum_env(n: usize) -> (Env, Vec<usize>) {
-    let mut env = stdlib::std_env();
+    let mut env = kernel_cold_std_env();
     env.declare_inductive(stdlib::replica::enum_decl("EnumA", n))
         .unwrap();
     env.declare_inductive(stdlib::replica::enum_decl("EnumB", n))
@@ -239,7 +240,7 @@ fn bench_enum_scaling(b: &mut Bench) {
 /// Builds an environment with a lemma instantiating `Old.app_assoc` on
 /// literal lists of length `n` (a proof term that grows linearly with `n`).
 fn term_size_env(n: usize) -> Env {
-    let mut env = stdlib::std_env();
+    let mut env = kernel_cold_std_env();
     let elems: Vec<Term> = (0..n as u64).map(nat_lit).collect();
     let l = stdlib::list::list_lit("Old.list", Term::ind("nat"), &elems);
     let body = Term::app(
@@ -289,7 +290,12 @@ fn bench_persist_cache(b: &mut Bench) {
     // `warm` hits a pre-populated directory (each run replays serialized
     // lifted declarations instead of lifting). The configure step runs in
     // setup so both rows time the module repair alone. bench_guard.sh
-    // gates warm at >= 5x faster than cold.
+    // gates warm at >= 5x faster than cold. `cold` checks every
+    // declaration it lifts; the populating run, `warm` and `incremental`
+    // share the process's admission memo, as the environments of a
+    // `watch` or daemon process do, so a replayed frame the populating
+    // run's kernel accepted is admitted by its identity.
+    let cold_base = kernel_cold_std_env();
     let base = stdlib::std_env();
     let dir = std::env::temp_dir().join(format!("pumpkin-bench-persist-{}", std::process::id()));
     let configure = |env: &mut Env| {
@@ -314,7 +320,7 @@ fn bench_persist_cache(b: &mut Bench) {
         "persist_cache/cold",
         || {
             let _ = std::fs::remove_dir_all(&dir);
-            let mut env = base.clone();
+            let mut env = cold_base.clone();
             let lifting = configure(&mut env);
             (env, lifting)
         },
@@ -423,7 +429,7 @@ fn bench_auto_search(b: &mut Bench) {
     // module down to its one-constant reproducer.
     use pumpkin_pi::pumpkin_core::AutoPolicy;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    let base = stdlib::std_env();
+    let base = kernel_cold_std_env();
     let collision = |tag: &str| {
         format!(
             "Definition New.{tag} : nat := O.\n\

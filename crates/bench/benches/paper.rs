@@ -10,6 +10,7 @@
 //! * `galois_round_trip`  — §6.4 (≤ 10 s interactive budget).
 //! * `decompile_rev_app_distr` — §5: decompile + validate.
 
+use pumpkin_bench::kernel_cold_std_env;
 use pumpkin_pi::case_studies;
 use pumpkin_pi::pumpkin_core::{self, NameMap};
 use pumpkin_pi::pumpkin_stdlib as stdlib;
@@ -17,7 +18,7 @@ use pumpkin_pi::pumpkin_tactics;
 use pumpkin_testkit::Bench;
 
 fn bench_swap_module(b: &mut Bench) {
-    let base = stdlib::std_env();
+    let base = kernel_cold_std_env();
     b.bench(
         "swap_list_module",
         || base.clone(),
@@ -29,7 +30,7 @@ fn bench_swap_module(b: &mut Bench) {
 }
 
 fn bench_replica_variants(b: &mut Bench) {
-    let mut base = stdlib::std_env();
+    let mut base = kernel_cold_std_env();
     let variants = case_studies::declare_replica_variants(&mut base).unwrap();
     b.bench(
         "replica_variant/swap_int_eq",
@@ -53,7 +54,7 @@ fn bench_replica_variants(b: &mut Bench) {
 }
 
 fn bench_enum_30(b: &mut Bench) {
-    let mut base = stdlib::std_env();
+    let mut base = kernel_cold_std_env();
     base.declare_inductive(stdlib::replica::enum_decl("Enum", 30))
         .unwrap();
     base.declare_inductive(stdlib::replica::enum_decl("Enum2", 30))
@@ -76,7 +77,7 @@ fn bench_enum_30(b: &mut Bench) {
 }
 
 fn bench_ornament(b: &mut Bench) {
-    let base = stdlib::std_env();
+    let base = kernel_cold_std_env();
     b.bench(
         "ornament_zip",
         || base.clone(),
@@ -88,7 +89,7 @@ fn bench_ornament(b: &mut Bench) {
 }
 
 fn bench_binary(b: &mut Bench) {
-    let base = stdlib::std_env();
+    let base = kernel_cold_std_env();
     b.bench(
         "binary_nat",
         || base.clone(),
@@ -100,7 +101,7 @@ fn bench_binary(b: &mut Bench) {
 }
 
 fn bench_galois(b: &mut Bench) {
-    let base = stdlib::std_env();
+    let base = kernel_cold_std_env();
     b.bench(
         "galois_round_trip",
         || base.clone(),

@@ -6,12 +6,14 @@
 //! structurally. Global constants that (transitively) mention the source
 //! type are repaired on demand and cached ([`repair_constant`]), which is
 //! how `Repair` updates dependencies automatically (paper §2) — and every
-//! repaired constant is re-checked by the kernel when it is defined, so a
-//! successful repair is well-typed by construction.
+//! repaired constant, a persist-cache replay included, is re-checked by
+//! the kernel when it is defined (or admitted by the admission memo as one
+//! it accepted before), so a successful repair is well-typed by
+//! construction in every build profile.
 //!
 //! Caching mirrors paper §4.4: intermediate *closed* subterm liftings are
-//! memoized (`cache_enabled`), and the whole-constant mapping is always
-//! cached.
+//! memoized (except under [`LiftState::without_cache`]), and the
+//! whole-constant mapping is always cached.
 
 use std::collections::{HashMap, HashSet};
 
@@ -44,6 +46,9 @@ pub struct LiftStats {
     pub persist_hits: u64,
     /// Persistent-cache probes that fell back to a fresh lift.
     pub persist_misses: u64,
+    /// Persisted frames the kernel refused at replay: each was deleted
+    /// from its shard and lifted fresh (and also counts as a miss).
+    pub persist_rejected: u64,
 }
 
 impl LiftStats {
@@ -57,6 +62,7 @@ impl LiftStats {
             visits: self.visits - earlier.visits,
             persist_hits: self.persist_hits - earlier.persist_hits,
             persist_misses: self.persist_misses - earlier.persist_misses,
+            persist_rejected: self.persist_rejected - earlier.persist_rejected,
         }
     }
 
@@ -106,6 +112,7 @@ pub enum LiftOutcome {
 }
 
 /// Mutable state threaded through a repair session.
+/// [`LiftState::default`] and [`LiftState::new`] build the same state.
 #[derive(Default)]
 pub struct LiftState {
     /// Already-repaired constants: old name → new name.
@@ -113,8 +120,10 @@ pub struct LiftState {
     /// Memoized liftings of closed subterms, keyed by the hash-consed
     /// [`TermId`] — an integer compare per probe, no tree hashing.
     term_cache: HashMap<TermId, Term>,
-    /// Whether the closed-subterm cache is consulted (ablatable).
-    pub cache_enabled: bool,
+    /// Whether the closed-subterm cache is bypassed: only
+    /// [`LiftState::without_cache`] sets it, so every other constructor,
+    /// `Default` included, caches.
+    cache_disabled: bool,
     /// Constants currently being repaired (cycle/termination guard).
     in_progress: HashSet<GlobalName>,
     /// Memoized relevance: does a constant transitively mention the source?
@@ -150,17 +159,14 @@ impl LiftState {
     /// Fresh state with the subterm cache enabled (the default, as in the
     /// paper's tool).
     pub fn new() -> Self {
-        LiftState {
-            cache_enabled: true,
-            ..Default::default()
-        }
+        LiftState::default()
     }
 
     /// Fresh state with the subterm cache disabled (for the ablation bench).
     pub fn without_cache() -> Self {
         LiftState {
-            cache_enabled: false,
-            ..Default::default()
+            cache_disabled: true,
+            ..LiftState::default()
         }
     }
 
@@ -350,7 +356,7 @@ fn is_relevant(env: &Env, l: &Lifting, st: &mut LiftState, name: &GlobalName) ->
 pub fn lift_term(env: &mut Env, l: &Lifting, st: &mut LiftState, t: &Term) -> Result<Term> {
     st.stats.visits += 1;
 
-    let cacheable = st.cache_enabled && t.is_closed();
+    let cacheable = !st.cache_disabled && t.is_closed();
     if cacheable {
         if let Some(hit) = st.term_cache.get(&t.id()) {
             let hit = hit.clone();
@@ -541,8 +547,8 @@ pub fn repair_constant(
         // validated hit skips the whole lift below. Constants in the
         // incremental invalidation set never probe: their digests may be
         // unchanged while an upstream body changed, so a replay would
-        // install a dependent without re-checking it against the new
-        // upstream.
+        // install the repair computed against the old upstream, which the
+        // kernel may well accept but a fresh lift would not produce.
         if let Some(cache) = st.persist.clone() {
             if st.invalidated.contains(name) || st.provenance_enabled() {
                 // Fall through to a fresh, fully checked lift. Provenance
@@ -551,7 +557,8 @@ pub fn repair_constant(
                 // cite the same rules as after a cold one.
             } else {
                 if let Some(hit) = cache.lookup(&decl) {
-                    if let Some(new_name) = replay_persisted(env, l, st, name, &decl, hit)? {
+                    let replayed = replay_persisted(env, l, st, &cache, name, &decl, hit)?;
+                    if let Some(new_name) = replayed {
                         st.stats.persist_hits += 1;
                         return Ok((new_name, LiftOutcome::Replayed));
                     }
@@ -614,13 +621,17 @@ pub fn repair_constant(
 /// a fresh lift — when the entry cannot be validated against this
 /// environment (a stale name, or a cache shared across environments).
 ///
-/// Installation goes through `Env::admit_checked`: debug builds
-/// re-typecheck the replayed declaration, release builds trust the
-/// digest-verified frame — which is what makes the warm path cheap.
+/// Installation goes through `Env::define`/`Env::assume`, like a fresh
+/// lift's: the digests only detect damage, so the kernel decides every
+/// frame (or the admission memo, by exact identity, which keeps a warm
+/// replay cheap). A frame the kernel refuses is deleted from the shard,
+/// counted in [`LiftStats::persist_rejected`] and read as a miss, so the
+/// fresh lift that follows re-publishes a good frame.
 fn replay_persisted(
     env: &mut Env,
     l: &Lifting,
     st: &mut LiftState,
+    cache: &crate::persist::PersistCache,
     name: &GlobalName,
     old: &pumpkin_kernel::env::ConstDecl,
     hit: pumpkin_kernel::env::ConstDecl,
@@ -657,7 +668,40 @@ fn replay_persisted(
         }
         return Err(RepairError::Kernel(KernelError::Redeclaration(new_name)));
     }
-    env.admit_checked(hit)?;
+    let installed = match hit.body {
+        Some(body) => env.define(new_name.clone(), hit.ty, body),
+        None => env.assume(new_name.clone(), hit.ty),
+    };
+    if installed.is_err() {
+        cache.evict(old);
+        st.stats.persist_rejected += 1;
+        return Ok(None);
+    }
     st.stats.constants_lifted += 1;
     Ok(Some(new_name))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::NameMap;
+
+    #[test]
+    fn the_default_state_caches_closed_subterms() {
+        let mut env = pumpkin_stdlib::std_env();
+        let lifting = crate::search::swap::configure(
+            &mut env,
+            &"Old.list".into(),
+            &"New.list".into(),
+            NameMap::prefix("Old.", "New."),
+        )
+        .unwrap();
+        // `Old.app nat nil nil`: the second `nil` repeats the first.
+        let nat = Term::ind("nat");
+        let nil = Term::app(Term::construct("Old.list", 0), [nat.clone()]);
+        let t = Term::app(Term::const_("Old.app"), [nat, nil.clone(), nil]);
+        let mut st = LiftState::default();
+        lift_term(&mut env, &lifting, &mut st, &t).unwrap();
+        assert!(st.stats.cache_hits > 0, "{}", st.stats);
+    }
 }

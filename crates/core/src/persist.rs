@@ -24,9 +24,10 @@
 //!   edit re-keys the entry automatically.
 //!
 //! The value is the [`pumpkin_wire::encode_decl`] binary frame of the
-//! *repaired* declaration. Replay installs it via `Env::admit_checked`
-//! (debug builds re-typecheck; release builds trust the digests, which is
-//! where the warm-path speedup comes from — see `repair_constant`).
+//! *repaired* declaration. Replay installs it through `Env::define`, as a
+//! fresh lift does, in every build profile; it stays cheap because the
+//! admission memo admits a declaration this process's kernel accepted
+//! before by its exact identity (see `repair_constant`).
 //!
 //! Shared-directory hardening (DESIGN.md §16):
 //!
@@ -36,10 +37,11 @@
 //!   *evicted* (deleted) and reads as a miss, so the fresh lift that
 //!   follows re-publishes a good frame — a damaged cache can slow a run
 //!   down but never fail it.
-//! * The digests detect damage, not forgery. A frame whose digests were
-//!   recomputed over a different declaration verifies, and release
-//!   builds install it without a kernel check (debug builds re-check),
-//!   so a release build trusts whoever can write the cache directory.
+//! * The digests detect damage, not forgery, so replay trusts no frame: a
+//!   frame the kernel refuses is evicted like a corrupt one and counted as
+//!   `persist_rejected`. Whoever can write the cache directory cannot get
+//!   an ill-typed declaration installed, though only the digests tie a
+//!   well-typed frame to the repair a fresh lift would produce.
 //! * The store can be size-bounded ([`PersistCache::open_bounded`],
 //!   `--cache-max-bytes`): when the root directory's entries exceed the
 //!   budget, the least-recently-used entries (by modification time;
@@ -197,6 +199,11 @@ impl PersistCache {
                 None
             }
         }
+    }
+
+    /// Deletes the entry for `old` (best-effort, like every write).
+    pub(crate) fn evict(&self, old: &ConstDecl) {
+        let _ = fs::remove_file(self.entry_path(old));
     }
 
     /// Persists `new` as the repair of `old`. Best-effort: I/O failures

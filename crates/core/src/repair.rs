@@ -150,9 +150,11 @@ impl RepairReport {
     /// pairs, DAG shape, lift-layer counters, the end-to-end latency
     /// (`wall_ns`, zeroed when `deterministic`), then the `incr` and
     /// `auto` blocks when present. Raw [`KernelStats`] are deliberately
-    /// omitted: debug builds re-typecheck merged declarations, so those
-    /// counters differ across build profiles, and the golden transcript
-    /// holds in both.
+    /// omitted: how much kernel work a repair costs depends on what the
+    /// admission memo its environment shares already holds (which other
+    /// requests, or earlier runs in the process, were checked first), not
+    /// on the request. `persist_rejected` is not rendered either: the
+    /// daemon serves it as a gauge.
     pub fn to_value(&self, deterministic: bool) -> Value {
         let n = Value::UInt;
         let repaired = self

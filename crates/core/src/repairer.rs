@@ -502,6 +502,8 @@ mod tests {
     use super::*;
     use crate::config::NameMap;
     use crate::search::swap;
+    use pumpkin_kernel::admission::AdmissionMemo;
+    use pumpkin_kernel::env::ConstDecl;
     use pumpkin_stdlib as stdlib;
     use pumpkin_trace::json::Value;
 
@@ -532,7 +534,10 @@ mod tests {
 
     #[test]
     fn traced_run_captures_spans_and_kernel_probes() {
+        // A private admission memo: the process-wide one may already hold
+        // these declarations, and then no kernel probe would fire.
         let (mut env, lifting) = configured();
+        env.set_admission_memo(Some(AdmissionMemo::new()));
         let report = Repairer::new(&lifting)
             .trace(true)
             .run(&mut env, &["Old.rev", "Old.app", "Old.rev_app_distr"])
@@ -617,6 +622,49 @@ mod tests {
                 "persisted replay diverged on {n}"
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_forged_persist_frame_is_refused_evicted_and_relifted() {
+        // A frame whose digests verify but whose declaration is ill-typed:
+        // `New.rev_app_distr : False := O`, under `Old.rev_app_distr`'s key.
+        // Replay hands it to the kernel like a fresh lift, in every build
+        // profile, so the run refuses it, deletes it and lifts fresh.
+        let dir =
+            std::env::temp_dir().join(format!("pumpkin-repairer-forged-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let new_name = GlobalName::new("New.rev_app_distr");
+        let (mut env, lifting) = configured();
+        let old = env.const_decl(&"Old.rev_app_distr".into()).unwrap().clone();
+        let forged = ConstDecl {
+            name: new_name.clone(),
+            ty: Term::ind("False"),
+            body: Some(Term::construct("nat", 0)),
+            opaque: false,
+        };
+        PersistCache::open(&dir, &env, &lifting)
+            .unwrap()
+            .store_with(&old, &forged, true);
+        let first = Repairer::new(&lifting)
+            .persist_cache(&dir)
+            .run(&mut env, &["Old.rev_app_distr"])
+            .unwrap();
+        assert_eq!(first.lift.persist_rejected, 1);
+        let installed = env.const_decl(&new_name).unwrap();
+        let body = installed.body.as_ref().unwrap();
+        pumpkin_kernel::typecheck::check_closed(&env, body, &installed.ty).unwrap();
+
+        // The fresh lift re-published a good frame, which a fresh
+        // environment replays.
+        let (mut env2, lifting2) = configured();
+        let second = Repairer::new(&lifting2)
+            .persist_cache(&dir)
+            .run(&mut env2, &["Old.rev_app_distr"])
+            .unwrap();
+        assert!(second.lift.persist_hits >= 1);
+        assert_eq!(second.lift.persist_rejected, 0);
+        assert_eq!(env2.const_decl(&new_name), env.const_decl(&new_name));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -230,27 +230,34 @@ fn lift_stats_are_populated() {
 }
 
 #[test]
-fn environments_without_an_admission_memo_check_every_declaration() {
-    // Two roots from `std_env()`, which carry no admission memo: the same
-    // repair does the same kernel work in each, and nothing is admitted
-    // unchecked.
-    let kernel = || {
+fn std_env_roots_share_admission_verdicts() {
+    // Two roots from `std_env()`, which share the process's admission
+    // memo: the second run of the same repair admits the declarations the
+    // first had checked. The `Shared.` prefix is this test's own, so the
+    // first run checks every repaired declaration whatever else this
+    // process has repaired.
+    let repair = || {
         let mut env = stdlib::std_env();
-        assert!(env.admission_memo().is_none());
         let lifting = swap::configure(
             &mut env,
             &"Old.list".into(),
             &"New.list".into(),
-            NameMap::prefix("Old.", "New."),
+            NameMap::prefix("Old.", "Shared."),
         )
         .unwrap();
         let report = Repairer::new(&lifting)
             .run(&mut env, &["Old.rev", "Old.app"])
             .unwrap();
-        report.kernel
+        let decls: Vec<_> = report
+            .repaired
+            .iter()
+            .map(|(_, to)| env.const_decl(to).unwrap().clone())
+            .collect();
+        (decls, report.kernel)
     };
-    let (first, second) = (kernel(), kernel());
+    let (first, cold) = repair();
+    let (second, warm) = repair();
     assert_eq!(first, second);
-    assert_eq!(first.admission_hits, 0);
-    assert!(first.infer_calls > 0);
+    assert!(warm.admission_hits > cold.admission_hits, "{warm:?}");
+    assert!(warm.infer_calls < cold.infer_calls, "{warm:?} vs {cold:?}");
 }

@@ -3,10 +3,11 @@
 //! (DESIGN.md §19).
 //!
 //! [`Env::define`] checks a new constant's type and body. A daemon session
-//! repairs every request in a fresh clone of a configured environment, so
-//! it defines the same repaired constants over and over. An environment
-//! that carries a memo admits a declaration without the check when the
-//! memo has accepted one of the same *identity* before.
+//! repairs every request in a fresh clone of a configured environment, and
+//! a persist replay re-installs an earlier run's repairs, so the same
+//! constants are defined over and over. An environment that carries a memo
+//! admits a declaration without the check when the memo has accepted one
+//! of the same *identity* before; every `std_env()` clone shares one.
 //!
 //! The identity of a global in an environment is an integer the memo
 //! interns from a key that holds, in full, the global's declaration (for a
@@ -36,8 +37,9 @@ const MEMO_CAP: usize = 1 << 14;
 /// as identities, which stand for their own keys in turn.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 enum Key {
-    /// A constant, with the identities of the globals its type and body
-    /// mention, in name order.
+    /// A constant, with the identities of the globals its type mentions
+    /// and then of those its body mentions, each list in name order (the
+    /// lists are functions of `ty` and `body`, so the sequence is exact).
     Const {
         name: GlobalName,
         ty: TermId,
@@ -197,9 +199,10 @@ impl Admission {
     ) -> Option<(u64, bool)> {
         let mut table = self.memo.lock();
         table.clear_at_cap();
-        let mentioned = union(&table.mentions(ty), &table.mentions(body));
-        let deps = mentioned
+        let (in_ty, in_body) = (table.mentions(ty), table.mentions(body));
+        let deps = in_ty
             .iter()
+            .chain(in_body.iter())
             .map(|n| self.ident(env, &mut table, n))
             .collect::<Option<_>>()?;
         let id = table.intern(Key::Const {
@@ -241,10 +244,14 @@ impl Admission {
 
     /// The identity of the global `root`, computing and recording it and
     /// those of the unrecorded globals it depends on; `None` if one of them
-    /// is undeclared or on a cycle. The walk keeps its own stack, since a
-    /// chain of definitions is as deep as a module is long; an entry holds
-    /// the global's mentions once they are pushed.
+    /// is undeclared or on a cycle. A recorded identity needs no walk. The
+    /// walk keeps its own stack, since a chain of definitions is as deep as
+    /// a module is long; an entry holds the global's mentions once they are
+    /// pushed.
     fn ident(&self, env: &Env, table: &mut Table, root: &GlobalName) -> Option<u64> {
+        if let Some(id) = self.known(root) {
+            return Some(id);
+        }
         let mut stack: Vec<(GlobalName, Option<Vec<GlobalName>>)> = vec![(root.clone(), None)];
         while let Some((name, mentioned)) = stack.pop() {
             if let Some(id) = self.known(&name) {
@@ -297,8 +304,8 @@ impl Admission {
         None
     }
 
-    /// The other globals the declaration of `name` mentions, sorted, or
-    /// `None` if `env` does not declare `name`.
+    /// The other globals the declaration of `name` mentions, in the order
+    /// its key lists them, or `None` if `env` does not declare `name`.
     fn mentioned_by(
         &self,
         env: &Env,
@@ -307,7 +314,7 @@ impl Admission {
     ) -> Option<Vec<GlobalName>> {
         let mut out = match (env.const_decl(name), env.inductive(name)) {
             (Ok(c), _) => match &c.body {
-                Some(b) => union(&table.mentions(&c.ty), &table.mentions(b)),
+                Some(b) => [table.mentions(&c.ty), table.mentions(b)].concat(),
                 None => table.mentions(&c.ty).to_vec(),
             },
             (_, Ok(ind)) => globals_in(
@@ -322,14 +329,6 @@ impl Admission {
         out.retain(|n| n != name);
         Some(out)
     }
-}
-
-/// The sorted union of two sorted name lists.
-fn union(a: &[GlobalName], b: &[GlobalName]) -> Vec<GlobalName> {
-    let mut out: Vec<GlobalName> = a.iter().chain(b).cloned().collect();
-    out.sort();
-    out.dedup();
-    out
 }
 
 #[cfg(test)]

@@ -110,7 +110,10 @@ impl Default for KernelCache {
 /// The global environment.
 ///
 /// All mutating operations type check their input: a well-typed environment
-/// stays well-typed (modulo the documented universe simplifications).
+/// stays well-typed (modulo the documented universe simplifications). A
+/// constant enters only through [`Env::define`] or [`Env::assume`], in
+/// every build profile; a declaration replayed from disk takes the same
+/// path as a fresh one.
 ///
 /// ## Thread confinement
 ///
@@ -474,47 +477,6 @@ impl Env {
                 opaque: false,
             },
         );
-        Ok(())
-    }
-
-    /// Installs a constant that was *already type-checked* in an
-    /// environment with the same meaning for every name it mentions — the
-    /// persist-cache replay path, which installs a digest-verified
-    /// repaired declaration from disk.
-    ///
-    /// The caller guarantees the declaration was accepted (via
-    /// [`Env::define`] / [`Env::assume`]) by an environment that agrees
-    /// with this one on every global the declaration mentions (globals are
-    /// immutable once declared), so re-checking would necessarily succeed;
-    /// debug builds re-check anyway to keep the well-typedness invariant
-    /// machine-verified in the test suite.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the name is already taken (or, in debug builds, if the
-    /// re-check fails — which indicates a caller bug).
-    pub fn admit_checked(&mut self, decl: ConstDecl) -> Result<()> {
-        if self.contains(decl.name.as_str()) {
-            return Err(KernelError::Redeclaration(decl.name));
-        }
-        #[cfg(debug_assertions)]
-        {
-            // The re-check is a debug-only invariant audit; pause tracing
-            // so debug and release builds produce identical event streams.
-            self.tracer.pause(true);
-            let recheck = (|| {
-                typecheck::check_is_type(self, &decl.ty)?;
-                if let Some(b) = &decl.body {
-                    typecheck::check_closed(self, b, &decl.ty)?;
-                }
-                Ok(())
-            })();
-            self.tracer.pause(false);
-            recheck?;
-        }
-        self.retire_if_observed_stuck(&decl.name);
-        self.order.push(GlobalRef::Const(decl.name.clone()));
-        self.consts.insert(decl.name.clone(), decl);
         Ok(())
     }
 

@@ -41,7 +41,6 @@ use std::time::{Duration, Instant};
 use pumpkin_core::trace::serve_stats::{self, ServeStats};
 use pumpkin_core::trace::{Event, EventKind};
 use pumpkin_core::CancelToken;
-use pumpkin_kernel::admission::AdmissionMemo;
 use pumpkin_kernel::env::Env;
 use pumpkin_wire::Value;
 
@@ -362,16 +361,13 @@ impl Server {
             ),
             None => Box::new(io::stderr()),
         };
-        // One admission memo for the whole daemon: every worker's clone of
-        // the base shares it, so a declaration one worker checked is
-        // admitted on any other.
-        let mut base = pumpkin_stdlib::std_env();
-        base.set_admission_memo(Some(AdmissionMemo::new()));
         Ok(Server {
             listener,
             #[cfg(unix)]
             unix,
-            base,
+            // Carries the process's admission memo, which every worker's
+            // clone shares.
+            base: pumpkin_stdlib::std_env(),
             shared: Arc::new(Shared {
                 max_sessions: cfg.max_sessions.max(1),
                 workers: cfg.workers.max(1),

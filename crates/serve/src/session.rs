@@ -16,10 +16,10 @@
 //! asking for the same recipes. Under the worker-pool server each worker
 //! owns one long-lived session, so this warm state survives across
 //! connections instead of dying with each one. Beside it sit the `eval`
-//! environment, whose memo tables are bounded, and the kernel's admission
-//! memo (DESIGN.md §19), which the session's environments share through
-//! their clones: a repaired declaration the kernel has accepted once is
-//! admitted again without a second check. Neither changes a reply.
+//! environment, whose memo tables are bounded, and the admission memo
+//! (DESIGN.md §19) the base carries (in a daemon, the process's): a
+//! repaired declaration the kernel has accepted once is admitted again
+//! without a second check. Neither changes a reply.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -33,7 +33,6 @@ use pumpkin_core::{
     AutoPolicy, CancelToken, DigestMap, LiftState, Lifting, NameMap, RepairError, RepairReport,
     Repairer,
 };
-use pumpkin_kernel::admission::AdmissionMemo;
 use pumpkin_kernel::env::Env;
 use pumpkin_kernel::term::Term;
 use pumpkin_wire::Value;
@@ -261,13 +260,10 @@ fn stats_result(stats: &ServeStats) -> Value {
 
 impl Session {
     /// A session over a (cloned, warm) base environment. `cache_dir`
-    /// enables the persistent lift cache. A base without an admission memo
-    /// gets a fresh one; the daemon installs one memo on its base before
-    /// cloning it for each worker, so its workers share verdicts.
-    pub fn new(mut base: Env, cache_dir: Option<PathBuf>) -> Session {
-        if base.admission_memo().is_none() {
-            base.set_admission_memo(Some(AdmissionMemo::new()));
-        }
+    /// enables the persistent lift cache. The session shares whatever
+    /// admission memo the base carries: a `std_env()` clone carries the
+    /// process's, so every worker of a daemon shares verdicts.
+    pub fn new(base: Env, cache_dir: Option<PathBuf>) -> Session {
         Session {
             eval_env: base.clone(),
             base,
@@ -341,7 +337,7 @@ impl Session {
             Err(e) => (e.reply(&req.id), Control::Continue),
         };
         if let Some(memo) = self.base.admission_memo() {
-            // Running totals of a memo the daemon's workers may share.
+            // Running totals of a memo every worker of a daemon shares.
             let g = &self.stats.gauges;
             serve_stats::raise(&g.kernel_admission_hits, memo.hits());
             serve_stats::raise(&g.kernel_admission_resets, memo.resets());
@@ -658,6 +654,7 @@ impl Session {
         serve_stats::add(&g.lift_cache_misses, report.lift.cache_misses);
         serve_stats::add(&g.persist_hits, report.lift.persist_hits);
         serve_stats::add(&g.persist_misses, report.lift.persist_misses);
+        serve_stats::add(&g.persist_rejected, report.lift.persist_rejected);
         if let Some(incr) = &report.incr {
             serve_stats::add(&g.incr_changed, incr.changed);
             serve_stats::add(&g.incr_replayed, incr.replayed);
@@ -806,9 +803,15 @@ fn flag(params: &Value, key: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pumpkin_kernel::admission::AdmissionMemo;
 
+    /// A standalone session on a private admission memo, so what other
+    /// tests in this process had the kernel accept moves none of its
+    /// gauges.
     fn session() -> Session {
-        Session::new(pumpkin_stdlib::std_env(), None)
+        let mut base = pumpkin_stdlib::std_env();
+        base.set_admission_memo(Some(AdmissionMemo::new()));
+        Session::new(base, None)
     }
 
     fn swap_spec() -> String {

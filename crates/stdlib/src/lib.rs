@@ -31,6 +31,7 @@ pub mod vector;
 
 use std::sync::{Mutex, OnceLock, PoisonError};
 
+use pumpkin_kernel::admission::AdmissionMemo;
 use pumpkin_kernel::env::Env;
 
 /// The kernel-checked library, built on first use. The source is fixed at
@@ -48,6 +49,12 @@ static CHECKED: OnceLock<Mutex<Env>> = OnceLock::new();
 /// indistinguishable from a fresh build. Mutating the returned
 /// environment never affects later calls.
 ///
+/// Every clone also shares the process's one admission memo
+/// ([`pumpkin_kernel::admission`]), so a declaration the kernel accepted in
+/// one clone is admitted unchecked in every other; a caller that must see
+/// every check installs its own memo, or none, with
+/// `Env::set_admission_memo`.
+///
 /// # Panics
 ///
 /// Panics if any stdlib module fails to load — that would be a bug, since
@@ -56,7 +63,11 @@ pub fn std_env() -> Env {
     // Holders of the lock only clone, which reads the library and never
     // writes it, so a guard poisoned by a panicking clone is still valid.
     CHECKED
-        .get_or_init(|| Mutex::new(build()))
+        .get_or_init(|| {
+            let mut env = build();
+            env.set_admission_memo(Some(AdmissionMemo::new()));
+            Mutex::new(env)
+        })
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .clone()
@@ -107,6 +118,21 @@ mod tests {
         assert!(env.contains("N.peano_rect_succ"));
         assert!(env.contains("Old.Term"));
         assert!(env.contains("corkLemma"));
+    }
+
+    #[test]
+    fn every_clone_shares_the_process_admission_memo() {
+        let define_probe = |mut env: Env| {
+            let before = env.kernel_stats();
+            let zero = Term::construct("nat", 0);
+            env.define("shared_memo_probe", Term::ind("nat"), zero)
+                .unwrap();
+            env.kernel_stats().since(&before).admission_hits
+        };
+        assert!(std_env().admission_memo().is_some());
+        // The first clone's kernel checks the probe; the second admits it.
+        assert_eq!(define_probe(std_env()), 0);
+        assert_eq!(define_probe(std_env()), 1);
     }
 
     #[test]

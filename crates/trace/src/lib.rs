@@ -38,7 +38,7 @@ pub mod serve_stats;
 pub mod sink;
 pub mod summary;
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::fmt;
 use std::time::Instant;
 
@@ -432,10 +432,6 @@ pub struct SpanStart(Option<u64>);
 struct TracerInner {
     /// The run's monotonic epoch.
     epoch: Instant,
-    /// While paused, probes are dropped (used to hide debug-only
-    /// re-typechecking from the event stream so debug and release traces
-    /// agree).
-    paused: Cell<bool>,
     /// The thread-confined event buffer.
     buf: RefCell<Vec<Event>>,
 }
@@ -449,9 +445,9 @@ struct TracerInner {
 /// kernel `Env` cache-confinement rule.
 ///
 /// Cloning an enabled tracer yields an enabled tracer with the same epoch
-/// and pause state but an **empty** buffer: events belong to the buffer
-/// that recorded them, never to copies (this is what makes `Env::clone`
-/// snapshots trace-safe by default).
+/// but an **empty** buffer: events belong to the buffer that recorded
+/// them, never to copies (this is what makes `Env::clone` snapshots
+/// trace-safe by default).
 #[derive(Debug, Default)]
 pub struct Tracer {
     inner: Option<Box<TracerInner>>,
@@ -464,7 +460,6 @@ impl Clone for Tracer {
             Some(i) => Tracer {
                 inner: Some(Box::new(TracerInner {
                     epoch: i.epoch,
-                    paused: Cell::new(i.paused.get()),
                     buf: RefCell::new(Vec::new()),
                 })),
             },
@@ -478,7 +473,6 @@ impl Tracer {
         Tracer {
             inner: Some(Box::new(TracerInner {
                 epoch: Instant::now(),
-                paused: Cell::new(false),
                 buf: RefCell::new(Vec::new()),
             })),
         }
@@ -495,16 +489,6 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// Pauses or resumes recording. Paused probes are dropped entirely;
-    /// used to keep debug-only re-typechecking (e.g. `Env::admit_checked`'s
-    /// debug re-check) out of the stream so debug and release traces are
-    /// identical.
-    pub fn pause(&self, paused: bool) {
-        if let Some(i) = &self.inner {
-            i.paused.set(paused);
-        }
-    }
-
     /// Nanoseconds since this tracer's epoch (0 when disabled).
     #[inline]
     pub fn now_ns(&self) -> u64 {
@@ -518,9 +502,6 @@ impl Tracer {
     #[inline]
     pub fn emit(&self, kind: EventKind) {
         let Some(i) = &self.inner else { return };
-        if i.paused.get() {
-            return;
-        }
         let t_ns = i.epoch.elapsed().as_nanos() as u64;
         i.buf.borrow_mut().push(Event {
             t_ns,
@@ -535,13 +516,7 @@ impl Tracer {
     pub fn begin(&self) -> SpanStart {
         match &self.inner {
             None => SpanStart(None),
-            Some(i) => {
-                if i.paused.get() {
-                    SpanStart(None)
-                } else {
-                    SpanStart(Some(i.epoch.elapsed().as_nanos() as u64))
-                }
-            }
+            Some(i) => SpanStart(Some(i.epoch.elapsed().as_nanos() as u64)),
         }
     }
 
@@ -552,9 +527,6 @@ impl Tracer {
         let (Some(i), Some(start)) = (&self.inner, span.0) else {
             return;
         };
-        if i.paused.get() {
-            return;
-        }
         let now = i.epoch.elapsed().as_nanos() as u64;
         i.buf.borrow_mut().push(Event {
             t_ns: start,
@@ -631,18 +603,6 @@ mod tests {
         let c = t.clone();
         assert!(c.enabled());
         assert!(c.is_empty());
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn pause_drops_probes() {
-        let t = Tracer::new();
-        t.pause(true);
-        t.emit(EventKind::Whnf);
-        let sp = t.begin();
-        t.end(sp, EventKind::Conv);
-        t.pause(false);
-        t.emit(EventKind::Conv);
         assert_eq!(t.len(), 1);
     }
 

@@ -89,6 +89,9 @@ pub struct Gauges {
     pub persist_hits: AtomicU64,
     /// Persist-cache probes that fell back to a fresh lift.
     pub persist_misses: AtomicU64,
+    /// Persisted frames the kernel refused at replay (deleted and lifted
+    /// fresh; each also counts as a miss).
+    pub persist_rejected: AtomicU64,
     /// Incremental runs: inputs whose digest changed.
     pub incr_changed: AtomicU64,
     /// Incremental runs: constants re-lifted fresh.
@@ -130,6 +133,7 @@ impl Gauges {
             ("live_sessions", g(&self.live_sessions)),
             ("persist_hits", g(&self.persist_hits)),
             ("persist_misses", g(&self.persist_misses)),
+            ("persist_rejected", g(&self.persist_rejected)),
             ("queue_depth_hwm", g(&self.queue_depth_hwm)),
             ("slow_logged", g(&self.slow_logged)),
             ("workers_busy", g(&self.workers_busy)),

@@ -55,6 +55,20 @@ echo "==> cargo clippy -p pumpkin-kernel -p pumpkin-core (no std::rc, no raw cel
 cargo clippy -p pumpkin-kernel -p pumpkin-core --all-targets --locked -- \
     -D warnings -D clippy::disallowed-types -D clippy::disallowed-methods
 
+# One code path in every build profile: no production code may branch on
+# debug_assertions (a verdict that depends on the build profile is not
+# reproducible). Each file is read up to its first `#[cfg(test)]`, where
+# the test module starts; `debug_assert!` is not matched.
+echo "==> no cfg(debug_assertions) in non-test Rust"
+debug_only=$(for f in $(find crates/*/src src -name '*.rs' | sort); do
+    sed -n '/#\[cfg(test)\]/q; /debug_assertions/{=;p;}' "$f" | sed "N;s|^|$f:|;s|\n|: |"
+done)
+if [ -n "$debug_only" ]; then
+    echo "cfg(debug_assertions) in production code:" >&2
+    echo "$debug_only" >&2
+    exit 1
+fi
+
 # Committed golden traces must satisfy the JSON-lines schema, including
 # the versioned `prov` event family (DESIGN.md §11–12).
 echo "==> trace lint over tests/golden/*.jsonl"
@@ -132,6 +146,11 @@ top_out=$(timeout 30 ./target/release/pumpkin top --connect "$addr" --count 1 --
 case "$top_out" in
     *METHOD*repair*) ;;
     *) echo "pumpkin top rendered no method table: $top_out" >&2; exit 1 ;;
+esac
+# The footer prints every gauge the daemon serves, not a fixed subset.
+case "$top_out" in
+    *kernel_admission_hits*) ;;
+    *) echo "pumpkin top left out the kernel_admission_hits gauge: $top_out" >&2; exit 1 ;;
 esac
 # Lifecycle ids: every reply frame (down to a bare ping) echoes req_id.
 ping_host=${addr%:*}; ping_port=${addr##*:}

@@ -639,7 +639,7 @@ fn client(argv: &[String]) -> ExitCode {
 
 /// `pumpkin top`: a live operator view. Polls the daemon's `stats` RPC
 /// and redraws a table of per-method request rate (from count deltas
-/// between polls), latency percentiles, and the service gauges.
+/// between polls), latency percentiles, and every service gauge.
 fn top(argv: &[String]) -> ExitCode {
     use std::collections::BTreeMap;
     use std::io::Write as _;
@@ -712,22 +712,18 @@ fn top(argv: &[String]) -> ExitCode {
             );
             current.insert(name.clone(), total);
         }
-        let gauge = |name: &str| {
-            stats
-                .get("gauges")
-                .and_then(|g| g.get(name))
-                .and_then(Value::as_u64)
-                .unwrap_or(0)
-        };
-        println!(
-            "sessions {} | workers busy {} | queue hwm {} | busy {}+{} | slow {}",
-            gauge("live_sessions"),
-            gauge("workers_busy"),
-            gauge("queue_depth_hwm"),
-            gauge("busy_queue_full"),
-            gauge("busy_session_cap"),
-            gauge("slow_logged"),
-        );
+        // Every gauge the daemon serves, in name order, four to a line.
+        let mut gauges: Vec<String> = stats
+            .get("gauges")
+            .and_then(Value::as_obj)
+            .unwrap_or(&[])
+            .iter()
+            .map(|(name, v)| format!("{name} {v}"))
+            .collect();
+        gauges.sort();
+        for line in gauges.chunks(4) {
+            println!("{}", line.join(" | "));
+        }
         let _ = std::io::stdout().flush();
         frames += 1;
         if count > 0 && frames >= count {

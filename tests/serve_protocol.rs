@@ -10,6 +10,7 @@
 //! Regenerate after an intentional protocol change with
 //! `PUMPKIN_UPDATE_GOLDEN=1 cargo test --test serve_protocol`.
 
+use pumpkin_kernel::admission::AdmissionMemo;
 use pumpkin_kernel::term::Term;
 use pumpkin_serve::Session;
 use pumpkin_wire::{term_to_envelope, LiftSpec};
@@ -84,7 +85,12 @@ fn requests() -> Vec<String> {
 }
 
 fn transcript() -> String {
-    let mut session = Session::new(pumpkin_stdlib::std_env(), None);
+    // A private admission memo: the transcript's `kernel_admission_hits`
+    // counts this session's own re-admissions, whatever other tests in
+    // the process had the kernel accept first.
+    let mut base = pumpkin_stdlib::std_env();
+    base.set_admission_memo(Some(AdmissionMemo::new()));
+    let mut session = Session::new(base, None);
     let mut out = String::new();
     for line in requests() {
         let (reply, _) = session.handle_line(&line);

@@ -12,7 +12,19 @@ use std::path::PathBuf;
 use pumpkin_pi::case_studies;
 use pumpkin_pi::pumpkin_core::trace::{Event, EventKind};
 use pumpkin_pi::pumpkin_core::{self, NameMap, Repairer};
+use pumpkin_pi::pumpkin_kernel::admission::AdmissionMemo;
+use pumpkin_pi::pumpkin_kernel::env::Env;
 use pumpkin_pi::pumpkin_stdlib as stdlib;
+
+/// The standard library on a private admission memo. A trace's kernel
+/// probes come from the checks the kernel runs, and the process-wide memo
+/// skips the checks of declarations other tests already had accepted; a
+/// private memo makes every run in a test check what it declares.
+fn kernel_cold_env() -> Env {
+    let mut env = stdlib::std_env();
+    env.set_admission_memo(Some(AdmissionMemo::new()));
+    env
+}
 
 fn normalize(events: &[Event]) -> Vec<Event> {
     events
@@ -35,7 +47,7 @@ fn normalized_jsonl(events: &[Event]) -> String {
 }
 
 fn traced_rev_repair() -> Vec<Event> {
-    let mut env = stdlib::std_env();
+    let mut env = kernel_cold_env();
     let lifting = pumpkin_core::search::swap::configure(
         &mut env,
         &"Old.list".into(),
@@ -142,8 +154,8 @@ fn single_worker_trace_is_reproducible() {
     // Module repair runs on one thread with one cache, so the full event
     // stream — kernel probes included — must be identical modulo
     // timestamps from run to run.
-    let mut env_a = stdlib::std_env();
-    let mut env_b = stdlib::std_env();
+    let mut env_a = kernel_cold_env();
+    let mut env_b = kernel_cold_env();
     let a = case_studies::swap_list_module_traced(&mut env_a).unwrap();
     let b = case_studies::swap_list_module_traced(&mut env_b).unwrap();
     assert_eq!(normalize(&a.trace), normalize(&b.trace));

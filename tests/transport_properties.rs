@@ -6,6 +6,7 @@
 
 use pumpkin_pi::case_studies;
 use pumpkin_pi::pumpkin_core::{self, LiftState, NameMap, Repairer};
+use pumpkin_pi::pumpkin_kernel::admission::AdmissionMemo;
 use pumpkin_pi::pumpkin_kernel::env::Env;
 use pumpkin_pi::pumpkin_kernel::reduce::normalize;
 use pumpkin_pi::pumpkin_kernel::term::Term;
@@ -284,8 +285,12 @@ fn replica_transport_preserves_eval() {
 fn cache_never_changes_results() {
     // Same repair with and without the subterm cache yields identical
     // definitions (§4.4's aggressive caching is semantics-preserving), and
-    // likewise for the kernel-layer conv/whnf cache.
+    // likewise for the kernel-layer conv/whnf cache. Each run gets a
+    // private admission memo, so its kernel checks what it declares: on
+    // the process's memo, a REPLICA repair another test finished first
+    // would be admitted unchecked, with no kernel work to count below.
     let mut env1 = stdlib::std_env();
+    env1.set_admission_memo(Some(AdmissionMemo::new()));
     let l1 = pumpkin_core::search::swap::configure(
         &mut env1,
         &"Old.Term".into(),
@@ -300,6 +305,7 @@ fn cache_never_changes_results() {
         .unwrap();
 
     let mut env2 = stdlib::std_env();
+    env2.set_admission_memo(Some(AdmissionMemo::new()));
     env2.set_kernel_cache(false);
     let l2 = pumpkin_core::search::swap::configure(
         &mut env2,
