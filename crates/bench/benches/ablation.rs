@@ -23,7 +23,7 @@ use pumpkin_pi::pumpkin_core::{self, LiftState, NameMap, Repairer};
 use pumpkin_pi::pumpkin_kernel::env::Env;
 use pumpkin_pi::pumpkin_kernel::term::{ElimData, Term};
 use pumpkin_pi::pumpkin_stdlib as stdlib;
-use pumpkin_testkit::Bench;
+use pumpkin_testkit::{Bench, Row};
 use stdlib::nat::nat_lit;
 
 fn bench_lift_cache_ablation(b: &mut Bench) {
@@ -294,10 +294,14 @@ fn bench_persist_cache(b: &mut Bench) {
     // declaration it lifts; the populating run, `warm` and `incremental`
     // share the process's admission memo, as the environments of a
     // `watch` or daemon process do, so a replayed frame the populating
-    // run's kernel accepted is admitted by its identity.
+    // run's kernel accepted is admitted by its identity. The three rows
+    // are sampled round-robin, so a change of host state between rows
+    // cannot fail the in-run gates that compare them; `cold` empties a
+    // directory of its own.
     let cold_base = kernel_cold_std_env();
     let base = stdlib::std_env();
     let dir = std::env::temp_dir().join(format!("pumpkin-bench-persist-{}", std::process::id()));
+    let cold_dir = dir.with_extension("cold");
     let configure = |env: &mut Env| {
         pumpkin_core::search::swap::configure(
             env,
@@ -307,47 +311,47 @@ fn bench_persist_cache(b: &mut Bench) {
         )
         .unwrap()
     };
-    let run = |env: &mut Env, lifting: &pumpkin_core::Lifting| {
+    let run = |env: &mut Env, lifting: &pumpkin_core::Lifting, dir: &std::path::Path| {
         let mut st = LiftState::new();
         let report = pumpkin_core::Repairer::new(lifting)
-            .persist_cache(&dir)
+            .persist_cache(dir)
             .state(&mut st)
             .run(env, stdlib::swap::OLD_MODULE_CONSTANTS)
             .unwrap();
         (report, st.stats.persist_hits, st.stats.persist_misses)
     };
-    b.bench(
+    let cold = Row::new(
         "persist_cache/cold",
         || {
-            let _ = std::fs::remove_dir_all(&dir);
+            let _ = std::fs::remove_dir_all(&cold_dir);
             let mut env = cold_base.clone();
             let lifting = configure(&mut env);
             (env, lifting)
         },
-        |(mut env, lifting)| run(&mut env, &lifting),
+        |(mut env, lifting)| run(&mut env, &lifting, &cold_dir),
     );
     // Populate once, then every warm iteration replays from disk.
     let _ = std::fs::remove_dir_all(&dir);
     {
         let mut env = base.clone();
         let lifting = configure(&mut env);
-        let (_, hits, misses) = run(&mut env, &lifting);
+        let (_, hits, misses) = run(&mut env, &lifting, &dir);
         assert_eq!((hits, misses > 0), (0, true), "populating run must be cold");
+        let mut env = base.clone();
+        let lifting = configure(&mut env);
+        let (_, hits, misses) = run(&mut env, &lifting, &dir);
+        println!("  persist_cache/warm: {hits} hits, {misses} misses");
+        assert_eq!(misses, 0, "warm run must replay entirely from the cache");
     }
-    b.bench(
+    let warm = Row::new(
         "persist_cache/warm",
         || {
             let mut env = base.clone();
             let lifting = configure(&mut env);
             (env, lifting)
         },
-        |(mut env, lifting)| run(&mut env, &lifting),
+        |(mut env, lifting)| run(&mut env, &lifting, &dir),
     );
-    let mut env = base.clone();
-    let lifting = configure(&mut env);
-    let (_, hits, misses) = run(&mut env, &lifting);
-    println!("  persist_cache/warm: {hits} hits, {misses} misses");
-    assert_eq!(misses, 0, "warm run must replay entirely from the cache");
 
     // `incremental` — the session-resident edit loop the serve daemon and
     // `pumpkin watch` run (DESIGN.md §16): the environment already holds
@@ -389,7 +393,18 @@ fn bench_persist_cache(b: &mut Bench) {
             .run(env, stdlib::swap::OLD_MODULE_CONSTANTS)
             .unwrap()
     };
-    b.bench(
+    {
+        let report = run_incr(&mut session_env.clone(), &snapshot());
+        let incr = report.incr.expect("incremental run reports stats");
+        println!("  persist_cache/incremental: {incr}");
+        assert_eq!(incr.changed, 1, "exactly one constant was touched");
+        assert!(
+            incr.replayed <= 2,
+            "touching 1 of 13 must re-lift at most 2 constants, got {}",
+            incr.replayed
+        );
+    }
+    let incremental = Row::new(
         "persist_cache/incremental",
         || (session_env.clone(), snapshot()),
         |(mut env, snap)| {
@@ -403,18 +418,9 @@ fn bench_persist_cache(b: &mut Bench) {
             (report, env, snap)
         },
     );
-    {
-        let report = run_incr(&mut session_env.clone(), &snapshot());
-        let incr = report.incr.expect("incremental run reports stats");
-        println!("  persist_cache/incremental: {incr}");
-        assert_eq!(incr.changed, 1, "exactly one constant was touched");
-        assert!(
-            incr.replayed <= 2,
-            "touching 1 of 13 must re-lift at most 2 constants, got {}",
-            incr.replayed
-        );
-    }
+    b.bench_interleaved(vec![cold, warm, incremental]);
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&cold_dir);
 }
 
 fn bench_auto_search(b: &mut Bench) {

@@ -150,12 +150,15 @@ impl NameMap {
     /// Renames a constant. Falls back to appending `_repaired` when no rule
     /// matches, so repair never fails on an unanticipated name.
     pub fn rename(&self, name: &GlobalName) -> GlobalName {
-        for (from, to) in &self.rules {
-            if let Some(rest) = name.as_str().strip_prefix(from.as_str()) {
-                return GlobalName::new(format!("{to}{rest}"));
-            }
-        }
-        GlobalName::new(format!("{}_repaired", name))
+        let (head, rest) = self
+            .rules
+            .iter()
+            .find_map(|(from, to)| Some((to.as_str(), name.as_str().strip_prefix(from.as_str())?)))
+            .unwrap_or((name.as_str(), "_repaired"));
+        let mut renamed = String::with_capacity(head.len() + rest.len());
+        renamed.push_str(head);
+        renamed.push_str(rest);
+        GlobalName::new(renamed)
     }
 }
 

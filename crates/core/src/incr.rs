@@ -111,14 +111,14 @@ impl DigestMap {
     /// declaration's digest differs, the constant is new to the snapshot,
     /// or (defensively) the environment cannot produce it. Order follows
     /// `names`.
-    pub fn diff(&self, env: &Env, names: &[&str]) -> Vec<GlobalName> {
+    pub fn diff(&self, env: &Env, names: &[GlobalName]) -> Vec<GlobalName> {
         names
             .iter()
-            .map(|n| GlobalName::new(*n))
             .filter(|name| match env.const_decl(name) {
-                Ok(decl) => self.digests.get(name) != Some(&decl_digest(decl)),
+                Ok(decl) => self.digests.get(*name) != Some(&decl_digest(decl)),
                 Err(_) => true,
             })
+            .cloned()
             .collect()
     }
 
@@ -233,6 +233,10 @@ mod tests {
     use super::*;
     use pumpkin_kernel::term::Term;
 
+    fn global(names: &[&str]) -> Vec<GlobalName> {
+        names.iter().map(|n| GlobalName::new(*n)).collect()
+    }
+
     fn tiny_env() -> Env {
         let mut env = pumpkin_stdlib::std_env();
         let nat = Term::ind("nat");
@@ -250,7 +254,7 @@ mod tests {
         let names = ["base", "mid", "top"];
         let snap = DigestMap::capture(&env, &names);
         assert_eq!(snap.len(), 3);
-        assert!(snap.diff(&env, &names).is_empty());
+        assert!(snap.diff(&env, &global(&names)).is_empty());
     }
 
     #[test]
@@ -275,7 +279,7 @@ mod tests {
         .unwrap();
         env.define("top", nat.clone(), Term::const_("mid")).unwrap();
         env.define("fresh", nat, Term::construct("nat", 0)).unwrap();
-        let changed = snap.diff(&env, &["base", "mid", "top", "fresh"]);
+        let changed = snap.diff(&env, &global(&["base", "mid", "top", "fresh"]));
         assert_eq!(
             changed,
             vec![GlobalName::new("mid"), GlobalName::new("fresh")],
@@ -287,7 +291,7 @@ mod tests {
     fn empty_snapshot_diffs_everything() {
         let env = tiny_env();
         let names = ["base", "mid", "top"];
-        assert_eq!(DigestMap::new().diff(&env, &names).len(), 3);
+        assert_eq!(DigestMap::new().diff(&env, &global(&names)).len(), 3);
     }
 
     #[test]
@@ -295,11 +299,11 @@ mod tests {
         let env = tiny_env();
         let names = ["base", "mid", "top"];
         let mut snap = DigestMap::capture(&env, &names);
-        let nodes: Vec<GlobalName> = names.iter().map(|s| GlobalName::new(*s)).collect();
+        let nodes = global(&names);
         // Force `mid` to diff as changed while keeping its recorded
         // edges: the closure runs over the snapshot alone.
         snap.mark_changed(&GlobalName::new("mid"));
-        let changed = snap.diff(&env, &names);
+        let changed = snap.diff(&env, &nodes);
         assert_eq!(changed, vec![GlobalName::new("mid")]);
         let inv = snap
             .close_invalidated(&nodes, &changed)

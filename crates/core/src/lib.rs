@@ -43,10 +43,10 @@ pub use repairer::Repairer;
 pub use schedule::{CancelToken, ModuleDag, ScheduleStats};
 
 /// Inserts into a process-wide memo, first clearing it whole when it
-/// already holds `cap` entries. This is the eviction policy of the crate's
-/// process-wide caches (`persist`'s decoded frames, `auto`'s failures):
-/// clearing is simpler than tracking recency, holds a memo to `cap`
-/// entries, and costs a dropped key one recomputation on its next miss.
+/// already holds `cap` entries. This is the eviction policy of `auto`'s
+/// process-wide failure cache: clearing is simpler than tracking recency,
+/// holds a memo to `cap` entries, and costs a dropped key one
+/// recomputation on its next miss.
 pub(crate) fn insert_capped<K: Eq + Hash, V>(
     memo: &mut HashMap<K, V>,
     cap: usize,

@@ -46,9 +46,13 @@ pub struct LiftStats {
     pub persist_hits: u64,
     /// Persistent-cache probes that fell back to a fresh lift.
     pub persist_misses: u64,
-    /// Persisted frames the kernel refused at replay: each was deleted
-    /// from its shard and lifted fresh (and also counts as a miss).
+    /// Persisted frames the kernel refused at replay: each was tombstoned
+    /// in its shard and lifted fresh (and also counts as a miss).
     pub persist_rejected: u64,
+    /// Persist packs rewritten: compactions, and trims to the size budget.
+    pub persist_compactions: u64,
+    /// Persisted records the size budget removed.
+    pub persist_evictions: u64,
 }
 
 impl LiftStats {
@@ -63,6 +67,8 @@ impl LiftStats {
             persist_hits: self.persist_hits - earlier.persist_hits,
             persist_misses: self.persist_misses - earlier.persist_misses,
             persist_rejected: self.persist_rejected - earlier.persist_rejected,
+            persist_compactions: self.persist_compactions - earlier.persist_compactions,
+            persist_evictions: self.persist_evictions - earlier.persist_evictions,
         }
     }
 
@@ -498,15 +504,30 @@ pub(crate) fn green_reuse(
     st: &mut LiftState,
     name: &GlobalName,
 ) -> Option<GlobalName> {
-    if st.green.contains(name) && !st.provenance_enabled() {
-        let new_name = l.names.rename(name);
-        if env.contains(new_name.as_str()) {
-            st.outcomes.insert(name.clone(), LiftOutcome::Replayed);
-            st.const_map.insert(name.clone(), new_name.clone());
-            return Some(new_name);
-        }
+    if st.green.contains(name) {
+        reuse_resident(env, l, st, name)
+    } else {
+        None
     }
-    None
+}
+
+/// [`green_reuse`] for a constant the caller knows is green.
+pub(crate) fn reuse_resident(
+    env: &Env,
+    l: &Lifting,
+    st: &mut LiftState,
+    name: &GlobalName,
+) -> Option<GlobalName> {
+    if st.provenance_enabled() {
+        return None;
+    }
+    let new_name = l.names.rename(name);
+    if !env.contains(new_name.as_str()) {
+        return None;
+    }
+    st.outcomes.insert(name.clone(), LiftOutcome::Replayed);
+    st.const_map.insert(name.clone(), new_name.clone());
+    Some(new_name)
 }
 
 /// Repairs a single constant across the equivalence, registering the result
@@ -588,11 +609,13 @@ pub fn repair_constant(
         if let Some(cache) = &st.persist {
             // An invalidated constant's entry may hold a repair computed
             // against the old upstream; overwrite it with this one.
-            cache.store_with(
+            let upkeep = cache.store_with(
                 &decl,
                 env.const_decl(&new_name)?,
                 st.invalidated.contains(name),
             );
+            st.stats.persist_compactions += upkeep.compactions;
+            st.stats.persist_evictions += upkeep.evictions;
         }
         Ok((new_name, LiftOutcome::Fresh))
     })();
@@ -624,7 +647,7 @@ pub fn repair_constant(
 /// Installation goes through `Env::define`/`Env::assume`, like a fresh
 /// lift's: the digests only detect damage, so the kernel decides every
 /// frame (or the admission memo, by exact identity, which keeps a warm
-/// replay cheap). A frame the kernel refuses is deleted from the shard,
+/// replay cheap). A frame the kernel refuses is tombstoned in its shard,
 /// counted in [`LiftStats::persist_rejected`] and read as a miss, so the
 /// fresh lift that follows re-publishes a good frame.
 fn replay_persisted(

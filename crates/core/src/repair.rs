@@ -153,8 +153,9 @@ impl RepairReport {
     /// omitted: how much kernel work a repair costs depends on what the
     /// admission memo its environment shares already holds (which other
     /// requests, or earlier runs in the process, were checked first), not
-    /// on the request. `persist_rejected` is not rendered either: the
-    /// daemon serves it as a gauge.
+    /// on the request. `persist_rejected`, `persist_compactions` and
+    /// `persist_evictions` are not rendered either: the daemon serves them
+    /// as gauges.
     pub fn to_value(&self, deterministic: bool) -> Value {
         let n = Value::UInt;
         let repaired = self

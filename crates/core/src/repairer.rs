@@ -273,9 +273,11 @@ impl<'a> Repairer<'a> {
         // runs. The ledger of per-constant outcomes restarts per run so a
         // threaded state cannot leak counts between requests.
         state.clear_outcomes();
+        // Which work-list members are green (outside the invalidation
+        // closure), in work-list order.
+        let mut green = Vec::new();
         let changed = self.incr_prev.map(|prev| {
-            let names: Vec<&str> = nodes.iter().map(|n| n.as_str()).collect();
-            let changed = prev.diff(env, &names);
+            let changed = prev.diff(env, &nodes);
             // The downstream closure of an empty changed set is empty,
             // and a non-empty one closes over the snapshot's recorded
             // edges — an incremental run only builds a fresh module DAG
@@ -290,11 +292,13 @@ impl<'a> Repairer<'a> {
             // A threaded state may carry mappings from an earlier run; an
             // invalidated constant must re-lift, not short-circuit on one.
             state.forget(&inv);
+            green = nodes.iter().map(|n| !inv.contains(n)).collect();
             state.set_green(
                 nodes
                     .iter()
-                    .filter(|n| !inv.contains(*n))
-                    .cloned()
+                    .zip(&green)
+                    .filter(|(_, &g)| g)
+                    .map(|(n, _)| n.clone())
                     .collect(),
             );
             state.set_invalidated(inv);
@@ -309,19 +313,17 @@ impl<'a> Repairer<'a> {
         // enters the scheduler.
         let mut pre: Vec<(usize, GlobalName, GlobalName)> = Vec::new();
         let run_nodes: Vec<GlobalName> = if changed.is_some() {
-            nodes
-                .iter()
-                .enumerate()
-                .filter_map(
-                    |(i, n)| match crate::lift::green_reuse(env, self.lifting, state, n) {
-                        Some(to) => {
-                            pre.push((i, n.clone(), to));
-                            None
-                        }
-                        None => Some(n.clone()),
-                    },
-                )
-                .collect()
+            let mut run_nodes = Vec::new();
+            for (i, (n, &g)) in nodes.iter().zip(&green).enumerate() {
+                match g
+                    .then(|| crate::lift::reuse_resident(env, self.lifting, state, n))
+                    .flatten()
+                {
+                    Some(to) => pre.push((i, n.clone(), to)),
+                    None => run_nodes.push(n.clone()),
+                }
+            }
+            run_nodes
         } else {
             nodes.clone()
         };
@@ -623,6 +625,23 @@ mod tests {
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_unusable_cache_dir_fails_the_run_at_open() {
+        // A regular file where the cache root should be: opening the shard
+        // directory fails before any constant is lifted.
+        let file =
+            std::env::temp_dir().join(format!("pumpkin-repairer-not-a-dir-{}", std::process::id()));
+        std::fs::write(&file, b"").unwrap();
+        let (mut env, lifting) = configured();
+        let err = Repairer::new(&lifting)
+            .persist_cache(&file)
+            .run(&mut env, &["Old.rev"])
+            .unwrap_err();
+        assert_eq!(err.class(), crate::ErrorClass::Cache, "{err}");
+        assert!(!env.contains("New.rev"), "a constant was lifted");
+        let _ = std::fs::remove_file(&file);
     }
 
     #[test]

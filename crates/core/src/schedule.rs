@@ -101,6 +101,13 @@ impl ModuleDag {
     /// Unknown constants contribute no edges — their repair will fail in
     /// its own turn, not during planning.
     pub fn build(env: &Env, nodes: &[GlobalName]) -> ModuleDag {
+        if nodes.len() < 2 {
+            // No other listed constant to depend on: nothing to chase.
+            return ModuleDag {
+                nodes: nodes.to_vec(),
+                deps: vec![Vec::new(); nodes.len()],
+            };
+        }
         let index: HashMap<&GlobalName, usize> =
             nodes.iter().enumerate().map(|(i, n)| (n, i)).collect();
         // For constants outside the list: which listed constants they reach.

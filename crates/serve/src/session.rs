@@ -655,6 +655,8 @@ impl Session {
         serve_stats::add(&g.persist_hits, report.lift.persist_hits);
         serve_stats::add(&g.persist_misses, report.lift.persist_misses);
         serve_stats::add(&g.persist_rejected, report.lift.persist_rejected);
+        serve_stats::add(&g.persist_compactions, report.lift.persist_compactions);
+        serve_stats::add(&g.persist_evictions, report.lift.persist_evictions);
         if let Some(incr) = &report.incr {
             serve_stats::add(&g.incr_changed, incr.changed);
             serve_stats::add(&g.incr_replayed, incr.replayed);

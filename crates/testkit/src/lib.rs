@@ -12,9 +12,10 @@
 //!   xorshift64*), plus [`check`]/[`check_seeded`], which run a property
 //!   over many random cases and report the failing seed so a failure can
 //!   be replayed exactly.
-//! * [`bench`] — a wall-clock micro-benchmark harness with batched setup
+//! * [`Bench`] — a wall-clock micro-benchmark harness with batched setup
 //!   (the setup closure is excluded from the measurement) reporting
-//!   median/min/max over a configurable sample count.
+//!   median/min/max over a configurable sample count, row by row or with
+//!   several rows sampled round-robin ([`Bench::bench_interleaved`]).
 //!
 //! Determinism policy: every test gets a fixed default seed, so `cargo
 //! test` is reproducible run-to-run and machine-to-machine. Set the
@@ -287,6 +288,36 @@ pub fn json_lines(nominal_samples: usize, rows: &[Sample]) -> String {
     out
 }
 
+/// One row of [`Bench::bench_interleaved`]: an id, and a closure taking
+/// one sample — `setup` untimed, then `routine` timed.
+pub struct Row<'a> {
+    id: String,
+    sample: Box<dyn FnMut() -> u64 + 'a>,
+}
+
+impl<'a> Row<'a> {
+    /// A row timing `routine` on fresh `setup` outputs. The routine's
+    /// output is dropped after the clock stops.
+    pub fn new<T, R>(
+        id: &str,
+        mut setup: impl FnMut() -> T + 'a,
+        mut routine: impl FnMut(T) -> R + 'a,
+    ) -> Row<'a> {
+        let sample = move || {
+            let input = setup();
+            let start = Instant::now();
+            let out = routine(input);
+            let elapsed = start.elapsed();
+            std::hint::black_box(out);
+            elapsed.as_nanos() as u64
+        };
+        Row {
+            id: id.to_string(),
+            sample: Box::new(sample),
+        }
+    }
+}
+
 /// A minimal benchmark harness: runs `routine` `samples` times, each time
 /// on a fresh value produced by `setup` (setup time is excluded), and
 /// prints `id ... median [min .. max]` to stdout.
@@ -369,45 +400,55 @@ impl Bench {
         self
     }
 
+    /// Does the filter keep `id`? Comma-separated alternatives: keep ids
+    /// matching any part.
+    fn selected(&self, id: &str) -> bool {
+        self.filter
+            .as_ref()
+            .is_none_or(|f| f.split(',').any(|part| id.contains(part)))
+    }
+
     /// Measures `routine` on fresh `setup` outputs, recording and printing
     /// the result. Returns the sample (also retained for [`Self::finish`]).
     pub fn bench<T, R>(
         &mut self,
         id: &str,
-        mut setup: impl FnMut() -> T,
-        mut routine: impl FnMut(T) -> R,
+        setup: impl FnMut() -> T,
+        routine: impl FnMut(T) -> R,
     ) -> Option<&Sample> {
-        if let Some(f) = &self.filter {
-            // Comma-separated alternatives: keep ids matching any part.
-            if !f.split(',').any(|part| id.contains(part)) {
-                return None;
+        if !self.selected(id) {
+            return None;
+        }
+        self.bench_interleaved(vec![Row::new(id, setup, routine)]);
+        self.results.last()
+    }
+
+    /// Measures several rows round-robin: one untimed warm-up of each,
+    /// then one sample of each row in turn, so a change of host state
+    /// between samples shifts every row alike instead of one row's
+    /// whole block. Rows the filter skips are neither run nor recorded.
+    pub fn bench_interleaved(&mut self, rows: Vec<Row<'_>>) {
+        let mut rows: Vec<Row<'_>> = rows.into_iter().filter(|r| self.selected(&r.id)).collect();
+        for row in &mut rows {
+            (row.sample)();
+        }
+        let mut times = vec![Vec::with_capacity(self.samples); rows.len()];
+        for _ in 0..self.samples {
+            for (row, times) in rows.iter_mut().zip(&mut times) {
+                times.push((row.sample)());
             }
         }
-        let mut times: Vec<u64> = Vec::with_capacity(self.samples);
-        // One warm-up iteration outside the measurement.
-        std::hint::black_box(routine(setup()));
-        for _ in 0..self.samples {
-            let input = setup();
-            let start = Instant::now();
-            let out = routine(input);
-            let elapsed = start.elapsed();
-            std::hint::black_box(out);
-            times.push(elapsed.as_nanos() as u64);
+        for (row, times) in rows.into_iter().zip(times) {
+            let sample = Sample::from_times(row.id, times);
+            println!(
+                "{:<40} median {:>12?}   [{:?} .. {:?}]",
+                sample.id,
+                sample.median(),
+                sample.min(),
+                sample.max()
+            );
+            self.results.push(sample);
         }
-        times.sort_unstable();
-        let sample = Sample {
-            id: id.to_string(),
-            times_ns: times,
-        };
-        println!(
-            "{:<40} median {:>12?}   [{:?} .. {:?}]",
-            sample.id,
-            sample.median(),
-            sample.min(),
-            sample.max()
-        );
-        self.results.push(sample);
-        Some(self.results.last().unwrap())
     }
 
     /// Measures a routine with no per-iteration setup.
@@ -540,5 +581,36 @@ mod tests {
         assert!(b.bench_fn("no/skipped", || 1 + 1).is_none());
         let s = b.bench_fn("yes/measured", || 1 + 1).unwrap();
         assert_eq!(s.times_ns.len(), 3);
+    }
+
+    #[test]
+    fn interleaved_rows_take_turns_and_keep_setup_untimed() {
+        let mut b = Bench::new().sample_size(3);
+        b.filter = Some("row/".into());
+        let order = std::cell::RefCell::new(Vec::new());
+        let row = |id: &'static str| {
+            let order = &order;
+            Row::new(
+                id,
+                move || std::thread::sleep(Duration::from_millis(50)),
+                move |()| order.borrow_mut().push(id),
+            )
+        };
+        b.bench_interleaved(vec![
+            row("row/a"),
+            Row::new("skipped", || (), |()| ()),
+            row("row/b"),
+        ]);
+        // A warm-up of each row, then the rows in turn.
+        assert_eq!(*order.borrow(), ["row/a", "row/b"].repeat(4));
+        let ids: Vec<&str> = b.results().iter().map(|s| s.id.as_str()).collect();
+        assert_eq!(ids, ["row/a", "row/b"]);
+        for s in b.results() {
+            assert_eq!(s.times_ns.len(), 3);
+            assert!(
+                s.max() < Duration::from_millis(50),
+                "setup was timed: {s:?}"
+            );
+        }
     }
 }

@@ -89,9 +89,13 @@ pub struct Gauges {
     pub persist_hits: AtomicU64,
     /// Persist-cache probes that fell back to a fresh lift.
     pub persist_misses: AtomicU64,
-    /// Persisted frames the kernel refused at replay (deleted and lifted
-    /// fresh; each also counts as a miss).
+    /// Persisted frames the kernel refused at replay (tombstoned and
+    /// lifted fresh; each also counts as a miss).
     pub persist_rejected: AtomicU64,
+    /// Persist packs rewritten: compactions, and trims to the size budget.
+    pub persist_compactions: AtomicU64,
+    /// Persisted records the size budget removed.
+    pub persist_evictions: AtomicU64,
     /// Incremental runs: inputs whose digest changed.
     pub incr_changed: AtomicU64,
     /// Incremental runs: constants re-lifted fresh.
@@ -131,6 +135,8 @@ impl Gauges {
             ("lift_cache_misses", g(&self.lift_cache_misses)),
             ("lift_constants", g(&self.lift_constants)),
             ("live_sessions", g(&self.live_sessions)),
+            ("persist_compactions", g(&self.persist_compactions)),
+            ("persist_evictions", g(&self.persist_evictions)),
             ("persist_hits", g(&self.persist_hits)),
             ("persist_misses", g(&self.persist_misses)),
             ("persist_rejected", g(&self.persist_rejected)),

@@ -1,9 +1,11 @@
-//! Hostile frames against a real `pumpkin serve` child process.
+//! Hostile frames against a real `pumpkin serve` child process, and two
+//! such daemons sharing one cache directory.
 //!
 //! A stack overflow aborts the whole process, so these tests run the
 //! daemon as a child: an abort or a hang fails the test (through socket
 //! timeouts and the child's exit status) instead of killing the test
-//! binary.
+//! binary. Daemons in one process share its persist-cache index, so only
+//! child processes model two daemons on one `--cache-dir`.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -24,8 +26,14 @@ struct Daemon {
 
 impl Daemon {
     fn spawn() -> Daemon {
+        Daemon::spawn_with(&[])
+    }
+
+    /// A daemon with `extra` flags after `serve --listen 127.0.0.1:0`.
+    fn spawn_with(extra: &[&str]) -> Daemon {
         let mut child = Command::new(env!("CARGO_BIN_EXE_pumpkin"))
             .args(["serve", "--listen", "127.0.0.1:0"])
+            .args(extra)
             .stdin(Stdio::null())
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
@@ -48,20 +56,10 @@ impl Daemon {
     /// Panics (failing the test) if the daemon closes the connection or
     /// does not answer within the timeout.
     fn call(&mut self, frame: &str) -> Value {
-        let stream = TcpStream::connect(&self.addr).expect("connect");
-        let timeout = Some(Duration::from_secs(120));
-        stream.set_read_timeout(timeout).unwrap();
-        stream.set_write_timeout(timeout).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        writer.write_all(frame.as_bytes()).unwrap();
-        writer.write_all(b"\n").unwrap();
-        let mut reply = String::new();
-        let read = BufReader::new(stream).read_line(&mut reply);
-        if !matches!(read, Ok(n) if n > 0) {
+        exchange(&self.addr, frame).unwrap_or_else(|read| {
             let status = self.child.try_wait().ok().flatten();
             panic!("no reply ({read:?}); daemon exit status: {status:?}");
-        }
-        Value::parse(&reply).unwrap_or_else(|e| panic!("unparseable reply ({e}): {reply}"))
+        })
     }
 
     /// Waits for the child to exit on its own, failing the test after
@@ -79,6 +77,25 @@ impl Daemon {
             std::thread::sleep(Duration::from_millis(20));
         }
     }
+}
+
+/// Sends one frame to the daemon at `addr` on a fresh connection and
+/// reads one reply line; the error is the failed read when the daemon
+/// closes the connection or does not answer within the timeout.
+fn exchange(addr: &str, frame: &str) -> Result<Value, std::io::Result<usize>> {
+    let stream = TcpStream::connect(addr).expect("connect");
+    let timeout = Some(Duration::from_secs(120));
+    stream.set_read_timeout(timeout).unwrap();
+    stream.set_write_timeout(timeout).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    writer.write_all(frame.as_bytes()).unwrap();
+    writer.write_all(b"\n").unwrap();
+    let mut reply = String::new();
+    let read = BufReader::new(stream).read_line(&mut reply);
+    if !matches!(read, Ok(n) if n > 0) {
+        return Err(read);
+    }
+    Ok(Value::parse(&reply).unwrap_or_else(|e| panic!("unparseable reply ({e}): {reply}")))
 }
 
 impl Drop for Daemon {
@@ -296,4 +313,92 @@ Definition Old.g : Old.T -> nat := fun (f : Old.T) => f O.";
     assert_eq!(bye.get("ok"), Some(&Value::Bool(true)), "{bye:?}");
     let status = daemon.exit_status(Duration::from_secs(120));
     assert!(status.success(), "the daemon exited with {status}");
+}
+
+/// A `repair_module` frame over the swap module's `names`.
+fn repair_module_frame(names: &[&str]) -> String {
+    Value::Obj(vec![
+        ("id".into(), Value::UInt(1)),
+        ("method".into(), Value::str("repair_module")),
+        (
+            "params".into(),
+            Value::Obj(vec![
+                (
+                    "lifting".into(),
+                    LiftSpec::swap("Old.list", "New.list", "Old.", "New.").to_value(),
+                ),
+                (
+                    "names".into(),
+                    Value::Arr(names.iter().map(|n| Value::str(*n)).collect()),
+                ),
+            ]),
+        ),
+    ])
+    .to_string()
+}
+
+/// A repair reply's `persist_hits`, failing the test on an error reply.
+fn persist_hits(reply: &Value) -> u64 {
+    reply
+        .get("result")
+        .and_then(|r| r.get("report"))
+        .and_then(|r| r.get("persist_hits"))
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("not an ok repair reply: {reply:?}"))
+}
+
+#[test]
+fn two_daemon_processes_share_one_cache_dir_under_a_small_budget() {
+    // Two daemon processes append to, index, compact and trim one pack
+    // concurrently, under a budget smaller than what they store.
+    let dir = std::env::temp_dir().join(format!("pumpkin-two-daemons-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let flags = [
+        "--cache-dir",
+        dir.to_str().unwrap(),
+        "--cache-max-bytes",
+        "2048",
+    ];
+    let mut daemons = [Daemon::spawn_with(&flags), Daemon::spawn_with(&flags)];
+    let modules: [&[&str]; 4] = [
+        &["Old.app", "Old.rev", "Old.rev_involutive"],
+        &["Old.app_nil_r", "Old.app_assoc", "Old.rev_app_distr"],
+        &["Old.rev", "Old.length", "Old.rev_length"],
+        &["Old.app", "Old.app_assoc", "Old.length_app"],
+    ];
+    std::thread::scope(|s| {
+        for (i, names) in modules.iter().enumerate() {
+            let addr = daemons[i % 2].addr.clone();
+            s.spawn(move || {
+                for _ in 0..3 {
+                    let reply = exchange(&addr, &repair_module_frame(names)).expect("a reply");
+                    persist_hits(&reply);
+                }
+            });
+        }
+    });
+    // Each daemon replays a repair the other one stored.
+    for (writer, reader, names) in [(0, 1, ["Old.map"]), (1, 0, ["Old.fold"])] {
+        let stored = daemons[writer].call(&repair_module_frame(&names));
+        assert_eq!(persist_hits(&stored), 0, "{names:?} was already stored");
+        let replayed = daemons[reader].call(&repair_module_frame(&names));
+        assert!(
+            persist_hits(&replayed) > 0,
+            "daemon {reader} did not replay {names:?}: {replayed:?}"
+        );
+    }
+    let evictions: u64 = daemons
+        .iter_mut()
+        .map(|daemon| {
+            let stats = daemon.call(r#"{"id":2,"method":"stats"}"#);
+            stats
+                .get("result")
+                .and_then(|r| r.get("gauges"))
+                .and_then(|g| g.get("persist_evictions"))
+                .and_then(Value::as_u64)
+                .unwrap_or_else(|| panic!("no persist_evictions gauge: {stats:?}"))
+        })
+        .sum();
+    assert!(evictions > 0, "the budget never evicted a record");
+    let _ = std::fs::remove_dir_all(&dir);
 }
