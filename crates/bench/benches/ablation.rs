@@ -284,6 +284,21 @@ fn bench_term_size_scaling(b: &mut Bench) {
     }
 }
 
+/// `n` as a `nat` term of size O(log n): its binary digits, most
+/// significant first, as doublings through `add` and successors.
+fn numeral(n: u64) -> Term {
+    if n == 0 {
+        return Term::construct("nat", 0);
+    }
+    let half = numeral(n / 2);
+    let double = Term::app(Term::const_("add"), [half.clone(), half]);
+    if n % 2 == 1 {
+        Term::app(Term::construct("nat", 1), [double])
+    } else {
+        double
+    }
+}
+
 fn bench_persist_cache(b: &mut Bench) {
     // The cross-run lift cache: `cold` starts from an empty cache
     // directory every iteration (each run both lifts and populates);
@@ -355,13 +370,15 @@ fn bench_persist_cache(b: &mut Bench) {
 
     // `incremental` — the session-resident edit loop the serve daemon and
     // `pumpkin watch` run (DESIGN.md §16): the environment already holds
-    // the previous repair's outputs, the request diffs a digest snapshot
-    // of the last run, the one touched constant (a leaf theorem, so its
-    // downstream closure is itself) re-lifts fresh, and the other 12 are
-    // green — reused from the resident world with no lift and no disk
+    // the previous repair's outputs, and the request diffs the digest
+    // snapshot of the unedited module. Each sample first edits one leaf
+    // theorem for real, out of the timing: it removes `New.fold_app` and
+    // `Old.fold_app` and redefines the latter under a `let` of a numeral
+    // no earlier sample used. So the timed run re-lifts that one constant
+    // (its persist record misses), checks and stores it, and the other 12
+    // are green — reused from the resident world with no lift and no disk
     // probe. bench_guard.sh gates this row at <= 0.3x of the full warm
     // repair above.
-    let touched = "Old.fold_app";
     let (session_env, session_lifting) = {
         let mut env = base.clone();
         let lifting = configure(&mut env);
@@ -372,52 +389,53 @@ fn bench_persist_cache(b: &mut Bench) {
             .unwrap();
         (env, lifting)
     };
-    let snapshot = || {
-        // Capture the full module (digests + dependency edges), then
-        // force the touched constant to diff as changed — the same
-        // effect as an edited body, without needing to redefine a
-        // referenced constant in place. Keeping its recorded edges lets
-        // the run close the invalidation over the snapshot instead of
-        // rebuilding the module DAG.
-        let mut snap =
-            pumpkin_core::DigestMap::capture(&session_env, stdlib::swap::OLD_MODULE_CONSTANTS);
-        snap.mark_changed(&touched.into());
-        snap
+    let snapshot =
+        pumpkin_core::DigestMap::capture(&session_env, stdlib::swap::OLD_MODULE_CONSTANTS);
+    let proof = session_env
+        .const_decl(&"Old.fold_app".into())
+        .unwrap()
+        .clone();
+    let mut edits = 0u64;
+    let mut edited = move || {
+        edits += 1;
+        let mut env = session_env.clone();
+        env.remove(&"New.fold_app".into()).unwrap();
+        env.remove(&proof.name).unwrap();
+        let body = Term::let_(
+            "edit",
+            Term::ind("nat"),
+            numeral(edits),
+            proof.body.clone().unwrap(),
+        );
+        env.define(proof.name.clone(), proof.ty.clone(), body)
+            .unwrap();
+        env
     };
-    let run_incr = |env: &mut Env, snap: &pumpkin_core::DigestMap| {
+    let run_incr = |env: &mut Env| {
         let mut st = LiftState::new();
         pumpkin_core::Repairer::new(&session_lifting)
             .persist_cache(&dir)
             .state(&mut st)
-            .incremental(snap)
+            .incremental(&snapshot)
             .run(env, stdlib::swap::OLD_MODULE_CONSTANTS)
             .unwrap()
     };
     {
-        let report = run_incr(&mut session_env.clone(), &snapshot());
+        let report = run_incr(&mut edited());
         let incr = report.incr.expect("incremental run reports stats");
         println!("  persist_cache/incremental: {incr}");
         assert_eq!(incr.changed, 1, "exactly one constant was touched");
-        assert!(
-            incr.replayed <= 2,
-            "touching 1 of 13 must re-lift at most 2 constants, got {}",
-            incr.replayed
-        );
+        assert_eq!(incr.replayed, 1, "only the edited leaf re-lifts");
     }
-    let incremental = Row::new(
-        "persist_cache/incremental",
-        || (session_env.clone(), snapshot()),
-        |(mut env, snap)| {
-            let report = run_incr(&mut env, &snap);
-            // The row models a caller that keeps its repaired `Env` and
-            // snapshot across edits (neither `watch`, which builds a
-            // fresh world per run, nor the daemon, which clones its
-            // configured environment per request, does); their teardown
-            // is not part of an incremental request, so hand them back
-            // out of the timing.
-            (report, env, snap)
-        },
-    );
+    let incremental = Row::new("persist_cache/incremental", edited, |mut env| {
+        let report = run_incr(&mut env);
+        // The row models a caller that keeps its repaired `Env` across
+        // edits (neither `watch`, which builds a fresh world per run, nor
+        // the daemon, which clones its configured environment per
+        // request, does); its teardown is not part of an incremental
+        // request, so hand it back out of the timing.
+        (report, env)
+    });
     b.bench_interleaved(vec![cold, warm, incremental]);
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&cold_dir);

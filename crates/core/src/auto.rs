@@ -19,17 +19,15 @@
 //! class, and the reproducer rides on
 //! [`crate::RepairError::AutoExhausted`].
 
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use pumpkin_kernel::env::{Env, GlobalRef};
 use pumpkin_kernel::name::GlobalName;
-use pumpkin_kernel::term::Term;
 use pumpkin_trace::json::Value;
 use pumpkin_trace::{Event, EventKind};
-use pumpkin_wire::{decl_digest, DigestBuilder};
+use pumpkin_wire::DigestBuilder;
 
 use crate::config::NameMap;
 use crate::error::{ErrorClass, RepairError, Result};
@@ -305,20 +303,10 @@ fn failure_cache_put(config: u64, module: u64, class: ErrorClass) {
     crate::insert_capped(&mut failures, FAILURES_CAP, (config, module), class);
 }
 
-/// Number of entries in the process-wide failure cache (observability and
-/// tests; only reaching its cap of 4 096 entries clears it — keys are
-/// content-addressed, so stale entries cannot exist).
-pub fn failure_cache_len() -> usize {
-    failures()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .len()
-}
-
 /// Content-addressed digest of the module under repair: the vernacular
-/// source (if any), the sorted work list, and the declaration digests of
-/// every constant reachable from the work list in `env` — so editing any
-/// reachable dependency changes the key.
+/// source (if any), the sorted work list, and the dependency fingerprint
+/// ([`Env::fingerprint`]) of each work-list name `env` declares — so
+/// editing anything a listed constant depends on changes the key.
 fn module_digest(env: &Env, source: Option<&str>, names: &[&str]) -> u64 {
     let mut d = DigestBuilder::new();
     d.write_str("auto-module/1");
@@ -331,24 +319,12 @@ fn module_digest(env: &Env, source: Option<&str>, names: &[&str]) -> u64 {
     d.write_u64(sorted.len() as u64);
     for n in &sorted {
         d.write_str(n);
-    }
-    // BFS over constant references, digested in sorted order.
-    let mut reachable: BTreeSet<GlobalName> = BTreeSet::new();
-    let mut stack: Vec<GlobalName> = sorted.iter().map(|n| GlobalName::new(*n)).collect();
-    while let Some(n) = stack.pop() {
-        let Ok(decl) = env.const_decl(&n) else {
-            continue;
-        };
-        if !reachable.insert(n) {
-            continue;
-        }
-        stack.extend(decl.ty.constants());
-        stack.extend(decl.body.iter().flat_map(Term::constants));
-    }
-    for n in &reachable {
-        d.write_str(n.as_str());
-        if let Ok(decl) = env.const_decl(n) {
-            d.write_u64(decl_digest(decl).0);
+        match env.fingerprint(&GlobalName::new(*n)) {
+            Some(fingerprint) => {
+                d.write_u64(1);
+                d.write_u64(fingerprint);
+            }
+            None => d.write_u64(0),
         }
     }
     d.finish()
@@ -873,5 +849,18 @@ mod tests {
             module_digest(&with_extra, None, &["Old.rev_digest_probe"]),
             module_digest(&with_extra, None, &["Old.rev"]),
         );
+        // An edit off the work list, two levels down, changes the key.
+        let chain = |h: &str| {
+            let mut env = stdlib::std_env();
+            let src = format!(
+                "Definition Old.digest_h : nat := {h}.\n\
+                 Definition Old.digest_g : nat := Old.digest_h.\n\
+                 Definition Old.digest_f : nat := Old.digest_g."
+            );
+            pumpkin_lang::load_source(&mut env, &src).unwrap();
+            module_digest(&env, None, &["Old.digest_f"])
+        };
+        assert_eq!(chain("O"), chain("O"));
+        assert_ne!(chain("O"), chain("S O"));
     }
 }

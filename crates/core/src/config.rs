@@ -192,14 +192,6 @@ pub struct Lifting {
     pub equivalence: Option<EquivalenceNames>,
 }
 
-impl Lifting {
-    /// Does this global belong to the source type (and therefore must not
-    /// appear in repaired output)?
-    pub fn is_source_global(&self, name: &GlobalName) -> bool {
-        name == &self.a_name
-    }
-}
-
 impl std::fmt::Debug for Lifting {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Lifting")

@@ -143,18 +143,12 @@ pub struct LiftState {
     /// [`crate::persist::PersistCache`]); `None` (the default) keeps
     /// [`repair_constant`] purely in-memory.
     persist: Option<std::sync::Arc<crate::persist::PersistCache>>,
-    /// Constants that must bypass the persist cache this run — the
-    /// incremental invalidation closure ([`crate::incr::invalidated`]).
-    /// Lookups skip them (a digest-unchanged entry could replay a
-    /// dependent whose upstream changed without re-checking it) and
-    /// stores overwrite their entries.
-    invalidated: HashSet<GlobalName>,
     /// Salsa-style "green" constants for this run: work-list members whose
-    /// digest matched the incremental snapshot and that sit outside the
-    /// invalidation closure. When such a constant's repair target already
-    /// lives in the environment (a session-resident world), the target is
-    /// the previous validated run's output for this exact input, so the
-    /// mapping is reused with no lift and no cache probe.
+    /// dependency fingerprint matched the incremental snapshot. When such
+    /// a constant's repair target already lives in the environment (a
+    /// session-resident world), the target is the previous validated run's
+    /// output for this exact input, so the mapping is reused with no lift
+    /// and no cache probe.
     green: HashSet<GlobalName>,
     /// Per-constant outcome of this run's repairs (fresh lift vs. persist
     /// replay); see [`LiftOutcome`].
@@ -207,29 +201,18 @@ impl LiftState {
         self.persist = cache;
     }
 
-    /// Is a persistent cache attached?
-    pub fn persist_enabled(&self) -> bool {
-        self.persist.is_some()
-    }
-
-    /// Installs the incremental invalidation set: these constants bypass
-    /// the persist cache (fresh lookup skipped, store overwrites). Set by
+    /// Installs the incremental "green" set (work-list constants whose
+    /// fingerprint matches the snapshot's); see the field doc. Set by
     /// [`crate::Repairer::incremental`] before the run.
-    pub fn set_invalidated(&mut self, names: HashSet<GlobalName>) {
-        self.invalidated = names;
-    }
-
-    /// Installs the incremental "green" set (snapshot-unchanged work-list
-    /// constants outside the invalidation closure); see the field doc.
-    /// Set by [`crate::Repairer::incremental`] before the run.
     pub fn set_green(&mut self, names: HashSet<GlobalName>) {
         self.green = names;
     }
 
     /// Drops the repaired mappings for `names`, so a state threaded from
     /// an earlier run re-lifts them instead of short-circuiting on a
-    /// stale entry. The incremental driver calls this on the invalidation
-    /// closure before the run.
+    /// stale entry. [`crate::Repairer::incremental`] calls this on the
+    /// work-list constants whose fingerprint left the snapshot's before
+    /// the run.
     pub fn forget(&mut self, names: &HashSet<GlobalName>) {
         for n in names {
             self.const_map.remove(n);
@@ -488,11 +471,12 @@ fn lift_all(env: &mut Env, l: &Lifting, st: &mut LiftState, ts: &[Term]) -> Resu
     ts.iter().map(|t| lift_term(env, l, st, t)).collect()
 }
 
-/// Salsa-style green reuse (DESIGN.md §16): the constant's digest matched
-/// the incremental snapshot and nothing upstream of it changed, so if its
-/// repair target already lives in this environment (a session-resident
-/// world), that target is the previous validated run's output for this
-/// exact input — reuse the mapping with no lift and no disk probe.
+/// Salsa-style green reuse (DESIGN.md §16): the constant's fingerprint
+/// matched the incremental snapshot, so neither it nor anything it depends
+/// on changed, and if its repair target already lives in this environment
+/// (a session-resident world), that target is the previous validated run's
+/// output for this exact input — reuse the mapping with no lift and no
+/// disk probe.
 /// Provenance runs never take this path: they must re-lift to
 /// re-attribute every rewrite site. The [`crate::Repairer`] calls this
 /// before scheduling so green constants never occupy a pass slot;
@@ -564,21 +548,20 @@ pub fn repair_constant(
     let result = (|| {
         let decl = env.const_decl(name)?.clone();
         // Persistent cross-run cache: replay a previously persisted repair
-        // of this exact declaration under this exact configuration. A
-        // validated hit skips the whole lift below. Constants in the
-        // incremental invalidation set never probe: their digests may be
-        // unchanged while an upstream body changed, so a replay would
-        // install the repair computed against the old upstream, which the
-        // kernel may well accept but a fresh lift would not produce.
-        if let Some(cache) = st.persist.clone() {
-            if st.invalidated.contains(name) || st.provenance_enabled() {
-                // Fall through to a fresh, fully checked lift. Provenance
-                // runs re-lift because a replayed declaration records no
-                // diff sites — `explain` after an incremental repair must
-                // cite the same rules as after a cold one.
-            } else {
-                if let Some(hit) = cache.lookup(&decl) {
-                    let replayed = replay_persisted(env, l, st, &cache, name, &decl, hit)?;
+        // of this exact declaration under this exact configuration, lifted
+        // against these exact dependencies (the fingerprint covers them
+        // all, so an upstream edit reads as a miss). A validated hit skips
+        // the whole lift below. Provenance runs never probe: a replayed
+        // declaration records no diff sites, and `explain` after an
+        // incremental repair must cite the same rules as after a cold one.
+        let persist = st
+            .persist
+            .clone()
+            .and_then(|cache| Some((cache, env.fingerprint(name)?)));
+        if let Some((cache, fingerprint)) = &persist {
+            if !st.provenance_enabled() {
+                if let Some(hit) = cache.lookup(&decl, *fingerprint) {
+                    let replayed = replay_persisted(env, l, st, cache, name, &decl, hit)?;
                     if let Some(new_name) = replayed {
                         st.stats.persist_hits += 1;
                         return Ok((new_name, LiftOutcome::Replayed));
@@ -606,14 +589,8 @@ pub fn repair_constant(
             None => env.assume(new_name.clone(), new_ty)?,
         }
         st.stats.constants_lifted += 1;
-        if let Some(cache) = &st.persist {
-            // An invalidated constant's entry may hold a repair computed
-            // against the old upstream; overwrite it with this one.
-            let upkeep = cache.store_with(
-                &decl,
-                env.const_decl(&new_name)?,
-                st.invalidated.contains(name),
-            );
+        if let Some((cache, fingerprint)) = &persist {
+            let upkeep = cache.store(&decl, *fingerprint, env.const_decl(&new_name)?);
             st.stats.persist_compactions += upkeep.compactions;
             st.stats.persist_evictions += upkeep.evictions;
         }
@@ -635,9 +612,10 @@ pub fn repair_constant(
 
 /// Replays a persisted repaired declaration.
 ///
-/// The cache key already pins the configuration and the old declaration's
-/// content, so `hit` is the declaration a fresh lift would produce — but
-/// the environment must first contain everything it references. The old
+/// The shard pins the configuration, and the record's key and fingerprint
+/// pin the old declaration and everything it depends on, so `hit` is the
+/// declaration a fresh lift would produce — but the environment must
+/// first contain everything it references. The old
 /// declaration's relevant dependencies are repaired first (recursively;
 /// on a warm run those replay from the cache too), exactly as the lift
 /// would have repaired them on demand. Returns `Ok(None)` — fall back to

@@ -21,16 +21,29 @@
 //!   so two mappings of one pair of types never observe each other's
 //!   records.
 //!
-//! A pack is a 16-byte header — magic, then a nonce drawn when the file
-//! is created — followed by records. A record is a 32-byte head (magic,
-//! frame length, key, frame checksum, head checksum) and a frame:
+//! A pack is a 16-byte header — the magic `PUMPACK2`, then a nonce drawn
+//! when the file is created — followed by records. A record is a 40-byte
+//! head (magic, frame length, key, fingerprint, frame checksum, head
+//! checksum) and a frame:
 //!
 //! * the key is [`pumpkin_wire::decl_digest`] of the *old* declaration —
 //!   name, type and body digests, opacity — so a source edit re-keys the
 //!   record automatically;
+//! * the fingerprint is the old declaration's [`Env::fingerprint`] when
+//!   the repair was lifted, which covers everything the declaration
+//!   depends on, however indirectly;
 //! * the frame is the [`pumpkin_wire::encode_decl`] binary frame of the
 //!   *repaired* declaration, and an empty frame is a tombstone;
 //! * the newest record for a key wins.
+//!
+//! That is the one staleness rule for persisted repairs: a lookup hits
+//! only when the newest record for its key carries the old declaration's
+//! current fingerprint. A dependency edit — on the work list or off it —
+//! changes the fingerprint of every declaration that depends on it, so
+//! their records read as misses, and the re-lift's store supersedes each
+//! one. A store appends nothing when the newest record already holds the
+//! same fingerprint and frame. A pack with another header (an earlier
+//! layout, or damage) reads as empty, and the first store replaces it.
 //!
 //! Replay installs a frame through `Env::define`, as a fresh lift does, in
 //! every build profile; it stays cheap because the admission memo admits
@@ -118,14 +131,14 @@ pub fn config_digest(env: &Env, l: &Lifting) -> TermDigest {
 /// A shard's pack, inside its shard directory.
 const PACK: &str = "pack";
 /// The pack header's magic; the header's other 8 bytes are its nonce.
-const PACK_MAGIC: &[u8; 8] = b"PUMPACK1";
+const PACK_MAGIC: &[u8; 8] = b"PUMPACK2";
 /// Pack header length.
 const PACK_HEAD: u64 = 16;
 /// A record head's magic.
 const RECORD_MAGIC: &[u8; 4] = b"PREC";
-/// Record head length: magic, frame length (u32), key, frame checksum and
-/// head checksum (u64 each), little-endian.
-const RECORD_HEAD: usize = 32;
+/// Record head length: magic, frame length (u32), key, fingerprint, frame
+/// checksum and head checksum (u64 each), little-endian.
+const RECORD_HEAD: usize = 40;
 /// Dead bytes a pack must hold before it is compacted, so a small pack is
 /// not rewritten for every superseded record.
 const COMPACT_MIN_DEAD: u64 = 4096;
@@ -188,27 +201,56 @@ fn pack_header(nonce: u64) -> Vec<u8> {
     head
 }
 
-/// One whole record: head, then `frame` (empty for a tombstone).
-fn record(key: u64, frame: &[u8]) -> Vec<u8> {
+/// What a record head holds besides its magic and its own checksum.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Head {
+    /// Frame length; the record is [`RECORD_HEAD`] bytes longer.
+    len: u32,
+    key: u64,
+    fingerprint: u64,
+    /// The frame's checksum.
+    sum: u64,
+}
+
+impl Head {
+    fn of(key: u64, fingerprint: u64, frame: &[u8]) -> Option<Head> {
+        Some(Head {
+            len: u32::try_from(frame.len()).ok()?,
+            key,
+            fingerprint,
+            sum: checksum(frame),
+        })
+    }
+
+    fn size(&self) -> u64 {
+        RECORD_HEAD as u64 + self.len as u64
+    }
+}
+
+/// One whole record: `head`, then `frame` (empty for a tombstone).
+fn record(head: &Head, frame: &[u8]) -> Vec<u8> {
     let mut rec = Vec::with_capacity(RECORD_HEAD + frame.len());
     rec.extend_from_slice(RECORD_MAGIC);
-    rec.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-    rec.extend_from_slice(&key.to_le_bytes());
-    rec.extend_from_slice(&checksum(frame).to_le_bytes());
+    rec.extend_from_slice(&head.len.to_le_bytes());
+    for word in [head.key, head.fingerprint, head.sum] {
+        rec.extend_from_slice(&word.to_le_bytes());
+    }
     let head_sum = checksum(&rec);
     rec.extend_from_slice(&head_sum.to_le_bytes());
     rec.extend_from_slice(frame);
     rec
 }
 
-/// The `(frame length, key, frame checksum)` of the record head at the
-/// start of `bytes`, if its magic and checksum verify.
-fn parse_head(bytes: &[u8]) -> Option<(usize, u64, u64)> {
+/// The record head at the start of `bytes`, if its magic and checksum
+/// verify.
+fn parse_head(bytes: &[u8]) -> Option<Head> {
     let head = bytes.get(..RECORD_HEAD)?;
     let word = |i: usize| u64::from_le_bytes(head[i..i + 8].try_into().expect("8 bytes"));
-    (&head[..4] == RECORD_MAGIC && checksum(&head[..24]) == word(24)).then(|| {
-        let len = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
-        (len as usize, word(8), word(16))
+    (&head[..4] == RECORD_MAGIC && checksum(&head[..32]) == word(32)).then(|| Head {
+        len: u32::from_le_bytes(head[4..8].try_into().expect("4 bytes")),
+        key: word(8),
+        fingerprint: word(16),
+        sum: word(24),
     })
 }
 
@@ -216,8 +258,7 @@ fn parse_head(bytes: &[u8]) -> Option<(usize, u64, u64)> {
 #[derive(Debug)]
 struct Slot {
     offset: u64,
-    /// Frame length; the record is [`RECORD_HEAD`] bytes longer.
-    len: u32,
+    head: Head,
     /// The declaration, once a hit decoded the frame or a store of this
     /// process wrote it.
     decoded: Option<ConstDecl>,
@@ -228,7 +269,7 @@ struct Slot {
 
 impl Slot {
     fn size(&self) -> u64 {
-        RECORD_HEAD as u64 + self.len as u64
+        self.head.size()
     }
 }
 
@@ -315,7 +356,7 @@ impl Pack {
         let mut at = 0;
         let mut head = parse_head(&buf);
         while buf.len() - at >= RECORD_HEAD {
-            let Some((frame, key, sum)) = head else {
+            let Some(found) = head else {
                 // Damage: resynchronize at the next head that verifies.
                 let next = (at + 1..buf.len())
                     .find(|&i| parse_head(&buf[i..]).is_some())
@@ -325,7 +366,7 @@ impl Pack {
                 head = parse_head(&buf[at..]);
                 continue;
             };
-            let next = at + RECORD_HEAD + frame;
+            let next = at + found.size() as usize;
             if next > buf.len() {
                 // Cut short at the tail: a writer mid-append, or one
                 // killed there. Indexed once whole.
@@ -337,24 +378,24 @@ impl Pack {
             let following = parse_head(&buf[next..]);
             if following.is_none()
                 && buf.len() - next >= RECORD_HEAD
-                && checksum(&buf[at + RECORD_HEAD..next]) != sum
+                && checksum(&buf[at + RECORD_HEAD..next]) != found.sum
             {
                 self.dead += 1;
                 at += 1;
                 head = None;
                 continue;
             }
-            self.index(key, self.end + at as u64, frame as u32, None);
+            self.index(self.end + at as u64, found, None);
             at = next;
             head = following;
         }
         self.end += at as u64;
     }
 
-    /// Indexes the record for `key` at `offset` (a tombstone when `len` is
-    /// 0): the newest record for a key wins.
-    fn index(&mut self, key: u64, offset: u64, len: u32, decoded: Option<ConstDecl>) {
-        let size = RECORD_HEAD as u64 + len as u64;
+    /// Indexes the record with `head` at `offset` (a tombstone when its
+    /// frame is empty): the newest record for a key wins.
+    fn index(&mut self, offset: u64, head: Head, decoded: Option<ConstDecl>) {
+        let (key, size) = (head.key, head.size());
         let used = match self.slots.get(&key) {
             // A store of this process, indexed when it was appended.
             Some(slot) if slot.offset == offset => return,
@@ -369,7 +410,7 @@ impl Pack {
             }
             None => 0,
         };
-        if len == 0 {
+        if head.len == 0 {
             self.slots.remove(&key);
             self.dead += size;
             return;
@@ -377,7 +418,7 @@ impl Pack {
         self.live += size;
         let slot = Slot {
             offset,
-            len,
+            head,
             decoded,
             used,
         };
@@ -392,18 +433,23 @@ impl Pack {
         }
     }
 
-    /// The declaration stored for `key`: from the index once decoded,
-    /// else read (a seek under the index's lock) and decoded once. A
-    /// damaged record reads as a miss and leaves the index, so the next
-    /// store re-publishes it.
-    fn get(&mut self, key: u64) -> Option<ConstDecl> {
+    /// The declaration stored for `key` if the newest record for it
+    /// carries `fingerprint`: from the index once decoded, else read (a
+    /// seek under the index's lock) and decoded once. A record with
+    /// another fingerprint is a miss that the next store supersedes; a
+    /// damaged one reads as a miss and leaves the index, so the next store
+    /// re-publishes it.
+    fn get(&mut self, key: u64, fingerprint: u64) -> Option<ConstDecl> {
+        let slot = self
+            .slots
+            .get(&key)
+            .filter(|s| s.head.fingerprint == fingerprint)?;
+        let (offset, head, decoded) = (slot.offset, slot.head, slot.decoded.clone());
         self.touch(key);
-        let slot = self.slots.get(&key)?;
-        if let Some(decl) = &slot.decoded {
-            return Some(decl.clone());
+        if decoded.is_some() {
+            return decoded;
         }
-        let (offset, len) = (slot.offset, slot.len);
-        match self.read_frame(key, offset, len) {
+        match self.read_frame(offset, head) {
             Some(decl) => {
                 self.slots.get_mut(&key)?.decoded = Some(decl.clone());
                 Some(decl)
@@ -418,14 +464,13 @@ impl Pack {
         }
     }
 
-    fn read_frame(&mut self, key: u64, offset: u64, len: u32) -> Option<ConstDecl> {
+    fn read_frame(&mut self, offset: u64, head: Head) -> Option<ConstDecl> {
         let file = self.file.as_mut()?;
-        let mut rec = vec![0; RECORD_HEAD + len as usize];
+        let mut rec = vec![0; head.size() as usize];
         file.seek(SeekFrom::Start(offset)).ok()?;
         file.read_exact(&mut rec).ok()?;
-        let (frame_len, found, sum) = parse_head(&rec)?;
         let frame = &rec[RECORD_HEAD..];
-        if frame_len != len as usize || found != key || checksum(frame) != sum {
+        if parse_head(&rec)? != head || checksum(frame) != head.sum {
             return None;
         }
         decode_decl(frame).ok()
@@ -433,8 +478,8 @@ impl Pack {
 
     /// Appends the record for `key` with one `write`, creating the pack
     /// first if there is none, and indexes it with `decoded`. Best-effort.
-    fn append(&mut self, key: u64, frame: &[u8], decoded: Option<ConstDecl>) {
-        let Ok(len) = u32::try_from(frame.len()) else {
+    fn append(&mut self, key: u64, fingerprint: u64, frame: &[u8], decoded: Option<ConstDecl>) {
+        let Some(head) = Head::of(key, fingerprint, frame) else {
             return;
         };
         if self.file.is_none() {
@@ -443,7 +488,7 @@ impl Pack {
         let Some(file) = self.file.as_mut() else {
             return;
         };
-        let rec = record(key, frame);
+        let rec = record(&head, frame);
         if file.write_all(&rec).is_err() {
             return;
         }
@@ -458,7 +503,7 @@ impl Pack {
         if offset == self.end {
             self.end = offset + rec.len() as u64;
         }
-        self.index(key, offset, len, decoded);
+        self.index(offset, head, decoded);
     }
 
     /// Publishes a fresh pack unless another process's appeared first —
@@ -669,12 +714,14 @@ impl PersistCache {
         }))
     }
 
-    /// Looks up the repaired declaration persisted for `old`. A damaged
-    /// record reads as absent and leaves the index — the caller falls back
-    /// to a fresh lift, whose store then re-publishes a good frame. Never
-    /// an error.
-    pub fn lookup(&self, old: &ConstDecl) -> Option<ConstDecl> {
-        self.pack().get(decl_digest(old).0)
+    /// Looks up the repaired declaration persisted for `old`, whose
+    /// [`Env::fingerprint`] is `fingerprint`: a hit only if the newest
+    /// record for `old` was lifted against the same dependencies. A
+    /// damaged record reads as absent and leaves the index — the caller
+    /// falls back to a fresh lift, whose store then re-publishes a good
+    /// frame. Never an error.
+    pub fn lookup(&self, old: &ConstDecl, fingerprint: u64) -> Option<ConstDecl> {
+        self.pack().get(decl_digest(old).0, fingerprint)
     }
 
     /// Tombstones the record for `old` (best-effort, like every write).
@@ -682,35 +729,29 @@ impl PersistCache {
         let key = decl_digest(old).0;
         let mut pack = self.pack();
         if pack.slots.contains_key(&key) {
-            pack.append(key, &[], None);
+            pack.append(key, 0, &[], None);
         }
     }
 
-    /// Persists `new` as the repair of `old`. Best-effort: I/O failures
-    /// are swallowed (the cache is an accelerator, never a correctness
+    /// Persists `new` as the repair of `old`, lifted while `old`'s
+    /// [`Env::fingerprint`] was `fingerprint`. It supersedes the record
+    /// for `old` unless that one already holds this fingerprint and frame,
+    /// in which case nothing is appended. Best-effort: I/O failures are
+    /// swallowed (the cache is an accelerator, never a correctness
     /// dependency). The append is one `write` of a whole record, so a
     /// concurrent reader sees either nothing or a complete frame.
-    pub fn store(&self, old: &ConstDecl, new: &ConstDecl) -> Upkeep {
-        self.store_with(old, new, false)
-    }
-
-    /// [`PersistCache::store`], with explicit overwrite control. The
-    /// incremental layer passes `overwrite = true` for invalidated
-    /// constants: their digest-unchanged records may hold repairs
-    /// computed against an upstream that has since changed. An overwrite
-    /// with the declaration already indexed appends nothing.
-    pub fn store_with(&self, old: &ConstDecl, new: &ConstDecl, overwrite: bool) -> Upkeep {
+    pub fn store(&self, old: &ConstDecl, fingerprint: u64, new: &ConstDecl) -> Upkeep {
         let key = decl_digest(old).0;
+        let frame = encode_decl(new);
         let mut upkeep = Upkeep::default();
         {
             let mut pack = self.pack();
-            if let Some(slot) = pack.slots.get(&key) {
-                if !overwrite || slot.decoded.as_ref() == Some(new) {
-                    pack.touch(key);
-                    return upkeep;
-                }
+            let held = pack.slots.get(&key).map(|s| s.head);
+            if held.is_some() && held == Head::of(key, fingerprint, &frame) {
+                pack.touch(key);
+                return upkeep;
             }
-            pack.append(key, &encode_decl(new), Some(new.clone()));
+            pack.append(key, fingerprint, &frame, Some(new.clone()));
             pack.touch(key);
             if pack.wants_compaction() {
                 if let Some(lock) = self.try_lock_evict() {
@@ -887,6 +928,15 @@ mod tests {
         root
     }
 
+    /// The fingerprint the tests store and look records up under.
+    const FP: u64 = 0xf1;
+
+    /// The whole record of `new` under `old`'s key and [`FP`].
+    fn record_of(old: &ConstDecl, new: &ConstDecl) -> Vec<u8> {
+        let frame = encode_decl(new);
+        record(&Head::of(decl_digest(old).0, FP, &frame).unwrap(), &frame)
+    }
+
     fn decl(i: usize, prefix: &str) -> ConstDecl {
         ConstDecl {
             name: format!("{prefix}.c{i}").into(),
@@ -917,9 +967,9 @@ mod tests {
         let bytes = pack_bytes(cache);
         let mut at = PACK_HEAD as usize;
         let mut out = Vec::new();
-        while let Some((len, _, _)) = parse_head(&bytes[at..]) {
+        while let Some(head) = parse_head(&bytes[at..]) {
             out.push(at);
-            at += RECORD_HEAD + len;
+            at += head.size() as usize;
         }
         out
     }
@@ -931,18 +981,19 @@ mod tests {
         let root = scratch_root("roundtrip");
         let cache = PersistCache::open(&root, &env, &lifting).unwrap();
         let old = env.const_decl(&"Old.rev".into()).unwrap().clone();
+        let fp = env.fingerprint(&old.name).unwrap();
         let new = ConstDecl {
             name: "New.rev".into(),
             ty: Term::prop(),
             body: None,
             opaque: false,
         };
-        assert!(cache.lookup(&old).is_none());
-        cache.store(&old, &new);
-        assert_eq!(cache.lookup(&old), Some(new.clone()));
+        assert!(cache.lookup(&old, fp).is_none());
+        cache.store(&old, fp, &new);
+        assert_eq!(cache.lookup(&old, fp), Some(new.clone()));
         // Another process reads the record back from the pack...
         let cache = reopen(&cache, &env, &lifting);
-        assert_eq!(cache.lookup(&old), Some(new));
+        assert_eq!(cache.lookup(&old, fp), Some(new));
         // ...and a damaged one as absent.
         let path = cache.dir().join(PACK);
         let mut bytes = fs::read(&path).unwrap();
@@ -950,7 +1001,7 @@ mod tests {
         bytes[last] ^= 0xff;
         fs::write(&path, bytes).unwrap();
         let cache = reopen(&cache, &env, &lifting);
-        assert!(cache.lookup(&old).is_none());
+        assert!(cache.lookup(&old, fp).is_none());
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -970,7 +1021,7 @@ mod tests {
             for _ in 0..8 {
                 s.spawn(|| {
                     for (old, new) in &entries {
-                        cache.store(old, new);
+                        cache.store(old, FP, new);
                     }
                 });
             }
@@ -978,7 +1029,7 @@ mod tests {
         for cache in [&cache, &reopen(&cache, &env, &lifting)] {
             for (old, new) in &entries {
                 assert_eq!(
-                    cache.lookup(old).as_ref(),
+                    cache.lookup(old, FP).as_ref(),
                     Some(new),
                     "entry for {} is missing or torn",
                     old.name
@@ -1002,64 +1053,111 @@ mod tests {
             opaque: false,
         };
         let key = decl_digest(&old).0;
-        cache.store(&old, &new);
+        cache.store(&old, FP, &new);
         let path = cache.dir().join(PACK);
         fs::write(&path, b"garbage").unwrap();
         // The damaged read is a miss that also drops the record...
         let cache = reopen(&cache, &env, &lifting);
-        assert!(cache.lookup(&old).is_none());
+        assert!(cache.lookup(&old, FP).is_none());
         assert!(
             !cache.pack().slots.contains_key(&key),
             "a damaged record leaves the index, not left to rot"
         );
         // ...so the store path (which skips indexed records) re-publishes,
         // replacing the pack whose header was damaged.
-        cache.store(&old, &new);
-        assert_eq!(cache.lookup(&old), Some(new.clone()));
+        cache.store(&old, FP, &new);
+        assert_eq!(cache.lookup(&old, FP), Some(new.clone()));
         let cache = reopen(&cache, &env, &lifting);
-        assert_eq!(cache.lookup(&old), Some(new));
+        assert_eq!(cache.lookup(&old, FP), Some(new));
         let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
-    fn store_with_overwrite_replaces_an_existing_entry() {
+    fn a_record_with_another_fingerprint_misses_and_a_fresh_store_supersedes_it() {
         let mut env = pumpkin_stdlib::std_env();
         let lifting = sample_lifting(&mut env);
-        let root = scratch_root("overwrite");
+        let root = scratch_root("supersede");
         let cache = PersistCache::open(&root, &env, &lifting).unwrap();
-        let old = env.const_decl(&"Old.rev".into()).unwrap().clone();
-        let v1 = ConstDecl {
-            name: "New.rev".into(),
-            ty: Term::prop(),
-            body: None,
-            opaque: false,
+        let old = decl(0, "Old");
+        let (v1, v2) = (decl(1, "New"), decl(2, "New"));
+        cache.store(&old, 1, &v1);
+        assert!(cache.lookup(&old, 2).is_none(), "lifted against other deps");
+        assert_eq!(cache.lookup(&old, 1), Some(v1.clone()));
+        // The re-lift against the new dependencies supersedes the record:
+        // one live record per key, the old one dead.
+        cache.store(&old, 2, &v2);
+        assert_eq!(cache.lookup(&old, 2), Some(v2.clone()));
+        assert!(cache.lookup(&old, 1).is_none(), "the newest record wins");
+        let first = record_of(&old, &v1).len() as u64;
+        let check = |cache: &PersistCache| {
+            let pack = cache.pack();
+            assert_eq!(pack.slots.len(), 1, "{pack:?}");
+            assert_eq!(pack.dead, first, "{pack:?}");
+            assert_eq!(pack.live, record_of(&old, &v2).len() as u64);
         };
-        let v2 = ConstDecl {
-            name: "New.rev".into(),
-            ty: Term::prop(),
-            body: Some(Term::rel(0)),
-            opaque: false,
-        };
-        cache.store(&old, &v1);
-        cache.store(&old, &v2);
-        assert_eq!(
-            cache.lookup(&old),
-            Some(v1.clone()),
-            "plain store never clobbers"
-        );
-        cache.store_with(&old, &v2, true);
-        assert_eq!(
-            cache.lookup(&old),
-            Some(v2.clone()),
-            "overwrite store replaces"
-        );
-        // An overwrite with the declaration already indexed appends nothing.
-        let len = pack_bytes(&cache).len();
-        cache.store_with(&old, &v2, true);
-        assert_eq!(pack_bytes(&cache).len(), len);
-        // On disk, the newest record wins.
+        check(&cache);
+        // The same on disk.
         let cache = reopen(&cache, &env, &lifting);
-        assert_eq!(cache.lookup(&old), Some(v2));
+        check(&cache);
+        assert_eq!(cache.lookup(&old, 2), Some(v2));
+        assert!(cache.lookup(&old, 1).is_none());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_store_with_an_equal_fingerprint_and_frame_appends_nothing() {
+        let mut env = pumpkin_stdlib::std_env();
+        let lifting = sample_lifting(&mut env);
+        let root = scratch_root("same");
+        let cache = PersistCache::open(&root, &env, &lifting).unwrap();
+        let old = decl(0, "Old");
+        cache.store(&old, FP, &decl(1, "New"));
+        let len = pack_bytes(&cache).len();
+        cache.store(&old, FP, &decl(1, "New"));
+        assert_eq!(pack_bytes(&cache).len(), len);
+        // Also from an index that never decoded the frame: the head's
+        // frame checksum decides.
+        let cache = reopen(&cache, &env, &lifting);
+        cache.store(&old, FP, &decl(1, "New"));
+        assert_eq!(pack_bytes(&cache).len(), len);
+        // Another frame under the same fingerprint is appended.
+        cache.store(&old, FP, &decl(2, "New"));
+        assert!(pack_bytes(&cache).len() > len);
+        assert_eq!(cache.lookup(&old, FP), Some(decl(2, "New")));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// A pack of the layout before fingerprints (`PUMPACK1`, 32-byte
+    /// heads) reads as empty, and the first store replaces it.
+    #[test]
+    fn a_pumpack1_pack_reads_as_empty_and_the_first_store_replaces_it() {
+        let mut env = pumpkin_stdlib::std_env();
+        let lifting = sample_lifting(&mut env);
+        let root = scratch_root("pumpack1");
+        let probe = PersistCache::open(&root, &env, &lifting).unwrap();
+        let path = probe.dir().join(PACK);
+        let frame = encode_decl(&decl(0, "New"));
+        let mut v1 = b"PUMPACK1".to_vec();
+        v1.extend_from_slice(&fresh_nonce().to_le_bytes());
+        let mut head = b"PREC".to_vec();
+        head.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+        head.extend_from_slice(&decl_digest(&decl(0, "Old")).0.to_le_bytes());
+        head.extend_from_slice(&checksum(&frame).to_le_bytes());
+        let head_sum = checksum(&head);
+        head.extend_from_slice(&head_sum.to_le_bytes());
+        v1.extend(head);
+        v1.extend_from_slice(&frame);
+        fs::write(&path, &v1).unwrap();
+        let cache = reopen(&probe, &env, &lifting);
+        assert!(cache.lookup(&decl(0, "Old"), FP).is_none());
+        assert!(cache.pack().slots.is_empty());
+        cache.store(&decl(1, "Old"), FP, &decl(1, "New"));
+        let bytes = pack_bytes(&cache);
+        assert_eq!(&bytes[..8], PACK_MAGIC);
+        assert_eq!(record_offsets(&cache).len(), 1, "the old records are gone");
+        let cache = reopen(&cache, &env, &lifting);
+        assert_eq!(cache.lookup(&decl(1, "Old"), FP), Some(decl(1, "New")));
+        assert!(cache.lookup(&decl(0, "Old"), FP).is_none());
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -1070,7 +1168,7 @@ mod tests {
         let root = scratch_root("lru");
         // Measure one record's size, then budget for exactly two.
         let probe = PersistCache::open(&root, &env, &lifting).unwrap();
-        probe.store(&decl(0, "Old"), &decl(0, "New"));
+        probe.store(&decl(0, "Old"), FP, &decl(0, "New"));
         let record_len = pack_bytes(&probe).len() as u64 - PACK_HEAD;
         forget_index(&probe);
         let _ = fs::remove_dir_all(&root);
@@ -1078,24 +1176,24 @@ mod tests {
         let cache = PersistCache::open_bounded(&root, &env, &lifting, Some(budget)).unwrap();
         let mut upkeep = Upkeep::default();
         for i in 0..4 {
-            let u = cache.store(&decl(i, "Old"), &decl(i, "New"));
+            let u = cache.store(&decl(i, "Old"), FP, &decl(i, "New"));
             upkeep.compactions += u.compactions;
             upkeep.evictions += u.evictions;
         }
         assert_eq!(upkeep.evictions, 2, "two records over budget: {upkeep:?}");
         assert_eq!(upkeep.compactions, 2, "each trim rewrites the pack");
         assert!(
-            cache.lookup(&decl(0, "Old")).is_none(),
+            cache.lookup(&decl(0, "Old"), FP).is_none(),
             "oldest entry is evicted"
         );
         assert_eq!(
-            cache.lookup(&decl(3, "Old")),
+            cache.lookup(&decl(3, "Old"), FP),
             Some(decl(3, "New")),
             "newest entry survives"
         );
         let cache = reopen(&cache, &env, &lifting);
         let survivors = (0..4)
-            .filter(|&i| cache.lookup(&decl(i, "Old")).is_some())
+            .filter(|&i| cache.lookup(&decl(i, "Old"), FP).is_some())
             .count();
         assert!(
             survivors <= 2,
@@ -1114,13 +1212,10 @@ mod tests {
         let root = scratch_root("torn");
         let cache = PersistCache::open(&root, &env, &lifting).unwrap();
         for i in 0..2 {
-            cache.store(&decl(i, "Old"), &decl(i, "New"));
+            cache.store(&decl(i, "Old"), FP, &decl(i, "New"));
         }
         // A writer killed mid-append leaves part of a record.
-        let torn = record(
-            decl_digest(&decl(2, "Old")).0,
-            &encode_decl(&decl(2, "New")),
-        );
+        let torn = record_of(&decl(2, "Old"), &decl(2, "New"));
         let mut file = OpenOptions::new()
             .append(true)
             .open(cache.dir().join(PACK))
@@ -1129,18 +1224,18 @@ mod tests {
         let whole = pack_bytes(&cache).len() - (torn.len() - 3);
         let cache = reopen(&cache, &env, &lifting);
         for i in 0..2 {
-            assert_eq!(cache.lookup(&decl(i, "Old")), Some(decl(i, "New")));
+            assert_eq!(cache.lookup(&decl(i, "Old"), FP), Some(decl(i, "New")));
         }
-        assert!(cache.lookup(&decl(2, "Old")).is_none());
+        assert!(cache.lookup(&decl(2, "Old"), FP).is_none());
         assert_eq!(
             cache.pack().end as usize,
             whole,
             "indexing stops before the torn record"
         );
         // Records appended after the torn one still replay elsewhere.
-        cache.store(&decl(3, "Old"), &decl(3, "New"));
+        cache.store(&decl(3, "Old"), FP, &decl(3, "New"));
         let cache = reopen(&cache, &env, &lifting);
-        assert_eq!(cache.lookup(&decl(3, "Old")), Some(decl(3, "New")));
+        assert_eq!(cache.lookup(&decl(3, "Old"), FP), Some(decl(3, "New")));
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -1151,7 +1246,7 @@ mod tests {
         let root = scratch_root("middle");
         let cache = PersistCache::open(&root, &env, &lifting).unwrap();
         for i in 0..5 {
-            cache.store(&decl(i, "Old"), &decl(i, "New"));
+            cache.store(&decl(i, "Old"), FP, &decl(i, "New"));
         }
         // Flip a byte in record 1's frame and one in record 3's head.
         let offsets = record_offsets(&cache);
@@ -1161,16 +1256,16 @@ mod tests {
         fs::write(cache.dir().join(PACK), bytes).unwrap();
         let cache = reopen(&cache, &env, &lifting);
         for i in [0, 2, 4] {
-            assert_eq!(cache.lookup(&decl(i, "Old")), Some(decl(i, "New")));
+            assert_eq!(cache.lookup(&decl(i, "Old"), FP), Some(decl(i, "New")));
         }
         for i in [1, 3] {
-            assert!(cache.lookup(&decl(i, "Old")).is_none(), "record {i}");
+            assert!(cache.lookup(&decl(i, "Old"), FP).is_none(), "record {i}");
             // The next store re-publishes the damaged key.
-            cache.store(&decl(i, "Old"), &decl(i, "New"));
+            cache.store(&decl(i, "Old"), FP, &decl(i, "New"));
         }
         let cache = reopen(&cache, &env, &lifting);
         for i in 0..5 {
-            assert_eq!(cache.lookup(&decl(i, "Old")), Some(decl(i, "New")));
+            assert_eq!(cache.lookup(&decl(i, "Old"), FP), Some(decl(i, "New")));
         }
         let _ = fs::remove_dir_all(&root);
     }
@@ -1184,16 +1279,13 @@ mod tests {
         let lifting = sample_lifting(&mut env);
         let root = scratch_root("recreated");
         let cache = PersistCache::open(&root, &env, &lifting).unwrap();
-        cache.store(&decl(0, "Old"), &decl(0, "New"));
+        cache.store(&decl(0, "Old"), FP, &decl(0, "New"));
         let path = cache.dir().join(PACK);
         let old_len = fs::metadata(&path).unwrap().len();
         let mtime = fs::metadata(&path).unwrap().modified().unwrap();
         fs::remove_file(&path).unwrap();
         let mut other = pack_header(fresh_nonce());
-        other.extend(record(
-            decl_digest(&decl(1, "Old")).0,
-            &encode_decl(&decl(1, "New")),
-        ));
+        other.extend(record_of(&decl(1, "Old"), &decl(1, "New")));
         assert_eq!(other.len() as u64, old_len, "same length as the old pack");
         fs::write(&path, other).unwrap();
         File::options()
@@ -1204,8 +1296,8 @@ mod tests {
             .unwrap();
         // The same process-wide index, brought up to date by a new handle.
         let cache = PersistCache::open(&root, &env, &lifting).unwrap();
-        assert!(cache.lookup(&decl(0, "Old")).is_none());
-        assert_eq!(cache.lookup(&decl(1, "Old")), Some(decl(1, "New")));
+        assert!(cache.lookup(&decl(0, "Old"), FP).is_none());
+        assert_eq!(cache.lookup(&decl(1, "Old"), FP), Some(decl(1, "New")));
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -1217,21 +1309,24 @@ mod tests {
         let lifting = sample_lifting(&mut env);
         let root = scratch_root("hit-lru");
         let probe = PersistCache::open(&root, &env, &lifting).unwrap();
-        probe.store(&decl(0, "Old"), &decl(0, "New"));
+        probe.store(&decl(0, "Old"), FP, &decl(0, "New"));
         let record_len = pack_bytes(&probe).len() as u64 - PACK_HEAD;
         forget_index(&probe);
         let _ = fs::remove_dir_all(&root);
         let budget = PACK_HEAD + 3 * record_len;
         let cache = PersistCache::open_bounded(&root, &env, &lifting, Some(budget)).unwrap();
         for i in 0..3 {
-            cache.store(&decl(i, "Old"), &decl(i, "New"));
+            cache.store(&decl(i, "Old"), FP, &decl(i, "New"));
         }
         let later = PersistCache::open_bounded(&root, &env, &lifting, Some(budget)).unwrap();
-        assert_eq!(later.lookup(&decl(0, "Old")), Some(decl(0, "New")));
-        let upkeep = later.store(&decl(3, "Old"), &decl(3, "New"));
+        assert_eq!(later.lookup(&decl(0, "Old"), FP), Some(decl(0, "New")));
+        let upkeep = later.store(&decl(3, "Old"), FP, &decl(3, "New"));
         assert_eq!(upkeep.evictions, 1);
-        assert_eq!(later.lookup(&decl(0, "Old")), Some(decl(0, "New")));
-        assert!(later.lookup(&decl(1, "Old")).is_none(), "the coldest goes");
+        assert_eq!(later.lookup(&decl(0, "Old"), FP), Some(decl(0, "New")));
+        assert!(
+            later.lookup(&decl(1, "Old"), FP).is_none(),
+            "the coldest goes"
+        );
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -1244,9 +1339,11 @@ mod tests {
         let old = decl(0, "Old");
         let mut compactions = 0;
         let mut last = decl(0, "New");
+        // Re-lifts against ever-changing dependencies: each supersedes
+        // the record before it.
         for i in 0..400 {
             last = decl(i, "New");
-            compactions += cache.store_with(&old, &last, true).compactions;
+            compactions += cache.store(&old, i as u64, &last).compactions;
         }
         assert!(compactions > 0, "superseded records were never compacted");
         let pack = cache.pack();
@@ -1254,7 +1351,7 @@ mod tests {
         drop(pack);
         assert!((pack_bytes(&cache).len() as u64) < 2 * COMPACT_MIN_DEAD);
         let cache = reopen(&cache, &env, &lifting);
-        assert_eq!(cache.lookup(&old), Some(last));
+        assert_eq!(cache.lookup(&old, 399), Some(last));
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -1270,13 +1367,13 @@ mod tests {
             .dir()
             .join(format!("{}.bin", decl_digest(&decl(0, "Old"))));
         fs::write(&legacy, encode_decl(&decl(0, "New"))).unwrap();
-        assert!(probe.lookup(&decl(0, "Old")).is_none());
-        let budget = PACK_HEAD + record(0, &encode_decl(&decl(1, "New"))).len() as u64;
+        assert!(probe.lookup(&decl(0, "Old"), FP).is_none());
+        let budget = PACK_HEAD + record_of(&decl(1, "Old"), &decl(1, "New")).len() as u64;
         let cache = PersistCache::open_bounded(&root, &env, &lifting, Some(budget)).unwrap();
-        let upkeep = cache.store(&decl(1, "Old"), &decl(1, "New"));
+        let upkeep = cache.store(&decl(1, "Old"), FP, &decl(1, "New"));
         assert!(!legacy.exists(), "the one-file entry is removed first");
         assert_eq!(upkeep, Upkeep::default(), "no record was evicted");
-        assert_eq!(cache.lookup(&decl(1, "Old")), Some(decl(1, "New")));
+        assert_eq!(cache.lookup(&decl(1, "Old"), FP), Some(decl(1, "New")));
         let _ = fs::remove_dir_all(&root);
     }
 

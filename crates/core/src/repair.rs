@@ -7,7 +7,6 @@
 //! build a `Repairer` instead.
 
 use std::collections::HashMap;
-use std::io;
 
 use pumpkin_kernel::env::Env;
 use pumpkin_kernel::name::GlobalName;
@@ -117,19 +116,6 @@ impl RepairReport {
     /// traced).
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// Writes the trace as JSON lines (the `--trace out.jsonl` schema,
-    /// DESIGN.md §11).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the writer's I/O errors.
-    pub fn write_trace_jsonl(&self, out: &mut dyn io::Write) -> io::Result<()> {
-        for e in &self.trace {
-            writeln!(out, "{}", e.to_json())?;
-        }
-        Ok(())
     }
 
     /// The human-readable flamegraph-style summary of the trace

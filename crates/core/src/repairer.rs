@@ -46,11 +46,11 @@ use pumpkin_trace::{Event, EventKind, JsonLinesSink, Metrics, Tracer};
 
 use crate::config::Lifting;
 use crate::error::{RepairError, Result};
-use crate::incr::{invalidated, DigestMap, IncrStats};
+use crate::incr::{DigestMap, IncrStats};
 use crate::lift::{LiftOutcome, LiftState};
 use crate::persist::PersistCache;
 use crate::repair::{sweep_work_list, RepairReport};
-use crate::schedule::{repair_in_order, CancelToken, ModuleDag};
+use crate::schedule::{repair_in_order, CancelToken};
 
 /// Builder-style front door to the repair pipeline: lifting +
 /// observability in, [`RepairReport`] out. See the module docs for an
@@ -141,10 +141,11 @@ impl<'a> Repairer<'a> {
     }
 
     /// Consults (and fills) the persistent cross-run lift cache rooted at
-    /// `dir` (see [`crate::persist`]): constants whose old declaration and
-    /// lifting configuration digest-match an earlier run are replayed from
-    /// disk instead of re-lifted. [`crate::LiftStats::persist_hits`] /
-    /// `persist_misses` on the report count the traffic.
+    /// `dir` (see [`crate::persist`]): constants whose old declaration,
+    /// dependency fingerprint and lifting configuration match an earlier
+    /// run are replayed from disk instead of re-lifted.
+    /// [`crate::LiftStats::persist_hits`] / `persist_misses` on the report
+    /// count the traffic.
     pub fn persist_cache(mut self, dir: impl Into<PathBuf>) -> Self {
         self.persist_dir = Some(dir.into());
         self
@@ -159,16 +160,16 @@ impl<'a> Repairer<'a> {
         self
     }
 
-    /// Turns the run differential against a digest snapshot of the last
-    /// repaired module ([`DigestMap::capture`]): work-list constants
-    /// whose source digest is unchanged — and which do not depend on a
-    /// changed one — replay from the persist cache, while the changed
-    /// set's DAG-downstream closure is re-lifted fresh with the persist
-    /// cache bypassed (see [`crate::incr`]). The report's
-    /// [`RepairReport::incr`] carries the `{changed, replayed, skipped}`
-    /// accounting. Most effective together with
-    /// [`Repairer::persist_cache`]; without it everything re-lifts and
-    /// only the accounting differs.
+    /// Turns the run differential against a snapshot of the last repaired
+    /// module ([`DigestMap::capture`]): a work-list constant whose
+    /// dependency fingerprint is unchanged reuses its resident repair or
+    /// replays from the persist cache, and one whose fingerprint changed
+    /// (it, or anything it depends on, was edited) re-lifts, since its
+    /// persist record was lifted against other dependencies (see
+    /// [`crate::incr`]). The report's [`RepairReport::incr`] carries the
+    /// `{changed, replayed, skipped}` accounting. Most effective together
+    /// with [`Repairer::persist_cache`]; without it everything not
+    /// resident re-lifts and only the accounting differs.
     pub fn incremental(mut self, prev: &'a DigestMap) -> Self {
         self.incr_prev = Some(prev);
         self
@@ -268,31 +269,19 @@ impl<'a> Repairer<'a> {
             state.set_persist(Some(Arc::new(cache)));
         }
 
-        // Incremental mode: diff the work list against the snapshot and
-        // invalidate the changed set's downstream closure before any lift
-        // runs. The ledger of per-constant outcomes restarts per run so a
-        // threaded state cannot leak counts between requests.
+        // Incremental mode: diff the work list against the snapshot before
+        // any lift runs. The ledger of per-constant outcomes restarts per
+        // run so a threaded state cannot leak counts between requests.
         state.clear_outcomes();
-        // Which work-list members are green (outside the invalidation
-        // closure), in work-list order.
+        // Which work-list members are green (fingerprint unchanged), in
+        // work-list order.
         let mut green = Vec::new();
         let changed = self.incr_prev.map(|prev| {
-            let changed = prev.diff(env, &nodes);
-            // The downstream closure of an empty changed set is empty,
-            // and a non-empty one closes over the snapshot's recorded
-            // edges — an incremental run only builds a fresh module DAG
-            // when a changed constant is new to the snapshot (its
-            // incoming edges were never observed).
-            let inv = if changed.is_empty() {
-                Default::default()
-            } else {
-                prev.close_invalidated(&nodes, &changed)
-                    .unwrap_or_else(|| invalidated(&ModuleDag::build(env, &nodes), &changed))
-            };
-            // A threaded state may carry mappings from an earlier run; an
-            // invalidated constant must re-lift, not short-circuit on one.
-            state.forget(&inv);
-            green = nodes.iter().map(|n| !inv.contains(n)).collect();
+            let stale = prev.stale(env, &nodes);
+            // A threaded state may carry mappings from an earlier run; a
+            // stale constant must re-lift, not short-circuit on one.
+            state.forget(&stale);
+            green = nodes.iter().map(|n| !stale.contains(n)).collect();
             state.set_green(
                 nodes
                     .iter()
@@ -301,16 +290,15 @@ impl<'a> Repairer<'a> {
                     .map(|(n, _)| n.clone())
                     .collect(),
             );
-            state.set_invalidated(inv);
-            changed
+            prev.diff(env, &nodes)
         });
 
         // Incremental runs schedule O(dirty), not O(module): a green
         // constant whose target is already resident resolves here — no
-        // pass slot, no DAG walk — and only the invalidated remainder
-        // (plus greens without a resident target, e.g. a fresh
-        // environment, which fall back to the persist-cache replay path)
-        // enters the scheduler.
+        // pass slot, no DAG walk — and only the stale remainder (plus
+        // greens without a resident target, e.g. a fresh environment,
+        // which fall back to the persist-cache replay path) enters the
+        // scheduler.
         let mut pre: Vec<(usize, GlobalName, GlobalName)> = Vec::new();
         let run_nodes: Vec<GlobalName> = if changed.is_some() {
             let mut run_nodes = Vec::new();
@@ -368,10 +356,9 @@ impl<'a> Repairer<'a> {
             }
         });
         if self.incr_prev.is_some() {
-            // The invalidation and green sets are per-run state, like the
-            // persist handle: a later run through the same threaded
-            // LiftState must not inherit them.
-            state.set_invalidated(Default::default());
+            // The green set is per-run state, like the persist handle: a
+            // later run through the same threaded LiftState must not
+            // inherit it.
             state.set_green(Default::default());
             if let Some(i) = incr {
                 env.tracer().emit(EventKind::Incr {
@@ -662,9 +649,11 @@ mod tests {
             body: Some(Term::construct("nat", 0)),
             opaque: false,
         };
-        PersistCache::open(&dir, &env, &lifting)
-            .unwrap()
-            .store_with(&old, &forged, true);
+        PersistCache::open(&dir, &env, &lifting).unwrap().store(
+            &old,
+            env.fingerprint(&old.name).unwrap(),
+            &forged,
+        );
         let first = Repairer::new(&lifting)
             .persist_cache(&dir)
             .run(&mut env, &["Old.rev_app_distr"])
@@ -711,11 +700,11 @@ mod tests {
     }
 
     #[test]
-    fn threaded_state_re_lifts_the_invalidation_closure() {
+    fn threaded_state_re_lifts_stale_constants() {
         // A LiftState threaded from an earlier run carries mappings for
-        // every constant; an invalidated constant (here: absent from the
-        // snapshot, as an edit would leave it) must not short-circuit on
-        // its stale entry — the driver forgets it so it re-lifts fresh.
+        // every constant; a stale constant (here: absent from the
+        // snapshot, as a new one would be) must not short-circuit on its
+        // old entry — the run forgets it so it re-lifts fresh.
         let module = pumpkin_stdlib::swap::OLD_MODULE_CONSTANTS;
         let (mut env, lifting) = configured();
         let mut st = LiftState::new();

@@ -20,8 +20,7 @@
 //!    that named a dropped constant, so the environment holds exactly the
 //!    constants completed before the failure, all type-correct.
 //!
-//! The same DAG drives incremental invalidation ([`crate::incr`]) and
-//! failure minimization ([`crate::minimize`]). Parallelism lives one level
+//! The same DAG drives failure minimization ([`crate::minimize`]). Parallelism lives one level
 //! up, in the serve worker pool, which runs separate requests on separate
 //! threads (DESIGN.md §10).
 

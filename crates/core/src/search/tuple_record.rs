@@ -47,17 +47,6 @@ impl TupleSpec {
         self.fields.len()
     }
 
-    /// The type of the tail at level `k` (`tail(0)` is the tuple itself).
-    pub fn tail_ty(&self, k: usize) -> Term {
-        if k == 0 {
-            Term::const_(self.tuple.clone())
-        } else if k == self.arity() - 1 {
-            self.fields[k].clone()
-        } else {
-            self.snd_tys[k - 1].clone()
-        }
-    }
-
     /// Which pair level has `(A, B)` as its type arguments?
     fn level_of(&self, env: &Env, a: &Term, b: &Term) -> Option<usize> {
         (0..self.arity() - 1)

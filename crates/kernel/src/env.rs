@@ -1,6 +1,7 @@
 //! The global environment: constants and inductive families — plus the
 //! kernel's two memo tables, for the values and the types of closed terms,
-//! and an optional handle on a shared admission memo ([`crate::admission`]).
+//! the dependency fingerprints of its globals, and an optional handle on a
+//! shared admission memo ([`crate::admission`]).
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
@@ -140,9 +141,10 @@ pub struct Env {
     /// cloning an `Env` clones the tracer's *configuration* but not its
     /// buffered events.
     tracer: Tracer,
-    /// The admission memo this environment shares, if any (see
+    /// The recorded fingerprints and identities of its globals, and the
+    /// admission memo this environment shares, if any (see
     /// [`Env::set_admission_memo`]).
-    admission: Option<Admission>,
+    admission: Admission,
 }
 
 // Serve worker threads receive cloned environments by move; `RefCell`/
@@ -238,15 +240,30 @@ impl Env {
     /// this environment's. From then on [`Env::define`] admits a
     /// declaration the memo has accepted before without checking it
     /// again, and every clone of this environment shares the memo.
-    /// Installing computes the identity of every global declared so far,
-    /// which the clones inherit.
+    /// Installing computes the identity and the fingerprint of every
+    /// global declared so far, which the clones inherit; removing keeps
+    /// the fingerprints.
     pub fn set_admission_memo(&mut self, memo: Option<AdmissionMemo>) {
-        self.admission = memo.map(|m| Admission::new(m, self));
+        match memo {
+            Some(m) => self.admission = Admission::new(m, self),
+            None => self.admission.drop_memo(),
+        }
     }
 
     /// The admission memo this environment shares, if any.
     pub fn admission_memo(&self) -> Option<&AdmissionMemo> {
-        self.admission.as_ref().map(Admission::memo)
+        self.admission.memo()
+    }
+
+    /// The dependency fingerprint of the global `name` (DESIGN.md §19): a
+    /// fixed-key hash of its declaration and of the fingerprints of every
+    /// global it mentions, so it changes when anything the declaration
+    /// depends on, however indirectly, changes. A pure function of
+    /// content: equal across processes and clones, with or without an
+    /// admission memo. Computed on first use and recorded. `None` if `name`
+    /// is not a declared constant or family.
+    pub fn fingerprint(&self, name: &GlobalName) -> Option<u64> {
+        self.admission.fingerprint(self, name)
     }
 
     // ------------------------------------------------------------------
@@ -423,19 +440,18 @@ impl Env {
         if self.contains(name.as_str()) {
             return Err(KernelError::Redeclaration(name));
         }
-        let admission = self.admission.as_ref();
-        let identity = admission.and_then(|a| a.lookup(self, &name, &ty, &body));
-        if let Some((_, true)) = identity {
+        let admitted = self.admission.lookup(self, &name, &ty, &body);
+        if let Some((_, true)) = admitted {
             self.tally(|s| s.admission_hits += 1);
         } else {
             typecheck::check_is_type(self, &ty)?;
             typecheck::check_closed(self, &body, &ty)?;
         }
-        if let (Some(a), Some((id, accepted))) = (admission, identity) {
+        if let Some((record, accepted)) = admitted {
             if !accepted {
-                a.accept(id);
+                self.admission.accept(record);
             }
-            a.record(name.clone(), id);
+            self.admission.record(name.clone(), record);
         }
         self.retire_if_observed_stuck(&name);
         self.order.push(GlobalRef::Const(name.clone()));
@@ -508,9 +524,7 @@ impl Env {
         });
         for r in self.order.drain(mark..) {
             let (GlobalRef::Const(n) | GlobalRef::Ind(n)) = &r;
-            if let Some(a) = &self.admission {
-                a.forget(n);
-            }
+            self.admission.forget(n);
             match r {
                 GlobalRef::Const(n) => {
                     self.consts.remove(&n);
@@ -627,9 +641,7 @@ impl Env {
         }
         // Safe: remove.
         self.bump_generation();
-        if let Some(a) = &self.admission {
-            a.forget(name);
-        }
+        self.admission.forget(name);
         self.consts.remove(name);
         if let Some(ind) = self.inductives.remove(name) {
             for c in &ind.ctors {
@@ -655,12 +667,10 @@ impl Env {
         if decl.opaque != opaque {
             decl.opaque = opaque;
             // Transparency changes which δ-steps fire: memoised values
-            // and types are stale, and so is the identity of `name` and of
-            // every global that mentions it.
+            // and types are stale, and so are the identity and the
+            // fingerprint of `name` and of every global that mentions it.
             self.bump_generation();
-            if let Some(a) = &self.admission {
-                a.forget_all();
-            }
+            self.admission.forget_all();
         }
         Ok(())
     }

@@ -53,14 +53,6 @@ use crate::term::{Binder, ElimData, Term, TermData, TermRc};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TermId(pub(crate) u32);
 
-impl TermId {
-    /// The raw id value (stable within a process only — ids are assigned in
-    /// intern order and must never be persisted).
-    pub fn as_u32(self) -> u32 {
-        self.0
-    }
-}
-
 /// The allocation unit behind [`Term`]: the payload plus everything the
 /// kernel wants to know about it in O(1), computed once at intern time.
 pub(crate) struct TermCell {

@@ -56,14 +56,6 @@ impl Binder {
             ty,
         }
     }
-
-    /// Creates an anonymous binder.
-    pub fn anon(ty: Term) -> Self {
-        Binder {
-            name: Name::Anonymous,
-            ty,
-        }
-    }
 }
 
 impl PartialEq for Binder {

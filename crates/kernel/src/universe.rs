@@ -70,11 +70,6 @@ impl Sort {
             self
         }
     }
-
-    /// Is this the impredicative sort `Prop`?
-    pub fn is_prop(self) -> bool {
-        matches!(self, Sort::Prop)
-    }
 }
 
 impl fmt::Display for Sort {

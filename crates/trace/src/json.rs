@@ -103,14 +103,6 @@ impl Value {
         }
     }
 
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(n) => Some(*n),
-            Value::UInt(n) if *n <= i64::MAX as u64 => Some(*n as i64),
-            _ => None,
-        }
-    }
-
     pub fn as_arr(&self) -> Option<&[Value]> {
         match self {
             Value::Arr(items) => Some(items),

@@ -130,7 +130,8 @@ pub enum EventKind {
     Incr {
         /// Inputs whose source digest changed.
         changed: u64,
-        /// Constants re-lifted fresh (the invalidated closure).
+        /// Constants re-lifted fresh (those whose dependency fingerprint
+        /// left the snapshot's).
         replayed: u64,
         /// Constants not re-lifted.
         skipped: u64,

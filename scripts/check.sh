@@ -45,6 +45,10 @@ cargo clippy --workspace --all-targets --locked -- -D warnings
 # plain code spans instead).
 echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps --locked"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked
+# The same over private items too, whose docs the public pass never
+# renders: a link left dangling by a deleted item fails here.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace --document-private-items --locked"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --document-private-items --locked
 
 # The Send+Sync invariant behind the global interner and the serve worker
 # pool: no std::rc in the kernel or core crates (clippy.toml's

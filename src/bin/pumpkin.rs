@@ -739,8 +739,10 @@ fn top(argv: &[String]) -> ExitCode {
 /// `.pi` file; on every change it clones the checked standard library,
 /// loads the file, and repairs the module *incrementally* — source digests
 /// are diffed against the previous run's [`pumpkin_core::DigestMap`], only
-/// the changed constants' downstream closure is re-lifted, and everything
-/// else replays from the persist cache. Each run prints
+/// the changed constants and whatever depends on them are re-lifted (a
+/// persisted repair replays only under the dependency fingerprint it was
+/// lifted against), and everything else replays from the persist cache.
+/// Each run prints
 /// `run N: repaired K constants in R ms (cycle C ms)`, where R is the
 /// repair alone and C the whole cycle from the library clone to the new
 /// digest snapshot, then `incremental: changed=X replayed=Y skipped=Z`.

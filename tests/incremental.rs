@@ -2,14 +2,16 @@
 //! (DESIGN.md §16). The central claim: repairing after touching a random
 //! subset of a dependency chain, replaying the rest from the persist
 //! cache, is **byte-identical** to repairing the edited module from
-//! scratch — and the `{changed, replayed, skipped}` accounting matches
-//! the DAG closure of the touch exactly. Replay a failure with
-//! `PUMPKIN_TEST_SEED`.
+//! scratch — and the `{changed, replayed, skipped}` accounting re-lifts
+//! exactly the touched links and everything downstream of them. Replay a
+//! failure with `PUMPKIN_TEST_SEED`.
 
 use std::path::PathBuf;
 
-use pumpkin_pi::pumpkin_core::{DigestMap, LiftState, NameMap, RepairReport, Repairer};
+use pumpkin_pi::pumpkin_core::repair::check_source_free;
+use pumpkin_pi::pumpkin_core::{DigestMap, LiftState, Lifting, NameMap, RepairReport, Repairer};
 use pumpkin_pi::pumpkin_kernel::env::Env;
+use pumpkin_pi::pumpkin_kernel::term::Term;
 use pumpkin_pi::pumpkin_lang;
 use pumpkin_pi::pumpkin_stdlib as stdlib;
 use pumpkin_testkit::check;
@@ -20,9 +22,8 @@ const CHAIN: usize = 6;
 /// Sources a chain `Old.mine0 … Old.mineN`: each body is `S^{k_i}` of the
 /// previous link (`O` for the first). Editing `k_i` changes link `i`'s
 /// digest only — every later link keeps its digest but depends on the
-/// edit through the module DAG, which is exactly the case invalidation
-/// must catch (replaying a stale persisted entry would skip the
-/// re-check).
+/// edit, so its dependency fingerprint changes and its persisted repair,
+/// lifted against the old link, must not replay.
 fn chain_source(ks: &[u64]) -> String {
     let mut src = String::new();
     for (i, k) in ks.iter().enumerate() {
@@ -52,19 +53,23 @@ fn world(ks: &[u64]) -> (Env, Vec<String>) {
     (env, names)
 }
 
+fn configure(env: &mut Env) -> Lifting {
+    pumpkin_pi::pumpkin_core::search::swap::configure(
+        env,
+        &"Old.list".into(),
+        &"New.list".into(),
+        NameMap::prefix("Old.", "New."),
+    )
+    .expect("configure swap")
+}
+
 fn repair(
     env: &mut Env,
     names: &[String],
     cache: Option<&PathBuf>,
     prev: Option<&DigestMap>,
 ) -> RepairReport {
-    let lifting = pumpkin_pi::pumpkin_core::search::swap::configure(
-        env,
-        &"Old.list".into(),
-        &"New.list".into(),
-        NameMap::prefix("Old.", "New."),
-    )
-    .expect("configure swap");
+    let lifting = configure(env);
     let mut st = LiftState::new();
     let mut r = Repairer::new(&lifting).state(&mut st);
     if let Some(dir) = cache {
@@ -152,5 +157,69 @@ fn incremental_replay_of_random_touches_matches_from_scratch() {
 
         let _ = std::fs::remove_dir_all(&cache);
     });
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// An edit to a dependency off the work list: `Old.f` stays `Old.h`, while
+/// `Old.h` starts to use `Old.list`.
+const OFF_LIST_V1: &str = "Definition Old.h : nat := O.\n\
+                           Definition Old.f : nat := Old.h.";
+const OFF_LIST_V2: &str =
+    "Definition Old.h : nat := (fun (x : Old.list nat) => O) (Old.nil nat).\n\
+                           Definition Old.f : nat := Old.h.";
+
+/// `src` loaded into the standard world, and its swap configuration.
+fn loaded(src: &str) -> (Env, Lifting) {
+    let mut env = stdlib::std_env();
+    pumpkin_lang::load_source(&mut env, src).expect("load source");
+    let lifting = configure(&mut env);
+    (env, lifting)
+}
+
+#[test]
+fn an_off_list_dependency_edit_never_replays_a_stale_repair() {
+    let root = std::env::temp_dir().join(format!("pumpkin-incr-stale-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let names = ["Old.f"];
+    let new_f = "New.f".into();
+    // A cold v2 run repairs `Old.h` on demand: `New.f := New.h`.
+    let (mut cold, lifting) = loaded(OFF_LIST_V2);
+    Repairer::new(&lifting).run(&mut cold, &names).unwrap();
+    let want = cold.const_decl(&new_f).unwrap().clone();
+    assert_eq!(want.body, Some(Term::const_("New.h")));
+    for incremental in [false, true] {
+        // v1 fills the cache: there `Old.h` never mentions `Old.list`, so
+        // `New.f := Old.h` is the right repair, and it is persisted.
+        let cache = root.join(format!("incremental-{incremental}"));
+        let (mut v1, lifting) = loaded(OFF_LIST_V1);
+        Repairer::new(&lifting)
+            .persist_cache(&cache)
+            .run(&mut v1, &names)
+            .unwrap();
+        assert_eq!(
+            v1.const_decl(&new_f).unwrap().body,
+            Some(Term::const_("Old.h"))
+        );
+        let snap = DigestMap::capture(&v1, &names);
+        // v2 through the same cache: `Old.f`'s digest is unchanged, but its
+        // fingerprint is not, so its record reads as a miss.
+        let (mut v2, lifting) = loaded(OFF_LIST_V2);
+        let mut repairer = Repairer::new(&lifting).persist_cache(&cache);
+        if incremental {
+            repairer = repairer.incremental(&snap);
+        }
+        let report = repairer.run(&mut v2, &names).unwrap();
+        assert_eq!(
+            v2.const_decl(&new_f).unwrap(),
+            &want,
+            "incremental={incremental}: a cold run installs another repair"
+        );
+        check_source_free(&v2, &lifting, &new_f).unwrap();
+        assert_eq!(report.lift.persist_hits, 0, "incremental={incremental}");
+        if incremental {
+            let incr = report.incr.expect("incremental run reports stats");
+            assert_eq!((incr.changed, incr.replayed, incr.skipped), (0, 1, 0));
+        }
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
